@@ -1,0 +1,247 @@
+"""Golden CLI corpus: the exact stdout bytes and exit code of a fixed set of
+``eivreg`` invocations, plus the bytes of every file ``simulate`` writes.
+
+The corpus spans every experiment and pivot, every latent family, both
+error bases, both identifiability cases, both intercept flags, both
+quadratic variants, one and two workers, and the ``estimate``, ``ci``,
+``simulate`` and ``diagnose`` subcommands.  A refactor that claims to
+change no behaviour must pass it unchanged.  Each case runs
+``eivreg.cli.main`` in-process in its own working directory; sizes are
+kept tiny so the whole corpus takes a few seconds.
+
+After an intended change of output, recapture the expected files with
+
+    PYTHONPATH=src python tests/test_golden.py --capture
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import pytest
+
+from eivreg.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+XI_PARAMS = {
+    "normal": {"mean": 0.5, "sd": 1.5},
+    "uniform": {"a": -1.0, "b": 2.0},
+    "centered_exponential": {"rate": 0.8},
+    "student_t2": {"scale": 1.0, "shift": 0.3},
+    "symmetric_pareto2": {"scale": 1.2, "shift": -0.2},
+}
+
+
+def model(family="normal", base="gaussian", c=1) -> dict:
+    return {
+        "beta": 2.0, "alpha": 1.0 if c else 0.0, "intercept_unknown": bool(c),
+        "xi": {"family": family, "params": XI_PARAMS[family]},
+        "errors": {"lambda_theta": 0.25, "theta": 0.25, "mu": 0.05, "base": base},
+    }
+
+
+def experiment(name, *, family="normal", base="gaussian", case=2, c=1,
+               n_values=(12, 30), reps=24, seed=7, gamma=0.05, **extra) -> str:
+    side = ({"case": 1, "lambda_theta": 0.25, "mu": 0.05, "theta": None} if case == 1
+            else {"case": 2, "lambda_theta": None, "mu": 0.05, "theta": 0.25})
+    side.update(extra.pop("side", {}))
+    doc = {"model": model(family, base, c), "side": side, "experiment": name,
+           "n_values": list(n_values), "replications": reps, "gamma": gamma,
+           "seed": seed, **extra}
+    return json.dumps(doc)
+
+
+def _data_csv(n: int = 40) -> str:
+    # Exact decimal arithmetic on integers: the same bytes on every platform.
+    rows = ["y,x"]
+    for i in range(n):
+        x = ((i * 37) % 101) / 10.0 - 5.0
+        noise = ((i * 53) % 29) / 29.0 - 0.5
+        rows.append(f"{2.0 * x + 1.0 + noise!r},{x + ((i * 17) % 13) / 26.0 - 0.25!r}")
+    return "\n".join(rows) + "\n"
+
+
+DATA_CSV = _data_csv()
+OFFLINE_CSV = "y,x\n1,0\n3,1\n6,2\n"
+CONST_X_CSV = "y,x\n1,1\n2,1\n3,1\n"
+COLUMN_CSV = "z\n" + "".join(f"{((i * 29) % 31) / 4.0 - 3.5!r}\n" for i in range(25))
+
+
+@dataclass(frozen=True)
+class Case:
+    name: str
+    argv: tuple
+    inputs: dict = field(default_factory=dict)
+    workers: str = "1"
+    # Files the command writes, compared byte for byte.
+    writes: tuple = ()
+
+
+def exp_case(case_name, workers="1", flags=(), **kw) -> Case:
+    return Case(case_name, ("experiment", "--config", "cfg.json", *flags),
+                {"cfg.json": experiment(**kw)}, workers)
+
+
+def fit_case(name, *argv, csv=DATA_CSV) -> Case:
+    return Case(name, (argv[0], "data.csv", *argv[1:]), {"data.csv": csv})
+
+
+SIDE1 = ("--case", "1", "--lambda-theta", "0.25", "--mu", "0.05")
+SIDE2 = ("--case", "2", "--theta", "0.25", "--mu", "0.05")
+
+CASES = [
+    # Every experiment, with the families, bases, cases, flags and workers spread over them.
+    exp_case("exp_coverage14_case2_c1_normal_w1", name="coverage14"),
+    exp_case("exp_coverage14_case1_c0_uniform_scaled_w2", "2", name="coverage14",
+             family="uniform", base="scaled_uniform", case=1, c=0),
+    exp_case("exp_coverage15_case2_t2_w2", "2", name="coverage15", family="student_t2"),
+    exp_case("exp_coverage15_case1_exponential_scaled_w1", name="coverage15",
+             family="centered_exponential", base="scaled_uniform", case=1),
+    exp_case("exp_coverage16_k1_pareto_w2", "2", name="coverage16",
+             family="symmetric_pareto2", case=1, k=1),
+    exp_case("exp_coverage16_k2_c0_t2_w1", name="coverage16", family="student_t2",
+             case=1, c=0, k=2),
+    exp_case("exp_normality_slope_studentized_case1_w1", name="normality", case=1,
+             pivot="slope_studentized"),
+    exp_case("exp_normality_slope_self_normalized_case2_c0_w2", "2", name="normality",
+             c=0, pivot="slope_self_normalized"),
+    exp_case("exp_normality_default_pivot_t2_w1", name="normality", family="student_t2"),
+    exp_case("exp_normality_slope_self_normalized_plugin_case1_w2", "2",
+             name="normality", case=1, pivot="slope_self_normalized_plugin"),
+    exp_case("exp_normality_intercept_known_slope_w2", "2", name="normality",
+             family="uniform", pivot="intercept_known_slope"),
+    exp_case("exp_normality_intercept_plugin_case1_w1", name="normality",
+             family="symmetric_pareto2", case=1, pivot="intercept_plugin"),
+    exp_case("exp_rate_c1_w1", name="rate", family="student_t2"),
+    exp_case("exp_rate_c0_case1_w2", "2", name="rate", case=1, c=0),
+    exp_case("exp_naive_c1_w2", "2", name="naive_consistency", family="centered_exponential"),
+    exp_case("exp_naive_c0_w1", name="naive_consistency", c=0),
+    exp_case("exp_degeneracy_k1_w1", name="degeneracy", case=1, k=1,
+             n_values=(3, 10), gamma=0.001),
+    exp_case("exp_degeneracy_k2_c0_w2", "2", name="degeneracy", case=1, c=0, k=2,
+             n_values=(3, 10), gamma=0.001),
+    exp_case("exp_guard_failures_w1", name="coverage14", side={"theta": 1e9}),
+    exp_case("exp_mixed_guards_coverage15_w1", name="coverage15", n_values=(3,),
+             reps=40, side={"theta": 0.9}),
+    exp_case("exp_seed_gamma_override_w2", "2", ("--seed", "3", "--gamma", "0.1"),
+             name="coverage14", family="uniform"),
+    # Configurations every experiment's validation rules reject.
+    exp_case("exp_reject_coverage16_case2", name="coverage16"),
+    exp_case("exp_reject_degeneracy_case2", name="degeneracy"),
+    exp_case("exp_reject_coverage15_c0", name="coverage15", c=0),
+    exp_case("exp_reject_intercept_pivot_c0", name="normality", c=0,
+             pivot="intercept_plugin"),
+    exp_case("exp_reject_unknown_pivot", name="normality", pivot="median"),
+    exp_case("exp_reject_unknown_experiment", name="bootstrap"),
+    exp_case("exp_reject_bad_k", name="coverage16", case=1, k=3),
+    exp_case("exp_reject_bad_workers", "abc", name="coverage14"),
+    # Fits of one CSV dataset.
+    fit_case("estimate_case1_c1", "estimate", *SIDE1, "--intercept"),
+    fit_case("estimate_case2_c0", "estimate", *SIDE2),
+    fit_case("estimate_guard_exit_3", "estimate", *SIDE2, "--intercept", csv=CONST_X_CSV),
+    fit_case("ci_plugin_case2_c1", "ci", *SIDE2, "--intercept", "--family", "plugin-slope"),
+    fit_case("ci_plugin_case1_c0", "ci", *SIDE1, "--family", "plugin-slope", "--gamma", "0.1"),
+    fit_case("ci_intercept_case1", "ci", *SIDE1, "--intercept", "--family", "intercept"),
+    fit_case("ci_intercept_case2", "ci", *SIDE2, "--intercept", "--family", "intercept",
+             "--gamma", "0.2"),
+    fit_case("ci_quadratic_k1_c1", "ci", *SIDE1, "--intercept", "--family", "quadratic",
+             "--k", "1"),
+    fit_case("ci_quadratic_k2_c0", "ci", *SIDE1, "--family", "quadratic", "--k", "2"),
+    fit_case("ci_quadratic_degenerate_exit_4", "ci", "--case", "1", "--lambda-theta", "0",
+             "--mu", "0", "--intercept", "--family", "quadratic", "--gamma", "0.04",
+             "--k", "1", csv=OFFLINE_CSV),
+    fit_case("diagnose_column_center_ks", "diagnose", "--column", "x", "--center", "0.5",
+             "--ks"),
+    Case("diagnose_single_column", ("diagnose", "z.csv", "--center", "-1", "--ks"),
+         {"z.csv": COLUMN_CSV}),
+] + [
+    # One simulation per latent family, alternating the error base.
+    Case(f"simulate_{family}", ("simulate", "--config", "cfg.json", "--out", "sim.csv",
+                                "--latent", "--n", "6", "--seed", "11"),
+         {"cfg.json": json.dumps({"model": model(family, base, c)})},
+         writes=("sim.csv", "sim.latent.csv"))
+    for (family, base, c) in (("normal", "gaussian", 1), ("uniform", "scaled_uniform", 0),
+                              ("centered_exponential", "gaussian", 0),
+                              ("student_t2", "scaled_uniform", 1),
+                              ("symmetric_pareto2", "gaussian", 1))
+]
+
+
+@contextlib.contextmanager
+def _inside(workdir: Path, workers: str):
+    """Run with ``workdir`` as the working directory and EIVREG_WORKERS set."""
+    old_cwd, old_workers = os.getcwd(), os.environ.get("EIVREG_WORKERS")
+    os.chdir(workdir)
+    os.environ["EIVREG_WORKERS"] = workers
+    try:
+        yield
+    finally:
+        os.chdir(old_cwd)
+        if old_workers is None:
+            del os.environ["EIVREG_WORKERS"]
+        else:
+            os.environ["EIVREG_WORKERS"] = old_workers
+
+
+def run_case(case: Case, workdir: Path) -> tuple:
+    """Exit code and {output name: bytes} of one case run inside ``workdir``."""
+    for name, text in case.inputs.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with _inside(workdir, case.workers), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(list(case.argv))
+        except SystemExit as exc:
+            code = exc.code
+    outputs = {"stdout": out.getvalue().encode("utf-8")}
+    for name in case.writes:
+        outputs[name] = (workdir / name).read_bytes()
+    return code, outputs
+
+
+def _expected_codes() -> dict:
+    return json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_golden(case, tmp_path):
+    code, outputs = run_case(case, tmp_path)
+    assert code == _expected_codes()[case.name]
+    for name, data in outputs.items():
+        assert data == (GOLDEN / f"{case.name}.{name}").read_bytes(), name
+
+
+def test_corpus_files_match_cases():
+    expected = {f"{c.name}.{name}" for c in CASES for name in ("stdout", *c.writes)}
+    present = {p.name for p in GOLDEN.iterdir() if p != EXIT_CODES}
+    assert present == expected
+    assert set(_expected_codes()) == {c.name for c in CASES}
+
+
+def capture() -> None:
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, outputs = run_case(case, Path(tmp))
+        codes[case.name] = code
+        for name, data in outputs.items():
+            (GOLDEN / f"{case.name}.{name}").write_bytes(data)
+    EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--capture"]:
+        raise SystemExit(__doc__)
+    capture()
