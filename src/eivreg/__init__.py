@@ -40,7 +40,7 @@ from .inference import (
     slope_residuals,
     slope_statistic,
 )
-from .moments import CrossMomentSummary, MomentSet, cross_moment_summary, moment_set
+from .moments import MomentSet, moment_set
 from .montecarlo import ExperimentConfig, ExperimentReport, run_experiment
 from .normal import norm_cdf, norm_ppf, z_for_gamma
 from .samplers import (
@@ -58,7 +58,7 @@ from .samplers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrossMomentSummary", "MomentSet", "cross_moment_summary", "moment_set",
+    "MomentSet", "moment_set",
     "SideInfo", "PointEstimate", "NaiveEstimates",
     "estimate", "naive_ratio_estimates", "reliability_ratio",
     "SlopeResiduals", "InterceptResiduals", "IntervalEstimate",

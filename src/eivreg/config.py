@@ -28,18 +28,9 @@ import json
 from .errors import ConfigError
 from .estimators import SideInfo
 from .montecarlo import ExperimentConfig
-from .samplers import ErrorSpec, ModelSpec, XiDistribution
+from .samplers import XI_FAMILIES, ErrorSpec, ModelSpec, XiDistribution
 
-__all__ = ["load_document", "parse_model", "parse_side", "parse_experiment_config",
-           "XI_PARAM_NAMES"]
-
-XI_PARAM_NAMES = {
-    "normal": ("mean", "sd"),
-    "uniform": ("a", "b"),
-    "centered_exponential": ("rate",),
-    "student_t2": ("scale", "shift"),
-    "symmetric_pareto2": ("scale", "shift"),
-}
+__all__ = ["load_document", "parse_model", "parse_side", "parse_experiment_config"]
 
 
 def load_document(path: str) -> dict:
@@ -84,7 +75,7 @@ def parse_model(doc: dict) -> ModelSpec:
     if not isinstance(xi_doc, dict):
         raise ConfigError("model.xi must be an object")
     family = _require(xi_doc, "family", "model.xi")
-    if family not in XI_PARAM_NAMES:
+    if family not in XI_FAMILIES:
         raise ConfigError(f"unknown xi family {family!r}")
     params_doc = _require(xi_doc, "params", "model.xi")
     if not isinstance(params_doc, dict):
@@ -92,7 +83,7 @@ def parse_model(doc: dict) -> ModelSpec:
     params = tuple(
         _number(_require(params_doc, name, "model.xi.params"),
                 f"model.xi.params.{name}")
-        for name in XI_PARAM_NAMES[family])
+        for name in XI_FAMILIES[family].params)
     err_doc = _require(model, "errors", "model")
     if not isinstance(err_doc, dict):
         raise ConfigError("model.errors must be an object")

@@ -83,11 +83,29 @@ def _resolve_z(gamma: Optional[float], z: Optional[float]) -> Tuple[float, float
     return float(z), 2.0 * norm_cdf(z) - 1.0
 
 
-def _slope_parts(ms: MomentSet, side: SideInfo) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Normalizer U and arrays (ay, ax) with slope terms ay - b*ax."""
-    if side.case == 1:
-        return ms.S_xy - side.mu, ms.s_yy - side.lambda_theta, ms.s_xy - side.mu
-    return ms.S_xx - side.theta, ms.s_xy - side.mu, ms.s_xx - side.theta
+def _pivot_terms(ms: MomentSet, side: SideInfo,
+                 k: Optional[int] = None) -> Tuple[float, np.ndarray, np.ndarray]:
+    """Normalizer U and arrays (ay, ax) whose pivot terms at slope b are ay - b*ax.
+
+    Without ``k`` these are the case-specific slope terms a_i.  The
+    quadratic variants exist for case 1 only: k = 2 keeps its raw terms,
+    k = 1 centers each array at its sample mean.
+    """
+    if side.case == 2:
+        return ms.S_xx - side.theta, ms.s_xy - side.mu, ms.s_xx - side.theta
+    U = ms.S_xy - side.mu
+    if k == 1:
+        return U, ms.s_yy - ms.S_yy, ms.s_xy - ms.S_xy
+    return U, ms.s_yy - side.lambda_theta, ms.s_xy - side.mu
+
+
+def _pivot_scales(n: int, k: int) -> Tuple[float, float, int]:
+    """Numerator factor and denominator scale of quadratic pivot ``k``, and
+    the factor f of its inversion quadratic: k = 1 Studentizes (degrees of
+    freedom n - 1, f = n*(n-1)), k = 2 self-normalizes (f = n^2)."""
+    if k == 1:
+        return math.sqrt(n), 1.0 / math.sqrt(n - 1), n * (n - 1)
+    return float(n), 1.0, n * n
 
 
 def _moments(data, side: SideInfo) -> MomentSet:
@@ -95,6 +113,13 @@ def _moments(data, side: SideInfo) -> MomentSet:
     if ms.n < 2:
         raise ValueError(f"need at least 2 observations, got {ms.n}")
     return ms
+
+
+def _plugin_half_width(ms: MomentSet, side: SideInfo, z: float) -> Tuple[float, float]:
+    """The estimate and z * sqrt(sum a_i(beta_hat)^2) / (n*|U|)."""
+    U, ay, ax = _pivot_terms(ms, side)
+    b = estimate_from_moments(ms, side).beta_hat
+    return b, z * math.sqrt(fsum((ay - b * ax) ** 2)) / (ms.n * abs(U))
 
 
 @dataclass(frozen=True)
@@ -109,23 +134,18 @@ class SlopeResiduals:
     term_mean: float
 
 
-def _slope_residuals_ms(ms: MomentSet, side: SideInfo, beta: Optional[float]) -> SlopeResiduals:
-    U, ay, ax = _slope_parts(ms, side)
-    if beta is None:
-        b = estimate_from_moments(ms, side).beta_hat
-        kind = "plugin"
-    else:
-        b = float(beta)
-        kind = "known_beta"
-    terms = ay - b * ax
-    return SlopeResiduals(j=side.case, kind=kind, beta_used=b, U=U,
-                          terms=terms, term_mean=fsum(terms) / ms.n)
-
-
 def slope_residuals(data, side: SideInfo, *, beta: Optional[float] = None) -> SlopeResiduals:
     """Slope residual terms; pass ``beta`` for the known-slope version,
     omit it to plug in the estimate (propagates its guard checks)."""
-    return _slope_residuals_ms(_moments(data, side), side, beta)
+    ms = _moments(data, side)
+    U, ay, ax = _pivot_terms(ms, side)
+    if beta is None:
+        b, kind = estimate_from_moments(ms, side).beta_hat, "plugin"
+    else:
+        b, kind = float(beta), "known_beta"
+    terms = ay - b * ax
+    return SlopeResiduals(j=side.case, kind=kind, beta_used=b, U=U,
+                          terms=terms, term_mean=fsum(terms) / ms.n)
 
 
 @dataclass(frozen=True)
@@ -138,17 +158,17 @@ class InterceptResiduals:
     term_mean: float
 
 
-def _intercept_residuals_ms(ms: MomentSet, side: SideInfo, y: np.ndarray, x: np.ndarray,
-                            beta: Optional[float], alpha: Optional[float]) -> InterceptResiduals:
-    if side.c != 1:
-        raise ValueError("intercept residuals require the unknown-intercept model (c = 1)")
-    if (beta is None) != (alpha is None):
-        raise ValueError("pass both beta and alpha for known values, or neither to plug in")
-    r = _slope_residuals_ms(ms, side, beta)
-    alpha0 = 0.0 if alpha is None else float(alpha)
-    terms = (y - alpha0) - r.beta_used * x - (ms.x_bar / r.U) * r.terms
-    return InterceptResiduals(j=side.case, kind=r.kind, terms=terms,
-                              term_mean=fsum(terms) / ms.n)
+def _intercept_terms(data, ms: MomentSet, side: SideInfo, beta: Optional[float],
+                     alpha: Optional[float], est=None) -> np.ndarray:
+    """Intercept residual terms at the known (beta, alpha), or at the
+    estimate ``est`` (computed when not given) when ``beta`` is None."""
+    if beta is None:
+        est = estimate_from_moments(ms, side) if est is None else est
+        b, alpha0 = est.beta_hat, 0.0
+    else:
+        b, alpha0 = float(beta), float(alpha)
+    U, ay, ax = _pivot_terms(ms, side)
+    return (data.y - alpha0) - b * data.x - (ms.x_bar / U) * (ay - b * ax)
 
 
 def intercept_residuals(data, side: SideInfo, *, beta: Optional[float] = None,
@@ -159,7 +179,23 @@ def intercept_residuals(data, side: SideInfo, *, beta: Optional[float] = None,
     version sets the unknown intercept to 0; the constant cancels.
     """
     ms = _moments(data, side)
-    return _intercept_residuals_ms(ms, side, data.y, data.x, beta, alpha)
+    if side.c != 1:
+        raise ValueError("intercept residuals require the unknown-intercept model (c = 1)")
+    if (beta is None) != (alpha is None):
+        raise ValueError("pass both beta and alpha for known values, or neither to plug in")
+    terms = _intercept_terms(data, ms, side, beta, alpha)
+    return InterceptResiduals(j=side.case, kind="plugin" if beta is None else "known_beta",
+                              terms=terms, term_mean=fsum(terms) / ms.n)
+
+
+def _intercept_studentization(data, side: SideInfo, beta: Optional[float] = None,
+                              alpha: Optional[float] = None) -> Tuple[int, float, float]:
+    """n, the intercept estimate and the centered sum of squares of the
+    intercept residual terms (plug-in when ``beta`` is None)."""
+    ms = _moments(data, side)
+    est = estimate_from_moments(ms, side)
+    terms = _intercept_terms(data, ms, side, beta, alpha, est)
+    return ms.n, est.alpha_hat, fsum((terms - fsum(terms) / ms.n) ** 2)
 
 
 def slope_statistic(data, side: SideInfo, beta: float, variant: str) -> float:
@@ -171,25 +207,27 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str) -> float:
     if variant not in SLOPE_VARIANTS:
         raise ValueError(f"unknown slope variant {variant!r}")
     ms = _moments(data, side)
-    known = _slope_residuals_ms(ms, side, beta)
+    _, ay, ax = _pivot_terms(ms, side)
+    terms = ay - float(beta) * ax
     n = ms.n
     # Exact identity: U * (beta_hat - beta) equals the mean of the
     # known-slope terms, so the numerator never goes through beta_hat.
+    term_mean = fsum(terms) / n
     if variant == "studentized":
-        ss = fsum((known.terms - known.term_mean) ** 2)
+        ss = fsum((terms - term_mean) ** 2)
         if ss == 0.0:
             raise ZeroNormalizer("centered slope residuals are all zero")
-        return math.sqrt(n) * known.term_mean / math.sqrt(ss / (n - 1))
+        return math.sqrt(n) * term_mean / math.sqrt(ss / (n - 1))
     if variant == "self_normalized":
-        ss = fsum(known.terms ** 2)
+        ss = fsum(terms ** 2)
         if ss == 0.0:
             raise ZeroNormalizer("slope residuals are all zero")
-        return n * known.term_mean / math.sqrt(ss)
-    plug = _slope_residuals_ms(ms, side, None)
-    ss = fsum(plug.terms ** 2)
-    if ss == 0.0:
-        raise ZeroNormalizer("plug-in slope residuals are all zero")
-    return n * known.term_mean / math.sqrt(ss)
+    else:
+        b = estimate_from_moments(ms, side).beta_hat
+        ss = fsum((ay - b * ax) ** 2)
+        if ss == 0.0:
+            raise ZeroNormalizer("plug-in slope residuals are all zero")
+    return n * term_mean / math.sqrt(ss)
 
 
 def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[float] = None,
@@ -204,19 +242,14 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
         raise ValueError(f"unknown intercept variant {variant!r}")
     if side.c != 1:
         raise ValueError("intercept statistics require c = 1")
-    ms = _moments(data, side)
-    est = estimate_from_moments(ms, side)
-    if variant == "known_slope":
-        if beta is None:
-            raise ValueError("known_slope variant requires beta")
-        res = _intercept_residuals_ms(ms, side, data.y, data.x, beta, alpha)
-    else:
-        res = _intercept_residuals_ms(ms, side, data.y, data.x, None, None)
-    ss = fsum((res.terms - res.term_mean) ** 2)
+    if variant == "plugin":
+        beta = None
+    elif beta is None:
+        raise ValueError("known_slope variant requires beta")
+    n, alpha_hat, ss = _intercept_studentization(data, side, beta, alpha)
     if ss == 0.0:
         raise ZeroNormalizer("centered intercept residuals are all zero")
-    n = ms.n
-    return math.sqrt(n) * (est.alpha_hat - alpha) / math.sqrt(ss / (n - 1))
+    return math.sqrt(n) * (alpha_hat - alpha) / math.sqrt(ss / (n - 1))
 
 
 @dataclass(frozen=True)
@@ -245,11 +278,8 @@ def ci_slope_plugin(data, side: SideInfo, gamma: Optional[float] = None, *,
     """Symmetric slope interval from the self-normalized plug-in pivot:
     beta_hat -+ z * sqrt(sum a_i(beta_hat)^2) / (n*|U|)."""
     z, level = _resolve_z(gamma, z)
-    ms = _moments(data, side)
-    plug = _slope_residuals_ms(ms, side, None)
-    half = z * math.sqrt(fsum(plug.terms ** 2)) / (ms.n * abs(plug.U))
-    return IntervalEstimate(center=plug.beta_used, lower=plug.beta_used - half,
-                            upper=plug.beta_used + half, level=level,
+    b, half = _plugin_half_width(_moments(data, side), side, z)
+    return IntervalEstimate(center=b, lower=b - half, upper=b + half, level=level,
                             family="slope_plugin", j=side.case)
 
 
@@ -260,35 +290,23 @@ def ci_intercept(data, side: SideInfo, gamma: Optional[float] = None, *,
     z, level = _resolve_z(gamma, z)
     if side.c != 1:
         raise ValueError("intercept interval requires c = 1")
-    ms = _moments(data, side)
-    est = estimate_from_moments(ms, side)
-    res = _intercept_residuals_ms(ms, side, data.y, data.x, None, None)
-    ss = fsum((res.terms - res.term_mean) ** 2)
-    half = z * math.sqrt(ss) / math.sqrt(ms.n * (ms.n - 1))
-    return IntervalEstimate(center=est.alpha_hat, lower=est.alpha_hat - half,
-                            upper=est.alpha_hat + half, level=level,
+    n, alpha_hat, ss = _intercept_studentization(data, side)
+    half = z * math.sqrt(ss) / math.sqrt(n * (n - 1))
+    return IntervalEstimate(center=alpha_hat, lower=alpha_hat - half,
+                            upper=alpha_hat + half, level=level,
                             family="intercept", j=side.case)
 
 
 def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, beta1: float):
-    """Coefficients of the inversion quadratic A*b^2 - 2*N*b + C <= 0.
-
-    k = 1 inverts the Studentized pivot (terms centered at their sample
-    means, degrees-of-freedom factor n*(n-1)); k = 2 the self-normalized
-    pivot (raw terms, factor n^2).
-    """
-    n = ms.n
-    if k == 1:
-        gyy, gxy, f = ms.S_yy, ms.S_xy, n * (n - 1)
-    else:
-        gyy, gxy, f = side.lambda_theta, side.mu, n * n
-    ay = ms.s_yy - gyy
-    ax = ms.s_xy - gxy
+    """Coefficients of the inversion quadratic A*b^2 - 2*N*b + C <= 0 of
+    quadratic pivot ``k``."""
+    U, ay, ax = _pivot_terms(ms, side, k)
+    f = _pivot_scales(ms.n, k)[2]
     syy2 = fsum(ay * ay)
     sxy2 = fsum(ax * ax)
     cross = fsum(ay * ax)
     z2 = z * z
-    fu2 = f * (ms.S_xy - side.mu) ** 2
+    fu2 = f * U ** 2
     A = fu2 - z2 * sxy2
     N = fu2 * beta1 - z2 * cross
     C = fu2 * beta1 ** 2 - z2 * syy2
@@ -342,21 +360,6 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
                             family="slope_quadratic", j=1, k=k)
 
 
-def _pivot_arrays(ms: MomentSet, side: SideInfo, k: int):
-    n = ms.n
-    if k == 1:
-        ay = ms.s_yy - ms.S_yy
-        ax = ms.s_xy - ms.S_xy
-        num_factor = math.sqrt(n)
-        den_scale = 1.0 / math.sqrt(n - 1)
-    else:
-        ay = ms.s_yy - side.lambda_theta
-        ax = ms.s_xy - side.mu
-        num_factor = float(n)
-        den_scale = 1.0
-    return ay, ax, num_factor, den_scale
-
-
 def quadratic_pivot(data, side: SideInfo, k: int, beta: float) -> float:
     """|pivot| the quadratic interval of variant ``k`` inverts, at slope ``beta``.
 
@@ -369,12 +372,12 @@ def quadratic_pivot(data, side: SideInfo, k: int, beta: float) -> float:
         raise ValueError(f"k must be 1 or 2, got {k!r}")
     ms = _moments(data, side)
     est = estimate_from_moments(ms, side)
-    ay, ax, num_factor, den_scale = _pivot_arrays(ms, side, k)
+    U, ay, ax = _pivot_terms(ms, side, k)
+    num_factor, den_scale, _ = _pivot_scales(ms.n, k)
     t = ay - beta * ax
     den = math.sqrt(fsum(t * t)) * den_scale
     if den == 0.0:
         raise ZeroNormalizer("pivot normalizer is zero")
-    U = ms.S_xy - side.mu
     return num_factor * abs(U) * abs(est.beta_hat - beta) / den
 
 
@@ -470,22 +473,20 @@ def grid_invert_ci(data, side: SideInfo, k: int = 1, gamma: Optional[float] = No
         raise ValueError(f"k must be 1 or 2, got {k!r}")
     z, _level = _resolve_z(gamma, z)
     ms = _moments(data, side)
-    est = estimate_from_moments(ms, side)
-    beta1 = est.beta_hat
-    U = ms.S_xy - side.mu
+    beta1 = estimate_from_moments(ms, side).beta_hat
 
     if z == 0.0:
         # |pivot| <= 0 only at the estimate itself.
         return GridInversion(intervals=((beta1, beta1),), z=0.0, step=0.0,
                              expansions=0, unbounded=False)
 
-    ay, ax, num_factor, den_scale = _pivot_arrays(ms, side, k)
+    U, ay, ax = _pivot_terms(ms, side, k)
+    num_factor, den_scale, _ = _pivot_scales(ms.n, k)
 
     if grid is not None:
         lo, hi, step = grid.lo, grid.hi, grid.step
     else:
-        plug = _slope_residuals_ms(ms, side, None)
-        half = z * math.sqrt(fsum(plug.terms ** 2)) / (ms.n * abs(U))
+        half = _plugin_half_width(ms, side, z)[1]
         if half == 0.0:
             half = 1e-8 * max(1.0, abs(beta1))
         half *= 10.0

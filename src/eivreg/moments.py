@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CrossMomentSummary", "MomentSet", "cross_moment_summary", "moment_set", "fsum"]
+__all__ = ["MomentSet", "moment_set", "fsum"]
 
 
 def fsum(values) -> float:
@@ -45,43 +45,6 @@ def check_intercept_flag(c) -> int:
 
 
 @dataclass(frozen=True)
-class CrossMomentSummary:
-    """Means, per-observation cross products and their average."""
-
-    u_bar: float
-    v_bar: float
-    s_terms: np.ndarray
-    S: float
-    c: int
-
-    @property
-    def n(self) -> int:
-        return self.s_terms.size
-
-
-def cross_moment_summary(u, v, c: int = 1) -> CrossMomentSummary:
-    """Cross-product summary of two equal-length series.
-
-    Raises ValueError on empty input, length mismatch or a bad intercept
-    flag.  With c = 1 and n = 1 every centered term vanishes and S = 0;
-    that is allowed here and rejected by downstream guards instead.
-    """
-    u = as_series("u", u)
-    v = as_series("v", v)
-    if u.size != v.size:
-        raise ValueError(f"series length mismatch: {u.size} != {v.size}")
-    c = check_intercept_flag(c)
-    n = u.size
-    u_bar = fsum(u) / n
-    v_bar = fsum(v) / n
-    if c == 1:
-        s = (u - u_bar) * (v - v_bar)
-    else:
-        s = u * v
-    return CrossMomentSummary(u_bar, v_bar, s, fsum(s) / n, c)
-
-
-@dataclass(frozen=True)
 class MomentSet:
     """The full second-moment machinery of an observed (y, x) sample.
 
@@ -102,7 +65,12 @@ class MomentSet:
 
 
 def moment_set(y, x, c: int = 1) -> MomentSet:
-    """Means and the yy/xy/xx cross-product summaries of a sample."""
+    """Means and the yy/xy/xx cross-product summaries of a sample.
+
+    Raises ValueError on empty input, length mismatch or a bad intercept
+    flag.  With c = 1 and n = 1 every centered sum is 0; downstream guards
+    reject that instead.
+    """
     y = as_series("y", y)
     x = as_series("x", x)
     if y.size != x.size:

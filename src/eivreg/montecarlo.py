@@ -27,7 +27,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from itertools import repeat
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .errors import GuardViolation, ZeroNormalizer
 from .estimators import SideInfo, estimate, naive_ratio_estimates
 from .inference import (
     DEGENERACY_NONE,
+    INTERCEPT_VARIANTS,
+    SLOPE_VARIANTS,
     ci_intercept,
     ci_slope_plugin,
     ci_slope_quadratic,
@@ -43,17 +46,13 @@ from .inference import (
     slope_statistic,
 )
 from .moments import fsum
-from .samplers import ModelSpec, simulate_dataset
+from .samplers import XI_FAMILIES, ModelSpec, simulate_dataset
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "EXPERIMENTS", "PIVOTS", "WORKERS_ENV"]
 
-EXPERIMENTS = ("coverage14", "coverage15", "coverage16", "normality",
-               "rate", "naive_consistency", "degeneracy")
-
-PIVOTS = ("slope_studentized", "slope_self_normalized",
-          "slope_self_normalized_plugin", "intercept_known_slope",
-          "intercept_plugin")
+PIVOTS = (tuple(f"slope_{v}" for v in SLOPE_VARIANTS)
+          + tuple(f"intercept_{v}" for v in INTERCEPT_VARIANTS))
 
 # Worker-count override; the result must not (and does not) depend on it.
 WORKERS_ENV = "EIVREG_WORKERS"
@@ -99,13 +98,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown pivot {self.pivot!r}")
         if self.spec.c != self.side.c:
             raise ValueError("spec and side disagree on the intercept flag")
-        if self.experiment in ("coverage16", "degeneracy") and self.side.case != 1:
-            raise ValueError(f"{self.experiment} requires case 1 side info")
-        if self.experiment == "coverage15" and self.side.c != 1:
-            raise ValueError("coverage15 requires the unknown-intercept model")
-        if (self.experiment == "normality"
-                and self.pivot.startswith("intercept") and self.side.c != 1):
-            raise ValueError("intercept pivots require the unknown-intercept model")
+        rule = EXPERIMENTS[self.experiment].rule
+        if rule is not None and not rule[0](self):
+            raise ValueError(rule[1].format(experiment=self.experiment))
 
 
 @dataclass(frozen=True)
@@ -129,56 +124,12 @@ class ExperimentReport:
 def _replicate(config: ExperimentConfig, n: int, rep: int) -> tuple:
     """One replication; returns a tagged outcome tuple (never raises on guards)."""
     data = simulate_dataset(config.spec, n, (config.seed, n, rep))
-    spec, side = config.spec, config.side
     try:
-        if config.experiment == "coverage14":
-            ci = ci_slope_plugin(data, side, config.gamma)
-            return ("ok", ci.lower <= spec.beta <= ci.upper, ci.upper - ci.lower)
-        if config.experiment == "coverage15":
-            ci = ci_intercept(data, side, config.gamma)
-            return ("ok", ci.lower <= spec.alpha <= ci.upper, ci.upper - ci.lower)
-        if config.experiment == "coverage16":
-            ci = ci_slope_quadratic(data, side, config.k, config.gamma)
-            if ci.degeneracy != DEGENERACY_NONE:
-                return ("degenerate", ci.degeneracy)
-            return ("ok", ci.lower <= spec.beta <= ci.upper, ci.upper - ci.lower)
-        if config.experiment == "normality":
-            if config.pivot == "slope_studentized":
-                value = slope_statistic(data, side, spec.beta, "studentized")
-            elif config.pivot == "slope_self_normalized":
-                value = slope_statistic(data, side, spec.beta, "self_normalized")
-            elif config.pivot == "slope_self_normalized_plugin":
-                value = slope_statistic(data, side, spec.beta, "self_normalized_plugin")
-            elif config.pivot == "intercept_known_slope":
-                value = intercept_statistic(data, side, spec.alpha,
-                                            beta=spec.beta, variant="known_slope")
-            else:
-                value = intercept_statistic(data, side, spec.alpha, variant="plugin")
-            return ("ok", value)
-        if config.experiment == "rate":
-            est = estimate(data, side)
-            bn = empirical_bn(data.latent.xi)
-            abs_beta = abs(est.beta_hat - spec.beta)
-            abs_alpha = abs(est.alpha_hat - spec.alpha) if side.c == 1 else None
-            return ("ok", abs_beta, abs_alpha, bn * abs_beta)
-        if config.experiment == "naive_consistency":
-            naive = naive_ratio_estimates(data, side.c)
-            est = estimate(data, side)
-            return ("ok", abs(naive.beta_a - spec.beta), abs(naive.beta_b - spec.beta),
-                    abs(est.beta_hat - spec.beta))
-        # degeneracy
-        ci = ci_slope_quadratic(data, side, config.k, config.gamma)
-        if ci.degeneracy != DEGENERACY_NONE:
-            return ("degenerate", ci.degeneracy)
-        return ("ok",)
+        return EXPERIMENTS[config.experiment].outcome(config, data)
     except GuardViolation as exc:
         return ("guard", exc.guard)
     except ZeroNormalizer:
         return ("zero", None)
-
-
-def _replicate_star(args) -> tuple:
-    return _replicate(*args)
 
 
 def _worker_count() -> int:
@@ -202,10 +153,52 @@ def _map_replications(config: ExperimentConfig, n: int) -> list:
     workers = _worker_count()
     if workers == 1 or config.replications < 4:
         return [_replicate(config, n, r) for r in reps]
-    args = [(config, n, r) for r in reps]
     chunk = max(1, config.replications // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate_star, args, chunksize=chunk))
+        return list(pool.map(_replicate, repeat(config), repeat(n), reps, chunksize=chunk))
+
+
+def _scored(ci, truth: float) -> tuple:
+    if ci.degeneracy != DEGENERACY_NONE:
+        return ("degenerate", ci.degeneracy)
+    return ("ok", ci.lower <= truth <= ci.upper, ci.upper - ci.lower)
+
+
+def _coverage14(config: ExperimentConfig, data) -> tuple:
+    return _scored(ci_slope_plugin(data, config.side, config.gamma), config.spec.beta)
+
+
+def _coverage15(config: ExperimentConfig, data) -> tuple:
+    return _scored(ci_intercept(data, config.side, config.gamma), config.spec.alpha)
+
+
+def _coverage16(config: ExperimentConfig, data) -> tuple:
+    return _scored(ci_slope_quadratic(data, config.side, config.k, config.gamma), config.spec.beta)
+
+
+def _normality(config: ExperimentConfig, data) -> tuple:
+    spec, side, pivot = config.spec, config.side, config.pivot
+    if pivot.startswith("slope_"):
+        return ("ok", slope_statistic(data, side, spec.beta, pivot.removeprefix("slope_")))
+    return ("ok", intercept_statistic(data, side, spec.alpha, beta=spec.beta,
+                                      variant=pivot.removeprefix("intercept_")))
+
+
+def _rate(config: ExperimentConfig, data) -> tuple:
+    spec, side = config.spec, config.side
+    est = estimate(data, side)
+    bn = empirical_bn(data.latent.xi)
+    abs_beta = abs(est.beta_hat - spec.beta)
+    abs_alpha = abs(est.alpha_hat - spec.alpha) if side.c == 1 else None
+    return ("ok", abs_beta, abs_alpha, bn * abs_beta)
+
+
+def _naive(config: ExperimentConfig, data) -> tuple:
+    beta = config.spec.beta
+    naive = naive_ratio_estimates(data, config.side.c)
+    est = estimate(data, config.side)
+    return ("ok", abs(naive.beta_a - beta), abs(naive.beta_b - beta),
+            abs(est.beta_hat - beta))
 
 
 def _median(values: list) -> Optional[float]:
@@ -279,15 +272,39 @@ def _aggregate_degeneracy(n: int, config: ExperimentConfig, outcomes: list) -> d
     return record
 
 
-_AGGREGATORS = {
-    "coverage14": _aggregate_coverage,
-    "coverage15": _aggregate_coverage,
-    "coverage16": _aggregate_coverage,
-    "normality": _aggregate_normality,
-    "rate": _aggregate_rate,
-    "naive_consistency": _aggregate_naive,
-    "degeneracy": _aggregate_degeneracy,
+@dataclass(frozen=True)
+class _Experiment:
+    """Everything particular to one experiment."""
+
+    # (config, dataset) -> tagged outcome tuple of one replication.
+    outcome: Callable
+    # (n, config, outcomes) -> the per-n record.
+    aggregate: Callable
+    # Config fields echoed in the report besides the common ones.
+    echo: Tuple[str, ...] = ()
+    # A condition the config must meet, and the error message otherwise.
+    rule: Optional[Tuple[Callable, str]] = None
+
+
+_CASE1 = (lambda config: config.side.case == 1, "{experiment} requires case 1 side info")
+
+EXPERIMENTS = {
+    "coverage14": _Experiment(_coverage14, _aggregate_coverage),
+    "coverage15": _Experiment(_coverage15, _aggregate_coverage, rule=(
+        lambda config: config.side.c == 1, "{experiment} requires the unknown-intercept model")),
+    "coverage16": _Experiment(_coverage16, _aggregate_coverage, ("k",), _CASE1),
+    "normality": _Experiment(_normality, _aggregate_normality, ("pivot",), (
+        lambda config: config.side.c == 1 or config.pivot.startswith("slope_"),
+        "intercept pivots require the unknown-intercept model")),
+    "rate": _Experiment(_rate, _aggregate_rate),
+    "naive_consistency": _Experiment(_naive, _aggregate_naive),
+    # Only the degeneracy tag of a quadratic-interval outcome is counted.
+    "degeneracy": _Experiment(_coverage16, _aggregate_degeneracy, ("k",), _CASE1),
 }
+
+# Plain dict values, unlike record fields, are rebound by instrumentation
+# such as bench/tracer.py.
+_AGGREGATE = {name: exp.aggregate for name, exp in EXPERIMENTS.items()}
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -299,7 +316,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
             "alpha": spec.alpha,
             "intercept_unknown": spec.c == 1,
             "xi": {"family": spec.xi.family,
-                   "params": dict(zip(_PARAM_NAMES[spec.xi.family], spec.xi.params))},
+                   "params": dict(zip(XI_FAMILIES[spec.xi.family].params, spec.xi.params))},
             "errors": {"lambda_theta": spec.err.lambda_theta, "theta": spec.err.theta,
                        "mu": spec.err.mu, "base": spec.err.base},
         },
@@ -310,25 +327,14 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "gamma": config.gamma,
         "seed": config.seed,
     }
-    if config.experiment in ("coverage16", "degeneracy"):
-        echo["k"] = config.k
-    if config.experiment == "normality":
-        echo["pivot"] = config.pivot
+    for name in EXPERIMENTS[config.experiment].echo:
+        echo[name] = getattr(config, name)
     return echo
-
-
-_PARAM_NAMES = {
-    "normal": ("mean", "sd"),
-    "uniform": ("a", "b"),
-    "centered_exponential": ("rate",),
-    "student_t2": ("scale", "shift"),
-    "symmetric_pareto2": ("scale", "shift"),
-}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all replications for every n and aggregate per-n summaries."""
-    aggregate = _AGGREGATORS[config.experiment]
+    aggregate = _AGGREGATE[config.experiment]
     per_n = []
     for n in config.n_values:
         outcomes = _map_replications(config, n)

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .moments import check_intercept_flag
 
 __all__ = [
+    "XI_FAMILIES",
+    "XiFamily",
     "XiDistribution",
     "ErrorSpec",
     "ModelSpec",
@@ -47,15 +49,63 @@ ROLE_ERRORS = 1
 
 SeedLike = Union[int, Sequence[int]]
 
-_XI_FAMILIES = {
-    "normal": ("mean", "sd"),
-    "uniform": ("a", "b"),
-    "centered_exponential": ("rate",),
-    "student_t2": ("scale", "shift"),
-    "symmetric_pareto2": ("scale", "shift"),
-}
 
-_INFINITE_VAR_FAMILIES = ("student_t2", "symmetric_pareto2")
+def _sample_student_t2(params, n, rng):
+    scale, shift = params
+    # t with 2 degrees of freedom: normal over sqrt(chi-square_2 / 2).
+    z = rng.standard_normal(n)
+    w = rng.chisquare(2.0, n)
+    return shift + scale * z / np.sqrt(w / 2.0)
+
+
+def _sample_symmetric_pareto2(params, n, rng):
+    scale, shift = params
+    # P(|xi - shift| > t) = (scale/t)^2 for t >= scale, symmetric sign.
+    u = 1.0 - rng.random(n)  # uniform on (0, 1]
+    magnitude = scale / np.sqrt(u)
+    sign = 2.0 * rng.integers(0, 2, n).astype(float) - 1.0
+    return shift + sign * magnitude
+
+
+@dataclass(frozen=True)
+class XiFamily:
+    """A latent-variable family: parameter names, when a parameter tuple is
+    invalid, the sampler and the population mean and variance (None when
+    infinite)."""
+
+    params: Tuple[str, ...]
+    invalid: Callable[[tuple], bool]
+    invalid_message: str
+    sample: Callable[[tuple, int, np.random.Generator], np.ndarray]
+    mean: Callable[[tuple], float]
+    variance: Optional[Callable[[tuple], float]] = None
+
+    @property
+    def var_finite(self) -> bool:
+        return self.variance is not None
+
+
+XI_FAMILIES = {
+    "normal": XiFamily(
+        ("mean", "sd"), lambda p: p[1] <= 0, "normal sd must be positive",
+        lambda p, n, rng: p[0] + p[1] * rng.standard_normal(n),
+        mean=lambda p: p[0], variance=lambda p: p[1] ** 2),
+    "uniform": XiFamily(
+        ("a", "b"), lambda p: p[1] <= p[0], "uniform needs a < b",
+        lambda p, n, rng: rng.uniform(p[0], p[1], n), mean=lambda p: 0.5 * (p[0] + p[1]),
+        variance=lambda p: (p[1] - p[0]) ** 2 / 12.0),
+    "centered_exponential": XiFamily(
+        ("rate",), lambda p: p[0] <= 0, "exponential rate must be positive",
+        lambda p, n, rng: rng.exponential(1.0 / p[0], n) - 1.0 / p[0], mean=lambda p: 0.0,
+        variance=lambda p: 1.0 / p[0] ** 2),
+    # Both heavy-tailed families are symmetric about their shift.
+    "student_t2": XiFamily(
+        ("scale", "shift"), lambda p: p[0] <= 0, "scale must be positive",
+        _sample_student_t2, mean=lambda p: p[1]),
+    "symmetric_pareto2": XiFamily(
+        ("scale", "shift"), lambda p: p[0] <= 0, "scale must be positive",
+        _sample_symmetric_pareto2, mean=lambda p: p[1]),
+}
 
 
 @dataclass(frozen=True)
@@ -70,21 +120,15 @@ class XiDistribution:
     params: tuple
 
     def __post_init__(self):
-        if self.family not in _XI_FAMILIES:
+        if self.family not in XI_FAMILIES:
             raise ValueError(f"unknown xi family {self.family!r}")
-        names = _XI_FAMILIES[self.family]
-        if len(self.params) != len(names):
+        fam = XI_FAMILIES[self.family]
+        if len(self.params) != len(fam.params):
             raise ValueError(
-                f"{self.family} takes parameters {names}, got {self.params!r}")
+                f"{self.family} takes parameters {fam.params}, got {self.params!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.family == "normal" and self.params[1] <= 0:
-            raise ValueError("normal sd must be positive")
-        if self.family == "uniform" and self.params[1] <= self.params[0]:
-            raise ValueError("uniform needs a < b")
-        if self.family == "centered_exponential" and self.params[0] <= 0:
-            raise ValueError("exponential rate must be positive")
-        if self.family in _INFINITE_VAR_FAMILIES and self.params[0] <= 0:
-            raise ValueError("scale must be positive")
+        if fam.invalid(self.params):
+            raise ValueError(fam.invalid_message)
 
     @classmethod
     def normal(cls, mean: float, sd: float) -> "XiDistribution":
@@ -108,29 +152,17 @@ class XiDistribution:
 
     @property
     def var_finite(self) -> bool:
-        return self.family not in _INFINITE_VAR_FAMILIES
+        return XI_FAMILIES[self.family].var_finite
 
     @property
     def mean(self) -> float:
-        if self.family == "normal":
-            return self.params[0]
-        if self.family == "uniform":
-            return 0.5 * (self.params[0] + self.params[1])
-        if self.family == "centered_exponential":
-            return 0.0
-        # Both heavy-tailed families are symmetric about their shift.
-        return self.params[1]
+        return XI_FAMILIES[self.family].mean(self.params)
 
     @property
     def variance(self) -> Optional[float]:
         """Population variance; None for the infinite-variance families."""
-        if self.family == "normal":
-            return self.params[1] ** 2
-        if self.family == "uniform":
-            return (self.params[1] - self.params[0]) ** 2 / 12.0
-        if self.family == "centered_exponential":
-            return 1.0 / self.params[0] ** 2
-        return None
+        variance = XI_FAMILIES[self.family].variance
+        return None if variance is None else variance(self.params)
 
     @property
     def second_moment(self) -> Optional[float]:
@@ -249,27 +281,7 @@ def sample_xi(dist: XiDistribution, n: int, rng: np.random.Generator) -> np.ndar
     """n independent draws of the latent explanatory variable."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if dist.family == "normal":
-        mean, sd = dist.params
-        return mean + sd * rng.standard_normal(n)
-    if dist.family == "uniform":
-        a, b = dist.params
-        return rng.uniform(a, b, n)
-    if dist.family == "centered_exponential":
-        rate = dist.params[0]
-        return rng.exponential(1.0 / rate, n) - 1.0 / rate
-    if dist.family == "student_t2":
-        scale, shift = dist.params
-        # t with 2 degrees of freedom: normal over sqrt(chi-square_2 / 2).
-        z = rng.standard_normal(n)
-        w = rng.chisquare(2.0, n)
-        return shift + scale * z / np.sqrt(w / 2.0)
-    scale, shift = dist.params
-    # P(|xi - shift| > t) = (scale/t)^2 for t >= scale, symmetric sign.
-    u = 1.0 - rng.random(n)  # uniform on (0, 1]
-    magnitude = scale / np.sqrt(u)
-    sign = 2.0 * rng.integers(0, 2, n).astype(float) - 1.0
-    return shift + sign * magnitude
+    return XI_FAMILIES[dist.family].sample(dist.params, n, rng)
 
 
 def sample_errors(err: ErrorSpec, n: int, rng: np.random.Generator) -> tuple:

@@ -52,12 +52,12 @@ def test_criterion_1_hand_oracles():
         checks.append(got == pytest.approx(want, rel=rel, abs=1e-14))
 
     # Cross-moment machinery.
-    s = ev.cross_moment_summary([1, 2, 3], [2, 4, 6], c=1)
-    close(s.S, 4 / 3)
-    checks.append(np.allclose(s.s_terms, [2, 0, 2], rtol=REL))
-    s = ev.cross_moment_summary([1, 2, 3], [2, 4, 6], c=0)
-    close(s.S, 28 / 3)
-    checks.append(np.allclose(s.s_terms, [2, 8, 18], rtol=REL))
+    ms = ev.moment_set(y=[2, 4, 6], x=[1, 2, 3], c=1)
+    close(ms.S_xy, 4 / 3)
+    checks.append(np.allclose(ms.s_xy, [2, 0, 2], rtol=REL))
+    ms = ev.moment_set(y=[2, 4, 6], x=[1, 2, 3], c=0)
+    close(ms.S_xy, 28 / 3)
+    checks.append(np.allclose(ms.s_xy, [2, 8, 18], rtol=REL))
 
     # Point estimators on the exact line y = 2x + 1 over x = 0, 1, 2.
     line = line_dataset()
