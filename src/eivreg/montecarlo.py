@@ -134,12 +134,15 @@ def _replicate(config: ExperimentConfig, n: int, rep: int) -> tuple:
 
 def _worker_count() -> int:
     raw = os.environ.get(WORKERS_ENV)
-    if raw is not None:
+    if raw is None:
+        return os.cpu_count() or 1
+    try:
         count = int(raw)
-        if count < 1:
-            raise ValueError(f"{WORKERS_ENV} must be at least 1, got {raw!r}")
-        return count
-    return os.cpu_count() or 1
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return count
 
 
 def _map_replications(config: ExperimentConfig, n: int) -> list:

@@ -162,6 +162,12 @@ class TestDeterminism:
         assert serial.to_dict() == parallel.to_dict()
         assert dumps(serial.to_dict()) == dumps(parallel.to_dict())
 
+    @pytest.mark.parametrize("raw", ["0", "-2", "abc", ""])
+    def test_invalid_worker_count_names_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("EIVREG_WORKERS", raw)
+        with pytest.raises(ValueError, match="EIVREG_WORKERS must be a positive integer"):
+            run_experiment(cfg(replications=4))
+
     def test_replication_streams_keyed_by_seed_n_rep(self):
         shorter = cfg(replications=50)
         longer = cfg(replications=200)
