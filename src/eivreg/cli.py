@@ -26,6 +26,7 @@ from .errors import ConfigError, GuardViolation
 from .estimators import SideInfo, estimate
 from .inference import DEGENERACY_NONE, ci_intercept, ci_slope_plugin, ci_slope_quadratic
 from .jsonout import dumps
+from .moments import check_finite
 from .montecarlo import run_experiment
 from .samplers import Dataset, simulate_dataset
 
@@ -57,6 +58,17 @@ def _read_rows(path: str):
     return rows
 
 
+def _columns(path: str, rows: list, indices: tuple) -> list:
+    """The given columns of the data rows as float arrays."""
+    body = rows[1:]
+    if not body:
+        raise CliFailure(2, f"{path}: no data rows")
+    try:
+        return [np.asarray([float(r[i]) for r in body]) for i in indices]
+    except (ValueError, IndexError) as exc:
+        raise CliFailure(2, f"{path}: bad data row: {exc}")
+
+
 def _read_xy(path: str) -> Dataset:
     rows = _read_rows(path)
     header = [h.strip() for h in rows[0]]
@@ -64,15 +76,8 @@ def _read_xy(path: str) -> Dataset:
         iy, ix = header.index("y"), header.index("x")
     except ValueError:
         raise CliFailure(2, f"{path}: header must contain columns 'y' and 'x'")
-    body = rows[1:]
-    if not body:
-        raise CliFailure(2, f"{path}: no data rows")
-    try:
-        y = [float(r[iy]) for r in body]
-        x = [float(r[ix]) for r in body]
-    except (ValueError, IndexError) as exc:
-        raise CliFailure(2, f"{path}: bad data row: {exc}")
-    return Dataset(y=np.asarray(y), x=np.asarray(x))
+    y, x = _columns(path, rows, (iy, ix))
+    return Dataset(y=y, x=x)
 
 
 def _read_column(path: str, column) -> np.ndarray:
@@ -87,14 +92,11 @@ def _read_column(path: str, column) -> np.ndarray:
             idx = header.index(column)
         except ValueError:
             raise CliFailure(2, f"{path}: no column named {column!r}")
-    body = rows[1:]
-    if not body:
-        raise CliFailure(2, f"{path}: no data rows")
+    (values,) = _columns(path, rows, (idx,))
     try:
-        values = [float(r[idx]) for r in body]
-    except (ValueError, IndexError) as exc:
-        raise CliFailure(2, f"{path}: bad data row: {exc}")
-    return np.asarray(values)
+        return check_finite(header[idx], values)
+    except ValueError as exc:
+        raise CliFailure(2, f"{path}: {exc}")
 
 
 def _side_from_flags(args) -> SideInfo:

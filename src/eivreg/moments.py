@@ -38,6 +38,13 @@ def as_series(name: str, seq) -> np.ndarray:
     return arr
 
 
+def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{name}[{bad[0]}] is not finite: {float(arr[bad[0]])!r}")
+    return arr
+
+
 def check_intercept_flag(c) -> int:
     if c not in (0, 1):
         raise ValueError(f"intercept flag c must be 0 or 1, got {c!r}")

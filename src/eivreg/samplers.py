@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .moments import check_intercept_flag
+from .moments import check_finite, check_intercept_flag
 
 __all__ = [
     "XI_FAMILIES",
@@ -258,6 +258,8 @@ class Dataset:
             raise ValueError(f"length mismatch: y has {y.size}, x has {x.size}")
         if y.size == 0:
             raise ValueError("dataset must not be empty")
+        check_finite("y", y)
+        check_finite("x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 

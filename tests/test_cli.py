@@ -61,6 +61,12 @@ class TestEstimate:
         assert proc.returncode == 3
         assert "s_xx_minus_theta" in proc.stderr
 
+    def test_non_finite_cell_exit_2(self, tmp_path):
+        csv = write(tmp_path, "nan.csv", "y,x\n1,0\nnan,1\n5,2\n")
+        proc = run_cli("estimate", csv, "--case", "2", "--theta", "0", "--mu", "0")
+        assert proc.returncode == 2
+        assert "y[1] is not finite" in proc.stderr
+
     def test_missing_case_moment_exit_2(self, tmp_path):
         csv = write(tmp_path, "line.csv", LINE_CSV)
         proc = run_cli("estimate", csv, "--case", "1", "--mu", "0")
@@ -207,6 +213,13 @@ class TestDiagnose:
     def test_all_zero_exit_3(self, tmp_path):
         csv = write(tmp_path, "z.csv", "z\n0\n0\n")
         assert run_cli("diagnose", csv).returncode == 3
+
+    def test_non_finite_cell_exit_2(self, tmp_path):
+        # Rejected while reading (exit 2), not by the ratio (exit 3).
+        csv = write(tmp_path, "z.csv", "z\n3\ninf\n")
+        proc = run_cli("diagnose", csv)
+        assert proc.returncode == 2
+        assert "z[1] is not finite" in proc.stderr
 
     def test_single_value(self, tmp_path):
         csv = write(tmp_path, "z.csv", "z\n7\n")

@@ -198,6 +198,14 @@ def test_dataset_validation():
         Dataset(y=np.ones((2, 2)), x=np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("series, bad", [("y", np.nan), ("x", np.inf), ("x", -np.inf)])
+def test_dataset_rejects_non_finite(series, bad):
+    values = {"y": np.array([1.0, 2.0, 3.0]), "x": np.array([0.0, 1.0, 2.0])}
+    values[series][1] = bad
+    with pytest.raises(ValueError, match=rf"^{series}\[1\] is not finite"):
+        Dataset(**values)
+
+
 def test_prop_reliability_of_samples():
     # Sampled finite-variance latent series should look like their spec:
     # crude check that sample variances stay within a generous band, run
