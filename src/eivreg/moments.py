@@ -39,6 +39,7 @@ def as_series(name: str, seq) -> np.ndarray:
 
 
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself; raises ValueError naming its first non-finite entry."""
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise ValueError(f"{name}[{bad[0]}] is not finite: {float(arr[bad[0]])!r}")

@@ -27,7 +27,6 @@ from .moments import check_finite, check_intercept_flag
 
 __all__ = [
     "XI_FAMILIES",
-    "XiFamily",
     "XiDistribution",
     "ErrorSpec",
     "ModelSpec",
