@@ -83,6 +83,25 @@ def _resolve_z(gamma: Optional[float], z: Optional[float]) -> Tuple[float, float
     return float(z), 2.0 * norm_cdf(z) - 1.0
 
 
+def check_k(k) -> None:
+    """Raise ValueError unless ``k`` names a quadratic pivot (1 or 2)."""
+    if k not in (1, 2):
+        raise ValueError(f"k must be 1 or 2, got {k!r}")
+
+
+def check_quadratic(side: SideInfo, k) -> None:
+    """Raise ValueError unless quadratic pivot ``k`` is defined under ``side``."""
+    if side.case != 1:
+        raise ValueError("quadratic slope pivots require case 1 side info")
+    check_k(k)
+
+
+def check_intercept_model(side: SideInfo) -> None:
+    """Raise ValueError unless ``side`` models an unknown intercept (c = 1)."""
+    if side.c != 1:
+        raise ValueError("intercept inference requires the unknown-intercept model (c = 1)")
+
+
 def _pivot_terms(ms: MomentSet, side: SideInfo,
                  k: Optional[int] = None) -> Tuple[float, np.ndarray, np.ndarray]:
     """Normalizer U and arrays (ay, ax) whose pivot terms at slope b are ay - b*ax.
@@ -178,9 +197,8 @@ def intercept_residuals(data, side: SideInfo, *, beta: Optional[float] = None,
     Only centered sums of these terms enter any statistic, so the plug-in
     version sets the unknown intercept to 0; the constant cancels.
     """
+    check_intercept_model(side)
     ms = _moments(data, side)
-    if side.c != 1:
-        raise ValueError("intercept residuals require the unknown-intercept model (c = 1)")
     if (beta is None) != (alpha is None):
         raise ValueError("pass both beta and alpha for known values, or neither to plug in")
     terms = _intercept_terms(data, ms, side, beta, alpha)
@@ -240,8 +258,7 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
     """
     if variant not in INTERCEPT_VARIANTS:
         raise ValueError(f"unknown intercept variant {variant!r}")
-    if side.c != 1:
-        raise ValueError("intercept statistics require c = 1")
+    check_intercept_model(side)
     if variant == "plugin":
         beta = None
     elif beta is None:
@@ -288,8 +305,7 @@ def ci_intercept(data, side: SideInfo, gamma: Optional[float] = None, *,
     """Symmetric intercept interval:
     alpha_hat -+ z * sqrt(sum (v_i - v_bar)^2) / sqrt(n*(n-1))."""
     z, level = _resolve_z(gamma, z)
-    if side.c != 1:
-        raise ValueError("intercept interval requires c = 1")
+    check_intercept_model(side)
     n, alpha_hat, ss = _intercept_studentization(data, side)
     half = z * math.sqrt(ss) / math.sqrt(n * (n - 1))
     return IntervalEstimate(center=alpha_hat, lower=alpha_hat - half,
@@ -327,10 +343,7 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
     nonnegative the region is the interval between the two roots.
     Otherwise the result carries the degeneracy kind and no endpoints.
     """
-    if side.case != 1:
-        raise ValueError("quadratic slope intervals are defined for case 1 side info")
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k!r}")
+    check_quadratic(side, k)
     z, level = _resolve_z(gamma, z)
     ms = _moments(data, side)
     est = estimate_from_moments(ms, side)
@@ -363,22 +376,10 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
 def quadratic_pivot(data, side: SideInfo, k: int, beta: float) -> float:
     """|pivot| the quadratic interval of variant ``k`` inverts, at slope ``beta``.
 
-    k = 1 is the Studentized pivot with terms centered at their sample
-    means; k = 2 the self-normalized pivot with raw terms.
+    k = 1 is the Studentized pivot, k = 2 the self-normalized one.
     """
-    if side.case != 1:
-        raise ValueError("pivot defined for case 1 side info")
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k!r}")
-    ms = _moments(data, side)
-    est = estimate_from_moments(ms, side)
-    U, ay, ax = _pivot_terms(ms, side, k)
-    num_factor, den_scale, _ = _pivot_scales(ms.n, k)
-    t = ay - beta * ax
-    den = math.sqrt(fsum(t * t)) * den_scale
-    if den == 0.0:
-        raise ZeroNormalizer("pivot normalizer is zero")
-    return num_factor * abs(U) * abs(est.beta_hat - beta) / den
+    check_quadratic(side, k)
+    return abs(slope_statistic(data, side, beta, "studentized" if k == 1 else "self_normalized"))
 
 
 @dataclass(frozen=True)
@@ -467,10 +468,7 @@ def grid_invert_ci(data, side: SideInfo, k: int = 1, gamma: Optional[float] = No
     component boundaries are then refined by bisection, so the returned
     endpoints are far more accurate than the grid step.
     """
-    if side.case != 1:
-        raise ValueError("grid inversion is defined for case 1 side info")
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k!r}")
+    check_quadratic(side, k)
     z, _level = _resolve_z(gamma, z)
     ms = _moments(data, side)
     beta1 = estimate_from_moments(ms, side).beta_hat

@@ -39,6 +39,9 @@ from .inference import (
     DEGENERACY_NONE,
     INTERCEPT_VARIANTS,
     SLOPE_VARIANTS,
+    check_intercept_model,
+    check_k,
+    check_quadratic,
     ci_intercept,
     ci_slope_plugin,
     ci_slope_quadratic,
@@ -92,15 +95,12 @@ class ExperimentConfig:
             raise ValueError("gamma must lie strictly between 0 and 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.k not in (1, 2):
-            raise ValueError("k must be 1 or 2")
+        check_k(self.k)
         if self.pivot not in PIVOTS:
             raise ValueError(f"unknown pivot {self.pivot!r}")
         if self.spec.c != self.side.c:
             raise ValueError("spec and side disagree on the intercept flag")
-        rule = EXPERIMENTS[self.experiment].rule
-        if rule is not None and not rule[0](self):
-            raise ValueError(rule[1].format(experiment=self.experiment))
+        EXPERIMENTS[self.experiment].rule(self)
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,9 @@ def _median(values: list) -> Optional[float]:
     return float(np.median(np.asarray(values, dtype=float)))
 
 
-def _base_record(n: int, config: ExperimentConfig, outcomes: list) -> dict:
-    failures = sum(1 for o in outcomes if o[0] in ("guard", "zero"))
+def _base_record(n: int, config: ExperimentConfig, outcomes: list,
+                 failed: Tuple[str, ...] = ("guard", "zero")) -> dict:
+    failures = sum(1 for o in outcomes if o[0] in failed)
     return {
         "n": n,
         "replications": config.replications,
@@ -221,13 +222,10 @@ def _base_record(n: int, config: ExperimentConfig, outcomes: list) -> dict:
 
 
 def _aggregate_coverage(n: int, config: ExperimentConfig, outcomes: list) -> dict:
-    record = _base_record(n, config, outcomes)
-    degenerate = sum(1 for o in outcomes if o[0] == "degenerate")
     # Degenerate inversions cannot be scored for coverage; they count as
     # failures but are also reported on their own.
-    record["degenerate_count"] = degenerate
-    record["failure_count"] += degenerate
-    record["failure_rate"] = record["failure_count"] / config.replications
+    record = _base_record(n, config, outcomes, ("guard", "zero", "degenerate"))
+    record["degenerate_count"] = sum(1 for o in outcomes if o[0] == "degenerate")
     covered = sum(1 for o in outcomes if o[0] == "ok" and o[1])
     missed = sum(1 for o in outcomes if o[0] == "ok" and not o[1])
     widths = [o[2] for o in outcomes if o[0] == "ok"]
@@ -285,24 +283,29 @@ class _Experiment:
     aggregate: Callable
     # Config fields echoed in the report besides the common ones.
     echo: Tuple[str, ...] = ()
-    # A condition the config must meet, and the error message otherwise.
-    rule: Optional[Tuple[Callable, str]] = None
+    # config -> None; raises ValueError when the config does not suit it.
+    rule: Callable = lambda config: None
 
 
-_CASE1 = (lambda config: config.side.case == 1, "{experiment} requires case 1 side info")
+def _quadratic_rule(config: ExperimentConfig) -> None:
+    check_quadratic(config.side, config.k)
+
+
+def _normality_rule(config: ExperimentConfig) -> None:
+    if config.pivot.startswith("intercept_"):
+        check_intercept_model(config.side)
+
 
 EXPERIMENTS = {
     "coverage14": _Experiment(_coverage14, _aggregate_coverage),
-    "coverage15": _Experiment(_coverage15, _aggregate_coverage, rule=(
-        lambda config: config.side.c == 1, "{experiment} requires the unknown-intercept model")),
-    "coverage16": _Experiment(_coverage16, _aggregate_coverage, ("k",), _CASE1),
-    "normality": _Experiment(_normality, _aggregate_normality, ("pivot",), (
-        lambda config: config.side.c == 1 or config.pivot.startswith("slope_"),
-        "intercept pivots require the unknown-intercept model")),
+    "coverage15": _Experiment(_coverage15, _aggregate_coverage,
+                              rule=lambda config: check_intercept_model(config.side)),
+    "coverage16": _Experiment(_coverage16, _aggregate_coverage, ("k",), _quadratic_rule),
+    "normality": _Experiment(_normality, _aggregate_normality, ("pivot",), _normality_rule),
     "rate": _Experiment(_rate, _aggregate_rate),
     "naive_consistency": _Experiment(_naive, _aggregate_naive),
     # Only the degeneracy tag of a quadratic-interval outcome is counted.
-    "degeneracy": _Experiment(_coverage16, _aggregate_degeneracy, ("k",), _CASE1),
+    "degeneracy": _Experiment(_coverage16, _aggregate_degeneracy, ("k",), _quadratic_rule),
 }
 
 # Plain dict values, unlike record fields, are rebound by instrumentation
