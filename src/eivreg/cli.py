@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -48,6 +49,8 @@ def _gamma_arg(raw: str) -> float:
 
 
 def _read_rows(path: str):
+    """The stripped header of a CSV file and its data rows, of which there
+    must be at least one."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -55,14 +58,13 @@ def _read_rows(path: str):
         raise CliFailure(2, f"cannot read {path}: {exc}")
     if not rows:
         raise CliFailure(2, f"{path}: empty file")
-    return rows
-
-
-def _columns(path: str, rows: list, indices: tuple) -> list:
-    """The given columns of the data rows as float arrays."""
-    body = rows[1:]
-    if not body:
+    if len(rows) == 1:
         raise CliFailure(2, f"{path}: no data rows")
+    return [h.strip() for h in rows[0]], rows[1:]
+
+
+def _columns(path: str, body: list, indices: tuple) -> list:
+    """The given columns of the data rows as float arrays."""
     try:
         return [np.asarray([float(r[i]) for r in body]) for i in indices]
     except (ValueError, IndexError) as exc:
@@ -70,19 +72,17 @@ def _columns(path: str, rows: list, indices: tuple) -> list:
 
 
 def _read_xy(path: str) -> Dataset:
-    rows = _read_rows(path)
-    header = [h.strip() for h in rows[0]]
+    header, body = _read_rows(path)
     try:
         iy, ix = header.index("y"), header.index("x")
     except ValueError:
         raise CliFailure(2, f"{path}: header must contain columns 'y' and 'x'")
-    y, x = _columns(path, rows, (iy, ix))
+    y, x = _columns(path, body, (iy, ix))
     return Dataset(y=y, x=x)
 
 
 def _read_column(path: str, column) -> np.ndarray:
-    rows = _read_rows(path)
-    header = [h.strip() for h in rows[0]]
+    header, body = _read_rows(path)
     if column is None:
         if len(header) != 1:
             raise CliFailure(2, f"{path}: several columns, pick one with --column")
@@ -92,11 +92,18 @@ def _read_column(path: str, column) -> np.ndarray:
             idx = header.index(column)
         except ValueError:
             raise CliFailure(2, f"{path}: no column named {column!r}")
-    (values,) = _columns(path, rows, (idx,))
+    (values,) = _columns(path, body, (idx,))
     try:
         return check_finite(header[idx], values)
     except ValueError as exc:
         raise CliFailure(2, f"{path}: {exc}")
+
+
+def _write_csv(path, header: tuple, columns: tuple) -> None:
+    """Write float columns under ``header``, each value as its repr."""
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _side_from_flags(args) -> SideInfo:
@@ -160,31 +167,29 @@ def _cmd_ci(args) -> int:
     return 4 if ci.degeneracy != DEGENERACY_NONE else 0
 
 
+def _int_setting(flag, doc: dict, key: str, least: int) -> int:
+    """The flag value of ``key`` if given, else the config's, checked to be
+    an integer of at least ``least``."""
+    value = flag if flag is not None else doc.get(key)
+    if value is None:
+        raise CliFailure(2, f"{key} missing: set \"{key}\" in the config or pass --{key}")
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise CliFailure(2, f"{key} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 def _cmd_simulate(args) -> int:
     doc = load_document(args.config)
     spec = parse_model(doc)
-    n = args.n if args.n is not None else doc.get("n")
-    if n is None:
-        raise CliFailure(2, "sample size missing: set \"n\" in the config or pass --n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise CliFailure(2, f"n must be a positive integer, got {n!r}")
-    seed = args.seed if args.seed is not None else doc.get("seed")
-    if seed is None:
-        raise CliFailure(2, "seed missing: set \"seed\" in the config or pass --seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise CliFailure(2, f"seed must be a nonnegative integer, got {seed!r}")
+    n = _int_setting(args.n, doc, "n", 1)
+    seed = _int_setting(args.seed, doc, "seed", 0)
     data = simulate_dataset(spec, n, seed)
-    lines = ["y,x"]
-    lines += [f"{y!r},{x!r}" for y, x in zip(data.y.tolist(), data.x.tolist())]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(args.out, ("y", "x"), (data.y, data.x))
     if args.latent:
         p = Path(args.out)
-        latent_path = p.with_name(p.stem + ".latent" + p.suffix)
         lat = data.latent
-        lines = ["xi,delta,epsilon"]
-        lines += [f"{a!r},{b!r},{e!r}" for a, b, e in
-                  zip(lat.xi.tolist(), lat.delta.tolist(), lat.epsilon.tolist())]
-        latent_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(p.with_name(p.stem + ".latent" + p.suffix), ("xi", "delta", "epsilon"),
+                   (lat.xi, lat.delta, lat.epsilon))
     return 0
 
 
@@ -213,13 +218,7 @@ def _cmd_diagnose(args) -> int:
     ks = ks_distance_to_normal(z) if args.ks else None
     report = DiagnosticReport(n=z.size, obrien_ratio=ratio, empirical_bn=bn,
                               selfnorm_stat=selfnorm, ks_distance=ks)
-    _emit(dumps({
-        "n": report.n,
-        "obrien_ratio": report.obrien_ratio,
-        "empirical_bn": report.empirical_bn,
-        "selfnorm_stat": report.selfnorm_stat,
-        "ks_distance": report.ks_distance,
-    }), args.out)
+    _emit(dumps(dataclasses.asdict(report)), args.out)
     return 0
 
 
