@@ -220,10 +220,6 @@ class ModelSpec:
         if self.c == 0 and self.alpha != 0.0:
             raise ValueError("alpha must be 0 when the intercept is known to be zero")
 
-    def reliability_ratio(self) -> float:
-        from .estimators import reliability_ratio
-        return reliability_ratio(self.xi, self.err.theta, self.c)
-
 
 @dataclass(frozen=True)
 class Latent:
