@@ -24,6 +24,7 @@ naming the offending field.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ConfigError
 from .estimators import SideInfo
@@ -53,7 +54,13 @@ def _require(mapping: dict, key: str, context: str):
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{context} must be finite, got {value!r}")
+    return number
 
 
 def _integer(value, context: str) -> int:

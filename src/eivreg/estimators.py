@@ -26,6 +26,7 @@ no tolerance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,6 +67,10 @@ class SideInfo:
         if self.case not in (1, 2):
             raise ValueError(f"case must be 1 or 2, got {self.case!r}")
         check_intercept_flag(self.c)
+        for name in ("mu", "lambda_theta", "theta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.case == 1:
             if self.lambda_theta is None:
                 raise ValueError("case 1 requires lambda_theta (Var delta)")

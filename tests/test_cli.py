@@ -111,6 +111,12 @@ class TestCi:
         out = json.loads(proc.stdout)
         assert out["lower"] < out["center"] < out["upper"]
 
+    def test_non_finite_side_flag_exit_2(self, tmp_path, capsys):
+        csv = write(tmp_path, "off.csv", OFFLINE_CSV)
+        assert main(["ci", csv, "--case", "2", "--theta", "nan", "--mu", "0",
+                     "--family", "plugin-slope"]) == 2
+        assert "theta must be finite" in capsys.readouterr().err
+
     def test_intercept_family(self, tmp_path):
         csv = write(tmp_path, "off.csv", OFFLINE_CSV)
         proc = run_cli("ci", csv, "--case", "2", "--theta", "0", "--mu", "0",
@@ -181,6 +187,23 @@ class TestExperiment:
         config = write(tmp_path, "bad.json", json.dumps(bad))
         proc = run_cli("experiment", "--config", config)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("path, value", [
+        (("model", "xi", "params", "sd"), float("nan")),
+        (("model", "errors", "mu"), float("inf")),
+        (("model", "beta"), 10 ** 400),
+        (("side", "theta"), float("nan")),
+        (("gamma",), float("-inf")),
+    ])
+    def test_non_finite_number_names_field(self, tmp_path, capsys, path, value):
+        doc = json.loads(json.dumps(M0_CONFIG))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        config = write(tmp_path, "cfg.json", json.dumps(doc))
+        assert main(["experiment", "--config", config]) == 2
+        assert f"{'.'.join(path)} must be finite" in capsys.readouterr().err
 
     def test_seed_override_changes_echo_only(self, tmp_path):
         config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))

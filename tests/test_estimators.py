@@ -147,6 +147,17 @@ def test_prop_response_shift_equivariance():
             assert est1.alpha_hat - est0.alpha_hat == pytest.approx(t, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(case=2, mu=0.05, theta=float("nan")), "theta"),
+    (dict(case=1, mu=float("inf"), lambda_theta=0.25), "mu"),
+    (dict(case=1, mu=0.05, lambda_theta=float("-inf")), "lambda_theta"),
+    (dict(case=2, mu=0.05, theta=0.25, lambda_theta=float("nan")), "lambda_theta"),
+])
+def test_side_info_rejects_non_finite(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SideInfo(**kwargs)
+
+
 def test_side_info_validation():
     with pytest.raises(ValueError):
         SideInfo(case=3, mu=0.0)
