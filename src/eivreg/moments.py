@@ -46,6 +46,17 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _mean(name: str, values: np.ndarray, n: int) -> float:
+    """fsum(values) / n; raises ValueError naming the sum if it overflows."""
+    try:
+        total = fsum(values)
+    except OverflowError:  # finite terms whose partial sums overflow
+        total = math.inf
+    if math.isinf(total):
+        raise ValueError(f"sum of {name} overflows the float range")
+    return total / n
+
+
 def check_intercept_flag(c) -> int:
     if c not in (0, 1):
         raise ValueError(f"intercept flag c must be 0 or 1, got {c!r}")
@@ -75,8 +86,8 @@ class MomentSet:
 def moment_set(y, x, c: int = 1) -> MomentSet:
     """Means and the yy/xy/xx cross-product summaries of a sample.
 
-    Raises ValueError on empty input, length mismatch or a bad intercept
-    flag.  With c = 1 and n = 1 every centered sum is 0; downstream guards
+    Raises ValueError on empty input, length mismatch, a bad intercept
+    flag or a sum that overflows the float range.  With c = 1 and n = 1 every centered sum is 0; downstream guards
     reject that instead.
     """
     y = as_series("y", y)
@@ -85,19 +96,25 @@ def moment_set(y, x, c: int = 1) -> MomentSet:
         raise ValueError(f"series length mismatch: y has {y.size}, x has {x.size}")
     c = check_intercept_flag(c)
     n = y.size
-    y_bar = fsum(y) / n
-    x_bar = fsum(x) / n
-    if c == 1:
-        dy = y - y_bar
-        dx = x - x_bar
-    else:
-        dy = y
-        dx = x
-    s_yy = dy * dy
-    s_xy = dx * dy
-    s_xx = dx * dx
+    y_bar = _mean("y", y, n)
+    x_bar = _mean("x", x, n)
+    # Overflowed entries become inf and are reported by the sums below; the
+    # squares come first because a cross product can overflow only when one
+    # of its two squares does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c == 1:
+            dy = y - y_bar
+            dx = x - x_bar
+        else:
+            dy = y
+            dx = x
+        s_yy = dy * dy
+        s_xy = dx * dy
+        s_xx = dx * dx
+    S_yy = _mean("s_yy", s_yy, n)
+    S_xx = _mean("s_xx", s_xx, n)
     return MomentSet(
         n=n, c=c, y_bar=y_bar, x_bar=x_bar,
         s_yy=s_yy, s_xy=s_xy, s_xx=s_xx,
-        S_yy=fsum(s_yy) / n, S_xy=fsum(s_xy) / n, S_xx=fsum(s_xx) / n,
+        S_yy=S_yy, S_xy=_mean("s_xy", s_xy, n), S_xx=S_xx,
     )

@@ -67,6 +67,14 @@ class TestEstimate:
         assert proc.returncode == 2
         assert "y[1] is not finite" in proc.stderr
 
+    @pytest.mark.parametrize("scale, name", [(1e308, "sum of y"), (1e200, "sum of s_yy")])
+    def test_overflow_exit_2(self, tmp_path, capsys, scale, name):
+        rows = "".join(f"{scale * v!r},{0.9 * scale * v!r}\n" for v in (1.0, -0.5, 0.7, 1.2))
+        csv = write(tmp_path, "big.csv", "y,x\n" + rows)
+        assert main(["estimate", csv, "--case", "2", "--theta", "0", "--mu", "0",
+                     "--intercept"]) == 2
+        assert f"{name} overflows" in capsys.readouterr().err
+
     def test_missing_case_moment_exit_2(self, tmp_path):
         csv = write(tmp_path, "line.csv", LINE_CSV)
         proc = run_cli("estimate", csv, "--case", "1", "--mu", "0")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import PROP_CASES
-from eivreg import moment_set
+from eivreg import Dataset, SideInfo, estimate, moment_set
 
 REL = 1e-10
 
@@ -143,3 +143,16 @@ def test_large_magnitude_accuracy():
     ms = moment_set(y=np.ones_like(u), x=u, c=0)
     assert ms.x_bar == pytest.approx(2.0, rel=1e-12)
     assert ms.S_xy == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale, name", [(1e308, "sum of y"), (1e200, "sum of s_yy")])
+def test_overflow_names_the_sum(scale, name):
+    # Finite data whose sums leave the float range raise instead of turning
+    # into inf or NaN; the suite makes any RuntimeWarning an error, so this
+    # also checks that no warning leaks.
+    y = scale * np.array([1.0, -0.5, 0.7, 1.2])
+    for c in (0, 1):
+        with pytest.raises(ValueError, match=f"{name} overflows"):
+            moment_set(y, 0.9 * y, c=c)
+    with pytest.raises(ValueError, match=f"{name} overflows"):
+        estimate(Dataset(y=y, x=0.9 * y), SideInfo.case2(0.0, 0.0))
