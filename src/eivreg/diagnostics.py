@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .moments import as_series, fsum
+from .moments import as_series, check_finite, fsum
 from .normal import norm_cdf
 
 __all__ = [
@@ -64,9 +64,9 @@ def ks_distance_to_normal(samples) -> float:
     Computed exactly at the jump points of the empirical CDF (both the
     left and right limits), with Phi accurate to machine precision.  No
     p-value: replication studies use the raw distance as a convergence
-    gauge, not a hypothesis test.
+    gauge, not a hypothesis test.  Raises ValueError on a non-finite sample.
     """
-    s = np.sort(as_series("samples", samples))
+    s = np.sort(check_finite("samples", as_series("samples", samples)))
     n = s.size
     d = 0.0
     for i in range(n):

@@ -94,6 +94,11 @@ class TestKsDistance:
             samples = stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)
             assert ks_distance_to_normal(samples) <= 0.5 / n + 1e-9
 
+    def test_non_finite_sample_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"samples\[1\] is not finite"):
+                ks_distance_to_normal([0.1, bad, -0.3])
+
     def test_gross_shift(self):
         samples = np.linspace(-1, 1, 20) + 10.0
         assert ks_distance_to_normal(samples) > 0.9
