@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
 )
 from eivreg import (
     Dataset,
+    ExperimentConfig,
     GridSpec,
     GuardViolation,
     SideInfo,
@@ -31,6 +33,7 @@ from eivreg import (
     slope_statistic,
     z_for_gamma,
 )
+from eivreg.montecarlo import EXPERIMENTS
 
 REL = 1e-10
 SIDE2_FREE = SideInfo.case2(0.0, 0.0, c=1)
@@ -343,8 +346,13 @@ class TestCiSlopeQuadratic:
         z = z_for_gamma(0.05)
         for k in (1, 2):
             ci = ci_slope_quadratic(data, SIDE1_M0, k, 0.05)
+            variant = ("studentized", "self_normalized")[k - 1]
             for endpoint in (ci.lower, ci.upper):
-                assert abs(quadratic_pivot(data, SIDE1_M0, k, endpoint) - z) < 1e-9
+                pivot = quadratic_pivot(data, SIDE1_M0, k, endpoint)
+                assert abs(pivot - z) < 1e-9
+                # The quadratic pivots are the slope pivots at a known slope.
+                assert pivot == pytest.approx(
+                    abs(slope_statistic(data, SIDE1_M0, endpoint, variant)), rel=1e-12)
 
     def test_prop_interval_membership_matches_pivot(self):
         # beta inside the interval iff |pivot(beta)| <= z, probed pointwise.
@@ -424,3 +432,45 @@ class TestGridInversion:
         z = math.sqrt(150.0 / 38.0) * 1.2
         gi = grid_invert_ci(offline_dataset(), SIDE1_FREE, 1, z=z, max_expansions=3)
         assert gi.unbounded
+
+
+
+_C0 = SideInfo.case2(0.25, 0.05, c=0)
+_C0_SPEC = dataclasses.replace(M0_SPEC, c=0, alpha=0.0)
+_CASE1 = "quadratic slope pivots require case 1 side info"
+_K = "k must be 1 or 2"
+_C1 = r"requires the unknown-intercept model \(c = 1\)"
+
+
+def _config(experiment, side=SIDE1_M0, spec=M0_SPEC, **kw):
+    return ExperimentConfig(spec=spec, side=side, experiment=experiment, n_values=(10,),
+                            replications=2, gamma=0.05, seed=1, **kw)
+
+
+# Each entry point of a quadratic pivot or of intercept inference, and each
+# experiment, with a side info or k it must refuse and the rule it breaks.
+_REJECTED = {
+    "ci_slope_quadratic_case2": (lambda d: ci_slope_quadratic(d, SIDE2_M0, 1, 0.05), _CASE1),
+    "ci_slope_quadratic_k3": (lambda d: ci_slope_quadratic(d, SIDE1_M0, 3, 0.05), _K),
+    "quadratic_pivot_case2": (lambda d: quadratic_pivot(d, SIDE2_M0, 1, 2.0), _CASE1),
+    "quadratic_pivot_k3": (lambda d: quadratic_pivot(d, SIDE1_M0, 3, 2.0), _K),
+    "grid_invert_ci_case2": (lambda d: grid_invert_ci(d, SIDE2_M0, 1, 0.05), _CASE1),
+    "grid_invert_ci_k3": (lambda d: grid_invert_ci(d, SIDE1_M0, 3, 0.05), _K),
+    "intercept_residuals_c0": (lambda d: intercept_residuals(d, _C0), _C1),
+    "intercept_statistic_c0": (lambda d: intercept_statistic(d, _C0, 1.0), _C1),
+    "ci_intercept_c0": (lambda d: ci_intercept(d, _C0, 0.05), _C1),
+    "config_coverage16_case2": (lambda d: _config("coverage16", SIDE2_M0), _CASE1),
+    "config_degeneracy_case2": (lambda d: _config("degeneracy", SIDE2_M0), _CASE1),
+    "config_coverage15_c0": (lambda d: _config("coverage15", _C0, _C0_SPEC), _C1),
+    "config_intercept_pivot_c0": (lambda d: _config("normality", _C0, _C0_SPEC,
+                                                     pivot="intercept_plugin"), _C1),
+    **{f"config_{name}_k3": (lambda d, name=name: _config(name, k=3), _K)
+       for name in EXPERIMENTS},
+}
+
+
+@pytest.mark.parametrize("name", list(_REJECTED))
+def test_inadmissible_side_info_rejected(name):
+    call, match = _REJECTED[name]
+    with pytest.raises(ValueError, match=match):
+        call(m0_dataset(30, 3))
