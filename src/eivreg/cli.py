@@ -101,9 +101,8 @@ def _read_column(path: str, column) -> np.ndarray:
 
 def _write_csv(path, header: tuple, columns: tuple) -> None:
     """Write float columns under ``header``, each value as its repr."""
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    Path(path).write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
 
 
 def _side_from_flags(args) -> SideInfo:

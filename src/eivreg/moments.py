@@ -87,8 +87,8 @@ def moment_set(y, x, c: int = 1) -> MomentSet:
     """Means and the yy/xy/xx cross-product summaries of a sample.
 
     Raises ValueError on empty input, length mismatch, a bad intercept
-    flag or a sum that overflows the float range.  With c = 1 and n = 1 every centered sum is 0; downstream guards
-    reject that instead.
+    flag or a sum that overflows the float range.  With c = 1 and n = 1
+    every centered sum is 0; downstream guards reject that instead.
     """
     y = as_series("y", y)
     x = as_series("x", x)
