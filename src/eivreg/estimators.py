@@ -26,12 +26,11 @@ no tolerance).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GuardViolation
-from .moments import MomentSet, check_intercept_flag, moment_set
+from .moments import MomentSet, check_finite_number, check_intercept_flag, moment_set
 
 __all__ = [
     "SideInfo",
@@ -69,8 +68,8 @@ class SideInfo:
         check_intercept_flag(self.c)
         for name in ("mu", "lambda_theta", "theta"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value is not None:
+                check_finite_number(name, value)
         if self.case == 1:
             if self.lambda_theta is None:
                 raise ValueError("case 1 requires lambda_theta (Var delta)")

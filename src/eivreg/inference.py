@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -127,6 +127,25 @@ def _pivot_scales(n: int, k: int) -> Tuple[float, float, int]:
     return float(n), 1.0, n * n
 
 
+def _checked_sums(products: Callable[[], List[Tuple[str, np.ndarray]]]) -> List[float]:
+    """The fsum of each array in the (name, array) pairs ``products()``
+    returns, computed with overflow warnings off; raises ValueError naming
+    the first sum that leaves the float range.  The factors are often
+    squares already, so finite moments do not keep their products in range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        named = products()
+    sums = []
+    for name, values in named:
+        try:
+            total = fsum(values)
+        except (OverflowError, ValueError):  # partial sums overflow; -inf + inf
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValueError(f"sum of {name} overflows the float range")
+        sums.append(total)
+    return sums
+
+
 def _moments(data, side: SideInfo) -> MomentSet:
     ms = moment_set(data.y, data.x, side.c)
     if ms.n < 2:
@@ -138,7 +157,8 @@ def _plugin_half_width(ms: MomentSet, side: SideInfo, z: float) -> Tuple[float, 
     """The estimate and z * sqrt(sum a_i(beta_hat)^2) / (n*|U|)."""
     U, ay, ax = _pivot_terms(ms, side)
     b = estimate_from_moments(ms, side).beta_hat
-    return b, z * math.sqrt(fsum((ay - b * ax) ** 2)) / (ms.n * abs(U))
+    (ss,) = _checked_sums(lambda: [("a_i(beta_hat)^2", (ay - b * ax) ** 2)])
+    return b, z * math.sqrt(ss) / (ms.n * abs(U))
 
 
 @dataclass(frozen=True)
@@ -213,7 +233,9 @@ def _intercept_studentization(data, side: SideInfo, beta: Optional[float] = None
     ms = _moments(data, side)
     est = estimate_from_moments(ms, side)
     terms = _intercept_terms(data, ms, side, beta, alpha, est)
-    return ms.n, est.alpha_hat, fsum((terms - fsum(terms) / ms.n) ** 2)
+    v_bar = fsum(terms) / ms.n
+    (ss,) = _checked_sums(lambda: [("(v_i - v_bar)^2", (terms - v_bar) ** 2)])
+    return ms.n, est.alpha_hat, ss
 
 
 def slope_statistic(data, side: SideInfo, beta: float, variant: str) -> float:
@@ -232,17 +254,17 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str) -> float:
     # known-slope terms, so the numerator never goes through beta_hat.
     term_mean = fsum(terms) / n
     if variant == "studentized":
-        ss = fsum((terms - term_mean) ** 2)
+        (ss,) = _checked_sums(lambda: [("(a_i - a_bar)^2", (terms - term_mean) ** 2)])
         if ss == 0.0:
             raise ZeroNormalizer("centered slope residuals are all zero")
         return math.sqrt(n) * term_mean / math.sqrt(ss / (n - 1))
     if variant == "self_normalized":
-        ss = fsum(terms ** 2)
+        (ss,) = _checked_sums(lambda: [("a_i^2", terms ** 2)])
         if ss == 0.0:
             raise ZeroNormalizer("slope residuals are all zero")
     else:
         b = estimate_from_moments(ms, side).beta_hat
-        ss = fsum((ay - b * ax) ** 2)
+        (ss,) = _checked_sums(lambda: [("a_i(beta_hat)^2", (ay - b * ax) ** 2)])
         if ss == 0.0:
             raise ZeroNormalizer("plug-in slope residuals are all zero")
     return n * term_mean / math.sqrt(ss)
@@ -315,21 +337,24 @@ def ci_intercept(data, side: SideInfo, gamma: Optional[float] = None, *,
 
 def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, beta1: float):
     """Coefficients of the inversion quadratic A*b^2 - 2*N*b + C <= 0 of
-    quadratic pivot ``k``."""
+    quadratic pivot ``k`` and its quarter discriminant d4; a coefficient
+    whose products overflow is infinite or NaN."""
     U, ay, ax = _pivot_terms(ms, side, k)
     f = _pivot_scales(ms.n, k)[2]
-    syy2 = fsum(ay * ay)
-    sxy2 = fsum(ax * ax)
-    cross = fsum(ay * ax)
+    syy2, sxy2, cross, resid2 = _checked_sums(lambda: [
+        ("ay^2", ay * ay), ("ax^2", ax * ax), ("ay*ax", ay * ax),
+        ("(ay - b*ax)^2", (ay - beta1 * ax) ** 2)])
     z2 = z * z
-    fu2 = f * U ** 2
+    try:  # float ** raises OverflowError where float * gives inf
+        fu2, beta1_sq = f * U ** 2, beta1 ** 2
+    except OverflowError:
+        fu2 = beta1_sq = math.inf
     A = fu2 - z2 * sxy2
     N = fu2 * beta1 - z2 * cross
-    C = fu2 * beta1 ** 2 - z2 * syy2
+    C = fu2 * beta1_sq - z2 * syy2
     # Quarter discriminant N^2 - A*C, written as the explicit difference of
     # a squared-residual term and a Gram determinant so the cancellation is
     # controlled.
-    resid2 = fsum((ay - beta1 * ax) ** 2)
     d4 = z2 * fu2 * resid2 - z2 * z2 * (syy2 * sxy2 - cross * cross)
     return A, N, C, d4
 
@@ -349,10 +374,15 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
     est = estimate_from_moments(ms, side)
     beta1 = est.beta_hat
     A, N, C, d4 = _quadratic_coefficients(ms, side, k, z, beta1)
+    if not math.isfinite(A):
+        raise ValueError("the leading coefficient of the inversion quadratic "
+                         "overflows the float range")
     if A <= 0.0:
         return IntervalEstimate(center=beta1, lower=None, upper=None, level=level,
                                 family="slope_quadratic", j=1, k=k,
                                 degeneracy=DEGENERACY_LEADING)
+    if not all(map(math.isfinite, (N, C, d4))):
+        raise ValueError("the inversion quadratic overflows the float range")
     if d4 < 0.0:
         return IntervalEstimate(center=beta1, lower=None, upper=None, level=level,
                                 family="slope_quadratic", j=1, k=k,

@@ -7,26 +7,81 @@ quantities computed here: for two series u, v and an intercept flag c in
     s_{i,uv} = (u_i - c*u_bar)(v_i - c*v_bar),    S_uv = mean_i s_{i,uv}.
 
 With c = 0 the products are raw; with c = 1 they are centered at the
-sample means.  All scalar reductions use exactly rounded (compensated)
-summation so results are bit-reproducible and keep relative error far
-below 1e-12 even for heavy-tailed magnitudes at n up to 1e7.
+sample means.  Every scalar reduction goes through ``fsum``, which returns
+the exactly rounded sum (the bits of ``math.fsum``), so results are
+bit-reproducible and carry one rounding at most, even for heavy-tailed
+magnitudes at n up to 1e7.  Short inputs go to ``math.fsum`` itself; long
+float64 arrays are summed exactly in NumPy by error-free extraction
+(Rump, Ogita and Oishi, "Accurate floating-point summation part I",
+SIAM J. Sci. Comput. 31(1), 2008), see ``fsum``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 __all__ = ["MomentSet", "moment_set", "fsum"]
 
 
+# Below this length NumPy's fixed per-call cost loses to math.fsum.
+_EXACT_MIN = 1024
+
+
 def fsum(values) -> float:
-    """Exactly rounded float sum (Shewchuk compensated summation)."""
+    """The exactly rounded sum of ``values``: the bits of ``math.fsum``.
+
+    A finite float64 array of at least ``_EXACT_MIN`` entries is summed in
+    NumPy by error-free extraction (Rump, Ogita and Oishi, 2008).  Let
+    L = (n + 1).bit_length(), so 2**L >= n + 2, and take each level at
+    sigma = 2**(e + L), where max|r| < 2**e for the remainder r (the data at
+    the first level).  Then
+
+    - q = (sigma + r) - sigma is exact (Sterbenz), and so is r - q, the
+      rounding error of sigma + r;
+    - every q_i is a multiple of 2**-53 * sigma with |q_i| <= 2**e, so every
+      partial sum of the q_i, in any order, is such a multiple below sigma
+      in magnitude and hence a float: q.sum() is exact;
+    - the new remainder r - q is below 2**-53 * sigma in magnitude, so each
+      level removes 53 - L bits until r is all zero.
+
+    The level sums then add up to the exact total, and ``math.fsum`` of them
+    rounds it correctly, as ``math.fsum`` of the data would.  Everything
+    else (lists, other dtypes, short arrays, arrays holding a NaN or an
+    infinity, all-zero arrays and magnitudes of 2**(1020 - L) or more,
+    where sigma could overflow) goes to ``math.fsum`` itself, which keeps
+    its NaN, infinity and overflow behaviour.
+    """
     if isinstance(values, np.ndarray):
+        if values.size >= _EXACT_MIN and values.dtype == np.float64 and values.ndim == 1:
+            total = _extracted_sum(values)
+            if total is not None:
+                return total
         values = values.tolist()
     return math.fsum(values)
+
+
+def _extracted_sum(values: np.ndarray) -> Optional[float]:
+    """The exactly rounded sum of ``values`` by level extraction (see
+    ``fsum``), or None when ``values`` is outside its domain."""
+    L = (values.size + 1).bit_length()
+    q = np.abs(values)
+    m = np.maximum.reduce(q)
+    if not 0.0 < m < math.ldexp(1.0, 1020 - L):  # also False for NaN
+        return None
+    r, rest = values, np.empty_like(q)
+    level_sums = []
+    while m:
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + L)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        level_sums.append(float(np.add.reduce(q)))
+        r = np.subtract(r, q, out=rest)
+        m = np.maximum.reduce(np.abs(r, out=q))
+    return math.fsum(level_sums)
 
 
 def as_series(name: str, seq) -> np.ndarray:
@@ -44,6 +99,13 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{name}[{bad[0]}] is not finite: {float(arr[bad[0]])!r}")
     return arr
+
+
+def check_finite_number(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is finite.  Sign and order checks
+    compare False with NaN, so they cannot catch it themselves."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _mean(name: str, values: np.ndarray, n: int) -> float:

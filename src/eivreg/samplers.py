@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .moments import check_finite, check_intercept_flag
+from .moments import check_finite, check_finite_number, check_intercept_flag
 
 __all__ = [
     "XI_FAMILIES",
@@ -126,6 +126,8 @@ class XiDistribution:
             raise ValueError(
                 f"{self.family} takes parameters {fam.params}, got {self.params!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        for name, value in zip(fam.params, self.params):
+            check_finite_number(name, value)
         if fam.invalid(self.params):
             raise ValueError(fam.invalid_message)
 
@@ -189,6 +191,8 @@ class ErrorSpec:
     def __post_init__(self):
         if self.base not in ("gaussian", "scaled_uniform"):
             raise ValueError(f"unknown error base {self.base!r}")
+        for name in ("lambda_theta", "theta", "mu"):
+            check_finite_number(name, getattr(self, name))
         if self.lambda_theta <= 0 or self.theta <= 0:
             raise ValueError("error variances must be positive")
         if self.lambda_theta * self.theta - self.mu ** 2 <= 0:

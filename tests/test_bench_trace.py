@@ -3,7 +3,9 @@
 ``bench/tracer.py`` rebinds module-level functions and functions stored
 directly as dict values; a boundary reached some other way (for example
 through a record field) runs untraced, and its per-layer metric silently
-reads 0.
+reads 0.  The fsum count per replication is pinned: a change that moves
+work into or out of ``moments.fsum`` changes what ``moments.fsum_us``
+measures.
 """
 
 import json
@@ -19,11 +21,14 @@ import tracer  # noqa: E402
 from test_cli import M0_CONFIG  # noqa: E402
 
 REPS = 5
+# coverage14 in case 2: six sums per replication (five in moment_set, one
+# plug-in half-width) and the mean width in the aggregate.
+FSUM_CALLS = 6 * REPS + 1
 
 
-def test_traced_experiment_reaches_every_boundary(tmp_path):
+def _traced_profile(tmp_path, n):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({**M0_CONFIG, "n_values": [30], "replications": REPS}))
+    config.write_text(json.dumps({**M0_CONFIG, "n_values": [n], "replications": REPS}))
     spans = tmp_path / "spans.bin"
     env = dict(os.environ, EIVREG_WORKERS="1",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -33,6 +38,20 @@ def test_traced_experiment_reaches_every_boundary(tmp_path):
     assert proc.returncode == 0, proc.stderr
     profile = tracer.Profile()
     profile.add_file(spans)
+    return profile
+
+
+def test_traced_experiment_reaches_every_boundary(tmp_path):
+    profile = _traced_profile(tmp_path, 30)
     assert profile.missing == set()
     assert profile.count["montecarlo._replicate"] == REPS
     assert profile.count["montecarlo._aggregate_coverage"] == 1
+    assert profile.count["moments.fsum"] == FSUM_CALLS
+
+
+def test_traced_long_arrays_reach_every_boundary(tmp_path):
+    # n = 2000 takes fsum's NumPy path, which must stay inside its span.
+    profile = _traced_profile(tmp_path, 2000)
+    assert profile.missing == set()
+    assert profile.count["montecarlo._replicate"] == REPS
+    assert profile.count["moments.fsum"] == FSUM_CALLS

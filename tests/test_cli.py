@@ -125,6 +125,26 @@ class TestCi:
                      "--family", "plugin-slope"]) == 2
         assert "theta must be finite" in capsys.readouterr().err
 
+    # Values near 1e150 pass moment_set, but the pivot sums square terms that
+    # are squares already.  The intercept terms stay near the scale of y
+    # unless beta_hat * x is far larger, as with x near 1e100 and a spread
+    # of 1e85.
+    @pytest.mark.parametrize("flags, x", [
+        (["--case", "2", "--theta", "0", "--family", "plugin-slope"], None),
+        (["--case", "1", "--lambda-theta", "0", "--family", "quadratic", "--k", "1"], None),
+        (["--case", "1", "--lambda-theta", "0", "--family", "quadratic", "--k", "2"], None),
+        (["--case", "2", "--theta", "0", "--family", "intercept"],
+         [1e100 + 1e85 * v for v in (1.1, -0.4, 0.9, 1.0, 0.1)]),
+    ], ids=["plugin-slope", "quadratic-k1", "quadratic-k2", "intercept"])
+    def test_overflow_exit_2(self, tmp_path, capsys, flags, x):
+        y = [1e150 * v for v in (1.0, -0.5, 0.7, 1.2, 0.3)]
+        if x is None:
+            x = [1e150 * v for v in (0.99, -0.36, 0.81, 0.9, 0.09)]
+        rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(y, x))
+        csv = write(tmp_path, "big.csv", "y,x\n" + rows)
+        assert main(["ci", csv, "--mu", "0", "--intercept", "--gamma", "0.05", *flags]) == 2
+        assert "overflows the float range" in capsys.readouterr().err
+
     def test_intercept_family(self, tmp_path):
         csv = write(tmp_path, "off.csv", OFFLINE_CSV)
         proc = run_cli("ci", csv, "--case", "2", "--theta", "0", "--mu", "0",

@@ -324,6 +324,27 @@ class TestCiSlopeQuadratic:
         assert ci.degeneracy == "none"
         assert ci.lower < ci.upper
 
+    @staticmethod
+    def _scaled(scale):
+        y = scale * np.array([1.0, -0.5, 0.7, 1.2, 0.3])
+        return Dataset(y=y, x=0.9 * scale * np.array([1.1, -0.4, 0.9, 1.0, 0.1]))
+
+    @pytest.mark.parametrize("scale, message", [
+        (1e77, "the leading coefficient of the inversion quadratic overflows"),
+        (1e60, "the inversion quadratic overflows"),
+    ])
+    def test_coefficient_overflow_named(self, scale, message):
+        # Every sum stays finite; f*U^2 (1e77) or the Gram determinant of
+        # the discriminant (1e60) leaves the float range.
+        with pytest.raises(ValueError, match=f"^{message} the float range$"):
+            ci_slope_quadratic(self._scaled(scale), SIDE1_FREE, 1, 0.05)
+
+    def test_leading_degeneracy_needs_no_discriminant(self):
+        # A <= 0 is decided before the discriminant, whose products
+        # overflow here, is looked at.
+        ci = ci_slope_quadratic(self._scaled(1e60), SIDE1_FREE, 2, 0.05)
+        assert ci.degeneracy == "nonpositive_leading_coeff"
+
     def test_requires_case1(self):
         with pytest.raises(ValueError):
             ci_slope_quadratic(offline_dataset(), SIDE2_FREE, 1, 0.05)

@@ -1,10 +1,14 @@
+import ast
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import PROP_CASES
 from eivreg import Dataset, SideInfo, estimate, moment_set
+from eivreg.moments import fsum
 
 REL = 1e-10
 
@@ -108,7 +112,7 @@ def test_prop_cauchy_schwarz():
 
 def test_prop_exact_rational_oracle():
     # On integer data the whole computation is exact in rationals; the
-    # compensated float path must agree to full double precision.
+    # exactly rounded float path must agree to full double precision.
     rng = np.random.default_rng(6)
     for _ in range(PROP_CASES):
         n = int(rng.integers(1, 15))
@@ -138,7 +142,7 @@ def test_moment_set_matches_granular_summaries():
 
 
 def test_large_magnitude_accuracy():
-    # Compensated sums keep the mean stable through catastrophic ranges.
+    # Exactly rounded sums keep the mean stable through catastrophic ranges.
     u = np.array([1e16, 3.0, -1e16, 5.0])
     ms = moment_set(y=np.ones_like(u), x=u, c=0)
     assert ms.x_bar == pytest.approx(2.0, rel=1e-12)
@@ -150,9 +154,98 @@ def test_overflow_names_the_sum(scale, name):
     # Finite data whose sums leave the float range raise instead of turning
     # into inf or NaN; the suite makes any RuntimeWarning an error, so this
     # also checks that no warning leaks.
-    y = scale * np.array([1.0, -0.5, 0.7, 1.2])
-    for c in (0, 1):
+    # 2000 entries take fsum's long-array path up to its range check.
+    for n in (4, 2000):
+        y = scale * np.resize([1.0, -0.5, 0.7, 1.2], n)
+        for c in (0, 1):
+            with pytest.raises(ValueError, match=f"{name} overflows"):
+                moment_set(y, 0.9 * y, c=c)
         with pytest.raises(ValueError, match=f"{name} overflows"):
-            moment_set(y, 0.9 * y, c=c)
-    with pytest.raises(ValueError, match=f"{name} overflows"):
-        estimate(Dataset(y=y, x=0.9 * y), SideInfo.case2(0.0, 0.0))
+            estimate(Dataset(y=y, x=0.9 * y), SideInfo.case2(0.0, 0.0))
+
+
+def _fsum_family(family: str, n: int, rng) -> np.ndarray:
+    t = rng.standard_normal(n) / np.sqrt(rng.chisquare(2.0, n) / 2.0)
+    if family == "t2_squares":
+        return t * t
+    if family == "cancellation":
+        # +-1e300 pairs that cancel exactly, around Student-t2 values.
+        a = 1e300 * rng.standard_normal(n)
+        a[1::2] = -a[0::2][: n // 2]
+        a[::5] = t[::5]
+        return rng.permutation(a)
+    if family == "subnormal":
+        return rng.integers(-2 ** 20, 2 ** 20, n) * 5e-324
+    if family == "signed_zeros":
+        return rng.choice([0.0, -0.0, 1.5, -1.5], n)
+    if family == "negative_zeros":
+        return np.full(n, -0.0)
+    if family == "ties":
+        # 1 + 2**-53 is a tie that +-2**-106 breaks, among pairs of
+        # Student-t2 values that cancel exactly.
+        half = max(n - 3, 0) // 2
+        a = np.zeros(n)
+        a[:3] = [1.0, 2.0 ** -53, rng.choice([-1.0, 1.0]) * 2.0 ** -106][:n]
+        a[3:3 + half] = t[:half]
+        a[3 + half:3 + 2 * half] = -t[:half]
+        return rng.permutation(a)
+    if family == "one_binade":
+        # Partial sums near n * max|a| test the headroom of each level.
+        return rng.uniform(0.5, 1.0, n)
+    if family == "scaled_1e290":
+        return 1e290 * t
+    raise ValueError(family)
+
+
+def _same(got: float, want: float) -> bool:
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+_FSUM_FAMILIES = ("t2_squares", "cancellation", "subnormal", "signed_zeros",
+                  "negative_zeros", "ties", "one_binade", "scaled_1e290")
+
+
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 2000, 200000])
+def test_fsum_matches_math_fsum_bitwise(n):
+    # fsum promises the bits of math.fsum on every input; arrays of 1024 or
+    # more finite float64 entries take the NumPy extraction path.
+    rng = np.random.default_rng(n)
+    for family in _FSUM_FAMILIES:
+        for _ in range(1 if n > 2000 else 20):
+            a = _fsum_family(family, n, rng)
+            for view in (a, -a, np.repeat(a, 3)[::3]):  # the last is strided
+                assert _same(fsum(view), math.fsum(view.tolist())), (family, n)
+
+
+@pytest.mark.parametrize("specials", [[math.nan], [math.inf], [-math.inf],
+                                      [math.inf, -math.inf], [1e308, 1e308]])
+@pytest.mark.parametrize("n", [3, 2000])
+def test_fsum_special_values_match_math_fsum(specials, n):
+    # NaN, infinities and overflowing partial sums keep math.fsum's value
+    # or its exception and message.
+    a = np.random.default_rng(0).standard_normal(n)
+    a[: len(specials)] = specials
+    outcomes = []
+    for f in (fsum, lambda v: math.fsum(v.tolist())):
+        try:
+            outcomes.append(repr(f(a)))
+        except (ValueError, OverflowError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_only_moments_calls_math_fsum():
+    # moments.fsum is the one exact reduction every caller shares.
+    package = Path(__file__).resolve().parents[1] / "src" / "eivreg"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "moments.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "fsum"
+                    and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "math"
+                  and any(alias.name == "fsum" for alias in node.names)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -39,6 +39,19 @@ class TestXiDistribution:
         with pytest.raises(ValueError):
             XiDistribution("cauchy", (1.0,))
 
+    @pytest.mark.parametrize("family, params, name", [
+        ("normal", [0.0, None], "sd"),
+        ("uniform", [None, 1.0], "a"),
+        ("centered_exponential", [None], "rate"),
+        ("student_t2", [1.0, None], "shift"),
+        ("symmetric_pareto2", [None, 0.0], "scale"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, family, params, name, value):
+        params = tuple(value if p is None else p for p in params)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            XiDistribution(family, params)
+
     def test_population_moments(self):
         assert XiDistribution.normal(2, 3).variance == 9.0
         assert XiDistribution.uniform(0, 6).variance == 3.0
@@ -55,6 +68,13 @@ class TestErrorSpec:
             ErrorSpec(lambda_theta=1.0, theta=1.0, mu=-1.5)
         with pytest.raises(ValueError):
             ErrorSpec(lambda_theta=0.0, theta=1.0, mu=0.0)
+
+    @pytest.mark.parametrize("name", ["lambda_theta", "theta", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, name, value):
+        kwargs = {"lambda_theta": 1.0, "theta": 1.0, "mu": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            ErrorSpec(**kwargs)
 
     def test_unknown_base_rejected(self):
         with pytest.raises(ValueError):
