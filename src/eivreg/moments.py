@@ -45,8 +45,8 @@ def fsum(values) -> float:
     - every q_i is a multiple of 2**-53 * sigma with |q_i| <= 2**e, so every
       partial sum of the q_i, in any order, is such a multiple below sigma
       in magnitude and hence a float: q.sum() is exact;
-    - the new remainder r - q is below 2**-53 * sigma in magnitude, so each
-      level removes 53 - L bits until r is all zero.
+    - the new remainder r - q is at most 2**-53 * sigma in magnitude, so e
+      falls by at least 52 - L per level until r is all zero.
 
     The level sums then add up to the exact total, and ``math.fsum`` of them
     rounds it correctly, as ``math.fsum`` of the data would.  Everything
