@@ -146,10 +146,12 @@ def estimate(data, side: SideInfo) -> PointEstimate:
 class NaiveEstimates:
     """Ratio estimators that ignore the error moments altogether.
 
-    beta_a = S_yy / S_xy and beta_b = S_xy / S_xx.  Both are consistent
-    when the latent explanatory variable has infinite variance; with finite
-    variance beta_b is the ordinary least squares slope and suffers the
-    usual attenuation toward zero.
+    beta_a = S_yy / S_xy and beta_b = S_xy / S_xx are the modified least
+    squares estimators of case 1 and case 2 with every error moment set to
+    zero, guards included.  Both are consistent when the latent explanatory
+    variable has infinite variance; with finite variance beta_b is the
+    ordinary least squares slope and suffers the usual attenuation toward
+    zero.
     """
 
     beta_a: float
@@ -160,17 +162,9 @@ class NaiveEstimates:
 
 def naive_ratio_estimates(data, c: int = 1) -> NaiveEstimates:
     ms = moment_set(data.y, data.x, c)
-    if ms.n < 2:
-        raise ValueError(f"need at least 2 observations, got {ms.n}")
-    if ms.S_xy == 0.0:
-        raise GuardViolation("s_xy", ms.S_xy)
-    if ms.S_xx <= 0.0:
-        raise GuardViolation("s_xx", ms.S_xx)
-    beta_a = ms.S_yy / ms.S_xy
-    beta_b = ms.S_xy / ms.S_xx
-    alpha_a = ms.y_bar - ms.x_bar * beta_a if c == 1 else None
-    alpha_b = ms.y_bar - ms.x_bar * beta_b if c == 1 else None
-    return NaiveEstimates(beta_a, beta_b, alpha_a, alpha_b)
+    a = estimate_from_moments(ms, SideInfo.case1(0.0, 0.0, c))
+    b = estimate_from_moments(ms, SideInfo.case2(0.0, 0.0, c))
+    return NaiveEstimates(a.beta_hat, b.beta_hat, a.alpha_hat, b.alpha_hat)
 
 
 def reliability_ratio(xi, var_epsilon: float, c: int = 1) -> float:

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import ZeroNormalizer
 from .estimators import SideInfo, estimate_from_moments
-from .moments import MomentSet, fsum, moment_set
+from .moments import MomentSet, checked_fsum, fsum, moment_set, quiet_overflow
 from .normal import norm_cdf, z_for_gamma
 
 __all__ = [
@@ -127,25 +127,6 @@ def _pivot_scales(n: int, k: int) -> Tuple[float, float, int]:
     return float(n), 1.0, n * n
 
 
-def _checked_sums(products: Callable[[], List[Tuple[str, np.ndarray]]]) -> List[float]:
-    """The fsum of each array in the (name, array) pairs ``products()``
-    returns, computed with overflow warnings off; raises ValueError naming
-    the first sum that leaves the float range.  The factors are often
-    squares already, so finite moments do not keep their products in range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        named = products()
-    sums = []
-    for name, values in named:
-        try:
-            total = fsum(values)
-        except (OverflowError, ValueError):  # partial sums overflow; -inf + inf
-            total = math.inf
-        if not math.isfinite(total):
-            raise ValueError(f"sum of {name} overflows the float range")
-        sums.append(total)
-    return sums
-
-
 def _moments(data, side: SideInfo) -> MomentSet:
     ms = moment_set(data.y, data.x, side.c)
     if ms.n < 2:
@@ -153,11 +134,19 @@ def _moments(data, side: SideInfo) -> MomentSet:
     return ms
 
 
+def _plugin_sum(ms: MomentSet, side: SideInfo, ay: np.ndarray,
+                ax: np.ndarray) -> Tuple[float, float]:
+    """The estimate beta_hat and sum a_i(beta_hat)^2 of the slope terms
+    (ay, ax).  Its callers run under ``quiet_overflow``."""
+    b = estimate_from_moments(ms, side).beta_hat
+    return b, checked_fsum("a_i(beta_hat)^2", (ay - b * ax) ** 2)
+
+
+@quiet_overflow
 def _plugin_half_width(ms: MomentSet, side: SideInfo, z: float) -> Tuple[float, float]:
     """The estimate and z * sqrt(sum a_i(beta_hat)^2) / (n*|U|)."""
     U, ay, ax = _pivot_terms(ms, side)
-    b = estimate_from_moments(ms, side).beta_hat
-    (ss,) = _checked_sums(lambda: [("a_i(beta_hat)^2", (ay - b * ax) ** 2)])
+    b, ss = _plugin_sum(ms, side, ay, ax)
     return b, z * math.sqrt(ss) / (ms.n * abs(U))
 
 
@@ -226,6 +215,7 @@ def intercept_residuals(data, side: SideInfo, *, beta: Optional[float] = None,
                               terms=terms, term_mean=fsum(terms) / ms.n)
 
 
+@quiet_overflow
 def _intercept_studentization(data, side: SideInfo, beta: Optional[float] = None,
                               alpha: Optional[float] = None) -> Tuple[int, float, float]:
     """n, the intercept estimate and the centered sum of squares of the
@@ -234,10 +224,10 @@ def _intercept_studentization(data, side: SideInfo, beta: Optional[float] = None
     est = estimate_from_moments(ms, side)
     terms = _intercept_terms(data, ms, side, beta, alpha, est)
     v_bar = fsum(terms) / ms.n
-    (ss,) = _checked_sums(lambda: [("(v_i - v_bar)^2", (terms - v_bar) ** 2)])
-    return ms.n, est.alpha_hat, ss
+    return ms.n, est.alpha_hat, checked_fsum("(v_i - v_bar)^2", (terms - v_bar) ** 2)
 
 
+@quiet_overflow
 def slope_statistic(data, side: SideInfo, beta: float, variant: str) -> float:
     """Value of a slope pivot at the hypothesized slope ``beta``.
 
@@ -254,17 +244,16 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str) -> float:
     # known-slope terms, so the numerator never goes through beta_hat.
     term_mean = fsum(terms) / n
     if variant == "studentized":
-        (ss,) = _checked_sums(lambda: [("(a_i - a_bar)^2", (terms - term_mean) ** 2)])
+        ss = checked_fsum("(a_i - a_bar)^2", (terms - term_mean) ** 2)
         if ss == 0.0:
             raise ZeroNormalizer("centered slope residuals are all zero")
         return math.sqrt(n) * term_mean / math.sqrt(ss / (n - 1))
     if variant == "self_normalized":
-        (ss,) = _checked_sums(lambda: [("a_i^2", terms ** 2)])
+        ss = checked_fsum("a_i^2", terms ** 2)
         if ss == 0.0:
             raise ZeroNormalizer("slope residuals are all zero")
     else:
-        b = estimate_from_moments(ms, side).beta_hat
-        (ss,) = _checked_sums(lambda: [("a_i(beta_hat)^2", (ay - b * ax) ** 2)])
+        ss = _plugin_sum(ms, side, ay, ax)[1]
         if ss == 0.0:
             raise ZeroNormalizer("plug-in slope residuals are all zero")
     return n * term_mean / math.sqrt(ss)
@@ -335,15 +324,16 @@ def ci_intercept(data, side: SideInfo, gamma: Optional[float] = None, *,
                             family="intercept", j=side.case)
 
 
+@quiet_overflow
 def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, beta1: float):
     """Coefficients of the inversion quadratic A*b^2 - 2*N*b + C <= 0 of
     quadratic pivot ``k`` and its quarter discriminant d4; a coefficient
     whose products overflow is infinite or NaN."""
     U, ay, ax = _pivot_terms(ms, side, k)
     f = _pivot_scales(ms.n, k)[2]
-    syy2, sxy2, cross, resid2 = _checked_sums(lambda: [
-        ("ay^2", ay * ay), ("ax^2", ax * ax), ("ay*ax", ay * ax),
-        ("(ay - b*ax)^2", (ay - beta1 * ax) ** 2)])
+    syy2, sxy2, cross, resid2 = (
+        checked_fsum("ay^2", ay * ay), checked_fsum("ax^2", ax * ax),
+        checked_fsum("ay*ax", ay * ax), checked_fsum("(ay - b*ax)^2", (ay - beta1 * ax) ** 2))
     z2 = z * z
     try:  # float ** raises OverflowError where float * gives inf
         fu2, beta1_sq = f * U ** 2, beta1 ** 2
@@ -377,30 +367,29 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
     if not math.isfinite(A):
         raise ValueError("the leading coefficient of the inversion quadratic "
                          "overflows the float range")
+    lower = upper = None
     if A <= 0.0:
-        return IntervalEstimate(center=beta1, lower=None, upper=None, level=level,
-                                family="slope_quadratic", j=1, k=k,
-                                degeneracy=DEGENERACY_LEADING)
-    if not all(map(math.isfinite, (N, C, d4))):
+        degeneracy = DEGENERACY_LEADING
+    elif not all(map(math.isfinite, (N, C, d4))):
         raise ValueError("the inversion quadratic overflows the float range")
-    if d4 < 0.0:
-        return IntervalEstimate(center=beta1, lower=None, upper=None, level=level,
-                                family="slope_quadratic", j=1, k=k,
-                                degeneracy=DEGENERACY_DISCRIMINANT)
-    sd = math.sqrt(d4)
-    # Roots (N -+ sd)/A, taking the subtraction-free expression for the
-    # root that would otherwise cancel (root product is C/A).
-    if N > 0.0:
-        upper = (N + sd) / A
-        lower = C / (N + sd)
-    elif N < 0.0:
-        lower = (N - sd) / A
-        upper = C / (N - sd)
+    elif d4 < 0.0:
+        degeneracy = DEGENERACY_DISCRIMINANT
     else:
-        upper = sd / A
-        lower = -upper
+        degeneracy = DEGENERACY_NONE
+        sd = math.sqrt(d4)
+        # Roots (N -+ sd)/A, taking the subtraction-free expression for the
+        # root that would otherwise cancel (root product is C/A).
+        if N > 0.0:
+            upper = (N + sd) / A
+            lower = C / (N + sd)
+        elif N < 0.0:
+            lower = (N - sd) / A
+            upper = C / (N - sd)
+        else:
+            upper = sd / A
+            lower = -upper
     return IntervalEstimate(center=beta1, lower=lower, upper=upper, level=level,
-                            family="slope_quadratic", j=1, k=k)
+                            family="slope_quadratic", j=1, k=k, degeneracy=degeneracy)
 
 
 def quadratic_pivot(data, side: SideInfo, k: int, beta: float) -> float:
@@ -448,37 +437,34 @@ _GRID_POINTS = 20001
 _CHUNK_ELEMENTS = 2_000_000
 
 
-def _acceptance_mask(grid: np.ndarray, ay: np.ndarray, ax: np.ndarray,
-                     num_factor: float, den_scale: float,
-                     U: float, beta1: float, z: float) -> np.ndarray:
-    """Membership num(b) <= z*den(b) evaluated directly from the terms."""
-    n_terms = ay.size
-    mask = np.empty(grid.size, dtype=bool)
-    block = max(1, _CHUNK_ELEMENTS // n_terms)
-    for start in range(0, grid.size, block):
-        b = grid[start:start + block]
-        t = ay[None, :] - b[:, None] * ax[None, :]
-        ss = np.einsum("ij,ij->i", t, t)
-        den = np.sqrt(ss) * den_scale
-        num = num_factor * abs(U) * np.abs(beta1 - b)
-        mask[start:start + block] = num <= z * den
-    return mask
+def _acceptance(ms: MomentSet, side: SideInfo, k: int, z: float,
+                beta1: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The membership test of quadratic pivot ``k``: maps grid points b to
+    num(b) <= z*den(b), evaluated directly from the terms."""
+    U, ay, ax = _pivot_terms(ms, side, k)
+    num_factor, den_scale, _ = _pivot_scales(ms.n, k)
+    block = max(1, _CHUNK_ELEMENTS // ay.size)
+
+    def accept(grid: np.ndarray) -> np.ndarray:
+        mask = np.empty(grid.size, dtype=bool)
+        for start in range(0, grid.size, block):
+            b = grid[start:start + block]
+            t = ay[None, :] - b[:, None] * ax[None, :]
+            den = np.sqrt(np.einsum("ij,ij->i", t, t)) * den_scale
+            num = num_factor * abs(U) * np.abs(beta1 - b)
+            mask[start:start + block] = num <= z * den
+        return mask
+
+    return accept
 
 
-def _bisect_boundary(b_in: float, b_out: float, ay, ax, num_factor, den_scale,
-                     U, beta1, z, iterations: int = 80) -> float:
+def _bisect_boundary(accept, b_in: float, b_out: float, iterations: int = 80) -> float:
     """Boundary of the acceptance set between an inside and an outside point."""
-
-    def g(b):
-        t = ay - b * ax
-        den = math.sqrt(float(np.dot(t, t))) * den_scale
-        return num_factor * abs(U) * abs(beta1 - b) - z * den
-
     for _ in range(iterations):
         mid = 0.5 * (b_in + b_out)
         if mid == b_in or mid == b_out:
             break
-        if g(mid) <= 0.0:
+        if accept(np.array([mid]))[0]:
             b_in = mid
         else:
             b_out = mid
@@ -508,9 +494,7 @@ def grid_invert_ci(data, side: SideInfo, k: int = 1, gamma: Optional[float] = No
         return GridInversion(intervals=((beta1, beta1),), z=0.0, step=0.0,
                              expansions=0, unbounded=False)
 
-    U, ay, ax = _pivot_terms(ms, side, k)
-    num_factor, den_scale, _ = _pivot_scales(ms.n, k)
-
+    accept = _acceptance(ms, side, k, z, beta1)
     if grid is not None:
         lo, hi, step = grid.lo, grid.hi, grid.step
     else:
@@ -525,7 +509,7 @@ def grid_invert_ci(data, side: SideInfo, k: int = 1, gamma: Optional[float] = No
     while True:
         npts = int(round((hi - lo) / step)) + 1
         pts = np.linspace(lo, hi, npts)
-        mask = _acceptance_mask(pts, ay, ax, num_factor, den_scale, U, beta1, z)
+        mask = accept(pts)
         touches = (mask.size and (mask[0] or mask[-1]))
         if not touches or grid is not None or expansions >= max_expansions:
             break
@@ -547,13 +531,11 @@ def grid_invert_ci(data, side: SideInfo, k: int = 1, gamma: Optional[float] = No
             left = pts[i_lo]
             right = pts[i_hi]
             if i_lo > 0:
-                left = _bisect_boundary(pts[i_lo], pts[i_lo - 1], ay, ax,
-                                        num_factor, den_scale, U, beta1, z)
+                left = _bisect_boundary(accept, pts[i_lo], pts[i_lo - 1])
             else:
                 unbounded = True
             if i_hi < pts.size - 1:
-                right = _bisect_boundary(pts[i_hi], pts[i_hi + 1], ay, ax,
-                                         num_factor, den_scale, U, beta1, z)
+                right = _bisect_boundary(accept, pts[i_hi], pts[i_hi + 1])
             else:
                 unbounded = True
             intervals.append((left, right))

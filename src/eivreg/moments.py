@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -93,6 +93,16 @@ def as_series(name: str, seq) -> np.ndarray:
     return arr
 
 
+def as_sample(y, x) -> Tuple[np.ndarray, np.ndarray]:
+    """``y`` and ``x`` as float arrays; raises ValueError unless both are
+    one-dimensional, non-empty and of equal length."""
+    y = as_series("y", y)
+    x = as_series("x", x)
+    if y.size != x.size:
+        raise ValueError(f"series length mismatch: y has {y.size}, x has {x.size}")
+    return y, x
+
+
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     """``arr`` itself; raises ValueError naming its first non-finite entry."""
     bad = np.flatnonzero(~np.isfinite(arr))
@@ -108,15 +118,21 @@ def check_finite_number(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _mean(name: str, values: np.ndarray, n: int) -> float:
-    """fsum(values) / n; raises ValueError naming the sum if it overflows."""
+# Decorates the functions that form products for ``checked_fsum``, so an
+# overflowed term is an infinity, not a warning.  Decorated calls nest.
+quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+def checked_fsum(name: str, values) -> float:
+    """fsum(values); raises ValueError naming the sum if it leaves the float
+    range."""
     try:
         total = fsum(values)
-    except OverflowError:  # finite terms whose partial sums overflow
+    except (OverflowError, ValueError):  # partial sums overflow; -inf + inf
         total = math.inf
-    if math.isinf(total):
+    if not math.isfinite(total):
         raise ValueError(f"sum of {name} overflows the float range")
-    return total / n
+    return total
 
 
 def check_intercept_flag(c) -> int:
@@ -145,6 +161,7 @@ class MomentSet:
     S_xx: float
 
 
+@quiet_overflow
 def moment_set(y, x, c: int = 1) -> MomentSet:
     """Means and the yy/xy/xx cross-product summaries of a sample.
 
@@ -152,31 +169,21 @@ def moment_set(y, x, c: int = 1) -> MomentSet:
     flag or a sum that overflows the float range.  With c = 1 and n = 1
     every centered sum is 0; downstream guards reject that instead.
     """
-    y = as_series("y", y)
-    x = as_series("x", x)
-    if y.size != x.size:
-        raise ValueError(f"series length mismatch: y has {y.size}, x has {x.size}")
+    y, x = as_sample(y, x)
     c = check_intercept_flag(c)
     n = y.size
-    y_bar = _mean("y", y, n)
-    x_bar = _mean("x", x, n)
-    # Overflowed entries become inf and are reported by the sums below; the
-    # squares come first because a cross product can overflow only when one
-    # of its two squares does.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if c == 1:
-            dy = y - y_bar
-            dx = x - x_bar
-        else:
-            dy = y
-            dx = x
-        s_yy = dy * dy
-        s_xy = dx * dy
-        s_xx = dx * dx
-    S_yy = _mean("s_yy", s_yy, n)
-    S_xx = _mean("s_xx", s_xx, n)
+    y_bar = checked_fsum("y", y) / n
+    x_bar = checked_fsum("x", x) / n
+    dy, dx = (y - y_bar, x - x_bar) if c == 1 else (y, x)
+    s_yy = dy * dy
+    s_xy = dx * dy
+    s_xx = dx * dx
+    # The squares are summed first because a cross product can overflow
+    # only when one of its two squares does.
+    S_yy = checked_fsum("s_yy", s_yy) / n
+    S_xx = checked_fsum("s_xx", s_xx) / n
     return MomentSet(
         n=n, c=c, y_bar=y_bar, x_bar=x_bar,
         s_yy=s_yy, s_xy=s_xy, s_xx=s_xx,
-        S_yy=S_yy, S_xy=_mean("s_xy", s_xy, n), S_xx=S_xx,
+        S_yy=S_yy, S_xy=checked_fsum("s_xy", s_xy) / n, S_xx=S_xx,
     )

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .moments import check_finite, check_finite_number, check_intercept_flag
+from .moments import as_sample, check_finite, check_finite_number, check_intercept_flag
 
 __all__ = [
     "XI_FAMILIES",
@@ -249,14 +249,7 @@ class Dataset:
     latent: Optional[Latent] = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        x = np.asarray(self.x, dtype=float)
-        if y.ndim != 1 or x.ndim != 1:
-            raise ValueError("y and x must be one-dimensional")
-        if y.size != x.size:
-            raise ValueError(f"length mismatch: y has {y.size}, x has {x.size}")
-        if y.size == 0:
-            raise ValueError("dataset must not be empty")
+        y, x = as_sample(self.y, self.x)
         check_finite("y", y)
         check_finite("x", x)
         object.__setattr__(self, "y", y)

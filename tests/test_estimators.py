@@ -8,6 +8,7 @@ from eivreg import (
     SideInfo,
     XiDistribution,
     estimate,
+    moment_set,
     naive_ratio_estimates,
     reliability_ratio,
 )
@@ -15,6 +16,8 @@ from eivreg.estimators import (
     GUARD_SXX_MINUS_THETA,
     GUARD_SXY_MINUS_MU,
     GUARD_SYY_MINUS_LAMBDA_THETA,
+    NaiveEstimates,
+    estimate_from_moments,
 )
 
 REL = 1e-10
@@ -117,18 +120,34 @@ class TestReliabilityRatio:
             reliability_ratio(XiDistribution.normal(0, 1), -1.0, c=1)
 
 
+def _zero_side_fits(data, c):
+    """The case 1 and case 2 modified fits with every error moment zero, or
+    the guard the first failing one names."""
+    ms = moment_set(data.y, data.x, c)
+    try:
+        a = estimate_from_moments(ms, SideInfo.case1(0.0, 0.0, c))
+        b = estimate_from_moments(ms, SideInfo.case2(0.0, 0.0, c))
+    except GuardViolation as exc:
+        return exc.guard
+    return NaiveEstimates(a.beta_hat, b.beta_hat, a.alpha_hat, b.alpha_hat)
+
+
 def test_prop_ols_representation_identity():
-    # With all error moments set to zero, the case 2 estimator is exactly
-    # the ordinary least squares slope.
+    # The naive ratio estimators are the modified least squares estimators
+    # with all error moments set to zero, guards included; beta_b, the case
+    # 2 one, is the ordinary least squares slope.
     rng = np.random.default_rng(9)
-    side = SideInfo.case2(0.0, 0.0, c=1)
-    count = 0
-    while count < PROP_CASES:
-        data = random_dataset(rng)
-        naive = naive_ratio_estimates(data, c=1)
-        est = estimate(data, side)
-        assert est.beta_hat == naive.beta_b
-        count += 1
+    degenerate = [Dataset(y=[1.0, 2.0, 3.0], x=[1.0, 1.0, 1.0]),
+                  Dataset(y=[4.0, 4.0, 4.0], x=[1.0, 2.0, 3.0]),
+                  Dataset(y=[1e-170, -1e-170, 2e-170, 0.0], x=[1.0, 2.0, 3.0, 4.5])]
+    for i in range(PROP_CASES):
+        data = degenerate[i % 3] if i % 10 == 0 else random_dataset(rng)
+        for c in (0, 1):
+            try:
+                naive = naive_ratio_estimates(data, c)
+            except GuardViolation as exc:
+                naive = exc.guard
+            assert naive == _zero_side_fits(data, c)
 
 
 def test_prop_response_shift_equivariance():

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,8 +235,20 @@ def test_fsum_special_values_match_math_fsum(specials, n):
     assert outcomes[0] == outcomes[1]
 
 
+def _raised_text(node: ast.Raise) -> str:
+    """The string literals of a raise statement, f-string fields as {}."""
+    parts = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts.append(sub.value)
+        elif isinstance(sub, ast.FormattedValue):
+            parts.append("{}")
+    return "".join(parts)
+
+
 def test_only_moments_calls_math_fsum():
-    # moments.fsum is the one exact reduction every caller shares.
+    # moments.fsum is the one exact reduction every caller shares, and
+    # moments.checked_fsum the one place that names a sum that overflows.
     package = Path(__file__).resolve().parents[1] / "src" / "eivreg"
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -247,5 +260,8 @@ def test_only_moments_calls_math_fsum():
                 offenders.append(f"{path.name}:{node.lineno}")
             elif (isinstance(node, ast.ImportFrom) and node.module == "math"
                   and any(alias.name == "fsum" for alias in node.names)):
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Raise) and re.search(r"sum of .*overflows",
+                                                           _raised_text(node)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
