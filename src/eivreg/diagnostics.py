@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .moments import as_series, check_finite, fsum
+from .moments import as_series, check_finite, check_finite_number, fsum, series_mean
 from .normal import norm_cdf
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
 
 def obrien_ratio(z) -> float:
     """max_i z_i^2 / sum_i z_i^2; raises ValueError on an all-zero series."""
-    z = as_series("z", z)
+    z = check_finite("z", as_series("z", z))
     sq = z * z
     total = fsum(sq)
     if total == 0.0:
@@ -44,13 +44,14 @@ def empirical_bn(z) -> float:
     z = as_series("z", z)
     if z.size < 2:
         raise ValueError(f"need at least 2 observations, got {z.size}")
-    z_bar = fsum(z) / z.size
+    z_bar = series_mean("z", z)
     return math.sqrt(fsum((z - z_bar) ** 2))
 
 
 def selfnorm_sum(z, a: float) -> float:
     """sum (z_i - a) / sqrt(sum (z_i - a)^2); raises when all z_i equal a."""
-    z = as_series("z", z)
+    z = check_finite("z", as_series("z", z))
+    check_finite_number("a", a)
     d = z - a
     ss = fsum(d * d)
     if ss == 0.0:

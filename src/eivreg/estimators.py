@@ -180,6 +180,7 @@ def reliability_ratio(xi, var_epsilon: float, c: int = 1) -> float:
     description, not a sample.
     """
     c = check_intercept_flag(c)
+    check_finite_number("var_epsilon", var_epsilon)
     if var_epsilon < 0:
         raise ValueError("var_epsilon must be nonnegative")
     if not xi.var_finite:

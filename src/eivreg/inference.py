@@ -42,7 +42,8 @@ import numpy as np
 
 from .errors import ZeroNormalizer
 from .estimators import SideInfo, estimate_from_moments
-from .moments import MomentSet, checked_fsum, fsum, moment_set, quiet_overflow
+from .moments import (MomentSet, check_finite_number, checked_fsum, fsum, moment_set,
+                      quiet_overflow)
 from .normal import norm_cdf, z_for_gamma
 
 __all__ = [
@@ -78,6 +79,7 @@ def _resolve_z(gamma: Optional[float], z: Optional[float]) -> Tuple[float, float
         raise ValueError("exactly one of gamma and z must be given")
     if gamma is not None:
         return z_for_gamma(gamma), 1.0 - gamma
+    check_finite_number("z", z)
     if z < 0:
         raise ValueError(f"z must be nonnegative, got {z!r}")
     return float(z), 2.0 * norm_cdf(z) - 1.0
@@ -170,6 +172,7 @@ def slope_residuals(data, side: SideInfo, *, beta: Optional[float] = None) -> Sl
     if beta is None:
         b, kind = estimate_from_moments(ms, side).beta_hat, "plugin"
     else:
+        check_finite_number("beta", beta)
         b, kind = float(beta), "known_beta"
     terms = ay - b * ax
     return SlopeResiduals(j=side.case, kind=kind, beta_used=b, U=U,
@@ -194,6 +197,8 @@ def _intercept_terms(data, ms: MomentSet, side: SideInfo, beta: Optional[float],
         est = estimate_from_moments(ms, side) if est is None else est
         b, alpha0 = est.beta_hat, 0.0
     else:
+        check_finite_number("beta", beta)
+        check_finite_number("alpha", alpha)
         b, alpha0 = float(beta), float(alpha)
     U, ay, ax = _pivot_terms(ms, side)
     return (data.y - alpha0) - b * data.x - (ms.x_bar / U) * (ay - b * ax)
@@ -236,6 +241,7 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str) -> float:
     """
     if variant not in SLOPE_VARIANTS:
         raise ValueError(f"unknown slope variant {variant!r}")
+    check_finite_number("beta", beta)
     ms = _moments(data, side)
     _, ay, ax = _pivot_terms(ms, side)
     terms = ay - float(beta) * ax
@@ -270,6 +276,7 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
     if variant not in INTERCEPT_VARIANTS:
         raise ValueError(f"unknown intercept variant {variant!r}")
     check_intercept_model(side)
+    check_finite_number("alpha", alpha)
     if variant == "plugin":
         beta = None
     elif beta is None:
@@ -410,6 +417,8 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
+        for name in ("lo", "hi", "step"):
+            check_finite_number(name, getattr(self, name))
         if not self.lo < self.hi:
             raise ValueError("grid needs lo < hi")
         if not 0 < self.step <= (self.hi - self.lo):

@@ -135,6 +135,16 @@ def checked_fsum(name: str, values) -> float:
     return total
 
 
+def series_mean(name: str, values: np.ndarray) -> float:
+    """The mean of an input series.  Only a sum that is not finite costs a
+    scan, which names the first non-finite entry before the overflow."""
+    try:
+        return checked_fsum(name, values) / values.size
+    except ValueError:
+        check_finite(name, values)
+        raise
+
+
 def check_intercept_flag(c) -> int:
     if c not in (0, 1):
         raise ValueError(f"intercept flag c must be 0 or 1, got {c!r}")
@@ -166,14 +176,15 @@ def moment_set(y, x, c: int = 1) -> MomentSet:
     """Means and the yy/xy/xx cross-product summaries of a sample.
 
     Raises ValueError on empty input, length mismatch, a bad intercept
-    flag or a sum that overflows the float range.  With c = 1 and n = 1
-    every centered sum is 0; downstream guards reject that instead.
+    flag, a non-finite entry or a sum that overflows the float range.  With
+    c = 1 and n = 1 every centered sum is 0; downstream guards reject that
+    instead.
     """
     y, x = as_sample(y, x)
     c = check_intercept_flag(c)
     n = y.size
-    y_bar = checked_fsum("y", y) / n
-    x_bar = checked_fsum("x", x) / n
+    y_bar = series_mean("y", y)
+    x_bar = series_mean("x", x)
     dy, dx = (y - y_bar, x - x_bar) if c == 1 else (y, x)
     s_yy = dy * dy
     s_xy = dx * dy

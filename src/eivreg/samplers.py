@@ -221,6 +221,8 @@ class ModelSpec:
 
     def __post_init__(self):
         check_intercept_flag(self.c)
+        check_finite_number("beta", self.beta)
+        check_finite_number("alpha", self.alpha)
         if self.c == 0 and self.alpha != 0.0:
             raise ValueError("alpha must be 0 when the intercept is known to be zero")
 

@@ -115,6 +115,25 @@ class TestKsDistance:
             assert ks_distance_to_normal(shuffled) == d
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, message", [
+    (lambda v: obrien_ratio([1.0, v, 2.0]), r"^z\[1\] is not finite"),
+    (lambda v: empirical_bn([1.0, v, 2.0]), r"^z\[1\] is not finite"),
+    (lambda v: empirical_bn(np.resize([1.0, v, 2.0], 2000)), r"^z\[1\] is not finite"),
+    (lambda v: selfnorm_sum([1.0, v, 2.0], 0.5), r"^z\[1\] is not finite"),
+    (lambda v: selfnorm_sum([1.0, 2.0], v), "^a must be finite"),
+], ids=["obrien_ratio", "empirical_bn", "empirical_bn_long", "selfnorm_sum_z", "selfnorm_sum_a"])
+def test_non_finite_input_rejected(call, message, bad):
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+def test_empirical_bn_overflow_names_the_sum():
+    # Finite entries: only the sum leaves the float range.
+    with pytest.raises(ValueError, match="^sum of z overflows"):
+        empirical_bn([1e308, 1e308, 0.0])
+
+
 @pytest.mark.parametrize("dist", [
     XiDistribution.normal(0, 1),
     XiDistribution.uniform(-1, 1),

@@ -119,6 +119,11 @@ class TestReliabilityRatio:
         with pytest.raises(ValueError):
             reliability_ratio(XiDistribution.normal(0, 1), -1.0, c=1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_var_epsilon_rejected(self, value):
+        with pytest.raises(ValueError, match="^var_epsilon must be finite"):
+            reliability_ratio(XiDistribution.normal(0, 1), value, c=1)
+
 
 def _zero_side_fits(data, c):
     """The case 1 and case 2 modified fits with every error moment zero, or

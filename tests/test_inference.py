@@ -447,6 +447,13 @@ class TestGridInversion:
         with pytest.raises(ValueError):
             GridSpec(lo=0.0, hi=1.0, step=2.0)
 
+    @pytest.mark.parametrize("name", ["lo", "hi", "step"])
+    def test_grid_spec_rejects_non_finite(self, name):
+        bounds = dict(lo=0.0, hi=1.0, step=0.1)
+        bounds[name] = math.inf if name == "hi" else math.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            GridSpec(**bounds)
+
     def test_degenerate_region_reported_unbounded(self):
         # Past the leading-coefficient threshold the acceptance region is
         # unbounded; the inversion must say so rather than fake an interval.
@@ -494,4 +501,32 @@ _REJECTED = {
 def test_inadmissible_side_info_rejected(name):
     call, match = _REJECTED[name]
     with pytest.raises(ValueError, match=match):
+        call(m0_dataset(30, 3))
+
+
+# Each entry point that takes a critical value z or a hypothesized slope or
+# intercept, called with a non-finite one, and the argument it must name.
+_NON_FINITE = {
+    "ci_slope_plugin_z": (lambda d: ci_slope_plugin(d, SIDE2_M0, z=math.nan), "z"),
+    "ci_intercept_z": (lambda d: ci_intercept(d, SIDE2_M0, z=math.inf), "z"),
+    "ci_slope_quadratic_z": (lambda d: ci_slope_quadratic(d, SIDE1_M0, 1, z=math.nan), "z"),
+    "grid_invert_ci_z": (lambda d: grid_invert_ci(d, SIDE1_M0, 1, z=math.nan), "z"),
+    "slope_statistic_beta": (lambda d: slope_statistic(d, SIDE2_M0, math.nan, "studentized"),
+                             "beta"),
+    "quadratic_pivot_beta": (lambda d: quadratic_pivot(d, SIDE1_M0, 2, -math.inf), "beta"),
+    "intercept_statistic_alpha": (lambda d: intercept_statistic(d, SIDE2_M0, math.nan), "alpha"),
+    "intercept_statistic_beta": (lambda d: intercept_statistic(
+        d, SIDE2_M0, 1.0, beta=math.inf, variant="known_slope"), "beta"),
+    "slope_residuals_beta": (lambda d: slope_residuals(d, SIDE2_M0, beta=math.nan), "beta"),
+    "intercept_residuals_beta": (lambda d: intercept_residuals(
+        d, SIDE2_M0, beta=math.nan, alpha=1.0), "beta"),
+    "intercept_residuals_alpha": (lambda d: intercept_residuals(
+        d, SIDE2_M0, beta=2.0, alpha=-math.inf), "alpha"),
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_FINITE))
+def test_non_finite_argument_named(name):
+    call, argument = _NON_FINITE[name]
+    with pytest.raises(ValueError, match=f"^{argument} must be finite"):
         call(m0_dataset(30, 3))

@@ -165,6 +165,24 @@ def test_overflow_names_the_sum(scale, name):
             estimate(Dataset(y=y, x=0.9 * y), SideInfo.case2(0.0, 0.0))
 
 
+@pytest.mark.parametrize("series", ["y", "x"])
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, r"{}\[1\] is not finite: nan"),
+    (math.inf, r"{}\[1\] is not finite: inf"),
+    (-math.inf, r"{}\[1\] is not finite: -inf"),
+    (1e308, "sum of {} overflows the float range"),  # finite entries
+], ids=["nan", "inf", "-inf", "overflow"])
+def test_non_finite_input_named(series, bad, message):
+    # moment_set scans for a non-finite entry only once a sum of y or x is
+    # not finite; a finite series whose sum overflows names the sum.
+    for n in (4, 2000):
+        values = {"y": np.resize([1.0, -0.5, 0.7, 1.2], n), "x": np.resize([0.3, 1.0, 2.0], n)}
+        values[series][1:3] = bad
+        for c in (0, 1):
+            with pytest.raises(ValueError, match="^" + message.format(series)):
+                moment_set(values["y"], values["x"], c=c)
+
+
 def _fsum_family(family: str, n: int, rng) -> np.ndarray:
     t = rng.standard_normal(n) / np.sqrt(rng.chisquare(2.0, n) / 2.0)
     if family == "t2_squares":

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,13 @@ class TestErrorSpec:
     def test_unknown_base_rejected(self):
         with pytest.raises(ValueError):
             ErrorSpec(lambda_theta=1.0, theta=1.0, mu=0.0, base="laplace")
+
+
+@pytest.mark.parametrize("name, value", [("beta", math.nan), ("alpha", math.inf),
+                                         ("beta", -math.inf)])
+def test_model_spec_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        dataclasses.replace(M0_SPEC, **{name: value})
 
 
 def test_model_spec_alpha_zero_when_no_intercept():
