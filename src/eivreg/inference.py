@@ -250,18 +250,15 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str) -> float:
     # known-slope terms, so the numerator never goes through beta_hat.
     term_mean = fsum(terms) / n
     if variant == "studentized":
-        ss = checked_fsum("(a_i - a_bar)^2", (terms - term_mean) ** 2)
-        if ss == 0.0:
-            raise ZeroNormalizer("centered slope residuals are all zero")
-        return math.sqrt(n) * term_mean / math.sqrt(ss / (n - 1))
-    if variant == "self_normalized":
-        ss = checked_fsum("a_i^2", terms ** 2)
-        if ss == 0.0:
-            raise ZeroNormalizer("slope residuals are all zero")
+        ss, residuals = checked_fsum("(a_i - a_bar)^2", (terms - term_mean) ** 2), "centered slope"
+    elif variant == "self_normalized":
+        ss, residuals = checked_fsum("a_i^2", terms ** 2), "slope"
     else:
-        ss = _plugin_sum(ms, side, ay, ax)[1]
-        if ss == 0.0:
-            raise ZeroNormalizer("plug-in slope residuals are all zero")
+        ss, residuals = _plugin_sum(ms, side, ay, ax)[1], "plug-in slope"
+    if ss == 0.0:
+        raise ZeroNormalizer(f"{residuals} residuals are all zero")
+    if variant == "studentized":
+        return math.sqrt(n) * term_mean / math.sqrt(ss / (n - 1))
     return n * term_mean / math.sqrt(ss)
 
 
