@@ -49,6 +49,7 @@ from .samplers import (
     Latent,
     ModelSpec,
     XiDistribution,
+    philox_keys,
     sample_errors,
     sample_xi,
     simulate_dataset,
@@ -67,7 +68,7 @@ __all__ = [
     "slope_statistic", "intercept_statistic", "quadratic_pivot",
     "ci_slope_plugin", "ci_intercept", "ci_slope_quadratic", "grid_invert_ci",
     "XiDistribution", "ErrorSpec", "ModelSpec", "Latent", "Dataset",
-    "substream", "sample_xi", "sample_errors", "simulate_dataset",
+    "substream", "philox_keys", "sample_xi", "sample_errors", "simulate_dataset",
     "DiagnosticReport", "obrien_ratio", "empirical_bn", "selfnorm_sum",
     "ks_distance_to_normal",
     "ExperimentConfig", "ExperimentReport", "run_experiment",

@@ -6,8 +6,9 @@ JSON config, and ``diagnose`` computes heavy-tail diagnostics for one
 numeric column.  All structured output is JSON with 17-significant-digit
 floats, so identical runs produce byte-identical documents.
 
-Exit codes: 0 ok, 2 input or configuration error, 3 guard violation,
-4 degenerate quadratic interval (its JSON is still emitted).
+Exit codes: 0 ok, 2 input or configuration error, 3 guard violation or a
+statistic undefined on the data, 4 degenerate quadratic interval (its JSON
+is still emitted).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .config import load_document, parse_experiment_config, parse_model
 from .diagnostics import DiagnosticReport, empirical_bn, ks_distance_to_normal, obrien_ratio, selfnorm_sum
-from .errors import ConfigError, GuardViolation
+from .errors import ConfigError, GuardViolation, ZeroNormalizer
 from .estimators import SideInfo, estimate
 from .inference import DEGENERACY_NONE, ci_intercept, ci_slope_plugin, ci_slope_quadratic
 from .jsonout import dumps
@@ -203,20 +204,11 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     z = _read_column(args.csv, args.column)
-    try:
-        ratio = obrien_ratio(z)
-    except ValueError as exc:
-        raise CliFailure(3, str(exc))
-    bn = empirical_bn(z) if z.size >= 2 else None
-    selfnorm = None
-    if args.center is not None:
-        try:
-            selfnorm = selfnorm_sum(z, args.center)
-        except ValueError as exc:
-            raise CliFailure(3, str(exc))
-    ks = ks_distance_to_normal(z) if args.ks else None
-    report = DiagnosticReport(n=z.size, obrien_ratio=ratio, empirical_bn=bn,
-                              selfnorm_stat=selfnorm, ks_distance=ks)
+    report = DiagnosticReport(
+        n=z.size, obrien_ratio=obrien_ratio(z),
+        empirical_bn=empirical_bn(z) if z.size >= 2 else None,
+        selfnorm_stat=None if args.center is None else selfnorm_sum(z, args.center),
+        ks_distance=ks_distance_to_normal(z) if args.ks else None)
     _emit(dumps(dataclasses.asdict(report)), args.out)
     return 0
 
@@ -290,7 +282,7 @@ def main(argv=None) -> int:
     except CliFailure as failure:
         print(f"eivreg: {failure}", file=sys.stderr)
         return failure.code
-    except GuardViolation as exc:
+    except (GuardViolation, ZeroNormalizer) as exc:
         print(f"eivreg: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError) as exc:

@@ -17,7 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .moments import as_series, check_finite, check_finite_number, fsum, series_mean
+from .errors import ZeroNormalizer
+from .moments import (as_series, check_finite, check_finite_number, checked_fsum, fsum,
+                      quiet_overflow, series_mean)
 from .normal import norm_cdf
 
 __all__ = [
@@ -29,33 +31,38 @@ __all__ = [
 ]
 
 
+@quiet_overflow
 def obrien_ratio(z) -> float:
-    """max_i z_i^2 / sum_i z_i^2; raises ValueError on an all-zero series."""
+    """max_i z_i^2 / sum_i z_i^2; raises ZeroNormalizer on an all-zero series."""
     z = check_finite("z", as_series("z", z))
     sq = z * z
-    total = fsum(sq)
+    total = checked_fsum("z^2", sq)
     if total == 0.0:
-        raise ValueError("ratio undefined: all values are zero")
+        raise ZeroNormalizer("ratio undefined: all values are zero")
     return float(np.max(sq)) / total
 
 
+@quiet_overflow
 def empirical_bn(z) -> float:
     """Plug-in normalizer sqrt(sum (z_i - z_bar)^2); needs n >= 2."""
     z = as_series("z", z)
     if z.size < 2:
         raise ValueError(f"need at least 2 observations, got {z.size}")
     z_bar = series_mean("z", z)
-    return math.sqrt(fsum((z - z_bar) ** 2))
+    return math.sqrt(checked_fsum("(z - z_bar)^2", (z - z_bar) ** 2))
 
 
+@quiet_overflow
 def selfnorm_sum(z, a: float) -> float:
-    """sum (z_i - a) / sqrt(sum (z_i - a)^2); raises when all z_i equal a."""
+    """sum (z_i - a) / sqrt(sum (z_i - a)^2); raises ZeroNormalizer when all
+    z_i equal a."""
     z = check_finite("z", as_series("z", z))
     check_finite_number("a", a)
     d = z - a
-    ss = fsum(d * d)
+    ss = checked_fsum("(z - a)^2", d * d)
     if ss == 0.0:
-        raise ValueError("self-normalized sum undefined: all values equal the center")
+        raise ZeroNormalizer("self-normalized sum undefined: all values equal the center")
+    # A finite sum of squares bounds the plain sum: |sum d| <= sqrt(n * ss).
     return fsum(d) / math.sqrt(ss)
 
 

@@ -20,8 +20,10 @@ class GuardViolation(EivregError):
         self.value = value
 
 
-class ZeroNormalizer(EivregError):
-    """The normalizing sum of squares of a pivotal statistic is zero."""
+class ZeroNormalizer(EivregError, ValueError):
+    """The normalizing sum of squares of a statistic is zero, so the
+    statistic is undefined on this data.  Also a ValueError: the data, not
+    the program, are unsuitable."""
 
 
 class ConfigError(EivregError):

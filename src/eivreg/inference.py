@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ZeroNormalizer
 from .estimators import SideInfo, estimate_from_moments
-from .moments import (MomentSet, check_finite_number, checked_fsum, fsum, moment_set,
+from .moments import (MomentSet, check_finite_number, checked_float, checked_fsum, moment_set,
                       quiet_overflow)
 from .normal import norm_cdf, z_for_gamma
 
@@ -164,6 +164,7 @@ class SlopeResiduals:
     term_mean: float
 
 
+@quiet_overflow
 def slope_residuals(data, side: SideInfo, *, beta: Optional[float] = None) -> SlopeResiduals:
     """Slope residual terms; pass ``beta`` for the known-slope version,
     omit it to plug in the estimate (propagates its guard checks)."""
@@ -176,7 +177,7 @@ def slope_residuals(data, side: SideInfo, *, beta: Optional[float] = None) -> Sl
         b, kind = float(beta), "known_beta"
     terms = ay - b * ax
     return SlopeResiduals(j=side.case, kind=kind, beta_used=b, U=U,
-                          terms=terms, term_mean=fsum(terms) / ms.n)
+                          terms=terms, term_mean=checked_fsum("a_i", terms) / ms.n)
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,7 @@ def _intercept_terms(data, ms: MomentSet, side: SideInfo, beta: Optional[float],
     return (data.y - alpha0) - b * data.x - (ms.x_bar / U) * (ay - b * ax)
 
 
+@quiet_overflow
 def intercept_residuals(data, side: SideInfo, *, beta: Optional[float] = None,
                         alpha: Optional[float] = None) -> InterceptResiduals:
     """Intercept residual terms.
@@ -217,7 +219,7 @@ def intercept_residuals(data, side: SideInfo, *, beta: Optional[float] = None,
         raise ValueError("pass both beta and alpha for known values, or neither to plug in")
     terms = _intercept_terms(data, ms, side, beta, alpha)
     return InterceptResiduals(j=side.case, kind="plugin" if beta is None else "known_beta",
-                              terms=terms, term_mean=fsum(terms) / ms.n)
+                              terms=terms, term_mean=checked_fsum("v_i", terms) / ms.n)
 
 
 @quiet_overflow
@@ -228,7 +230,7 @@ def _intercept_studentization(data, side: SideInfo, beta: Optional[float] = None
     ms = _moments(data, side)
     est = estimate_from_moments(ms, side)
     terms = _intercept_terms(data, ms, side, beta, alpha, est)
-    v_bar = fsum(terms) / ms.n
+    v_bar = checked_fsum("v_i", terms) / ms.n
     return ms.n, est.alpha_hat, checked_fsum("(v_i - v_bar)^2", (terms - v_bar) ** 2)
 
 
@@ -248,7 +250,7 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str) -> float:
     n = ms.n
     # Exact identity: U * (beta_hat - beta) equals the mean of the
     # known-slope terms, so the numerator never goes through beta_hat.
-    term_mean = fsum(terms) / n
+    term_mean = checked_fsum("a_i", terms) / n
     if variant == "studentized":
         ss, residuals = checked_fsum("(a_i - a_bar)^2", (terms - term_mean) ** 2), "centered slope"
     elif variant == "self_normalized":
@@ -281,7 +283,8 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
     n, alpha_hat, ss = _intercept_studentization(data, side, beta, alpha)
     if ss == 0.0:
         raise ZeroNormalizer("centered intercept residuals are all zero")
-    return math.sqrt(n) * (alpha_hat - alpha) / math.sqrt(ss / (n - 1))
+    return checked_float("the intercept statistic",
+                         math.sqrt(n) * (alpha_hat - alpha) / math.sqrt(ss / (n - 1)))
 
 
 @dataclass(frozen=True)
@@ -303,6 +306,12 @@ class IntervalEstimate:
     j: int
     k: Optional[int] = None
     degeneracy: str = DEGENERACY_NONE
+
+    def __post_init__(self):
+        for part, value in (("center", self.center), ("lower end", self.lower),
+                            ("upper end", self.upper)):
+            if value is not None:
+                checked_float(f"the {part} of the {self.family} interval", value)
 
 
 def ci_slope_plugin(data, side: SideInfo, gamma: Optional[float] = None, *,

@@ -123,6 +123,14 @@ def check_finite_number(name: str, value: float) -> None:
 quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
+def checked_float(name: str, value: float) -> float:
+    """``value``; raises ValueError naming it unless it is finite.  Callers
+    pass results of finite inputs, so a non-finite one has overflowed."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} overflows the float range")
+    return value
+
+
 def checked_fsum(name: str, values) -> float:
     """fsum(values); raises ValueError naming the sum if it leaves the float
     range."""
@@ -130,9 +138,7 @@ def checked_fsum(name: str, values) -> float:
         total = fsum(values)
     except (OverflowError, ValueError):  # partial sums overflow; -inf + inf
         total = math.inf
-    if not math.isfinite(total):
-        raise ValueError(f"sum of {name} overflows the float range")
-    return total
+    return checked_float(f"sum of {name}", total)
 
 
 def series_mean(name: str, values: np.ndarray) -> float:

@@ -13,9 +13,12 @@ Experiments:
   ignore the error variances, next to the modified estimator's.
 * ``degeneracy``: how often the quadratic interval inversion degenerates.
 
-Every replication draws from the sub-stream keyed by (seed, n,
+Every replication draws from the sub-streams keyed by (seed, n,
 replication index), so adding sample sizes or replications never perturbs
 existing draws and any worker count produces bit-identical reports.
+Replications run in blocks: each block derives its Philox keys in one
+vectorised call and resets one reused generator per role to each
+replication's keys, which gives the draws of ``samplers.substream``.
 Guard violations and degenerate inversions are counted per replication,
 never raised; coverage is computed over the non-failed replications with
 the failure rate reported alongside, so covered + missed + failed always
@@ -27,7 +30,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -49,7 +52,8 @@ from .inference import (
     slope_statistic,
 )
 from .moments import fsum
-from .samplers import XI_FAMILIES, ModelSpec, simulate_dataset
+from .samplers import (ROLE_ERRORS, ROLE_XI, XI_FAMILIES, ModelSpec, _philox_generator,
+                       _reset, _simulate, philox_keys)
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "EXPERIMENTS", "PIVOTS", "WORKERS_ENV"]
@@ -59,6 +63,10 @@ PIVOTS = (tuple(f"slope_{v}" for v in SLOPE_VARIANTS)
 
 # Worker-count override; the result must not (and does not) depend on it.
 WORKERS_ENV = "EIVREG_WORKERS"
+
+# The most replications one block runs.  A block holds its keys and
+# outcomes, so its memory does not grow with the replication count.
+_MAX_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -121,15 +129,28 @@ class ExperimentReport:
         }
 
 
-def _replicate(config: ExperimentConfig, n: int, rep: int) -> tuple:
-    """One replication; returns a tagged outcome tuple (never raises on guards)."""
-    data = simulate_dataset(config.spec, n, (config.seed, n, rep))
+def _replicate(config: ExperimentConfig, n: int, rngs: tuple, keys: tuple) -> tuple:
+    """One replication on the reused (xi, errors) generators ``rngs``, each
+    first reset to its Philox key in ``keys``; returns a tagged outcome tuple
+    (never raises on guards)."""
+    data = _simulate(config.spec, n, _reset(rngs[0], keys[0]), _reset(rngs[1], keys[1]))
     try:
         return EXPERIMENTS[config.experiment].outcome(config, data)
     except GuardViolation as exc:
         return ("guard", exc.guard)
     except ZeroNormalizer:
         return ("zero", None)
+
+
+def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) -> list:
+    """Outcomes of replications start..stop-1, in order.  Replication r
+    draws from the streams ``substream((seed, n, r), role)``, whatever
+    block it runs in."""
+    reps = range(start, stop)
+    keys = zip(philox_keys(config.seed, n, reps, ROLE_XI),
+               philox_keys(config.seed, n, reps, ROLE_ERRORS))
+    rngs = (_philox_generator(), _philox_generator())
+    return [_replicate(config, n, rngs, rep_keys) for rep_keys in keys]
 
 
 def _worker_count() -> int:
@@ -148,17 +169,22 @@ def _worker_count() -> int:
 def _map_replications(config: ExperimentConfig, n: int) -> list:
     """Outcomes for replications 0..M-1, in replication order.
 
-    Replications are independent; with several workers they run in a
-    process pool, and the ordered collection makes the aggregate
-    independent of scheduling.
+    Replications are independent and run in blocks; with several workers
+    the blocks run in a process pool, and the ordered collection makes the
+    aggregate independent of scheduling.
     """
-    reps = range(config.replications)
+    total = config.replications
     workers = _worker_count()
-    if workers == 1 or config.replications < 4:
-        return [_replicate(config, n, r) for r in reps]
-    chunk = max(1, config.replications // (workers * 8))
+    serial = workers == 1 or total < 4
+    block = _MAX_BLOCK if serial else min(_MAX_BLOCK, max(1, total // (workers * 8)))
+    starts = range(0, total, block)
+    stops = [min(start + block, total) for start in starts]
+    if serial:
+        return list(chain.from_iterable(
+            map(_replicate_block, repeat(config), repeat(n), starts, stops)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate, repeat(config), repeat(n), reps, chunksize=chunk))
+        return list(chain.from_iterable(
+            pool.map(_replicate_block, repeat(config), repeat(n), starts, stops)))
 
 
 def _scored(ci, truth: float) -> tuple:

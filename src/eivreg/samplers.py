@@ -12,7 +12,11 @@ that class and are deliberately not offered.
 Randomness is counter-based and splittable: every stream is derived from
 (seed, path) through ``numpy``'s SeedSequence/Philox machinery, so
 parallel replications can never perturb each other and identical inputs
-reproduce bit-identical draws.
+reproduce bit-identical draws.  ``substream`` is the reference definition
+of a stream.  The Monte Carlo harness derives the Philox keys of a whole
+block of replications at once with ``philox_keys``, bitwise the keys
+SeedSequence would give, and resets one reused generator per role to
+each replication's key, so its draws are those of ``substream``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "Latent",
     "Dataset",
     "substream",
+    "philox_keys",
     "sample_xi",
     "sample_errors",
     "simulate_dataset",
@@ -266,11 +271,120 @@ def substream(seed: SeedLike, *path: int) -> np.random.Generator:
     """Deterministic child stream of ``seed`` at ``path``.
 
     Distinct paths give statistically independent streams; the mapping is
-    pure, so concurrent callers with distinct paths are safe.
+    pure, so concurrent callers with distinct paths are safe.  This is the
+    reference definition of every stream: ``philox_keys`` reproduces its
+    Philox keys bitwise, and tests hold it to that.
     """
     entropy = seed if isinstance(seed, int) else list(seed)
     ss = np.random.SeedSequence(entropy, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# O'Neill's seed_seq hash as numpy's SeedSequence implements it: a pool of
+# four uint32 words, mixed from the entropy words with multipliers that
+# depend only on word position.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(name: str, value: int) -> list:
+    """The little-endian uint32 words SeedSequence splits ``value`` into."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_seq_keys(entropy: list) -> np.ndarray:
+    """Philox keys ``SeedSequence(...).generate_state(2, np.uint64)`` of the
+    rows whose entropy words are the uint32 columns ``entropy``."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for value in pool:
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=1)
+
+
+def philox_keys(seed: int, n: int, reps, role: int) -> np.ndarray:
+    """The (len(reps), 2) uint64 Philox keys of ``substream((seed, n, rep), role)``.
+
+    Row i is bitwise ``SeedSequence((seed, n, reps[i]), spawn_key=(role,))
+    .generate_state(2, np.uint64)``, the key ``substream`` gives its
+    Philox, derived for all rows at once.  The hash runs word position by
+    word position, so rows are grouped by how many 32-bit words their rep
+    takes; replication indices must lie in [0, 2**64).
+    """
+    reps = np.asarray(reps, dtype=np.uint64)
+    prefix = _words("seed", seed) + _words("n", n)
+    spawn = _words("role", role)
+    keys = np.empty((reps.size, 2), dtype=np.uint64)
+    wide = reps > _MASK32
+    for rows, width in ((~wide, 1), (wide, 2)):
+        group = reps[rows]
+        if not group.size:
+            continue
+        run = ([np.full(group.size, w, dtype=np.uint32) for w in prefix]
+               + [(group >> (32 * j)).astype(np.uint32) for j in range(width)])
+        # SeedSequence pads the run entropy with zeros to the pool size
+        # before it appends a spawn key.
+        run += [np.zeros(group.size, dtype=np.uint32)] * (_POOL_SIZE - len(run))
+        keys[rows] = _seed_seq_keys(
+            run + [np.full(group.size, w, dtype=np.uint32) for w in spawn])
+    return keys
+
+
+_ZERO_WORDS = (0, 0, 0, 0)
+
+
+def _philox_generator() -> np.random.Generator:
+    """A Philox generator for ``_reset``; its own seed is never drawn from."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _reset(rng: np.random.Generator, key) -> np.random.Generator:
+    """``rng`` set to the start of the Philox stream with ``key``, a row of
+    ``philox_keys``: zero counter and an empty buffer, the state
+    ``Philox(ss)`` starts in, so the draws that follow are those of the
+    matching ``substream``."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": key},
+        # buffer_pos 4 marks the four-word output buffer as used up.
+        "buffer": _ZERO_WORDS, "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def sample_xi(dist: XiDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -304,8 +418,15 @@ def simulate_dataset(spec: ModelSpec, n: int, seed: SeedLike) -> Dataset:
     draws the (seed, ROLE_ERRORS) sub-stream, so the two are independent
     and the latent series is unaffected by the error specification.
     """
-    xi = sample_xi(spec.xi, n, substream(seed, ROLE_XI))
-    delta, epsilon = sample_errors(spec.err, n, substream(seed, ROLE_ERRORS))
+    return _simulate(spec, n, substream(seed, ROLE_XI), substream(seed, ROLE_ERRORS))
+
+
+def _simulate(spec: ModelSpec, n: int, rng_xi: np.random.Generator,
+              rng_err: np.random.Generator) -> Dataset:
+    """n observations from ``spec`` with xi drawn from ``rng_xi`` and the
+    errors from ``rng_err``."""
+    xi = sample_xi(spec.xi, n, rng_xi)
+    delta, epsilon = sample_errors(spec.err, n, rng_err)
     y = spec.beta * xi + spec.alpha + delta
     x = xi + epsilon
     return Dataset(y=y, x=x, latent=Latent(

@@ -55,3 +55,12 @@ def test_traced_long_arrays_reach_every_boundary(tmp_path):
     assert profile.missing == set()
     assert profile.count["montecarlo._replicate"] == REPS
     assert profile.count["moments.fsum"] == FSUM_CALLS
+
+
+def test_traced_streams_come_from_block_keys(tmp_path):
+    # The serial run is one block: its keys come from one philox_keys call
+    # per role, and no replication builds a substream of its own.
+    profile = _traced_profile(tmp_path, 30)
+    assert profile.count["samplers.substream"] == 0
+    assert profile.count["samplers.philox_keys"] == 2
+    assert profile.count["samplers.sample_xi"] == REPS

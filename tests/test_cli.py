@@ -272,6 +272,13 @@ class TestDiagnose:
         assert proc.returncode == 2
         assert "z[1] is not finite" in proc.stderr
 
+    def test_overflow_exit_2(self, tmp_path):
+        # An overflowing sum is an input error, not an undefined ratio.
+        csv = write(tmp_path, "z.csv", "z\n1e200\n1\n")
+        proc = run_cli("diagnose", csv)
+        assert proc.returncode == 2
+        assert proc.stderr == "eivreg: sum of z^2 overflows the float range\n"
+
     def test_single_value(self, tmp_path):
         csv = write(tmp_path, "z.csv", "z\n7\n")
         proc = run_cli("diagnose", csv)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 from conftest import PROP_CASES
 from eivreg import (
     XiDistribution,
+    ZeroNormalizer,
     empirical_bn,
     ks_distance_to_normal,
     obrien_ratio,
@@ -132,6 +134,28 @@ def test_empirical_bn_overflow_names_the_sum():
     # Finite entries: only the sum leaves the float range.
     with pytest.raises(ValueError, match="^sum of z overflows"):
         empirical_bn([1e308, 1e308, 0.0])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: empirical_bn([1e200, -1e200]), "(z - z_bar)^2"),
+    (lambda: obrien_ratio([1e200, 1.0]), "z^2"),
+    (lambda: selfnorm_sum([1e200, -1e200], 0.0), "(z - a)^2"),
+    (lambda: selfnorm_sum([1e308, -1e308], -1e308), "(z - a)^2"),
+], ids=["empirical_bn", "obrien_ratio", "selfnorm_sum", "selfnorm_sum_difference"])
+def test_squares_overflow_names_the_sum(call, name):
+    # Finite entries whose squares leave the float range; under the suite's
+    # warning filter an overflow warning would fail the test too.
+    with pytest.raises(ValueError, match=rf"^sum of {re.escape(name)} overflows the float range$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [lambda: obrien_ratio([0.0, 0.0]),
+                                  lambda: selfnorm_sum([2.0, 2.0], 2.0)],
+                         ids=["obrien_ratio", "selfnorm_sum"])
+def test_undefined_statistic_is_zero_normalizer(call):
+    # Still a ValueError for existing callers; the CLI maps it to exit 3.
+    with pytest.raises(ZeroNormalizer):
+        call()
 
 
 @pytest.mark.parametrize("dist", [

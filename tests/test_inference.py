@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -530,3 +531,31 @@ def test_non_finite_argument_named(name):
     call, argument = _NON_FINITE[name]
     with pytest.raises(ValueError, match=f"^{argument} must be finite"):
         call(m0_dataset(30, 3))
+
+
+# Entry points given a finite but huge critical value or hypothesized
+# slope or intercept, and the result that overflows.
+_HUGE = {
+    "intercept_statistic_alpha": (lambda d: intercept_statistic(d, SIDE2_M0, 1e308),
+                                  "the intercept statistic"),
+    "intercept_statistic_beta": (lambda d: intercept_statistic(
+        d, SIDE2_M0, 1.0, beta=1e308, variant="known_slope"), "sum of v_i"),
+    "ci_slope_plugin_z": (lambda d: ci_slope_plugin(d, SIDE2_M0, z=1e308),
+                          "the lower end of the slope_plugin interval"),
+    "ci_intercept_z": (lambda d: ci_intercept(d, SIDE2_M0, z=1e308),
+                       "the lower end of the intercept interval"),
+    "slope_residuals_beta": (lambda d: slope_residuals(d, SIDE2_M0, beta=1e308), "sum of a_i"),
+    "intercept_residuals_beta": (lambda d: intercept_residuals(
+        d, SIDE2_M0, beta=1e308, alpha=1.0), "sum of v_i"),
+    "slope_statistic_beta": (lambda d: slope_statistic(
+        d, SIDE2_M0, 1e308, "self_normalized_plugin"), "sum of a_i"),
+}
+
+
+@pytest.mark.parametrize("name", list(_HUGE))
+def test_overflowing_result_named(name):
+    # Under the suite's warning filter an overflow warning would also fail.
+    call, result = _HUGE[name]
+    with pytest.raises(ValueError, match=rf"^{re.escape(result)} overflows the float range$"):
+        call(m0_dataset(30, 3))
+

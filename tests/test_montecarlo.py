@@ -6,7 +6,7 @@ import pytest
 from conftest import M0_SPEC, SIDE1_M0, SIDE2_M0, T2_SPEC
 from eivreg import ExperimentConfig, SideInfo, run_experiment
 from eivreg.jsonout import dumps
-from eivreg.montecarlo import _replicate
+from eivreg.montecarlo import _replicate_block
 
 
 def cfg(**kw):
@@ -169,10 +169,25 @@ class TestDeterminism:
             run_experiment(cfg(replications=4))
 
     def test_replication_streams_keyed_by_seed_n_rep(self):
-        shorter = cfg(replications=50)
-        longer = cfg(replications=200)
+        # Replication r's outcome depends on (seed, n, r) only: not on the
+        # replication count, nor on where its block starts.
+        shorter = _replicate_block(cfg(replications=50), 100, 0, 50)
+        longer = _replicate_block(cfg(replications=200), 100, 0, 200)
         for rep in (0, 7, 49):
-            assert _replicate(shorter, 100, rep) == _replicate(longer, 100, rep)
+            alone = _replicate_block(cfg(replications=50), 100, rep, rep + 1)
+            assert shorter[rep] == longer[rep] == alone[0]
+
+    @pytest.mark.parametrize("replications", [3, 37, 1000])
+    def test_reports_byte_identical_across_worker_counts(self, monkeypatch, replications):
+        # 3 runs serially at any worker count; 37 runs in pool blocks of 2
+        # (2 workers) and 1 (3 workers); 1000 is a multiple of neither of
+        # its block sizes, 62 and 41.
+        config = cfg(n_values=(12,), replications=replications)
+        reports = set()
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("EIVREG_WORKERS", workers)
+            reports.add(dumps(run_experiment(config).to_dict()))
+        assert len(reports) == 1
 
     def test_adding_n_values_preserves_existing_records(self):
         one = run_experiment(cfg(n_values=(40,), replications=100))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -11,11 +12,13 @@ from eivreg import (
     ModelSpec,
     XiDistribution,
     estimate,
+    philox_keys,
     sample_errors,
     sample_xi,
     simulate_dataset,
     substream,
 )
+from eivreg.samplers import ROLE_ERRORS, ROLE_XI, XI_FAMILIES, _philox_generator, _reset
 
 
 class TestXiDistribution:
@@ -215,6 +218,80 @@ def test_substream_roles_are_independent_streams():
     assert not np.array_equal(r0, r1)
     again = substream(5, 0).standard_normal(10)
     assert np.array_equal(r0, again)
+
+
+def _seed_sequence_key(seed, n, rep, role):
+    return np.random.SeedSequence((seed, n, rep), spawn_key=(role,)).generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3])
+@pytest.mark.parametrize("n", [2, 100, 2 ** 33 + 1])
+@pytest.mark.parametrize("role", [ROLE_XI, ROLE_ERRORS])
+def test_philox_keys_are_seed_sequence_keys(seed, n, role):
+    # The third block crosses the 32-bit word boundary of the rep.
+    blocks = ([0, 1, 999, 2 ** 32 - 1], range(998, 1003), range(2 ** 32 - 3, 2 ** 32 + 3),
+              [2 ** 64 - 1])
+    for reps in blocks:
+        keys = philox_keys(seed, n, reps, role)
+        assert keys.shape == (len(reps), 2) and keys.dtype == np.uint64
+        expected = np.array([_seed_sequence_key(seed, n, rep, role) for rep in reps])
+        assert np.array_equal(keys, expected)
+
+
+def test_philox_keys_reject_negative_words():
+    for seed, n, role in ((-1, 10, 0), (1, -10, 0), (1, 10, -1)):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            philox_keys(seed, n, [0], role)
+
+
+def test_philox_keys_never_collide():
+    # SeedSequence concatenates the words of seed, n and rep, so two
+    # triples whose multi-word values split the same words apart share a
+    # key; n stays below 2**32 here, as any n that can be simulated does.
+    keys = set()
+    count = 0
+    for seed, n, role in itertools.product((0, 1, 2, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3),
+                                           (2, 3, 50, 100, 2000), (ROLE_XI, ROLE_ERRORS)):
+        block = philox_keys(seed, n, range(400), role)
+        keys.update(map(tuple, block.tolist()))
+        count += len(block)
+    assert len(keys) == count == 24000
+
+
+def _dirty_generator():
+    # Buffered 32-bit halves and a used-up counter must not survive a reset.
+    rng = _philox_generator()
+    rng.integers(0, 2, 3)
+    rng.random(5)
+    return rng
+
+
+# One distribution of every xi family.
+XI_CASES = [XiDistribution.normal(0.5, 2.0), XiDistribution.uniform(-1.0, 3.0),
+            XiDistribution.centered_exponential(1.5), XiDistribution.student_t2(1.0, 0.25),
+            XiDistribution.symmetric_pareto2(1.0, 0.25)]
+
+
+def test_xi_cases_cover_every_family():
+    assert sorted(dist.family for dist in XI_CASES) == sorted(XI_FAMILIES)
+
+
+@pytest.mark.parametrize("dist", XI_CASES, ids=[dist.family for dist in XI_CASES])
+def test_reset_draws_equal_substream_xi(dist):
+    seed, n, rep = 11, 37, 5
+    key = philox_keys(seed, n, [rep], ROLE_XI)[0]
+    got = sample_xi(dist, n, _reset(_dirty_generator(), key))
+    assert np.array_equal(got, sample_xi(dist, n, substream((seed, n, rep), ROLE_XI)))
+
+
+@pytest.mark.parametrize("base", ["gaussian", "scaled_uniform"])
+def test_reset_draws_equal_substream_errors(base):
+    err = ErrorSpec(lambda_theta=0.5, theta=2.0, mu=-0.6, base=base)
+    seed, n, rep = 11, 37, 2 ** 32 + 5
+    key = philox_keys(seed, n, [rep], ROLE_ERRORS)[0]
+    got = sample_errors(err, n, _reset(_dirty_generator(), key))
+    expected = sample_errors(err, n, substream((seed, n, rep), ROLE_ERRORS))
+    assert all(map(np.array_equal, got, expected))
 
 
 def test_dataset_validation():
