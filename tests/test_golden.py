@@ -1,12 +1,15 @@
-"""Golden CLI corpus: the exact stdout bytes and exit code of a fixed set of
-``eivreg`` invocations, plus the bytes of every file ``simulate`` writes.
+"""Golden CLI corpus: the exact stdout and stderr bytes and exit code of a
+fixed set of ``eivreg`` invocations, plus the bytes of every file
+``simulate`` writes.
 
 The corpus spans every experiment and pivot, every latent family, both
 error bases, both identifiability cases, both intercept flags, both
 quadratic variants, one and two workers, and the ``estimate``, ``ci``,
-``simulate`` and ``diagnose`` subcommands.  A refactor that claims to
-change no behaviour must pass it unchanged.  Each case runs
-``eivreg.cli.main`` in-process in its own working directory; sizes are
+``simulate`` and ``diagnose`` subcommands, and one rejected input for each
+rule the command line enforces.  A refactor that claims to change no
+behaviour must pass it unchanged.  Each case runs ``eivreg.cli.main``
+in-process in its own working directory, with ``COLUMNS=80`` so that
+argparse wraps its usage lines the same way on every terminal; sizes are
 kept tiny so the whole corpus takes a few seconds.
 
 After an intended change of output, recapture the expected files with
@@ -143,6 +146,7 @@ CASES = [
     exp_case("exp_reject_unknown_experiment", name="bootstrap"),
     exp_case("exp_reject_bad_k", name="coverage16", case=1, k=3),
     exp_case("exp_reject_bad_workers", "abc", name="coverage14"),
+    exp_case("exp_reject_gamma_0", flags=("--gamma", "0"), name="coverage14"),
     # Fits of one CSV dataset.
     fit_case("estimate_case1_c1", "estimate", *SIDE1, "--intercept"),
     fit_case("estimate_case2_c0", "estimate", *SIDE2),
@@ -162,6 +166,22 @@ CASES = [
              "--ks"),
     Case("diagnose_single_column", ("diagnose", "z.csv", "--center", "-1", "--ks"),
          {"z.csv": COLUMN_CSV}),
+    # Flags and CSV files the fitting commands reject.
+    fit_case("estimate_reject_no_mu", "estimate", "--case", "2", "--theta", "0.25"),
+    fit_case("estimate_reject_case1_no_lambda_theta", "estimate", "--case", "1",
+             "--mu", "0.05"),
+    fit_case("ci_reject_case2_no_theta", "ci", "--case", "2", "--mu", "0.05",
+             "--family", "plugin-slope"),
+    fit_case("ci_reject_gamma_1_5", "ci", *SIDE2, "--family", "plugin-slope",
+             "--gamma", "1.5"),
+    fit_case("estimate_reject_non_numeric_cell", "estimate", *SIDE2,
+             csv="y,x\n1,0\nabc,1\n5,2\n"),
+    Case("estimate_reject_missing_csv", ("estimate", "missing.csv", *SIDE2)),
+    # Simulation settings the command rejects.
+    Case("simulate_reject_n_0", ("simulate", "--config", "cfg.json", "--out", "sim.csv"),
+         {"cfg.json": json.dumps({"model": model(), "n": 0, "seed": 1})}),
+    Case("simulate_reject_no_n", ("simulate", "--config", "cfg.json", "--out", "sim.csv"),
+         {"cfg.json": json.dumps({"model": model(), "seed": 1})}),
 ] + [
     # One simulation per latent family, alternating the error base.
     Case(f"simulate_{family}", ("simulate", "--config", "cfg.json", "--out", "sim.csv",
@@ -177,18 +197,21 @@ CASES = [
 
 @contextlib.contextmanager
 def _inside(workdir: Path, workers: str):
-    """Run with ``workdir`` as the working directory and EIVREG_WORKERS set."""
-    old_cwd, old_workers = os.getcwd(), os.environ.get("EIVREG_WORKERS")
+    """Run with ``workdir`` as the working directory, EIVREG_WORKERS set and
+    a terminal width of 80 columns."""
+    env = {"EIVREG_WORKERS": workers, "COLUMNS": "80"}
+    old_cwd, old_env = os.getcwd(), {k: os.environ.get(k) for k in env}
     os.chdir(workdir)
-    os.environ["EIVREG_WORKERS"] = workers
+    os.environ.update(env)
     try:
         yield
     finally:
         os.chdir(old_cwd)
-        if old_workers is None:
-            del os.environ["EIVREG_WORKERS"]
-        else:
-            os.environ["EIVREG_WORKERS"] = old_workers
+        for key, value in old_env.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
 
 
 def run_case(case: Case, workdir: Path) -> tuple:
@@ -202,7 +225,8 @@ def run_case(case: Case, workdir: Path) -> tuple:
             code = main(list(case.argv))
         except SystemExit as exc:
             code = exc.code
-    outputs = {"stdout": out.getvalue().encode("utf-8")}
+    outputs = {"stdout": out.getvalue().encode("utf-8"),
+               "stderr": err.getvalue().encode("utf-8")}
     for name in case.writes:
         outputs[name] = (workdir / name).read_bytes()
     return code, outputs
@@ -221,7 +245,8 @@ def test_golden(case, tmp_path):
 
 
 def test_corpus_files_match_cases():
-    expected = {f"{c.name}.{name}" for c in CASES for name in ("stdout", *c.writes)}
+    expected = {f"{c.name}.{name}" for c in CASES
+                for name in ("stdout", "stderr", *c.writes)}
     present = {p.name for p in GOLDEN.iterdir() if p != EXIT_CODES}
     assert present == expected
     assert set(_expected_codes()) == {c.name for c in CASES}
