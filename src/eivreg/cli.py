@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import load_document, parse_experiment_config, parse_model
+from .config import load_document, parse_experiment_config, parse_simulation
 from .diagnostics import DiagnosticReport, empirical_bn, ks_distance_to_normal, obrien_ratio, selfnorm_sum
 from .errors import ConfigError, GuardViolation, ZeroNormalizer
 from .estimators import SideInfo, estimate
@@ -33,22 +33,6 @@ from .montecarlo import run_experiment
 from .samplers import Dataset, simulate_dataset
 
 
-class CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _gamma_arg(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {raw!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("gamma must lie strictly between 0 and 1")
-    return value
-
-
 def _read_rows(path: str):
     """The stripped header of a CSV file and its data rows, of which there
     must be at least one."""
@@ -56,11 +40,11 @@ def _read_rows(path: str):
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
-        raise CliFailure(2, f"cannot read {path}: {exc}")
+        raise ConfigError(f"cannot read {path}: {exc}")
     if not rows:
-        raise CliFailure(2, f"{path}: empty file")
+        raise ConfigError(f"{path}: empty file")
     if len(rows) == 1:
-        raise CliFailure(2, f"{path}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
     return [h.strip() for h in rows[0]], rows[1:]
 
 
@@ -69,7 +53,7 @@ def _columns(path: str, body: list, indices: tuple) -> list:
     try:
         return [np.asarray([float(r[i]) for r in body]) for i in indices]
     except (ValueError, IndexError) as exc:
-        raise CliFailure(2, f"{path}: bad data row: {exc}")
+        raise ConfigError(f"{path}: bad data row: {exc}")
 
 
 def _read_xy(path: str) -> Dataset:
@@ -77,7 +61,7 @@ def _read_xy(path: str) -> Dataset:
     try:
         iy, ix = header.index("y"), header.index("x")
     except ValueError:
-        raise CliFailure(2, f"{path}: header must contain columns 'y' and 'x'")
+        raise ConfigError(f"{path}: header must contain columns 'y' and 'x'")
     y, x = _columns(path, body, (iy, ix))
     return Dataset(y=y, x=x)
 
@@ -86,18 +70,18 @@ def _read_column(path: str, column) -> np.ndarray:
     header, body = _read_rows(path)
     if column is None:
         if len(header) != 1:
-            raise CliFailure(2, f"{path}: several columns, pick one with --column")
+            raise ConfigError(f"{path}: several columns, pick one with --column")
         idx = 0
     else:
         try:
             idx = header.index(column)
         except ValueError:
-            raise CliFailure(2, f"{path}: no column named {column!r}")
+            raise ConfigError(f"{path}: no column named {column!r}")
     (values,) = _columns(path, body, (idx,))
     try:
         return check_finite(header[idx], values)
     except ValueError as exc:
-        raise CliFailure(2, f"{path}: {exc}")
+        raise ConfigError(f"{path}: {exc}")
 
 
 def _write_csv(path, header: tuple, columns: tuple) -> None:
@@ -108,18 +92,9 @@ def _write_csv(path, header: tuple, columns: tuple) -> None:
 
 def _side_from_flags(args) -> SideInfo:
     c = 1 if args.intercept else 0
-    if args.mu is None:
-        raise CliFailure(2, "--mu is required")
-    try:
-        if args.case == 1:
-            if args.lambda_theta is None:
-                raise CliFailure(2, "--case 1 requires --lambda-theta")
-            return SideInfo.case1(args.lambda_theta, args.mu, c=c)
-        if args.theta is None:
-            raise CliFailure(2, "--case 2 requires --theta")
-        return SideInfo.case2(args.theta, args.mu, c=c)
-    except ValueError as exc:
-        raise CliFailure(2, str(exc))
+    if args.case == 1:
+        return SideInfo.case1(args.lambda_theta, args.mu, c=c)
+    return SideInfo.case2(args.theta, args.mu, c=c)
 
 
 def _emit(text: str, out) -> None:
@@ -167,22 +142,9 @@ def _cmd_ci(args) -> int:
     return 4 if ci.degeneracy != DEGENERACY_NONE else 0
 
 
-def _int_setting(flag, doc: dict, key: str, least: int) -> int:
-    """The flag value of ``key`` if given, else the config's, checked to be
-    an integer of at least ``least``."""
-    value = flag if flag is not None else doc.get(key)
-    if value is None:
-        raise CliFailure(2, f"{key} missing: set \"{key}\" in the config or pass --{key}")
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise CliFailure(2, f"{key} must be an integer of at least {least}, got {value!r}")
-    return value
-
-
 def _cmd_simulate(args) -> int:
-    doc = load_document(args.config)
-    spec = parse_model(doc)
-    n = _int_setting(args.n, doc, "n", 1)
-    seed = _int_setting(args.seed, doc, "seed", 0)
+    spec, n, seed = parse_simulation(load_document(args.config), n_override=args.n,
+                                     seed_override=args.seed)
     data = simulate_dataset(spec, n, seed)
     _write_csv(args.out, ("y", "x"), (data.y, data.x))
     if args.latent:
@@ -228,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda-theta", dest="lambda_theta", type=float,
                        help="known Var(delta), case 1")
         p.add_argument("--theta", type=float, help="known Var(epsilon), case 2")
-        p.add_argument("--mu", type=float, help="known cov(delta, epsilon)")
+        p.add_argument("--mu", type=float, required=True, help="known cov(delta, epsilon)")
         p.add_argument("--intercept", action="store_true",
                        help="intercept unknown (omit when it is known to be zero)")
         p.add_argument("--out", help="write JSON here instead of stdout")
@@ -241,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_side_flags(p)
     p.add_argument("--family", choices=("plugin-slope", "intercept", "quadratic"),
                    required=True)
-    p.add_argument("--gamma", type=_gamma_arg, default=0.05,
+    p.add_argument("--gamma", type=float, default=0.05,
                    help="interval misses the parameter with probability gamma")
     p.add_argument("--k", type=int, choices=(1, 2), default=1,
                    help="quadratic variant: 1 Studentized, 2 self-normalized")
@@ -260,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--gamma", type=_gamma_arg, help="override the config gamma")
+    p.add_argument("--gamma", type=float, help="override the config gamma")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("diagnose", help="heavy-tail diagnostics for one column")
@@ -279,13 +241,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliFailure as failure:
-        print(f"eivreg: {failure}", file=sys.stderr)
-        return failure.code
     except (GuardViolation, ZeroNormalizer) as exc:
         print(f"eivreg: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"eivreg: {exc}", file=sys.stderr)
         return 2
 

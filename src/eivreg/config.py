@@ -16,9 +16,12 @@ Document layout::
       "n": 500                                           # simulate only
     }
 
-``simulate`` runs need only "model", "seed" and an "n"; experiment runs
-need everything except "n".  Violations raise ConfigError with a message
-naming the offending field.
+``simulate`` runs read only "model", "n" (an integer of at least 1) and
+"seed" (an integer of at least 0); its ``--n`` and ``--seed`` flags, when
+given, replace the config's values and are checked the same way.
+Experiment runs need everything except "n"; their ``--seed`` and
+``--gamma`` flags replace the config's values.  Violations raise
+ConfigError with a message naming the offending field.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .estimators import SideInfo
 from .montecarlo import ExperimentConfig
 from .samplers import XI_FAMILIES, ErrorSpec, ModelSpec, XiDistribution
 
-__all__ = ["load_document", "parse_model", "parse_side", "parse_experiment_config"]
+__all__ = ["load_document", "parse_model", "parse_side", "parse_simulation",
+           "parse_experiment_config"]
 
 
 def load_document(path: str) -> dict:
@@ -63,9 +67,11 @@ def _number(value, context: str) -> float:
     return number
 
 
-def _integer(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context} must be an integer, got {value!r}")
+def _integer(value, context: str, least=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or \
+            (least is not None and value < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise ConfigError(f"{context} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -127,6 +133,19 @@ def parse_side(doc: dict, c: int) -> SideInfo:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def parse_simulation(doc: dict, n_override=None, seed_override=None):
+    """(model, n, seed) of a ``simulate`` run; an override, when not None,
+    replaces the config's value."""
+    spec = parse_model(doc)
+    settings = []
+    for key, override, least in (("n", n_override, 1), ("seed", seed_override, 0)):
+        value = doc.get(key) if override is None else override
+        if value is None:
+            raise ConfigError(f"{key} missing: set \"{key}\" in the config or pass --{key}")
+        settings.append(_integer(value, key, least))
+    return (spec, *settings)
 
 
 def parse_experiment_config(doc: dict, seed_override=None, gamma_override=None) -> ExperimentConfig:

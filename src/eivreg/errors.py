@@ -26,5 +26,5 @@ class ZeroNormalizer(EivregError, ValueError):
     the program, are unsuitable."""
 
 
-class ConfigError(EivregError):
-    """A configuration document violates the expected schema."""
+class ConfigError(EivregError, ValueError):
+    """A flag, input file or configuration document is unusable."""

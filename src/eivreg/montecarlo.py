@@ -100,7 +100,7 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie strictly between 0 and 1")
+            raise ValueError(f"gamma must lie strictly between 0 and 1, got {self.gamma!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         check_k(self.k)
