@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GuardViolation
-from .moments import MomentSet, check_finite_number, check_intercept_flag, moment_set
+from .moments import MomentSet, check_finite_number, check_intercept_flag, checked_float, moment_set
 
 __all__ = [
     "SideInfo",
@@ -100,36 +100,32 @@ class PointEstimate:
     guards: dict
 
 
-def guard_quantities(ms: MomentSet, side: SideInfo) -> dict:
-    """The guard values an estimate under ``side`` would be checked against."""
-    if side.case == 1:
-        return {
-            GUARD_SXY_MINUS_MU: ms.S_xy - side.mu,
-            GUARD_SYY_MINUS_LAMBDA_THETA: ms.S_yy - side.lambda_theta,
-        }
-    return {GUARD_SXX_MINUS_THETA: ms.S_xx - side.theta}
-
-
 def estimate_from_moments(ms: MomentSet, side: SideInfo) -> PointEstimate:
+    """The estimate under ``side`` together with the guard values it was
+    checked against.  Raises ValueError naming an estimate that leaves the
+    float range."""
     if ms.n < 2:
         raise ValueError(f"need at least 2 observations, got {ms.n}")
     if ms.c != side.c:
         raise ValueError("moment set and side info disagree on the intercept flag")
-    guards = guard_quantities(ms, side)
+    s_xy = ms.S_xy - side.mu
     if side.case == 1:
-        den = guards[GUARD_SXY_MINUS_MU]
-        num = guards[GUARD_SYY_MINUS_LAMBDA_THETA]
-        if den == 0.0:
-            raise GuardViolation(GUARD_SXY_MINUS_MU, den)
+        num = ms.S_yy - side.lambda_theta
+        guards = {GUARD_SXY_MINUS_MU: s_xy, GUARD_SYY_MINUS_LAMBDA_THETA: num}
+        if s_xy == 0.0:
+            raise GuardViolation(GUARD_SXY_MINUS_MU, s_xy)
         if num <= 0.0:
             raise GuardViolation(GUARD_SYY_MINUS_LAMBDA_THETA, num)
-        beta_hat = num / den
+        beta_hat = num / s_xy
     else:
-        den = guards[GUARD_SXX_MINUS_THETA]
+        den = ms.S_xx - side.theta
+        guards = {GUARD_SXX_MINUS_THETA: den}
         if den <= 0.0:
             raise GuardViolation(GUARD_SXX_MINUS_THETA, den)
-        beta_hat = (ms.S_xy - side.mu) / den
-    alpha_hat = ms.y_bar - ms.x_bar * beta_hat if side.c == 1 else None
+        beta_hat = s_xy / den
+    beta_hat = checked_float("beta_hat", beta_hat)
+    alpha_hat = checked_float("alpha_hat", ms.y_bar - ms.x_bar * beta_hat) \
+        if side.c == 1 else None
     return PointEstimate(beta_hat=beta_hat, alpha_hat=alpha_hat, j=side.case, guards=guards)
 
 

@@ -25,6 +25,11 @@ M0_CONFIG = {
 
 LINE_CSV = "y,x\n1,0\n3,1\n5,2\n"
 OFFLINE_CSV = "y,x\n1,0\n3,1\n6,2\n"
+# Finite data and case-2 side info whose slope overflows: S_xx - theta is
+# subnormal.
+TINY_CSV = "y,x\n" + "".join(f"{1e-150 * a!r},{1e-150 * b!r}\n" for a, b in
+                              zip((1.0, -0.5, 0.7, 1.2, 0.3), (1.1, -0.4, 0.9, 1.0, 0.1)))
+TINY_SIDE = ("--case", "2", "--theta", "3.4639999999999653e-301", "--mu", "-1", "--intercept")
 
 
 def run_cli(*args):
@@ -74,6 +79,11 @@ class TestEstimate:
         assert main(["estimate", csv, "--case", "2", "--theta", "0", "--mu", "0",
                      "--intercept"]) == 2
         assert f"{name} overflows" in capsys.readouterr().err
+
+    def test_overflowing_slope_exit_2(self, tmp_path, capsys):
+        csv = write(tmp_path, "tiny.csv", TINY_CSV)
+        assert main(["estimate", csv, *TINY_SIDE]) == 2
+        assert capsys.readouterr().err == "eivreg: beta_hat overflows the float range\n"
 
     def test_missing_case_moment_exit_2(self, tmp_path):
         csv = write(tmp_path, "line.csv", LINE_CSV)
@@ -144,6 +154,12 @@ class TestCi:
         csv = write(tmp_path, "big.csv", "y,x\n" + rows)
         assert main(["ci", csv, "--mu", "0", "--intercept", "--gamma", "0.05", *flags]) == 2
         assert "overflows the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["plugin-slope", "intercept"])
+    def test_overflowing_slope_exit_2(self, tmp_path, capsys, family):
+        csv = write(tmp_path, "tiny.csv", TINY_CSV)
+        assert main(["ci", csv, *TINY_SIDE, "--family", family]) == 2
+        assert capsys.readouterr().err == "eivreg: beta_hat overflows the float range\n"
 
     def test_intercept_family(self, tmp_path):
         csv = write(tmp_path, "off.csv", OFFLINE_CSV)

@@ -71,6 +71,28 @@ def test_too_few_observations():
         estimate(data, SideInfo.case2(0.0, 0.0, c=1))
 
 
+# Finite data whose case-2 denominator S_xx - theta is subnormal.
+TINY_Y = 1e-150 * np.array([1.0, -0.5, 0.7, 1.2, 0.3])
+TINY_X = 1e-150 * np.array([1.1, -0.4, 0.9, 1.0, 0.1])
+TINY_THETA = 3.4639999999999653e-301
+
+
+def test_overflowing_slope_named():
+    with pytest.raises(ValueError, match="^beta_hat overflows the float range$"):
+        estimate(Dataset(y=TINY_Y, x=TINY_X), SideInfo.case2(TINY_THETA, -1.0, c=1))
+
+
+def test_overflowing_intercept_named():
+    # S_xy is exactly 0, so the case-1 denominator is -mu = 2**-600 and the
+    # slope 2**600; the slope is finite but x_bar * beta_hat is not.
+    x = 2.0 ** 500 + 2.0 ** 460 * np.array([1.0, -1.0, 1.0, -1.0])
+    data = Dataset(y=np.array([1.0, 1.0, -1.0, -1.0]), x=x)
+    side = SideInfo.case1(0.0, -(2.0 ** -600), c=1)
+    with pytest.raises(ValueError, match="^alpha_hat overflows the float range$"):
+        estimate(data, side)
+    assert estimate(data, SideInfo.case1(0.0, -(2.0 ** -600), c=0)).beta_hat > 1e180
+
+
 class TestNaive:
     def test_perfect_line(self):
         naive = naive_ratio_estimates(line_dataset(), c=1)
