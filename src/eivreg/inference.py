@@ -450,6 +450,7 @@ class GridInversion:
 
 _GRID_POINTS = 20001
 _CHUNK_ELEMENTS = 2_000_000
+_BISECT_ITERATIONS = 80
 
 
 def _acceptance(ms: MomentSet, side: SideInfo, k: int, z: float,
@@ -473,9 +474,9 @@ def _acceptance(ms: MomentSet, side: SideInfo, k: int, z: float,
     return accept
 
 
-def _bisect_boundary(accept, b_in: float, b_out: float, iterations: int = 80) -> float:
+def _bisect_boundary(accept, b_in: float, b_out: float) -> float:
     """Boundary of the acceptance set between an inside and an outside point."""
-    for _ in range(iterations):
+    for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (b_in + b_out)
         if mid == b_in or mid == b_out:
             break

@@ -12,10 +12,12 @@ import math
 
 __all__ = ["dumps"]
 
+_INDENT = 2
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+
+def _render(obj, level: int) -> str:
+    pad = " " * (_INDENT * level)
+    inner = " " * (_INDENT * (level + 1))
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -31,18 +33,18 @@ def _render(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(inner + _render(v, indent, level + 1) for v in obj)
+        items = ",\n".join(inner + _render(v, level + 1) for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            inner + json.dumps(str(k)) + ": " + _render(v, indent, level + 1)
+            inner + json.dumps(str(k)) + ": " + _render(v, level + 1)
             for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Render ``obj`` as a JSON document ending in a newline."""
-    return _render(obj, indent, 0) + "\n"
+    return _render(obj, 0) + "\n"
