@@ -79,4 +79,8 @@ def z_for_gamma(gamma: float) -> float:
     """Two-sided critical value: the upper gamma/2 standard normal quantile."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie strictly between 0 and 1, got {gamma!r}")
-    return norm_ppf(1.0 - gamma / 2.0)
+    p = 1.0 - gamma / 2.0
+    if p == 1.0:
+        raise ValueError(f"gamma must exceed 2**-53, below which 1 - gamma/2 rounds to 1, "
+                         f"got {gamma!r}")
+    return norm_ppf(p)

@@ -1,0 +1,171 @@
+"""Hostile input at the command line.
+
+Seeded random CSV files and side-information flags go through
+``eivreg.cli.main`` in-process.  Whatever they hold, the command must end
+in a documented exit code: 0 or 4 with a JSON document on stdout, or 2 or
+3 with exactly one ``eivreg: `` line on stderr.  No traceback and no
+warning may escape.  A static check keeps every exception class of the
+package in ``errors.py``, so those exit codes stay the whole story.
+"""
+
+from __future__ import annotations
+
+import ast
+import builtins
+import contextlib
+import io
+import json
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+import eivreg
+from conftest import PROP_CASES
+from eivreg.cli import main
+
+TINIEST = 5e-324
+LARGEST = 1.7976931348623157e308
+EDGE_CELLS = (0.0, TINIEST, -TINIEST, 1e-320, 2.2250738585072014e-308, 1e-160,
+              1e154, 1e200, LARGEST, -LARGEST)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+# Side information and gamma: plausible values, and hostile ones.
+SIDE_VALUES = ((0.0, 0.05, 0.25, 1.0, 1e-310),
+               (-1.0, 1e154, 1e308, -1e308, *NON_FINITE))
+GAMMAS = ((0.05, 0.5, 1e-3, 1e-300, 0.999999),
+          (0.0, 1.0, 1.5, -0.1, *NON_FINITE))
+FIT_FLAGS = (
+    ("estimate",),
+    ("ci", "--family", "plugin-slope"),
+    ("ci", "--family", "intercept"),
+    ("ci", "--family", "quadratic", "--k", "1"),
+    ("ci", "--family", "quadratic", "--k", "2"),
+)
+
+
+def _pick(rng: np.random.Generator, values: tuple, hostile: float) -> float:
+    """A plausible value, or a hostile one with probability ``hostile``."""
+    return float(rng.choice(values[rng.random() < hostile]))
+
+
+def _column(rng: np.random.Generator, n: int) -> list:
+    """``n`` cells of one kind: of order one, spread over a few decades
+    around a random magnitude, constant, or edge values of the float range."""
+    kind = rng.choice(4, p=(0.5, 0.2, 0.15, 0.15))
+    if kind == 0:
+        return [float(v) for v in rng.normal(size=n)]
+    if kind == 1:
+        exponent = rng.uniform(-320.0, 308.0)
+        spread = rng.uniform(-3.0, 3.0, n)
+        return [float(s * 10.0 ** min(exponent + d, 308.0) * rng.uniform(0.5, 1.0))
+                for s, d in zip(rng.choice((-1.0, 1.0), n), spread)]
+    if kind == 2:
+        return [float(rng.choice(EDGE_CELLS))] * n
+    return [float(v) for v in rng.choice(EDGE_CELLS, n)]
+
+
+def _table(rng: np.random.Generator) -> tuple:
+    """Columns y and x of 2 to 7 rows, some lying exactly on a line, some
+    holding NaN or an infinity."""
+    n = int(rng.integers(2, 8))
+    x = _column(rng, n)
+    if rng.random() < 0.25:
+        scale = 2.0 ** int(rng.integers(-1070, 1018))
+        x = [float(i) * scale for i in rng.integers(-4, 5, n)]
+        y = [2.0 * v + scale for v in x]
+    else:
+        y = _column(rng, n)
+    for _ in range(int(rng.integers(1, 3)) if rng.random() < 0.15 else 0):
+        column = y if rng.random() < 0.5 else x
+        column[rng.integers(n)] = float(rng.choice(NON_FINITE))
+    return y, x
+
+
+def _side_flags(rng: np.random.Generator) -> list:
+    """Side-information flags, each value bound with ``=`` so that a
+    negative number is not read as a flag; a moment is sometimes left out."""
+    case = int(rng.integers(1, 3))
+    flags = [f"--case={case}"]
+    for name in ("--mu", "--lambda-theta" if case == 1 else "--theta"):
+        if rng.random() < 0.95:
+            flags.append(f"{name}={_pick(rng, SIDE_VALUES, 0.2)!r}")
+    if rng.random() < 0.5:
+        flags.append("--intercept")
+    return flags
+
+
+def _run(argv: list) -> tuple:
+    """Exit code, stdout, stderr and whether argparse ended the run."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code, by_argparse = main(argv), False
+        except SystemExit as exc:
+            code, by_argparse = exc.code, True
+    return code, out.getvalue(), err.getvalue(), by_argparse
+
+
+def _check(argv: list) -> int:
+    code, out, err, by_argparse = _run(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code in (0, 4):
+        assert not by_argparse and err == "", (argv, err)
+        json.loads(out)
+    else:
+        assert out == "", (argv, out)
+        if not by_argparse:
+            assert err.startswith("eivreg: ") and err.count("\n") == 1 \
+                and err.endswith("\n"), (argv, err)
+    return code
+
+
+def test_prop_hostile_csv_and_flags_end_in_exit_codes(tmp_path):
+    csv = tmp_path / "data.csv"
+    seen = set()
+    for seed in range(PROP_CASES):
+        rng = np.random.default_rng([2024, seed])
+        y, x = _table(rng)
+        csv.write_text("y,x\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(y, x)),
+                       encoding="utf-8")
+        side = _side_flags(rng)
+        for head in FIT_FLAGS:
+            argv = [head[0], str(csv), *head[1:], *side]
+            if head[0] == "ci":
+                argv.append(f"--gamma={_pick(rng, GAMMAS, 0.2)!r}")
+            seen.add(_check(argv))
+        diagnose = ["diagnose", str(csv), f"--column={rng.choice(('y', 'x'))}"]
+        if rng.random() < 0.5:
+            diagnose.append(f"--center={_pick(rng, SIDE_VALUES, 0.3)!r}")
+        if rng.random() < 0.5:
+            diagnose.append("--ks")
+        seen.add(_check(diagnose))
+    # The cases reach every exit code.
+    assert seen == {0, 2, 3, 4}
+
+
+def _builtin_exceptions() -> set:
+    return {name for name, value in vars(builtins).items()
+            if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def test_every_exception_class_lives_in_errors():
+    package = Path(eivreg.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    exception_names = _builtin_exceptions() | {
+        node.name for node in ast.walk(errors) if isinstance(node, ast.ClassDef)}
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = {b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", None)
+                     for b in node.bases}
+            if bases & exception_names:
+                stray.append(f"{path.name}:{node.lineno} {node.name}")
+    assert stray == []
+

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -43,4 +45,12 @@ def test_z_for_gamma():
     assert z_for_gamma(0.01) == pytest.approx(stats.norm.ppf(0.995), abs=1e-12)
     for gamma in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
+            z_for_gamma(gamma)
+
+
+def test_z_for_gamma_below_float_resolution_names_gamma():
+    # Below 2**-53, 1 - gamma/2 rounds to 1 and the quantile is undefined.
+    assert math.isfinite(z_for_gamma(2.0 ** -52))
+    for gamma in (2.0 ** -53, 1e-300):
+        with pytest.raises(ValueError, match=f"^gamma must exceed 2\\*\\*-53.*got {gamma!r}$"):
             z_for_gamma(gamma)
