@@ -102,13 +102,15 @@ class PointEstimate:
 
 def estimate_from_moments(ms: MomentSet, side: SideInfo) -> PointEstimate:
     """The estimate under ``side`` together with the guard values it was
-    checked against.  Raises ValueError naming an estimate that leaves the
-    float range."""
+    checked against.  Raises ValueError naming a guard value or an estimate
+    that leaves the float range."""
     if ms.n < 2:
         raise ValueError(f"need at least 2 observations, got {ms.n}")
     if ms.c != side.c:
         raise ValueError("moment set and side info disagree on the intercept flag")
-    s_xy = ms.S_xy - side.mu
+    # S_yy - lambda_theta and S_xx - theta cannot overflow: both terms are
+    # nonnegative.  S_xy - mu can.
+    s_xy = checked_float(GUARD_SXY_MINUS_MU, ms.S_xy - side.mu)
     if side.case == 1:
         num = ms.S_yy - side.lambda_theta
         guards = {GUARD_SXY_MINUS_MU: s_xy, GUARD_SYY_MINUS_LAMBDA_THETA: num}

@@ -82,6 +82,15 @@ def test_overflowing_slope_named():
         estimate(Dataset(y=TINY_Y, x=TINY_X), SideInfo.case2(TINY_THETA, -1.0, c=1))
 
 
+@pytest.mark.parametrize("case", [1, 2])
+def test_overflowing_guard_value_named(case):
+    # S_xy is about 2.5e307, so S_xy - mu overflows.
+    data = Dataset(y=np.array([5e153, -5e153]), x=np.array([5e153, -5e153]))
+    side = SideInfo(case=case, mu=-1.7e308, lambda_theta=0.0, theta=0.0, c=1)
+    with pytest.raises(ValueError, match="^s_xy_minus_mu overflows the float range$"):
+        estimate(data, side)
+
+
 def test_overflowing_intercept_named():
     # S_xy is exactly 0, so the case-1 denominator is -mu = 2**-600 and the
     # slope 2**600; the slope is finite but x_bar * beta_hat is not.
