@@ -176,6 +176,14 @@ CASES = [
              "--gamma", "1.5"),
     fit_case("estimate_reject_non_numeric_cell", "estimate", *SIDE2,
              csv="y,x\n1,0\nabc,1\n5,2\n"),
+    # Spellings of a CSV file that spreadsheets and editors write.
+    fit_case("estimate_csv_trailing_blank_line", "estimate", *SIDE2, csv=DATA_CSV + "\n"),
+    fit_case("estimate_csv_byte_order_mark", "estimate", *SIDE2,
+             csv="\ufeffy,x\n1,2\n3,4\n5,7\n"),
+    fit_case("estimate_csv_not_utf8", "estimate", *SIDE2, csv=b"y,x\n1,2\n\xff,4\n5,7\n"),
+    fit_case("estimate_csv_quoted_cell", "estimate", *SIDE2,
+             csv='y,x\n"1.5",2\n3,"4"\n5,7\n'),
+    fit_case("estimate_csv_crlf", "estimate", *SIDE2, csv=DATA_CSV.replace("\n", "\r\n")),
     Case("estimate_reject_missing_csv", ("estimate", "missing.csv", *SIDE2)),
     # Simulation settings the command rejects.
     Case("simulate_reject_n_0", ("simulate", "--config", "cfg.json", "--out", "sim.csv"),
@@ -217,7 +225,8 @@ def _inside(workdir: Path, workers: str):
 def run_case(case: Case, workdir: Path) -> tuple:
     """Exit code and {output name: bytes} of one case run inside ``workdir``."""
     for name, text in case.inputs.items():
-        (workdir / name).write_text(text, encoding="utf-8")
+        data = text if isinstance(text, bytes) else text.encode("utf-8")
+        (workdir / name).write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with _inside(workdir, case.workers), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
