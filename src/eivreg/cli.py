@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,61 +34,89 @@ from .montecarlo import run_experiment
 from .samplers import Dataset, simulate_dataset
 
 
-def _read_rows(path: str):
-    """The stripped header of a CSV file and its data rows, of which there
-    must be at least one."""
+# The CSV dialect of the fitting commands, as np.loadtxt settings.
+_CSV_FORMAT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2,
+               "dtype": np.float64}
+# Rows that _write_csv formats at a time; this bounds its memory.
+_WRITE_BLOCK_ROWS = 1 << 14
+
+
+def _read_columns(path: str, pick) -> dict:
+    """The columns of a UTF-8 CSV file that ``pick`` names from its stripped
+    header, as contiguous float64 arrays by name.  Empty lines are skipped;
+    there must be at least one data row."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
+            row = next(csv.reader(fh), None)
+            if row is None:
+                raise ConfigError(f"{path}: empty file")
+            header = [h.strip() for h in row]
+            names = pick(header)
+            cols = [header.index(name) for name in names]
+            try:
+                table = np.loadtxt(fh, usecols=cols, **_CSV_FORMAT)
+            except ValueError as exc:  # a UnicodeDecodeError, too, recurs in the scan
+                raise _bad_cell(path, fh, names, cols) or ConfigError(f"{path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: cannot decode byte "
+                          f"{exc.object[exc.start]:#04x}")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
-    if not rows:
-        raise ConfigError(f"{path}: empty file")
-    if len(rows) == 1:
+    if not len(table):
         raise ConfigError(f"{path}: no data rows")
-    return [h.strip() for h in rows[0]], rows[1:]
+    return {name: table[:, j].copy() for j, name in enumerate(names)}
 
 
-def _columns(path: str, body: list, indices: tuple) -> list:
-    """The given columns of the data rows as float arrays."""
-    try:
-        return [np.asarray([float(r[i]) for r in body]) for i in indices]
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"{path}: bad data row: {exc}")
+def _bad_cell(path: str, fh, names, cols):
+    """A ConfigError naming the first cell that np.loadtxt cannot read by its
+    line in the file, whose count NumPy's message does not give, or None."""
+    fh.seek(0)
+    rows = csv.reader(fh)
+    next(rows)
+    for line_no, line in enumerate(fh, rows.line_num + 1):
+        for name, i in zip(names, cols):
+            try:
+                np.loadtxt([line], usecols=(i,), **_CSV_FORMAT)
+            except ValueError:
+                cells = next(csv.reader([line]))
+                return ConfigError(f"{path}: line {line_no}: column {name!r} holds "
+                                   f"{cells[i] if i < len(cells) else ''!r}, not a number")
+    return None
 
 
 def _read_xy(path: str) -> Dataset:
-    header, body = _read_rows(path)
-    try:
-        iy, ix = header.index("y"), header.index("x")
-    except ValueError:
-        raise ConfigError(f"{path}: header must contain columns 'y' and 'x'")
-    y, x = _columns(path, body, (iy, ix))
-    return Dataset(y=y, x=x)
+    def pick(header):
+        if not {"y", "x"} <= set(header):
+            raise ConfigError(f"{path}: header must contain columns 'y' and 'x'")
+        return ("y", "x")
+    return Dataset(**_read_columns(path, pick))
 
 
 def _read_column(path: str, column) -> np.ndarray:
-    header, body = _read_rows(path)
-    if column is None:
-        if len(header) != 1:
-            raise ConfigError(f"{path}: several columns, pick one with --column")
-        idx = 0
-    else:
-        try:
-            idx = header.index(column)
-        except ValueError:
+    def pick(header):
+        if column is None:
+            if len(header) != 1:
+                raise ConfigError(f"{path}: several columns, pick one with --column")
+            return (header[0],)
+        if column not in header:
             raise ConfigError(f"{path}: no column named {column!r}")
-    (values,) = _columns(path, body, (idx,))
+        return (column,)
+    ((name, values),) = _read_columns(path, pick).items()
     try:
-        return check_finite(header[idx], values)
+        return check_finite(name, values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
 
 
 def _write_csv(path, header: tuple, columns: tuple) -> None:
-    """Write float columns under ``header``, each value as its repr."""
-    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
-    Path(path).write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
+    """Write float columns under ``header``, each value as its repr, a block
+    of rows at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, columns[0].size, _WRITE_BLOCK_ROWS):
+            block = (map(repr, c[start:start + _WRITE_BLOCK_ROWS].tolist()) for c in columns)
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _side_from_flags(args) -> SideInfo:
