@@ -64,3 +64,33 @@ def test_traced_streams_come_from_block_keys(tmp_path):
     assert profile.count["samplers.substream"] == 0
     assert profile.count["samplers.philox_keys"] == 2
     assert profile.count["samplers.sample_xi"] == REPS
+
+
+def _traced_cli(tmp_path, name, *args):
+    spans = tmp_path / f"{name}.bin"
+    env = dict(os.environ, EIVREG_WORKERS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "tracer.py"), str(spans),
+                           name, *args], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    profile = tracer.Profile()
+    profile.add_file(spans)
+    return profile
+
+
+def test_traced_csv_commands_reach_reader_and_writer(tmp_path):
+    # cli.write_csv_s is the self time of _cmd_simulate and cli.read_csv_s
+    # the time of _read_xy: the CSV code must run inside those spans.
+    (tmp_path / "model.json").write_text(json.dumps(M0_CONFIG))
+    simulate = _traced_cli(tmp_path, "simulate", "--config", "model.json", "--n", "50",
+                           "--seed", "3", "--out", "data.csv")
+    assert simulate.missing == set()
+    assert simulate.count["cli._cmd_simulate"] == 1
+    # No cli boundary of its own takes the writing out of that self time.
+    assert {n for n in simulate.count if n.startswith("cli.")} == {
+        "cli.main", "cli.build_parser", "cli._cmd_simulate"}
+    estimate = _traced_cli(tmp_path, "estimate", "data.csv", "--case", "2", "--theta",
+                           "0.25", "--mu", "0.05", "--intercept")
+    assert estimate.missing == set()
+    assert estimate.count["cli._read_xy"] == 1
+    assert estimate.count["cli._cmd_estimate"] == 1

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import PROP_CASES
+from eivreg import cli
 from eivreg.cli import main
 
 M0_CONFIG = {
@@ -312,6 +314,116 @@ class TestDiagnose:
         assert out["ks_distance"] is not None
         missing = run_cli("diagnose", csv)
         assert missing.returncode == 2
+
+
+SIDE2_FLAGS = ("--case", "2", "--theta", "0", "--mu", "0")
+# Cell spellings float() reads, beside the repr of a random number.
+SPELLINGS = ("+1.5", " 1.5 ", "1E5", ".5", "5.", "-0.0", "0", "-0", "nan", "-nan", "NaN",
+             "inf", "-Infinity", "1e500", "-1e500", "1e-400", "5e-324", "7")
+
+
+def _cell(rng: np.random.Generator) -> str:
+    """A number spelled the way some CSV writer might."""
+    if rng.random() < 0.4:
+        return str(rng.choice(SPELLINGS))
+    value = float(rng.standard_t(2) * 10.0 ** rng.integers(-300, 300))
+    form = rng.integers(4)
+    return (repr(value), f"{value:+}", f" {value!r} ", f"{value:E}")[form]
+
+
+def _csv_file(rng: np.random.Generator) -> tuple:
+    """The text of a CSV file with columns y and x, and the cells of each.
+    Its header order, extra column, quotes, line ends, empty lines and
+    byte-order mark vary."""
+    names = list(rng.permutation(["y", "x", "note"] if rng.random() < 0.5 else ["y", "x"]))
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    cells = {"y": [], "x": []}
+    lines = [",".join(names)]
+    for _ in range(int(rng.integers(1, 12))):
+        row = []
+        for name in names:
+            if name == "note":
+                row.append(f'"a,b{rng.integers(9)}"')
+                continue
+            text = _cell(rng)
+            cells[name].append(text)
+            row.append(f'"{text}"' if rng.random() < 0.2 else text)
+        lines.append(",".join(row))
+        if rng.random() < 0.1:
+            lines.append("")
+    bom = "\ufeff" if rng.random() < 0.2 else ""
+    return bom + end.join(lines) + end, cells
+
+
+class TestCsvInput:
+    def test_prop_reader_matches_float_per_cell(self, tmp_path):
+        # The reference is the per-cell float() loop the reader replaced:
+        # the arrays must match it bit for bit, sign of zero and NaN included.
+        path = tmp_path / "data.csv"
+        for seed in range(PROP_CASES):
+            text, cells = _csv_file(np.random.default_rng([99, seed]))
+            path.write_bytes(text.encode("utf-8"))
+            columns = cli._read_columns(str(path), lambda header: ("y", "x"))
+            for name in ("y", "x"):
+                expected = np.array([float(c) for c in cells[name]])
+                assert columns[name].flags.c_contiguous
+                assert columns[name].tobytes() == expected.tobytes(), (text, name)
+
+    @pytest.mark.parametrize("text, line, column, cell", [
+        ("y,x\n1,0\nabc,1\n5,2\n", 3, "y", "abc"),
+        ("y,x\n1,0\n3,1e\n5,2\n", 3, "x", "1e"),
+        ("y,x\n1,0\n\n\n3,1\n5,--2\n", 6, "x", "--2"),
+        ("x,y\r\n1,0\r\n\r\n2,1_0\r\n", 4, "y", "1_0"),
+        ("y,x\n1,0\n\u0661,1\n", 3, "y", "\u0661"),
+        ("y,x\n1,0\n2\n", 3, "x", ""),
+    ])
+    def test_bad_cell_names_line_column_and_text(self, tmp_path, capsys, text, line,
+                                                 column, cell):
+        csv = write(tmp_path, "bad.csv", text)
+        assert main(["estimate", csv, *SIDE2_FLAGS]) == 2
+        assert capsys.readouterr().err == (
+            f"eivreg: {csv}: line {line}: column {column!r} holds {cell!r}, not a number\n")
+
+    def test_bad_cell_in_diagnose_column(self, tmp_path, capsys):
+        csv = write(tmp_path, "wide.csv", "a,b\n1,2\n3,zz\n")
+        assert main(["diagnose", csv, "--column", "b"]) == 2
+        assert capsys.readouterr().err == (
+            f"eivreg: {csv}: line 3: column 'b' holds 'zz', not a number\n")
+
+    @pytest.mark.parametrize("argv, text", [
+        (("estimate", "{}", *SIDE2_FLAGS), "y,x\n"),
+        (("estimate", "{}", *SIDE2_FLAGS), "y,x\n\n\r\n"),
+        (("diagnose", "{}"), "z\n"),
+    ])
+    def test_header_only_exit_2_without_warning(self, tmp_path, capsys, argv, text):
+        csv = write(tmp_path, "empty.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([a.format(csv) for a in argv]) == 2
+        assert capsys.readouterr().err == f"eivreg: {csv}: no data rows\n"
+
+    @pytest.mark.parametrize("rows", (1, 5000))
+    def test_not_utf8_names_path(self, tmp_path, capsys, rows):
+        # 5000 rows put the bad byte past the block the header is decoded from.
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes(b"y,x\n" + b"1,2\n" * rows + b"\xe9,3\n")
+        assert main(["estimate", str(csv), *SIDE2_FLAGS]) == 2
+        assert capsys.readouterr().err == (
+            f"eivreg: {csv}: not UTF-8 text: cannot decode byte 0xe9\n")
+
+    @pytest.mark.parametrize("width", (2, 3))
+    @pytest.mark.parametrize("rows", (1, cli._WRITE_BLOCK_ROWS - 1, cli._WRITE_BLOCK_ROWS,
+                                      cli._WRITE_BLOCK_ROWS + 1))
+    def test_write_csv_matches_single_join(self, tmp_path, rows, width):
+        rng = np.random.default_rng([5, rows, width])
+        columns = tuple(rng.standard_t(2, rows) * 10.0 ** rng.integers(-300, 300, rows)
+                        for _ in range(width))
+        columns[0][0] = -0.0
+        header = ("y", "x", "z")[:width]
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, header, columns)
+        body = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+        assert path.read_bytes() == ("\n".join([",".join(header), *body]) + "\n").encode()
 
 
 def test_prop_simulate_estimate_round_trip(tmp_path):

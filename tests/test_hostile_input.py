@@ -1,6 +1,7 @@
 """Hostile input at the command line.
 
-Seeded random CSV files and side-information flags go through
+Seeded random CSV files, in the spellings that spreadsheets and editors
+write, and side-information flags go through
 ``eivreg.cli.main`` in-process.  Whatever they hold, the command must end
 in a documented exit code: 0 or 4 with a JSON document on stdout, or 2 or
 3 with exactly one ``eivreg: `` line on stderr.  No traceback and no
@@ -82,6 +83,22 @@ def _table(rng: np.random.Generator) -> tuple:
     return y, x
 
 
+def _csv_bytes(rng: np.random.Generator, y: list, x: list) -> bytes:
+    """The CSV file of columns y and x, sometimes with a byte-order mark,
+    CRLF line ends, quoted cells, empty lines or a byte that is not UTF-8."""
+    lines = ["y,x"]
+    for row in zip(y, x):
+        lines.append(",".join(f'"{v!r}"' if rng.random() < 0.1 else repr(v) for v in row))
+        if rng.random() < 0.05:
+            lines.append("")
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    data = (("\ufeff" if rng.random() < 0.1 else "") + end.join(lines) + end).encode("utf-8")
+    if rng.random() < 0.05:
+        at = int(rng.integers(len(data)))
+        data = data[:at] + bytes([int(rng.choice((0x80, 0xe9, 0xff)))]) + data[at:]
+    return data
+
+
 def _side_flags(rng: np.random.Generator) -> list:
     """Side-information flags, each value bound with ``=`` so that a
     negative number is not read as a flag; a moment is sometimes left out."""
@@ -128,8 +145,8 @@ def test_prop_hostile_csv_and_flags_end_in_exit_codes(tmp_path):
     for seed in range(PROP_CASES):
         rng = np.random.default_rng([2024, seed])
         y, x = _table(rng)
-        csv.write_text("y,x\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(y, x)),
-                       encoding="utf-8")
+        # A stream of its own spells the file, so the other draws stay as they were.
+        csv.write_bytes(_csv_bytes(np.random.default_rng([2024, seed, 1]), y, x))
         side = _side_flags(rng)
         for head in FIT_FLAGS:
             argv = [head[0], str(csv), *head[1:], *side]
