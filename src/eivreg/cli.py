@@ -46,7 +46,7 @@ def _read_columns(path: str, pick) -> dict:
     header, as contiguous float64 arrays by name.  Empty lines are skipped;
     there must be at least one data row."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
             row = next(csv.reader(fh), None)
             if row is None:
@@ -56,7 +56,7 @@ def _read_columns(path: str, pick) -> dict:
             cols = [header.index(name) for name in names]
             try:
                 table = np.loadtxt(fh, usecols=cols, **_CSV_FORMAT)
-            except ValueError as exc:  # a UnicodeDecodeError, too, recurs in the scan
+            except ValueError as exc:  # also a UnicodeDecodeError, which the scan meets again
                 raise _bad_cell(path, fh, names, cols) or ConfigError(f"{path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: cannot decode byte "
@@ -69,8 +69,9 @@ def _read_columns(path: str, pick) -> dict:
 
 
 def _bad_cell(path: str, fh, names, cols):
-    """A ConfigError naming the first cell that np.loadtxt cannot read by its
-    line in the file, whose count NumPy's message does not give, or None."""
+    """A ConfigError naming the first cell np.loadtxt cannot read by its line
+    in the file, or None.  NumPy's own message counts rows from 0 after the
+    header and leaves out empty lines."""
     fh.seek(0)
     rows = csv.reader(fh)
     next(rows)

@@ -82,6 +82,7 @@ COLUMN_CSV = "z\n" + "".join(f"{((i * 29) % 31) / 4.0 - 3.5!r}\n" for i in range
 class Case:
     name: str
     argv: tuple
+    # Input files by name, as text (written as UTF-8) or as raw bytes.
     inputs: dict = field(default_factory=dict)
     workers: str = "1"
     # Files the command writes, compared byte for byte.
