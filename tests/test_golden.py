@@ -137,6 +137,13 @@ CASES = [
              reps=40, side={"theta": 0.9}),
     exp_case("exp_seed_gamma_override_w2", "2", ("--seed", "3", "--gamma", "0.1"),
              name="coverage14", family="uniform"),
+    # Replication counts of 1, 3 and 97 at sample sizes whose runs split
+    # into blocks of different sizes, on one and two workers.
+    *(exp_case(f"exp_blocks_{name}_r{reps}_w{workers}", workers, name=name, reps=reps,
+               n_values=(50, 100, 170, 2000), **extra)
+      for name, extra in (("coverage16", {"family": "symmetric_pareto2", "case": 1, "k": 1}),
+                          ("normality", {"pivot": "slope_self_normalized_plugin"}))
+      for reps in (1, 3, 97) for workers in ("1", "2")),
     # Configurations every experiment's validation rules reject.
     exp_case("exp_reject_coverage16_case2", name="coverage16"),
     exp_case("exp_reject_degeneracy_case2", name="degeneracy"),
