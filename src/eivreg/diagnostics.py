@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ZeroNormalizer
-from .moments import (as_series, check_finite, check_finite_number, checked_fsum, fsum,
-                      quiet_overflow, series_mean)
+from .moments import (RowStatus, as_series, check_finite, check_finite_number, checked_fsum,
+                      fsum, quiet_overflow, series_mean)
 from .normal import norm_cdf
 
 __all__ = [
@@ -43,13 +43,20 @@ def obrien_ratio(z) -> float:
 
 
 @quiet_overflow
-def empirical_bn(z) -> float:
-    """Plug-in normalizer sqrt(sum (z_i - z_bar)^2); needs n >= 2."""
-    z = as_series("z", z)
-    if z.size < 2:
-        raise ValueError(f"need at least 2 observations, got {z.size}")
-    z_bar = series_mean("z", z)
-    return math.sqrt(checked_fsum("(z - z_bar)^2", (z - z_bar) ** 2))
+def empirical_bn(z, status: Optional[RowStatus] = None):
+    """Plug-in normalizer sqrt(sum (z_i - z_bar)^2); needs n >= 2.  With a
+    ``status``, ``z`` is a (B, n) block and the result the (B, 1) column of
+    its rows' normalizers; a row whose sum overflows fails in ``status``."""
+    if status is not None:
+        return _bn_rows(z, status)
+    return _bn_rows(as_series("z", z)[None, :], RowStatus(1, raising=True)).item()
+
+
+def _bn_rows(z: np.ndarray, status: RowStatus) -> np.ndarray:
+    if z.shape[1] < 2:
+        raise ValueError(f"need at least 2 observations, got {z.shape[1]}")
+    z_bar = series_mean("z", z, status)
+    return np.sqrt(checked_fsum("(z - z_bar)^2", (z - z_bar) ** 2, status))
 
 
 @quiet_overflow

@@ -29,8 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import GuardViolation
-from .moments import MomentSet, check_finite_number, check_intercept_flag, checked_float, moment_set
+from .moments import (MomentSet, RowStatus, as_rows, check_finite_number, check_intercept_flag,
+                      moment_set, quiet_overflow)
 
 __all__ = [
     "SideInfo",
@@ -92,52 +95,75 @@ class SideInfo:
 
 @dataclass(frozen=True)
 class PointEstimate:
-    """A slope/intercept fit together with its evaluated guard quantities."""
+    """A slope/intercept fit together with its evaluated guard quantities.
+    The estimate of a block of samples holds (B, 1) columns."""
 
     beta_hat: float
     alpha_hat: Optional[float]
     j: int
     guards: dict
 
+    def first(self) -> "PointEstimate":
+        """The one-sample estimate of the block's first row."""
+        return PointEstimate(self.beta_hat.item(), _item(self.alpha_hat), self.j,
+                             {name: value.item() for name, value in self.guards.items()})
 
+
+def _item(column) -> Optional[float]:
+    return None if column is None else column.item()
+
+
+@quiet_overflow
 def estimate_from_moments(ms: MomentSet, side: SideInfo) -> PointEstimate:
     """The estimate under ``side`` together with the guard values it was
     checked against.  Raises ValueError naming a guard value or an estimate
-    that leaves the float range."""
+    that leaves the float range.  A block moment set gives the block's
+    estimate; each row's guard violation or overflow fails in its status."""
+    if ms.status is not None:
+        return _estimate_rows(ms, side)
+    return _estimate_rows(ms.block(), side).first()
+
+
+def _estimate_rows(ms: MomentSet, side: SideInfo) -> PointEstimate:
     if ms.n < 2:
         raise ValueError(f"need at least 2 observations, got {ms.n}")
     if ms.c != side.c:
         raise ValueError("moment set and side info disagree on the intercept flag")
+    status = ms.status
     # S_yy - lambda_theta and S_xx - theta cannot overflow: both terms are
     # nonnegative.  S_xy - mu can.
-    s_xy = checked_float(GUARD_SXY_MINUS_MU, ms.S_xy - side.mu)
+    s_xy = status.finite(GUARD_SXY_MINUS_MU, ms.S_xy - side.mu)
     if side.case == 1:
         num = ms.S_yy - side.lambda_theta
         guards = {GUARD_SXY_MINUS_MU: s_xy, GUARD_SYY_MINUS_LAMBDA_THETA: num}
-        if s_xy == 0.0:
-            raise GuardViolation(GUARD_SXY_MINUS_MU, s_xy)
-        if num <= 0.0:
-            raise GuardViolation(GUARD_SYY_MINUS_LAMBDA_THETA, num)
+        _guard(status, GUARD_SXY_MINUS_MU, s_xy, s_xy == 0.0)
+        _guard(status, GUARD_SYY_MINUS_LAMBDA_THETA, num, num <= 0.0)
         beta_hat = num / s_xy
     else:
         den = ms.S_xx - side.theta
         guards = {GUARD_SXX_MINUS_THETA: den}
-        if den <= 0.0:
-            raise GuardViolation(GUARD_SXX_MINUS_THETA, den)
+        _guard(status, GUARD_SXX_MINUS_THETA, den, den <= 0.0)
         beta_hat = s_xy / den
-    beta_hat = checked_float("beta_hat", beta_hat)
-    alpha_hat = checked_float("alpha_hat", ms.y_bar - ms.x_bar * beta_hat) \
+    beta_hat = status.finite("beta_hat", beta_hat)
+    alpha_hat = status.finite("alpha_hat", ms.y_bar - ms.x_bar * beta_hat) \
         if side.c == 1 else None
     return PointEstimate(beta_hat=beta_hat, alpha_hat=alpha_hat, j=side.case, guards=guards)
 
 
+def _guard(status: RowStatus, guard: str, values: np.ndarray, failed: np.ndarray) -> None:
+    status.fail(failed, lambda i: GuardViolation(guard, values.item(i)))
+
+
 def estimate(data, side: SideInfo) -> PointEstimate:
-    """Modified least squares estimate of (slope, intercept) on a dataset.
+    """Modified least squares estimate of (slope, intercept) on a dataset,
+    or on each row of a block of ``Rows``.
 
     Raises GuardViolation when the side-specific finite-sample conditions
     fail; the exception names the failed guard.
     """
-    return estimate_from_moments(moment_set(data.y, data.x, side.c), side)
+    rows = as_rows(data)
+    est = estimate_from_moments(moment_set(rows.y, rows.x, side.c, rows.status), side)
+    return est if rows is data else est.first()
 
 
 @dataclass(frozen=True)
@@ -159,10 +185,12 @@ class NaiveEstimates:
 
 
 def naive_ratio_estimates(data, c: int = 1) -> NaiveEstimates:
-    ms = moment_set(data.y, data.x, c)
+    rows = as_rows(data)
+    ms = moment_set(rows.y, rows.x, c, rows.status)
     a = estimate_from_moments(ms, SideInfo.case1(0.0, 0.0, c))
     b = estimate_from_moments(ms, SideInfo.case2(0.0, 0.0, c))
-    return NaiveEstimates(a.beta_hat, b.beta_hat, a.alpha_hat, b.alpha_hat)
+    naive = (a.beta_hat, b.beta_hat, a.alpha_hat, b.alpha_hat)
+    return NaiveEstimates(*(naive if rows is data else map(_item, naive)))
 
 
 def reliability_ratio(xi, var_epsilon: float, c: int = 1) -> float:

@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import ZeroNormalizer
 from .estimators import SideInfo, estimate_from_moments
-from .moments import (MomentSet, check_finite_number, checked_float, checked_fsum, moment_set,
-                      quiet_overflow)
+from .moments import (MomentSet, Rows, RowStatus, as_rows, check_finite_number, checked_fsum,
+                      moment_set, quiet_overflow)
 from .normal import norm_cdf, z_for_gamma
 
 __all__ = [
@@ -129,27 +129,38 @@ def _pivot_scales(n: int, k: int) -> Tuple[float, float, int]:
     return float(n), 1.0, n * n
 
 
-def _moments(data, side: SideInfo) -> MomentSet:
-    ms = moment_set(data.y, data.x, side.c)
+def _moments(rows: Rows, side: SideInfo) -> MomentSet:
+    ms = moment_set(rows.y, rows.x, side.c, rows.status)
     if ms.n < 2:
         raise ValueError(f"need at least 2 observations, got {ms.n}")
     return ms
 
 
-def _plugin_sum(ms: MomentSet, side: SideInfo, ay: np.ndarray,
-                ax: np.ndarray) -> Tuple[float, float]:
-    """The estimate beta_hat and sum a_i(beta_hat)^2 of the slope terms
-    (ay, ax).  Its callers run under ``quiet_overflow``."""
+def _one(data, column):
+    """``column`` for a block of ``Rows``; its one value for a dataset."""
+    return column if isinstance(data, Rows) else column.item()
+
+
+def _slope_terms(ms: MomentSet, side: SideInfo, b) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalizer U and the slope terms a_i = ay - b*ax at slope ``b``, a
+    number or a column."""
+    U, ay, ax = _pivot_terms(ms, side)
+    return U, ay - b * ax
+
+
+def _plugin_sum(ms: MomentSet, side: SideInfo) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalizer U, the estimate beta_hat and sum a_i(beta_hat)^2, as
+    columns.  Its callers run under ``quiet_overflow``."""
     b = estimate_from_moments(ms, side).beta_hat
-    return b, checked_fsum("a_i(beta_hat)^2", (ay - b * ax) ** 2)
+    U, terms = _slope_terms(ms, side, b)
+    return U, b, checked_fsum("a_i(beta_hat)^2", terms ** 2, ms.status)
 
 
 @quiet_overflow
-def _plugin_half_width(ms: MomentSet, side: SideInfo, z: float) -> Tuple[float, float]:
-    """The estimate and z * sqrt(sum a_i(beta_hat)^2) / (n*|U|)."""
-    U, ay, ax = _pivot_terms(ms, side)
-    b, ss = _plugin_sum(ms, side, ay, ax)
-    return b, z * math.sqrt(ss) / (ms.n * abs(U))
+def _plugin_half_width(ms: MomentSet, side: SideInfo, z: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The estimate and z * sqrt(sum a_i(beta_hat)^2) / (n*|U|), as columns."""
+    U, b, ss = _plugin_sum(ms, side)
+    return b, z * np.sqrt(ss) / (ms.n * np.abs(U))
 
 
 @dataclass(frozen=True)
@@ -168,16 +179,15 @@ class SlopeResiduals:
 def slope_residuals(data, side: SideInfo, *, beta: Optional[float] = None) -> SlopeResiduals:
     """Slope residual terms; pass ``beta`` for the known-slope version,
     omit it to plug in the estimate (propagates its guard checks)."""
-    ms = _moments(data, side)
-    U, ay, ax = _pivot_terms(ms, side)
+    ms = _moments(as_rows(data), side)
     if beta is None:
         b, kind = estimate_from_moments(ms, side).beta_hat, "plugin"
     else:
         check_finite_number("beta", beta)
-        b, kind = float(beta), "known_beta"
-    terms = ay - b * ax
-    return SlopeResiduals(j=side.case, kind=kind, beta_used=b, U=U,
-                          terms=terms, term_mean=checked_fsum("a_i", terms) / ms.n)
+        b, kind = np.full((1, 1), float(beta)), "known_beta"
+    U, terms = _slope_terms(ms, side, b)
+    return SlopeResiduals(j=side.case, kind=kind, beta_used=b.item(), U=U.item(), terms=terms[0],
+                          term_mean=(checked_fsum("a_i", terms, ms.status) / ms.n).item())
 
 
 @dataclass(frozen=True)
@@ -190,9 +200,9 @@ class InterceptResiduals:
     term_mean: float
 
 
-def _intercept_terms(data, ms: MomentSet, side: SideInfo, beta: Optional[float],
+def _intercept_terms(rows: Rows, ms: MomentSet, side: SideInfo, beta: Optional[float],
                      alpha: Optional[float], est=None) -> np.ndarray:
-    """Intercept residual terms at the known (beta, alpha), or at the
+    """Intercept residual terms v_i at the known (beta, alpha), or at the
     estimate ``est`` (computed when not given) when ``beta`` is None."""
     if beta is None:
         est = estimate_from_moments(ms, side) if est is None else est
@@ -201,8 +211,8 @@ def _intercept_terms(data, ms: MomentSet, side: SideInfo, beta: Optional[float],
         check_finite_number("beta", beta)
         check_finite_number("alpha", alpha)
         b, alpha0 = float(beta), float(alpha)
-    U, ay, ax = _pivot_terms(ms, side)
-    return (data.y - alpha0) - b * data.x - (ms.x_bar / U) * (ay - b * ax)
+    U, terms = _slope_terms(ms, side, b)
+    return (rows.y - alpha0) - b * rows.x - (ms.x_bar / U) * terms
 
 
 @quiet_overflow
@@ -214,59 +224,63 @@ def intercept_residuals(data, side: SideInfo, *, beta: Optional[float] = None,
     version sets the unknown intercept to 0; the constant cancels.
     """
     check_intercept_model(side)
-    ms = _moments(data, side)
+    rows = as_rows(data)
+    ms = _moments(rows, side)
     if (beta is None) != (alpha is None):
         raise ValueError("pass both beta and alpha for known values, or neither to plug in")
-    terms = _intercept_terms(data, ms, side, beta, alpha)
+    terms = _intercept_terms(rows, ms, side, beta, alpha)
     return InterceptResiduals(j=side.case, kind="plugin" if beta is None else "known_beta",
-                              terms=terms, term_mean=checked_fsum("v_i", terms) / ms.n)
+                              terms=terms[0],
+                              term_mean=(checked_fsum("v_i", terms, ms.status) / ms.n).item())
 
 
 @quiet_overflow
-def _intercept_studentization(data, side: SideInfo, beta: Optional[float] = None,
-                              alpha: Optional[float] = None) -> Tuple[int, float, float]:
+def _intercept_studentization(rows: Rows, side: SideInfo, beta: Optional[float] = None,
+                              alpha: Optional[float] = None):
     """n, the intercept estimate and the centered sum of squares of the
-    intercept residual terms (plug-in when ``beta`` is None)."""
-    ms = _moments(data, side)
+    intercept residual terms (plug-in when ``beta`` is None), as columns."""
+    ms = _moments(rows, side)
     est = estimate_from_moments(ms, side)
-    terms = _intercept_terms(data, ms, side, beta, alpha, est)
-    v_bar = checked_fsum("v_i", terms) / ms.n
-    return ms.n, est.alpha_hat, checked_fsum("(v_i - v_bar)^2", (terms - v_bar) ** 2)
+    terms = _intercept_terms(rows, ms, side, beta, alpha, est)
+    v_bar = checked_fsum("v_i", terms, ms.status) / ms.n
+    return ms.n, est.alpha_hat, checked_fsum("(v_i - v_bar)^2", (terms - v_bar) ** 2, ms.status)
 
 
 @quiet_overflow
-def slope_statistic(data, side: SideInfo, beta: float, variant: str) -> float:
-    """Value of a slope pivot at the hypothesized slope ``beta``.
+def slope_statistic(data, side: SideInfo, beta: float, variant: str):
+    """Value of a slope pivot at the hypothesized slope ``beta``; on a block
+    of ``Rows``, the (B, 1) column of the rows' values.
 
     Raises ZeroNormalizer when the normalizing sum of squares vanishes
-    (for example on exact-line data).
+    (for example on exact-line data); a row of a block fails with it.
     """
     if variant not in SLOPE_VARIANTS:
         raise ValueError(f"unknown slope variant {variant!r}")
     check_finite_number("beta", beta)
-    ms = _moments(data, side)
-    _, ay, ax = _pivot_terms(ms, side)
-    terms = ay - float(beta) * ax
-    n = ms.n
+    ms = _moments(as_rows(data), side)
+    status, n = ms.status, ms.n
+    terms = _slope_terms(ms, side, float(beta))[1]
     # Exact identity: U * (beta_hat - beta) equals the mean of the
     # known-slope terms, so the numerator never goes through beta_hat.
-    term_mean = checked_fsum("a_i", terms) / n
+    term_mean = checked_fsum("a_i", terms, status) / n
     if variant == "studentized":
-        ss, residuals = checked_fsum("(a_i - a_bar)^2", (terms - term_mean) ** 2), "centered slope"
+        ss = checked_fsum("(a_i - a_bar)^2", (terms - term_mean) ** 2, status)
+        residuals = "centered slope"
     elif variant == "self_normalized":
-        ss, residuals = checked_fsum("a_i^2", terms ** 2), "slope"
+        ss, residuals = checked_fsum("a_i^2", terms ** 2, status), "slope"
     else:
-        ss, residuals = _plugin_sum(ms, side, ay, ax)[1], "plug-in slope"
-    if ss == 0.0:
-        raise ZeroNormalizer(f"{residuals} residuals are all zero")
+        ss, residuals = _plugin_sum(ms, side)[2], "plug-in slope"
+    status.fail(ss == 0.0, lambda i: ZeroNormalizer(f"{residuals} residuals are all zero"))
     if variant == "studentized":
-        return math.sqrt(n) * term_mean / math.sqrt(ss / (n - 1))
-    return n * term_mean / math.sqrt(ss)
+        return _one(data, math.sqrt(n) * term_mean / np.sqrt(ss / (n - 1)))
+    return _one(data, n * term_mean / np.sqrt(ss))
 
 
+@quiet_overflow
 def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[float] = None,
-                        variant: str = "plugin") -> float:
-    """Value of an intercept pivot at the hypothesized intercept ``alpha``.
+                        variant: str = "plugin"):
+    """Value of an intercept pivot at the hypothesized intercept ``alpha``;
+    on a block of ``Rows``, the (B, 1) column of the rows' values.
 
     ``known_slope`` Studentizes with residuals at the true (beta, alpha);
     ``plugin`` uses the fully data-based residuals.  Both numerators are
@@ -280,11 +294,11 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
         beta = None
     elif beta is None:
         raise ValueError("known_slope variant requires beta")
-    n, alpha_hat, ss = _intercept_studentization(data, side, beta, alpha)
-    if ss == 0.0:
-        raise ZeroNormalizer("centered intercept residuals are all zero")
-    return checked_float("the intercept statistic",
-                         math.sqrt(n) * (alpha_hat - alpha) / math.sqrt(ss / (n - 1)))
+    rows = as_rows(data)
+    n, alpha_hat, ss = _intercept_studentization(rows, side, beta, alpha)
+    rows.status.fail(ss == 0.0, lambda i: ZeroNormalizer("centered intercept residuals are all zero"))
+    return _one(data, rows.status.finite(
+        "the intercept statistic", math.sqrt(n) * (alpha_hat - alpha) / np.sqrt(ss / (n - 1))))
 
 
 @dataclass(frozen=True)
@@ -295,7 +309,8 @@ class IntervalEstimate:
     degenerates (the acceptance region is not a bounded interval); the
     ``degeneracy`` field names which of the two finite-sample events
     failed.  Degeneracy is reported, never silently widened to the whole
-    line.
+    line.  The intervals of a block of ``Rows`` hold (B, 1) columns, with
+    NaN ends where a row degenerates.
     """
 
     center: float
@@ -307,51 +322,76 @@ class IntervalEstimate:
     k: Optional[int] = None
     degeneracy: str = DEGENERACY_NONE
 
-    def __post_init__(self):
-        for part, value in (("center", self.center), ("lower end", self.lower),
-                            ("upper end", self.upper)):
-            if value is not None:
-                checked_float(f"the {part} of the {self.family} interval", value)
+
+def _interval(data, status: RowStatus, center, lower, upper, level: float, family: str, j: int,
+              k: Optional[int] = None, degeneracy=DEGENERACY_NONE) -> IntervalEstimate:
+    """The interval of ``data``: a row whose center, or an end of its bounded
+    interval, leaves the float range fails."""
+    bounded = degeneracy == DEGENERACY_NONE
+    for part, value, where in (("center", center, True), ("lower end", lower, bounded),
+                               ("upper end", upper, bounded)):
+        status.finite(f"the {part} of the {family} interval", value, where)
+    if isinstance(data, Rows):
+        return IntervalEstimate(center, lower, upper, level, family, j, k, degeneracy)
+    kind = degeneracy if isinstance(degeneracy, str) else degeneracy.item()
+    ends = (lower.item(), upper.item()) if kind == DEGENERACY_NONE else (None, None)
+    return IntervalEstimate(center.item(), *ends, level, family, j, k, kind)
 
 
+@quiet_overflow
 def ci_slope_plugin(data, side: SideInfo, gamma: Optional[float] = None, *,
                     z: Optional[float] = None) -> IntervalEstimate:
     """Symmetric slope interval from the self-normalized plug-in pivot:
     beta_hat -+ z * sqrt(sum a_i(beta_hat)^2) / (n*|U|)."""
     z, level = _resolve_z(gamma, z)
-    b, half = _plugin_half_width(_moments(data, side), side, z)
-    return IntervalEstimate(center=b, lower=b - half, upper=b + half, level=level,
-                            family="slope_plugin", j=side.case)
+    rows = as_rows(data)
+    b, half = _plugin_half_width(_moments(rows, side), side, z)
+    return _interval(data, rows.status, b, b - half, b + half, level, "slope_plugin", side.case)
 
 
+@quiet_overflow
 def ci_intercept(data, side: SideInfo, gamma: Optional[float] = None, *,
                  z: Optional[float] = None) -> IntervalEstimate:
     """Symmetric intercept interval:
     alpha_hat -+ z * sqrt(sum (v_i - v_bar)^2) / sqrt(n*(n-1))."""
     z, level = _resolve_z(gamma, z)
     check_intercept_model(side)
-    n, alpha_hat, ss = _intercept_studentization(data, side)
-    half = z * math.sqrt(ss) / math.sqrt(n * (n - 1))
-    return IntervalEstimate(center=alpha_hat, lower=alpha_hat - half,
-                            upper=alpha_hat + half, level=level,
-                            family="intercept", j=side.case)
+    rows = as_rows(data)
+    n, alpha_hat, ss = _intercept_studentization(rows, side)
+    half = z * np.sqrt(ss) / math.sqrt(n * (n - 1))
+    return _interval(data, rows.status, alpha_hat, alpha_hat - half, alpha_hat + half, level,
+                     "intercept", side.case)
+
+
+def _squares(f: int, U: np.ndarray, beta1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Columns f*U**2 and beta1**2, by Python's float power row by row: its
+    C pow differs from U*U in the last bit on some inputs, and where either
+    square overflows both are inf."""
+    fu2, beta1_sq = [], []
+    for u, b in zip(U.ravel().tolist(), beta1.ravel().tolist()):
+        try:
+            pair = f * u ** 2, b ** 2
+        except OverflowError:
+            pair = math.inf, math.inf
+        fu2.append(pair[0])
+        beta1_sq.append(pair[1])
+    return np.array(fu2)[:, None], np.array(beta1_sq)[:, None]
 
 
 @quiet_overflow
-def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, beta1: float):
+def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, beta1):
     """Coefficients of the inversion quadratic A*b^2 - 2*N*b + C <= 0 of
-    quadratic pivot ``k`` and its quarter discriminant d4; a coefficient
-    whose products overflow is infinite or NaN."""
+    quadratic pivot ``k`` and its quarter discriminant d4, as columns; a
+    coefficient whose products overflow is infinite or NaN."""
     U, ay, ax = _pivot_terms(ms, side, k)
     f = _pivot_scales(ms.n, k)[2]
+    status = ms.status
     syy2, sxy2, cross, resid2 = (
-        checked_fsum("ay^2", ay * ay), checked_fsum("ax^2", ax * ax),
-        checked_fsum("ay*ax", ay * ax), checked_fsum("(ay - b*ax)^2", (ay - beta1 * ax) ** 2))
+        checked_fsum("ay^2", ay * ay, status), checked_fsum("ax^2", ax * ax, status),
+        checked_fsum("ay*ax", ay * ax, status),
+        checked_fsum("(ay - b*ax)^2", (ay - beta1 * ax) ** 2, status))
     z2 = z * z
-    try:  # float ** raises OverflowError where float * gives inf
-        fu2, beta1_sq = f * U ** 2, beta1 ** 2
-    except OverflowError:
-        fu2 = beta1_sq = math.inf
+    fu2, beta1_sq = _squares(f, U, beta1)
     A = fu2 - z2 * sxy2
     N = fu2 * beta1 - z2 * cross
     C = fu2 * beta1_sq - z2 * syy2
@@ -362,6 +402,7 @@ def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, bet
     return A, N, C, d4
 
 
+@quiet_overflow
 def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] = None, *,
                        z: Optional[float] = None) -> IntervalEstimate:
     """Closed-form slope interval from inverting a known-slope pivot (case 1).
@@ -373,36 +414,26 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
     """
     check_quadratic(side, k)
     z, level = _resolve_z(gamma, z)
-    ms = _moments(data, side)
-    est = estimate_from_moments(ms, side)
-    beta1 = est.beta_hat
+    rows = as_rows(data)
+    ms = _moments(rows, side)
+    beta1 = estimate_from_moments(ms, side).beta_hat
     A, N, C, d4 = _quadratic_coefficients(ms, side, k, z, beta1)
-    if not math.isfinite(A):
-        raise ValueError("the leading coefficient of the inversion quadratic "
-                         "overflows the float range")
-    lower = upper = None
-    if A <= 0.0:
-        degeneracy = DEGENERACY_LEADING
-    elif not all(map(math.isfinite, (N, C, d4))):
-        raise ValueError("the inversion quadratic overflows the float range")
-    elif d4 < 0.0:
-        degeneracy = DEGENERACY_DISCRIMINANT
-    else:
-        degeneracy = DEGENERACY_NONE
-        sd = math.sqrt(d4)
-        # Roots (N -+ sd)/A, taking the subtraction-free expression for the
-        # root that would otherwise cancel (root product is C/A).
-        if N > 0.0:
-            upper = (N + sd) / A
-            lower = C / (N + sd)
-        elif N < 0.0:
-            lower = (N - sd) / A
-            upper = C / (N - sd)
-        else:
-            upper = sd / A
-            lower = -upper
-    return IntervalEstimate(center=beta1, lower=lower, upper=upper, level=level,
-                            family="slope_quadratic", j=1, k=k, degeneracy=degeneracy)
+    status = ms.status
+    status.finite("the leading coefficient of the inversion quadratic", A)
+    leading = A <= 0.0
+    status.fail_range("the inversion quadratic",
+                      ~leading & ~(np.isfinite(N) & np.isfinite(C) & np.isfinite(d4)))
+    discriminant = ~leading & (d4 < 0.0)
+    degeneracy = np.where(leading, DEGENERACY_LEADING,
+                          np.where(discriminant, DEGENERACY_DISCRIMINANT, DEGENERACY_NONE))
+    # Roots (N -+ sd)/A, taking the subtraction-free expression for the
+    # root that would otherwise cancel (root product is C/A).
+    sd = np.sqrt(d4)
+    plus, minus = N + sd, N - sd
+    upper = np.where(N > 0.0, plus / A, np.where(N < 0.0, C / minus, sd / A))
+    lower = np.where(N > 0.0, C / plus, np.where(N < 0.0, minus / A, -(sd / A)))
+    return _interval(data, status, beta1, lower, upper, level, "slope_quadratic", 1, k,
+                     degeneracy)
 
 
 def quadratic_pivot(data, side: SideInfo, k: int, beta: float) -> float:
@@ -458,6 +489,7 @@ def _acceptance(ms: MomentSet, side: SideInfo, k: int, z: float,
     """The membership test of quadratic pivot ``k``: maps grid points b to
     num(b) <= z*den(b), evaluated directly from the terms."""
     U, ay, ax = _pivot_terms(ms, side, k)
+    U, ay, ax = U.item(), ay[0], ax[0]
     num_factor, den_scale, _ = _pivot_scales(ms.n, k)
     block = max(1, _CHUNK_ELEMENTS // ay.size)
 
@@ -502,8 +534,8 @@ def grid_invert_ci(data, side: SideInfo, k: int = 1, gamma: Optional[float] = No
     """
     check_quadratic(side, k)
     z, _level = _resolve_z(gamma, z)
-    ms = _moments(data, side)
-    beta1 = estimate_from_moments(ms, side).beta_hat
+    ms = _moments(as_rows(data), side)
+    beta1 = estimate_from_moments(ms, side).beta_hat.item()
 
     if z == 0.0:
         # |pivot| <= 0 only at the estimate itself.
@@ -514,7 +546,7 @@ def grid_invert_ci(data, side: SideInfo, k: int = 1, gamma: Optional[float] = No
     if grid is not None:
         lo, hi, step = grid.lo, grid.hi, grid.step
     else:
-        half = _plugin_half_width(ms, side, z)[1]
+        half = _plugin_half_width(ms, side, z)[1].item()
         if half == 0.0:
             half = 1e-8 * max(1.0, abs(beta1))
         half *= 10.0

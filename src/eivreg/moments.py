@@ -20,48 +20,74 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["MomentSet", "moment_set", "fsum"]
+__all__ = ["MomentSet", "moment_set", "fsum", "Rows", "RowStatus"]
 
 
-# Below this length NumPy's fixed per-call cost loses to math.fsum.
+# Below this many entries NumPy's fixed per-call cost loses to math.fsum.
 _EXACT_MIN = 1024
 
 
-def fsum(values) -> float:
+def fsum(values):
     """The exactly rounded sum of ``values``: the bits of ``math.fsum``.
 
-    A finite float64 array of at least ``_EXACT_MIN`` entries is summed in
-    NumPy by error-free extraction (Rump, Ogita and Oishi, 2008).  Let
-    L = (n + 1).bit_length(), so 2**L >= n + 2, and take each level at
-    sigma = 2**(e + L), where max|r| < 2**e for the remainder r (the data at
-    the first level).  Then
+    A 2-D float64 array of shape (B, n) gives the array of its B row sums,
+    each the bits of ``math.fsum`` of its row; a 1-D array is the one-row
+    case and gives a float.  Rows are summed in NumPy by error-free
+    extraction (Rump, Ogita and Oishi, 2008).  Let L = (n + 1).bit_length(),
+    so 2**L >= n + 2, and take each level of a row at sigma = 2**(e + L),
+    where max|r| < 2**e for the row's remainder r (its data at the first
+    level).  Then
 
     - q = (sigma + r) - sigma is exact (Sterbenz), and so is r - q, the
       rounding error of sigma + r;
     - every q_i is a multiple of 2**-53 * sigma with |q_i| <= 2**e, so every
       partial sum of the q_i, in any order, is such a multiple below sigma
-      in magnitude and hence a float: q.sum() is exact;
+      in magnitude and hence a float: the row sum of q is exact;
     - the new remainder r - q is at most 2**-53 * sigma in magnitude, so e
       falls by at least 52 - L per level until r is all zero.
 
     The level sums then add up to the exact total, and ``math.fsum`` of them
-    rounds it correctly, as ``math.fsum`` of the data would.  Everything
-    else (lists, other dtypes, short arrays, arrays holding a NaN or an
-    infinity, all-zero arrays and magnitudes of 2**(1020 - L) or more,
-    where sigma could overflow) goes to ``math.fsum`` itself, which keeps
-    its NaN, infinity and overflow behaviour.
+    rounds it correctly, as ``math.fsum`` of the row would.  Rows of
+    ``_EXACT_MIN`` entries or more are extracted one at a time; shorter rows
+    are extracted together, with a sigma per row, once the block holds
+    ``_EXACT_MIN`` entries, and summed by ``math.fsum`` one at a time below
+    that.  A row holding a NaN or an infinity, an all-zero row and a row
+    with magnitudes of 2**(1020 - L) or more, where sigma could overflow,
+    goes to ``math.fsum`` itself, which keeps its NaN, infinity and overflow
+    behaviour; so do lists and arrays of other types or shapes.
     """
     if isinstance(values, np.ndarray):
-        if values.size >= _EXACT_MIN and values.dtype == np.float64 and values.ndim == 1:
-            total = _extracted_sum(values)
-            if total is not None:
-                return total
+        if values.dtype == np.float64 and values.ndim in (1, 2):
+            sums = _row_sums(values if values.ndim == 2 else values[None, :], math.fsum)
+            return sums if values.ndim == 2 else float(sums[0])
         values = values.tolist()
     return math.fsum(values)
+
+
+def _row_sums(rows: np.ndarray, fallback) -> np.ndarray:
+    """The exactly rounded sum of each row of a 2-D float64 array (see
+    ``fsum``); ``fallback`` sums a row outside the extraction domain."""
+    count, n = rows.shape
+    sums = np.empty(count)
+    if n >= _EXACT_MIN or rows.size < _EXACT_MIN:
+        for i, row in enumerate(rows):
+            total = _extracted_sum(row) if n >= _EXACT_MIN else None
+            sums[i] = fallback(row.tolist()) if total is None else total
+        return sums
+    L = (n + 1).bit_length()
+    m = np.maximum.reduce(np.abs(rows), axis=1)
+    inside = (0.0 < m) & (m < math.ldexp(1.0, 1020 - L))  # also False for NaN
+    for i in np.flatnonzero(~inside).tolist():
+        sums[i] = fallback(rows[i].tolist())
+    if inside.all():
+        sums[:] = _extracted_row_sums(rows, m, L)
+    elif inside.any():
+        sums[inside] = _extracted_row_sums(rows[inside], m[inside], L)
+    return sums
 
 
 def _extracted_sum(values: np.ndarray) -> Optional[float]:
@@ -84,6 +110,40 @@ def _extracted_sum(values: np.ndarray) -> Optional[float]:
     return math.fsum(level_sums)
 
 
+def _extracted_row_sums(rows: np.ndarray, m: np.ndarray, L: int) -> list:
+    """The exactly rounded row sums of ``rows``, every row inside the
+    extraction domain with max|row| = ``m``, by one extraction of the whole
+    block with a sigma per row.  A row that runs out of levels early adds
+    zeros for the rest."""
+    q, rest = np.empty_like(rows), np.empty_like(rows)
+    r, level_sums = rows, []
+    while m.any():
+        sigma = np.ldexp(1.0, np.frexp(m)[1] + L)[:, None]
+        np.add(r, sigma, out=q)
+        q -= sigma
+        level_sums.append(np.add.reduce(q, axis=1).tolist())
+        r = np.subtract(r, q, out=rest)
+        m = np.maximum.reduce(np.abs(r, out=q), axis=1)
+    return [math.fsum(levels) for levels in zip(*level_sums)]
+
+
+def _fsum_or_inf(values: list) -> float:
+    """``math.fsum(values)``, or inf where it raises: its partial sums
+    overflow, or it meets -inf + inf."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.inf
+
+
+def _row_totals(rows: np.ndarray) -> np.ndarray:
+    """fsum of each row of ``rows``, inf where ``math.fsum`` raises."""
+    try:
+        return fsum(rows)
+    except (OverflowError, ValueError):
+        return _row_sums(rows, _fsum_or_inf)
+
+
 def as_series(name: str, seq) -> np.ndarray:
     arr = np.asarray(seq, dtype=float)
     if arr.ndim != 1:
@@ -103,11 +163,19 @@ def as_sample(y, x) -> Tuple[np.ndarray, np.ndarray]:
     return y, x
 
 
-def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself; raises ValueError naming its first non-finite entry."""
+def _nonfinite_error(name: str, arr: np.ndarray) -> Optional[ValueError]:
+    """The error naming the first non-finite entry of ``arr``, or None."""
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise ValueError(f"{name}[{bad[0]}] is not finite: {float(arr[bad[0]])!r}")
+        return ValueError(f"{name}[{bad[0]}] is not finite: {float(arr[bad[0]])!r}")
+    return None
+
+
+def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself; raises ValueError naming its first non-finite entry."""
+    error = _nonfinite_error(name, arr)
+    if error:
+        raise error
     return arr
 
 
@@ -118,37 +186,106 @@ def check_finite_number(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-# Decorates the functions that form products for ``checked_fsum``, so an
-# overflowed term is an infinity, not a warning.  Decorated calls nest.
-quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+# Decorates the functions that form products and quotients on blocks, so an
+# overflowed term is an infinity and a failed row's NaN or division by
+# zero is quiet, not a warning.  Decorated calls nest.
+quiet_overflow = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def checked_float(name: str, value: float) -> float:
-    """``value``; raises ValueError naming it unless it is finite.  Callers
-    pass results of finite inputs, so a non-finite one has overflowed."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} overflows the float range")
-    return value
+def _range_error(name: str) -> ValueError:
+    """The error of a value that is not finite though its inputs are: it
+    has overflowed."""
+    return ValueError(f"{name} overflows the float range")
 
 
-def checked_fsum(name: str, values) -> float:
+class RowStatus:
+    """The first failed check of each row of a block of B samples.
+
+    ``errors[i]`` is None while row i passes, else the exception the
+    one-sample call on row i raises: the first check it fails, in the order
+    the one-sample code checks.  A failed row is still computed on, with
+    floating-point warnings off, but nothing reads its results.  The status
+    of a one-sample call is ``raising``: it raises the first failure at
+    once, so that call stops where the check is.
+    """
+
+    def __init__(self, rows: int, raising: bool = False):
+        self.errors = [None] * rows
+        self.ok = np.ones(rows, dtype=bool)
+        self.raising = raising
+
+    def fail(self, failed, error: Callable[[int], Exception]) -> None:
+        """Rows where the mask ``failed`` holds fail with ``error(row)``,
+        unless they failed before."""
+        if not failed.any():
+            return
+        new = failed.ravel() & self.ok
+        rows = np.flatnonzero(new).tolist()
+        if self.raising:
+            raise error(rows[0])
+        for i in rows:
+            self.errors[i] = error(i)
+        self.ok &= ~new
+
+    def fail_range(self, name: str, failed) -> None:
+        """Rows where ``failed`` holds fail because ``name`` overflows the
+        float range."""
+        self.fail(failed, lambda i: _range_error(name))
+
+    def finite(self, name: str, values: np.ndarray, where=True) -> np.ndarray:
+        """``values``; rows in ``where`` whose value is not finite fail
+        because ``name`` overflows the float range."""
+        bad = ~np.isfinite(values)
+        self.fail_range(name, bad if where is True else bad & where)
+        return values
+
+
+class Rows:
+    """A block of B samples of one size n: the rows of (B, n) float arrays
+    ``y`` and ``x``, the latent ``xi`` of simulated rows, and the ``status``
+    of each row.  Like ``Dataset`` it checks y, then x, for a non-finite
+    entry, but a failing row fails in its status instead of raising."""
+
+    def __init__(self, y: np.ndarray, x: np.ndarray, xi: Optional[np.ndarray] = None,
+                 status: Optional[RowStatus] = None):
+        self.y, self.x, self.xi = y, x, xi
+        self.status = RowStatus(y.shape[0]) if status is None else status
+        for name, values in (("y", y), ("x", x)):
+            self.status.fail(~np.isfinite(values).all(axis=1),
+                             lambda i: _nonfinite_error(name, values[i]))
+
+
+def as_rows(data) -> Rows:
+    """``data`` itself if it is a block of rows; a dataset as the one-row
+    block whose status raises."""
+    if isinstance(data, Rows):
+        return data
+    return Rows(data.y[None, :], data.x[None, :], status=RowStatus(1, raising=True))
+
+
+def _checked_sums(name: str, rows: np.ndarray, status: RowStatus) -> np.ndarray:
+    return status.finite(f"sum of {name}", _row_totals(rows))[:, None]
+
+
+def checked_fsum(name: str, values, status: Optional[RowStatus] = None):
     """fsum(values); raises ValueError naming the sum if it leaves the float
-    range."""
-    try:
-        total = fsum(values)
-    except (OverflowError, ValueError):  # partial sums overflow; -inf + inf
-        total = math.inf
-    return checked_float(f"sum of {name}", total)
+    range.  With a ``status``, ``values`` is a (B, n) block and the result
+    the (B, 1) column of its row sums; a row whose sum leaves the range
+    fails in ``status``."""
+    if status is not None:
+        return _checked_sums(name, values, status)
+    return _checked_sums(name, values[None, :], RowStatus(1, raising=True)).item()
 
 
-def series_mean(name: str, values: np.ndarray) -> float:
-    """The mean of an input series.  Only a sum that is not finite costs a
-    scan, which names the first non-finite entry before the overflow."""
-    try:
-        return checked_fsum(name, values) / values.size
-    except ValueError:
-        check_finite(name, values)
-        raise
+def series_mean(name: str, values: np.ndarray, status: RowStatus) -> np.ndarray:
+    """The (B, 1) column of row means of the block ``values`` of an input
+    series.  A row whose sum is not finite fails, naming its first
+    non-finite entry if it has one and else the overflowing sum; only such
+    a row costs a scan."""
+    sums = _row_totals(values)
+    status.fail(~np.isfinite(sums), lambda i: _nonfinite_error(name, values[i])
+                or _range_error(f"sum of {name}"))
+    return sums[:, None] / values.shape[1]
 
 
 def check_intercept_flag(c) -> int:
@@ -162,7 +299,9 @@ class MomentSet:
     """The full second-moment machinery of an observed (y, x) sample.
 
     Bundles the three cross-product summaries a fit needs so the means are
-    computed once per dataset.
+    computed once per dataset.  The moment set of a block of samples has a
+    ``status``; its means and summaries are (B, 1) columns and its terms
+    (B, n) arrays.
     """
 
     n: int
@@ -175,32 +314,57 @@ class MomentSet:
     S_yy: float
     S_xy: float
     S_xx: float
+    status: Optional[RowStatus] = None
+
+    def first(self) -> "MomentSet":
+        """The one-sample moment set of the block's first row."""
+        return MomentSet(self.n, self.c, self.y_bar.item(), self.x_bar.item(), self.s_yy[0],
+                         self.s_xy[0], self.s_xx[0], self.S_yy.item(), self.S_xy.item(),
+                         self.S_xx.item())
+
+    def block(self) -> "MomentSet":
+        """This moment set as a block: itself if it is one, else its one row
+        with a status that raises."""
+        if self.status is not None:
+            return self
+        return MomentSet(self.n, self.c, np.full((1, 1), self.y_bar), np.full((1, 1), self.x_bar),
+                         self.s_yy[None, :], self.s_xy[None, :], self.s_xx[None, :],
+                         np.full((1, 1), self.S_yy), np.full((1, 1), self.S_xy),
+                         np.full((1, 1), self.S_xx), RowStatus(1, raising=True))
 
 
 @quiet_overflow
-def moment_set(y, x, c: int = 1) -> MomentSet:
+def moment_set(y, x, c: int = 1, status: Optional[RowStatus] = None) -> MomentSet:
     """Means and the yy/xy/xx cross-product summaries of a sample.
 
     Raises ValueError on empty input, length mismatch, a bad intercept
     flag, a non-finite entry or a sum that overflows the float range.  With
     c = 1 and n = 1 every centered sum is 0; downstream guards reject that
-    instead.
+    instead.  With a ``status``, ``y`` and ``x`` are (B, n) blocks and the
+    result is their block moment set, whose rows fail in ``status`` instead
+    of raising.
     """
+    if status is not None:
+        return _moment_rows(y, x, c, status)
     y, x = as_sample(y, x)
+    return _moment_rows(y[None, :], x[None, :], c, RowStatus(1, raising=True)).first()
+
+
+def _moment_rows(y: np.ndarray, x: np.ndarray, c, status: RowStatus) -> MomentSet:
     c = check_intercept_flag(c)
-    n = y.size
-    y_bar = series_mean("y", y)
-    x_bar = series_mean("x", x)
+    n = y.shape[1]
+    y_bar = series_mean("y", y, status)
+    x_bar = series_mean("x", x, status)
     dy, dx = (y - y_bar, x - x_bar) if c == 1 else (y, x)
     s_yy = dy * dy
     s_xy = dx * dy
     s_xx = dx * dx
     # The squares are summed first because a cross product can overflow
     # only when one of its two squares does.
-    S_yy = checked_fsum("s_yy", s_yy) / n
-    S_xx = checked_fsum("s_xx", s_xx) / n
+    S_yy = checked_fsum("s_yy", s_yy, status) / n
+    S_xx = checked_fsum("s_xx", s_xx, status) / n
     return MomentSet(
         n=n, c=c, y_bar=y_bar, x_bar=x_bar,
         s_yy=s_yy, s_xy=s_xy, s_xx=s_xx,
-        S_yy=S_yy, S_xy=checked_fsum("s_xy", s_xy) / n, S_xx=S_xx,
+        S_yy=S_yy, S_xy=checked_fsum("s_xy", s_xy, status) / n, S_xx=S_xx, status=status,
     )
