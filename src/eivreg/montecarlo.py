@@ -51,9 +51,9 @@ from .inference import (
     intercept_statistic,
     slope_statistic,
 )
-from .moments import fsum
-from .samplers import (ROLE_ERRORS, ROLE_XI, XI_FAMILIES, ModelSpec, _philox_generator,
-                       _reset, _simulate, philox_keys)
+from .moments import Rows, fsum, quiet_overflow
+from .samplers import (ROLE_ERRORS, ROLE_XI, XI_FAMILIES, ModelSpec, _observe,
+                       _philox_generator, _reset, philox_keys, sample_errors, sample_xi)
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "EXPERIMENTS", "PIVOTS", "WORKERS_ENV"]
@@ -67,6 +67,11 @@ WORKERS_ENV = "EIVREG_WORKERS"
 # The most replications one block runs.  A block holds its keys and
 # outcomes, so its memory does not grow with the replication count.
 _MAX_BLOCK = 1024
+
+# The most draws per series one sub-block evaluates at once, as (B, n)
+# arrays: 163 rows at n = 50, 81 at n = 100, 4 at n = 2000.  This bounds
+# the memory of the arrays and their temporaries.
+_BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -129,28 +134,51 @@ class ExperimentReport:
         }
 
 
-def _replicate(config: ExperimentConfig, n: int, rngs: tuple, keys: tuple) -> tuple:
-    """One replication on the reused (xi, errors) generators ``rngs``, each
-    first reset to its Philox key in ``keys``; returns a tagged outcome tuple
-    (never raises on guards)."""
-    data = _simulate(config.spec, n, _reset(rngs[0], keys[0]), _reset(rngs[1], keys[1]))
-    try:
-        return EXPERIMENTS[config.experiment].outcome(config, data)
-    except GuardViolation as exc:
-        return ("guard", exc.guard)
-    except ZeroNormalizer:
+def _replicate(config: ExperimentConfig, rngs: tuple, keys: tuple, y: np.ndarray,
+               x: np.ndarray, xi: np.ndarray) -> None:
+    """Draw one replication into the rows ``y``, ``x`` and ``xi`` of a block,
+    from the reused (xi, errors) generators ``rngs``, each first reset to
+    its Philox key in ``keys``."""
+    spec = config.spec
+    xi[:] = sample_xi(spec.xi, xi.size, _reset(rngs[0], keys[0]))
+    _observe(spec, xi, *sample_errors(spec.err, xi.size, _reset(rngs[1], keys[1])), y, x)
+
+
+def _tagged(error: Optional[Exception], outcome: tuple) -> tuple:
+    """A row's outcome: its own, or the tag of the guard or zero normalizer
+    it failed; any other failure stops the run with the row's error."""
+    if error is None:
+        return outcome
+    if isinstance(error, GuardViolation):
+        return ("guard", error.guard)
+    if isinstance(error, ZeroNormalizer):
         return ("zero", None)
+    raise error
 
 
 def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) -> list:
     """Outcomes of replications start..stop-1, in order.  Replication r
     draws from the streams ``substream((seed, n, r), role)``, whatever
-    block it runs in."""
-    reps = range(start, stop)
-    keys = zip(philox_keys(config.seed, n, reps, ROLE_XI),
-               philox_keys(config.seed, n, reps, ROLE_ERRORS))
+    block it runs in.  The block is evaluated in sub-blocks of at most
+    ``_BLOCK_ELEMENTS`` draws per series, each as (B, n) arrays."""
+    keys = philox_keys(config.seed, n, range(start, stop), (ROLE_XI, ROLE_ERRORS))
     rngs = (_philox_generator(), _philox_generator())
-    return [_replicate(config, n, rngs, rep_keys) for rep_keys in keys]
+    size = max(1, _BLOCK_ELEMENTS // n)
+    outcomes = []
+    for lo in range(0, stop - start, size):
+        count = min(size, stop - start - lo)
+        y, x, xi = np.empty((3, count, n))
+        for i, rep_keys in enumerate(zip(keys[0, lo:lo + count], keys[1, lo:lo + count])):
+            _replicate(config, rngs, rep_keys, y[i], x[i], xi[i])
+        rows = Rows(y, x, xi)
+        outcomes += map(_tagged, rows.status.errors, _evaluate(config, rows))
+    return outcomes
+
+
+@quiet_overflow
+def _evaluate(config: ExperimentConfig, rows: Rows) -> list:
+    """The outcomes of a sub-block, under one floating-point error state."""
+    return EXPERIMENTS[config.experiment].outcome(config, rows)
 
 
 def _worker_count() -> int:
@@ -187,47 +215,58 @@ def _map_replications(config: ExperimentConfig, n: int) -> list:
             pool.map(_replicate_block, repeat(config), repeat(n), starts, stops)))
 
 
-def _scored(ci, truth: float) -> tuple:
-    if ci.degeneracy != DEGENERACY_NONE:
-        return ("degenerate", ci.degeneracy)
-    return ("ok", ci.lower <= truth <= ci.upper, ci.upper - ci.lower)
+def _scored(ci, truth: float) -> list:
+    covered = ((ci.lower <= truth) & (truth <= ci.upper)).ravel().tolist()
+    widths = (ci.upper - ci.lower).ravel().tolist()
+    kinds = (repeat(ci.degeneracy) if isinstance(ci.degeneracy, str)
+             else ci.degeneracy.ravel().tolist())
+    return [("ok", hit, width) if kind == DEGENERACY_NONE else ("degenerate", kind)
+            for hit, width, kind in zip(covered, widths, kinds)]
 
 
-def _coverage14(config: ExperimentConfig, data) -> tuple:
-    return _scored(ci_slope_plugin(data, config.side, config.gamma), config.spec.beta)
+def _coverage14(config: ExperimentConfig, rows: Rows) -> list:
+    return _scored(ci_slope_plugin(rows, config.side, config.gamma), config.spec.beta)
 
 
-def _coverage15(config: ExperimentConfig, data) -> tuple:
-    return _scored(ci_intercept(data, config.side, config.gamma), config.spec.alpha)
+def _coverage15(config: ExperimentConfig, rows: Rows) -> list:
+    return _scored(ci_intercept(rows, config.side, config.gamma), config.spec.alpha)
 
 
-def _coverage16(config: ExperimentConfig, data) -> tuple:
-    return _scored(ci_slope_quadratic(data, config.side, config.k, config.gamma), config.spec.beta)
+def _coverage16(config: ExperimentConfig, rows: Rows) -> list:
+    return _scored(ci_slope_quadratic(rows, config.side, config.k, config.gamma), config.spec.beta)
 
 
-def _normality(config: ExperimentConfig, data) -> tuple:
+def _normality(config: ExperimentConfig, rows: Rows) -> list:
     spec, side, pivot = config.spec, config.side, config.pivot
     if pivot.startswith("slope_"):
-        return ("ok", slope_statistic(data, side, spec.beta, pivot.removeprefix("slope_")))
-    return ("ok", intercept_statistic(data, side, spec.alpha, beta=spec.beta,
-                                      variant=pivot.removeprefix("intercept_")))
+        values = slope_statistic(rows, side, spec.beta, pivot.removeprefix("slope_"))
+    else:
+        values = intercept_statistic(rows, side, spec.alpha, beta=spec.beta,
+                                     variant=pivot.removeprefix("intercept_"))
+    return [("ok", value) for value in values.ravel().tolist()]
 
 
-def _rate(config: ExperimentConfig, data) -> tuple:
+def _ok(*columns) -> list:
+    """("ok", ...) outcomes whose fields are the rows of ``columns``."""
+    return [("ok", *fields) for fields in zip(*(
+        repeat(None) if column is None else column.ravel().tolist() for column in columns))]
+
+
+def _rate(config: ExperimentConfig, rows: Rows) -> list:
     spec, side = config.spec, config.side
-    est = estimate(data, side)
-    bn = empirical_bn(data.latent.xi)
-    abs_beta = abs(est.beta_hat - spec.beta)
-    abs_alpha = abs(est.alpha_hat - spec.alpha) if side.c == 1 else None
-    return ("ok", abs_beta, abs_alpha, bn * abs_beta)
+    est = estimate(rows, side)
+    bn = empirical_bn(rows.xi, rows.status)
+    abs_beta = np.abs(est.beta_hat - spec.beta)
+    abs_alpha = np.abs(est.alpha_hat - spec.alpha) if side.c == 1 else None
+    return _ok(abs_beta, abs_alpha, bn * abs_beta)
 
 
-def _naive(config: ExperimentConfig, data) -> tuple:
+def _naive(config: ExperimentConfig, rows: Rows) -> list:
     beta = config.spec.beta
-    naive = naive_ratio_estimates(data, config.side.c)
-    est = estimate(data, config.side)
-    return ("ok", abs(naive.beta_a - beta), abs(naive.beta_b - beta),
-            abs(est.beta_hat - beta))
+    naive = naive_ratio_estimates(rows, config.side.c)
+    est = estimate(rows, config.side)
+    return _ok(np.abs(naive.beta_a - beta), np.abs(naive.beta_b - beta),
+               np.abs(est.beta_hat - beta))
 
 
 def _median(values: list) -> Optional[float]:
@@ -303,7 +342,8 @@ def _aggregate_degeneracy(n: int, config: ExperimentConfig, outcomes: list) -> d
 class _Experiment:
     """Everything particular to one experiment."""
 
-    # (config, dataset) -> tagged outcome tuple of one replication.
+    # (config, block of Rows) -> the tagged outcome tuple of each row; the
+    # caller replaces those of failed rows.
     outcome: Callable
     # (n, config, outcomes) -> the per-n record.
     aggregate: Callable

@@ -336,32 +336,41 @@ def _seed_seq_keys(entropy: list) -> np.ndarray:
     return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=1)
 
 
-def philox_keys(seed: int, n: int, reps, role: int) -> np.ndarray:
+def philox_keys(seed: int, n: int, reps, role) -> np.ndarray:
     """The (len(reps), 2) uint64 Philox keys of ``substream((seed, n, rep), role)``.
 
     Row i is bitwise ``SeedSequence((seed, n, reps[i]), spawn_key=(role,))
     .generate_state(2, np.uint64)``, the key ``substream`` gives its
-    Philox, derived for all rows at once.  The hash runs word position by
-    word position, so rows are grouped by how many 32-bit words their rep
-    takes; replication indices must lie in [0, 2**64).
+    Philox, derived for all rows at once.  For a sequence of roles the
+    result is (len(role), len(reps), 2), every role's keys derived in the
+    same pass, with the spawn word a column like the rep's.  The hash runs
+    word position by word position, so rows are grouped by how many 32-bit
+    words their rep and their role take; replication indices must lie in
+    [0, 2**64).
     """
+    roles = [role] if np.ndim(role) == 0 else list(role)
+    spawns = [_words("role", r) for r in roles]
     reps = np.asarray(reps, dtype=np.uint64)
     prefix = _words("seed", seed) + _words("n", n)
-    spawn = _words("role", role)
-    keys = np.empty((reps.size, 2), dtype=np.uint64)
+    keys = np.empty((len(roles), reps.size, 2), dtype=np.uint64)
     wide = reps > _MASK32
-    for rows, width in ((~wide, 1), (wide, 2)):
-        group = reps[rows]
-        if not group.size:
-            continue
-        run = ([np.full(group.size, w, dtype=np.uint32) for w in prefix]
-               + [(group >> (32 * j)).astype(np.uint32) for j in range(width)])
-        # SeedSequence pads the run entropy with zeros to the pool size
-        # before it appends a spawn key.
-        run += [np.zeros(group.size, dtype=np.uint32)] * (_POOL_SIZE - len(run))
-        keys[rows] = _seed_seq_keys(
-            run + [np.full(group.size, w, dtype=np.uint32) for w in spawn])
-    return keys
+    for spawn_width in sorted({len(spawn) for spawn in spawns}):
+        picked = [i for i, spawn in enumerate(spawns) if len(spawn) == spawn_width]
+        spawn_words = np.array([spawns[i] for i in picked], dtype=np.uint32)
+        for rows, width in ((~wide, 1), (wide, 2)):
+            group = reps[rows]
+            if not group.size:
+                continue
+            run = ([np.full(group.size, w, dtype=np.uint32) for w in prefix]
+                   + [(group >> (32 * j)).astype(np.uint32) for j in range(width)])
+            # SeedSequence pads the run entropy with zeros to the pool size
+            # before it appends a spawn key.
+            run += [np.zeros(group.size, dtype=np.uint32)] * (_POOL_SIZE - len(run))
+            entropy = ([np.tile(word, len(picked)) for word in run]
+                       + [np.repeat(column, group.size) for column in spawn_words.T])
+            keys[np.ix_(picked, np.flatnonzero(rows))] = _seed_seq_keys(entropy).reshape(
+                len(picked), group.size, 2)
+    return keys[0] if np.ndim(role) == 0 else keys
 
 
 _ZERO_WORDS = (0, 0, 0, 0)
@@ -427,10 +436,19 @@ def _simulate(spec: ModelSpec, n: int, rng_xi: np.random.Generator,
     errors from ``rng_err``."""
     xi = sample_xi(spec.xi, n, rng_xi)
     delta, epsilon = sample_errors(spec.err, n, rng_err)
-    y = spec.beta * xi + spec.alpha + delta
-    x = xi + epsilon
+    y, x = _observe(spec, xi, delta, epsilon)
     return Dataset(y=y, x=x, latent=Latent(
         xi=xi,
         delta=y - spec.beta * xi - spec.alpha,
         epsilon=x - xi,
     ))
+
+
+def _observe(spec: ModelSpec, xi: np.ndarray, delta: np.ndarray, epsilon: np.ndarray,
+             y: Optional[np.ndarray] = None, x: Optional[np.ndarray] = None) -> tuple:
+    """The observations y = beta*xi + alpha + delta and x = xi + epsilon,
+    written into ``y`` and ``x`` when given."""
+    y = np.multiply(spec.beta, xi, out=y)
+    y += spec.alpha
+    y += delta
+    return y, np.add(xi, epsilon, out=x)
