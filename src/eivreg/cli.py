@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import sys
 import warnings
 from pathlib import Path
@@ -39,6 +40,8 @@ _CSV_FORMAT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2,
                "dtype": np.float64}
 # Rows that _write_csv formats at a time; this bounds its memory.
 _WRITE_BLOCK_ROWS = 1 << 14
+# Lines that _bad_cell parses at a time when it looks for a bad cell.
+_PROBE_LINES = 1 << 10
 
 
 def _read_columns(path: str, pick) -> dict:
@@ -71,19 +74,33 @@ def _read_columns(path: str, pick) -> dict:
 def _bad_cell(path: str, fh, names, cols):
     """A ConfigError naming the first cell np.loadtxt cannot read by its line
     in the file, or None.  NumPy's own message counts rows from 0 after the
-    header and leaves out empty lines."""
+    header and leaves out empty lines, so the lines are parsed again with
+    the same settings: ``_PROBE_LINES`` at a time, then the lines of the
+    first block that fails one by one."""
     fh.seek(0)
     rows = csv.reader(fh)
     next(rows)
-    for line_no, line in enumerate(fh, rows.line_num + 1):
-        for name, i in zip(names, cols):
-            try:
-                np.loadtxt([line], usecols=(i,), **_CSV_FORMAT)
-            except ValueError:
-                cells = next(csv.reader([line]))
-                return ConfigError(f"{path}: line {line_no}: column {name!r} holds "
-                                   f"{cells[i] if i < len(cells) else ''!r}, not a number")
+    line_no = rows.line_num + 1
+    while block := list(itertools.islice(fh, _PROBE_LINES)):
+        if not _parses(block, cols):
+            for number, line in enumerate(block, line_no):
+                for name, i in zip(names, cols):
+                    if not _parses([line], (i,)):
+                        cells = next(csv.reader([line]))
+                        return ConfigError(
+                            f"{path}: line {number}: column {name!r} holds "
+                            f"{cells[i] if i < len(cells) else ''!r}, not a number")
+        line_no += len(block)
     return None
+
+
+def _parses(lines: list, cols) -> bool:
+    """Whether np.loadtxt reads columns ``cols`` of the CSV ``lines``."""
+    try:
+        np.loadtxt(lines, usecols=cols, **_CSV_FORMAT)
+    except ValueError:
+        return False
+    return True
 
 
 def _read_xy(path: str) -> Dataset:
