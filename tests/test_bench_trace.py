@@ -9,6 +9,7 @@ measures.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,12 +19,19 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 import tracer  # noqa: E402
 
+from eivreg.montecarlo import _BLOCK_ELEMENTS  # noqa: E402
 from test_cli import M0_CONFIG  # noqa: E402
 
 REPS = 5
-# coverage14 in case 2: six sums per replication (five in moment_set, one
-# plug-in half-width) and the mean width in the aggregate.
-FSUM_CALLS = 6 * REPS + 1
+
+
+def fsum_calls(n: int) -> int:
+    """coverage14 in case 2 sums each sub-block of replications as (B, n)
+    rows: six fsum calls per sub-block (five in moment_set, one plug-in
+    half-width), plus the mean width in the aggregate.  The REPS
+    replications fill ceil(REPS / B) sub-blocks of B = _BLOCK_ELEMENTS // n
+    rows: one at n = 30, two at n = 2000 (B = 4)."""
+    return 6 * math.ceil(REPS / max(1, _BLOCK_ELEMENTS // n)) + 1
 
 
 def _traced_profile(tmp_path, n):
@@ -46,7 +54,7 @@ def test_traced_experiment_reaches_every_boundary(tmp_path):
     assert profile.missing == set()
     assert profile.count["montecarlo._replicate"] == REPS
     assert profile.count["montecarlo._aggregate_coverage"] == 1
-    assert profile.count["moments.fsum"] == FSUM_CALLS
+    assert profile.count["moments.fsum"] == fsum_calls(30) == 7
 
 
 def test_traced_long_arrays_reach_every_boundary(tmp_path):
@@ -54,15 +62,15 @@ def test_traced_long_arrays_reach_every_boundary(tmp_path):
     profile = _traced_profile(tmp_path, 2000)
     assert profile.missing == set()
     assert profile.count["montecarlo._replicate"] == REPS
-    assert profile.count["moments.fsum"] == FSUM_CALLS
+    assert profile.count["moments.fsum"] == fsum_calls(2000) == 13
 
 
 def test_traced_streams_come_from_block_keys(tmp_path):
     # The serial run is one block: its keys come from one philox_keys call
-    # per role, and no replication builds a substream of its own.
+    # for both roles, and no replication builds a substream of its own.
     profile = _traced_profile(tmp_path, 30)
     assert profile.count["samplers.substream"] == 0
-    assert profile.count["samplers.philox_keys"] == 2
+    assert profile.count["samplers.philox_keys"] == 1
     assert profile.count["samplers.sample_xi"] == REPS
 
 

@@ -384,6 +384,29 @@ class TestCsvInput:
         assert capsys.readouterr().err == (
             f"eivreg: {csv}: line {line}: column {column!r} holds {cell!r}, not a number\n")
 
+    @pytest.mark.parametrize("count, bad, form", [
+        (3000, 0, "plain"), (3000, 1023, "crlf"), (3000, 1024, "quoted"),
+        (3000, 1500, "empty_lines"), (3000, 2999, "quoted"),
+        (200_001, 200_000, "plain"), (200_001, 150_000, "empty_lines")])
+    def test_bad_cell_found_in_large_file(self, tmp_path, capsys, count, bad, form):
+        # One bad row among many: on the first line, at and across the edge
+        # of the blocks of lines the error path parses at a time, and on
+        # the last line of a large file.  Every tenth line is empty in
+        # "empty_lines".
+        rows = [f"{i}.5,{i}" for i in range(count)]
+        rows[bad] = f'{bad}.5,"x{bad}"' if form == "quoted" else f"{bad}.5,x{bad}"
+        lines = ["y,x"]
+        for i, row in enumerate(rows):
+            if form == "empty_lines" and i % 10 == 9:
+                lines.append("")
+            lines.append(row)
+        line = lines.index(rows[bad]) + 1
+        end = "\r\n" if form == "crlf" else "\n"
+        csv = write(tmp_path, "big.csv", end.join(lines) + end)
+        assert main(["estimate", csv, *SIDE2_FLAGS]) == 2
+        assert capsys.readouterr().err == (
+            f"eivreg: {csv}: line {line}: column 'x' holds 'x{bad}', not a number\n")
+
     def test_bad_cell_in_diagnose_column(self, tmp_path, capsys):
         csv = write(tmp_path, "wide.csv", "a,b\n1,2\n3,zz\n")
         assert main(["diagnose", csv, "--column", "b"]) == 2

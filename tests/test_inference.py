@@ -34,6 +34,7 @@ from eivreg import (
     slope_statistic,
     z_for_gamma,
 )
+from eivreg.inference import _squares
 from eivreg.montecarlo import EXPERIMENTS
 
 REL = 1e-10
@@ -559,3 +560,30 @@ def test_overflowing_result_named(name):
     with pytest.raises(ValueError, match=rf"^{re.escape(result)} overflows the float range$"):
         call(m0_dataset(30, 3))
 
+
+
+def test_quadratic_squares_are_python_float_powers():
+    # f*U**2 and beta1**2 keep the bits of Python's float ** (the C pow),
+    # which differ from U*U on some inputs, row by row; a row where either
+    # square overflows gets inf in both, as the OverflowError handler of the
+    # one-sample code did.
+    rng = np.random.default_rng(8)
+    U = rng.standard_normal(20000) * np.exp(rng.uniform(-300, 300, 20000))
+    beta1 = rng.standard_normal(20000) * np.exp(rng.uniform(-30, 30, 20000))
+    U[:2], beta1[2:4] = [1e200, -1e160], [1e155, -2e300]
+    f = 37 * 36
+    fu2, beta1_sq = _squares(f, U[:, None], beta1[:, None])
+    want_fu2, want_sq = [], []
+    for u, b in zip(U.tolist(), beta1.tolist()):
+        try:
+            pair = f * u ** 2, b ** 2
+        except OverflowError:
+            pair = math.inf, math.inf
+        want_fu2.append(pair[0])
+        want_sq.append(pair[1])
+    assert fu2.shape == beta1_sq.shape == (20000, 1)
+    assert fu2.ravel().tolist() == want_fu2 and beta1_sq.ravel().tolist() == want_sq
+    assert np.isinf(fu2[:4]).all() and np.isinf(beta1_sq[:4]).all()
+    # The case this helper exists for: C pow and U*U disagree on some rows.
+    finite = U[4:]
+    assert (finite * finite != np.array([u ** 2 for u in finite.tolist()])).any()

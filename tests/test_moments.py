@@ -9,7 +9,7 @@ import pytest
 
 from conftest import PROP_CASES
 from eivreg import Dataset, SideInfo, estimate, moment_set
-from eivreg.moments import fsum
+from eivreg.moments import _EXACT_MIN, fsum
 
 REL = 1e-10
 
@@ -224,7 +224,7 @@ _FSUM_FAMILIES = ("t2_squares", "cancellation", "subnormal", "signed_zeros",
                   "negative_zeros", "ties", "one_binade", "scaled_1e290")
 
 
-@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 2000, 200000])
+@pytest.mark.parametrize("n", [1, 2, 50, 1023, 1024, 2000, 200000])
 def test_fsum_matches_math_fsum_bitwise(n):
     # fsum promises the bits of math.fsum on every input; arrays of 1024 or
     # more finite float64 entries take the NumPy extraction path.
@@ -234,6 +234,70 @@ def test_fsum_matches_math_fsum_bitwise(n):
             a = _fsum_family(family, n, rng)
             for view in (a, -a, np.repeat(a, 3)[::3]):  # the last is strided
                 assert _same(fsum(view), math.fsum(view.tolist())), (family, n)
+    if n > 2000:
+        return
+    # A 2-D array gives its row sums.  Rows of every family share a block,
+    # with enough rows that short ones take the block extraction (a sigma
+    # per row) and long ones the extraction one row at a time.
+    count = max(2 * len(_FSUM_FAMILIES), -(-_EXACT_MIN // n) + 1)
+    for _ in range(4 if n <= 50 else 1):
+        block = np.stack([_fsum_family(_FSUM_FAMILIES[i % len(_FSUM_FAMILIES)], n, rng)
+                          for i in range(count)])
+        for view in (block, -block, np.repeat(block, 2, axis=1)[:, ::2]):
+            sums = fsum(view)
+            assert sums.shape == (count,) and sums.dtype == np.float64
+            for got, row in zip(sums.tolist(), view.tolist()):
+                assert _same(got, math.fsum(row)), n
+
+
+_SPECIAL_ROWS = {"zeros": None, "negative_zeros": None, "signed_zeros": None,
+                 "subnormal": None, "nan": [math.nan], "inf": [math.inf], "-inf": [-math.inf],
+                 "inf_minus_inf": [math.inf, -math.inf], "overflow": [1e308, 1e308],
+                 "huge": [3e307, -2e307]}
+
+
+def _special_row(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "negative_zeros":
+        return np.full(n, -0.0)
+    if kind == "signed_zeros":
+        return rng.choice([0.0, -0.0], n)
+    if kind == "subnormal":
+        return rng.integers(-2 ** 20, 2 ** 20, n) * 5e-324
+    a = rng.standard_normal(n)
+    a[:2] = _SPECIAL_ROWS[kind] * (2 // len(_SPECIAL_ROWS[kind]))
+    return a
+
+
+def _fsum_outcome(f, values):
+    try:
+        return repr(f(values))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [3, 50, 2000])
+def test_fsum_rows_special_values_match_math_fsum(n):
+    # Zero, NaN, infinite, overflowing, huge (outside the extraction
+    # domain, where sigma would overflow) and subnormal rows in a block of
+    # ordinary ones: each row gives math.fsum's value, and a row math.fsum
+    # raises on makes the block raise the same exception type.
+    rng = np.random.default_rng(n)
+    ordinary = [rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5)
+                for _ in range(max(3, _EXACT_MIN // n))]
+    special = {kind: _special_row(kind, n, rng) for kind in _SPECIAL_ROWS}
+    expected = {kind: _fsum_outcome(math.fsum, row.tolist()) for kind, row in special.items()}
+    assert sorted(kind for kind, e in expected.items() if isinstance(e, type)) == [
+        "inf_minus_inf", "overflow"]
+    summed = [row for kind, row in special.items() if not isinstance(expected[kind], type)]
+    block = np.stack(ordinary[:2] + summed + ordinary[2:])
+    got = fsum(block).tolist()
+    assert list(map(repr, got)) == [_fsum_outcome(math.fsum, row) for row in block.tolist()]
+    for kind, want in expected.items():
+        if isinstance(want, type):
+            with pytest.raises(want):
+                fsum(np.stack(ordinary[:1] + [special[kind]] + ordinary[1:]))
 
 
 @pytest.mark.parametrize("specials", [[math.nan], [math.inf], [-math.inf],

@@ -1,12 +1,19 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from conftest import M0_SPEC, SIDE1_M0, SIDE2_M0, T2_SPEC
-from eivreg import ExperimentConfig, SideInfo, run_experiment
+from eivreg import (Dataset, ExperimentConfig, GuardViolation, ModelSpec, SideInfo,
+                    XiDistribution, ZeroNormalizer, ci_intercept, ci_slope_plugin,
+                    ci_slope_quadratic, empirical_bn, estimate, intercept_statistic,
+                    naive_ratio_estimates, run_experiment, simulate_dataset, slope_statistic)
+from eivreg import montecarlo
 from eivreg.jsonout import dumps
-from eivreg.montecarlo import _replicate_block
+from eivreg.moments import Rows
+from eivreg.montecarlo import EXPERIMENTS, PIVOTS, _evaluate, _replicate_block, _tagged
+from eivreg.samplers import Latent
 
 
 def cfg(**kw):
@@ -215,3 +222,158 @@ def test_report_json_round_trip():
     # 17 significant digits round-trip binary64 exactly.
     assert float(format(report.per_n[0]["mean_width"], ".17g")) == \
         report.per_n[0]["mean_width"]
+
+
+def _scalar_outcome(config, data) -> tuple:
+    """One replication's outcome from the one-sample library calls: the
+    per-replication loop the block kernel replaced, as the oracle."""
+    spec, side, name = config.spec, config.side, config.experiment
+    try:
+        if name in ("coverage14", "coverage15", "coverage16", "degeneracy"):
+            if name == "coverage14":
+                ci, truth = ci_slope_plugin(data, side, config.gamma), spec.beta
+            elif name == "coverage15":
+                ci, truth = ci_intercept(data, side, config.gamma), spec.alpha
+            else:
+                ci, truth = ci_slope_quadratic(data, side, config.k, config.gamma), spec.beta
+            if ci.degeneracy != "none":
+                return ("degenerate", ci.degeneracy)
+            return ("ok", ci.lower <= truth <= ci.upper, ci.upper - ci.lower)
+        if name == "normality":
+            kind, variant = config.pivot.split("_", 1)
+            if kind == "slope":
+                return ("ok", slope_statistic(data, side, spec.beta, variant))
+            return ("ok", intercept_statistic(data, side, spec.alpha, beta=spec.beta,
+                                              variant=variant))
+        if name == "rate":
+            est = estimate(data, side)
+            abs_beta = abs(est.beta_hat - spec.beta)
+            abs_alpha = abs(est.alpha_hat - spec.alpha) if side.c == 1 else None
+            return ("ok", abs_beta, abs_alpha, empirical_bn(data.latent.xi) * abs_beta)
+        naive = naive_ratio_estimates(data, side.c)
+        est = estimate(data, side)
+        return ("ok", abs(naive.beta_a - spec.beta), abs(naive.beta_b - spec.beta),
+                abs(est.beta_hat - spec.beta))
+    except GuardViolation as exc:
+        return ("guard", exc.guard)
+    except ZeroNormalizer:
+        return ("zero", None)
+
+
+def _configs(spec_for_c, n, reps, gamma, known=0.25):
+    """Every experiment, pivot, case, intercept flag and quadratic variant,
+    with the known error variance ``known`` in both cases."""
+    for name, c, case in itertools.product(EXPERIMENTS, (0, 1), (1, 2)):
+        side = (SideInfo.case1(known, 0.05, c) if case == 1 else SideInfo.case2(known, 0.05, c))
+        extras = [{}]
+        if name in ("coverage16", "degeneracy"):
+            extras = [{"k": 1}, {"k": 2}]
+        elif name == "normality":
+            extras = [{"pivot": p} for p in PIVOTS if c == 1 or p.startswith("slope_")]
+        for extra in extras:
+            try:
+                yield cfg(spec=spec_for_c[c], side=side, experiment=name, n_values=(n,),
+                          replications=reps, gamma=gamma, **extra)
+            except ValueError:  # the experiment's rule rejects this combination
+                pass
+
+
+def _spec(xi, c):
+    return ModelSpec(beta=2.0, alpha=float(c), c=c, xi=xi, err=M0_SPEC.err)
+
+
+def _dataset(y, x, xi):
+    return Dataset(y=y, x=x, latent=Latent(xi=xi, delta=0 * xi, epsilon=0 * xi))
+
+
+def _mixed_rows(n=6):
+    """(y, x, xi) rows of one size: ordinary draws and rows that fail a
+    guard (tiny or constant), lie on an exact line (zero normalizers) or
+    degenerate in the quadratic inversion."""
+    rng = np.random.default_rng(5)
+    rows = []
+    for i in range(40):
+        xi = rng.standard_normal(n) * (1.0 + 4 * (i % 3))
+        x = xi + 0.5 * rng.standard_normal(n)
+        y = 2.0 * xi + 1.0 + 0.5 * rng.standard_normal(n)
+        rows.append((y, x, xi))
+    line = np.arange(n, dtype=float)
+    rows[3] = (2.0 * line + 1.0, line, line)
+    rows[7] = (1e-3 * rows[7][0], 1e-3 * rows[7][1], rows[7][2])
+    rows[11] = (np.full(n, 3.0), np.full(n, 1.0), line)
+    rows[17] = (2.0 * line, line, line)
+    return [tuple(map(np.array, row)) for row in rows]
+
+
+def _block_outcomes(config, rows):
+    y, x, xi = (np.stack(part) for part in zip(*rows))
+    block = Rows(y, x, xi)
+    return list(map(_tagged, block.status.errors, _evaluate(config, block)))
+
+
+def test_block_outcomes_equal_scalar_outcomes():
+    # Hand-made rows: every row of a block gets the outcome the one-sample
+    # library calls give it, bit for bit, whatever its neighbours do.
+    rows = _mixed_rows()
+    specs = {c: _spec(M0_SPEC.xi, c) for c in (0, 1)}
+    tags = set()
+    for config in _configs(specs, 6, len(rows), 0.01):
+        got = _block_outcomes(config, rows)
+        want = [_scalar_outcome(config, _dataset(*row)) for row in rows]
+        assert list(map(repr, got)) == list(map(repr, want)), config
+        tags.update(o[0] for o in got)
+    assert tags == {"ok", "guard", "zero", "degenerate"}
+
+
+@pytest.mark.parametrize("n, elements", [(7, 7 * 5), (12, 12 * 7), (30, 8192)])
+def test_replicate_block_equals_scalar_replications(monkeypatch, n, elements):
+    # Replication r of a run is the one-sample outcome on
+    # simulate_dataset(spec, n, (seed, n, r)).  Sub-blocks of 5 and 7 rows
+    # divide neither 23 replications nor the block's start, 3.  A known
+    # error variance of 1.5 makes some replications fail their guard.
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
+    specs = {c: _spec(XiDistribution.symmetric_pareto2(0.7, 0.0), c) for c in (0, 1)}
+    tags = set()
+    for config in _configs(specs, n, 26, 0.02, known=1.5):
+        got = _replicate_block(config, n, 3, 26)
+        want = [_scalar_outcome(config, simulate_dataset(config.spec, n, (config.seed, n, r)))
+                for r in range(3, 26)]
+        assert list(map(repr, got)) == list(map(repr, want)), config
+        tags.update(o[0] for o in got)
+    assert {"ok", "guard", "degenerate"} <= tags
+
+
+def test_first_failing_row_stops_the_block_with_its_scalar_error():
+    # Rows 9 and 13 overflow different sums; the block stops with row 9's
+    # error, the one the one-sample call on it raises.
+    rows = _mixed_rows()
+    rows[9] = (1e200 * rows[9][0], rows[9][1], rows[9][2])
+    rows[13] = (np.full(6, 1e308), rows[13][1], rows[13][2])
+    specs = {c: _spec(M0_SPEC.xi, c) for c in (0, 1)}
+    for config in _configs(specs, 6, len(rows), 0.01):
+        with pytest.raises(ValueError) as scalar:
+            _scalar_outcome(config, _dataset(*rows[9]))
+        with pytest.raises(ValueError) as block:
+            _block_outcomes(config, rows)
+        assert type(block.value) is type(scalar.value)
+        assert str(block.value) == str(scalar.value) == "sum of s_yy overflows the float range"
+
+
+def test_overflowing_run_stops_with_scalar_error(monkeypatch):
+    # Pareto-2 draws of scale 3e152 overflow the squares in some
+    # replications: the run stops with the error of the first of them.
+    monkeypatch.setenv("EIVREG_WORKERS", "1")
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 12 * 5)
+    spec = _spec(XiDistribution.symmetric_pareto2(3e152, 0.0), 1)
+    config = cfg(spec=spec, n_values=(12,), replications=40)
+    first = None
+    for r in range(40):
+        try:
+            _scalar_outcome(config, simulate_dataset(spec, 12, (config.seed, 12, r)))
+        except ValueError as exc:
+            first = exc
+            break
+    assert first is not None and r > 0
+    with pytest.raises(ValueError) as run:
+        run_experiment(config)
+    assert str(run.value) == str(first)

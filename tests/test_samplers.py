@@ -238,6 +238,21 @@ def test_philox_keys_are_seed_sequence_keys(seed, n, role):
         assert np.array_equal(keys, expected)
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 70 + 3])
+@pytest.mark.parametrize("n", [2, 2 ** 33 + 1])
+def test_joint_philox_keys_are_each_roles_keys(seed, n):
+    # One call derives every role's keys, roles that take two words
+    # included; each role's slice is bitwise its own call's result.
+    reps = [0, 1, 999, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+    roles = (ROLE_XI, ROLE_ERRORS, 2 ** 32 + 7, 5)
+    keys = philox_keys(seed, n, reps, roles)
+    assert keys.shape == (len(roles), len(reps), 2) and keys.dtype == np.uint64
+    for role, role_keys in zip(roles, keys):
+        expected = np.array([_seed_sequence_key(seed, n, rep, role) for rep in reps])
+        assert np.array_equal(role_keys, expected)
+        assert np.array_equal(role_keys, philox_keys(seed, n, reps, role))
+
+
 def test_philox_keys_reject_negative_words():
     for seed, n, role in ((-1, 10, 0), (1, -10, 0), (1, 10, -1)):
         with pytest.raises(ValueError, match="must be nonnegative"):
@@ -279,19 +294,22 @@ def test_xi_cases_cover_every_family():
 @pytest.mark.parametrize("dist", XI_CASES, ids=[dist.family for dist in XI_CASES])
 def test_reset_draws_equal_substream_xi(dist):
     seed, n, rep = 11, 37, 5
-    key = philox_keys(seed, n, [rep], ROLE_XI)[0]
-    got = sample_xi(dist, n, _reset(_dirty_generator(), key))
-    assert np.array_equal(got, sample_xi(dist, n, substream((seed, n, rep), ROLE_XI)))
+    expected = sample_xi(dist, n, substream((seed, n, rep), ROLE_XI))
+    for key in (philox_keys(seed, n, [rep], ROLE_XI)[0],
+                philox_keys(seed, n, [rep], (ROLE_XI, ROLE_ERRORS))[0, 0]):
+        got = sample_xi(dist, n, _reset(_dirty_generator(), key))
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("base", ["gaussian", "scaled_uniform"])
 def test_reset_draws_equal_substream_errors(base):
     err = ErrorSpec(lambda_theta=0.5, theta=2.0, mu=-0.6, base=base)
     seed, n, rep = 11, 37, 2 ** 32 + 5
-    key = philox_keys(seed, n, [rep], ROLE_ERRORS)[0]
-    got = sample_errors(err, n, _reset(_dirty_generator(), key))
     expected = sample_errors(err, n, substream((seed, n, rep), ROLE_ERRORS))
-    assert all(map(np.array_equal, got, expected))
+    for key in (philox_keys(seed, n, [rep], ROLE_ERRORS)[0],
+                philox_keys(seed, n, [rep], (ROLE_XI, ROLE_ERRORS))[1, 0]):
+        got = sample_errors(err, n, _reset(_dirty_generator(), key))
+        assert all(map(np.array_equal, got, expected))
 
 
 def test_dataset_validation():
