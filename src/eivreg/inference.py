@@ -234,7 +234,6 @@ def intercept_residuals(data, side: SideInfo, *, beta: Optional[float] = None,
                               term_mean=(checked_fsum("v_i", terms, ms.status) / ms.n).item())
 
 
-@quiet_overflow
 def _intercept_studentization(rows: Rows, side: SideInfo, beta: Optional[float] = None,
                               alpha: Optional[float] = None):
     """n, the intercept estimate and the centered sum of squares of the
@@ -378,7 +377,6 @@ def _squares(f: int, U: np.ndarray, beta1: np.ndarray) -> Tuple[np.ndarray, np.n
     return np.array(fu2)[:, None], np.array(beta1_sq)[:, None]
 
 
-@quiet_overflow
 def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, beta1):
     """Coefficients of the inversion quadratic A*b^2 - 2*N*b + C <= 0 of
     quadratic pivot ``k`` and its quarter discriminant d4, as columns; a

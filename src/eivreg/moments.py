@@ -10,10 +10,19 @@ With c = 0 the products are raw; with c = 1 they are centered at the
 sample means.  Every scalar reduction goes through ``fsum``, which returns
 the exactly rounded sum (the bits of ``math.fsum``), so results are
 bit-reproducible and carry one rounding at most, even for heavy-tailed
-magnitudes at n up to 1e7.  Short inputs go to ``math.fsum`` itself; long
-float64 arrays are summed exactly in NumPy by error-free extraction
-(Rump, Ogita and Oishi, "Accurate floating-point summation part I",
-SIAM J. Sci. Comput. 31(1), 2008), see ``fsum``.
+magnitudes at n up to 1e7.  ``fsum`` sums each row of a (B, n) float64
+array exactly in NumPy by error-free extraction (Rump, Ogita and Oishi,
+"Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
+2008): short rows all at once with a sigma per row, long rows one at a
+time; small inputs go to ``math.fsum`` itself.
+
+Computation is on blocks of B samples of one size n, ``Rows``: means and
+sums are (B, 1) columns that broadcast against the (B, n) terms the way
+floats do against one sample's terms.  A ``RowStatus`` holds the first
+check each row fails, in the order the one-sample code checks, so the
+Monte Carlo harness evaluates many replications in one pass and still
+gives each the outcome of its own call.  A one-sample call is the block of
+one row whose status raises at once.
 """
 
 from __future__ import annotations
@@ -204,30 +213,39 @@ class RowStatus:
     ``errors[i]`` is None while row i passes, else the exception the
     one-sample call on row i raises: the first check it fails, in the order
     the one-sample code checks.  A failed row is still computed on, with
-    floating-point warnings off, but nothing reads its results.  The status
-    of a one-sample call is ``raising``: it raises the first failure at
-    once, so that call stops where the check is.
+    floating-point warnings off, but nothing reads its results.  A block's
+    checks are kept in order and resolved when ``errors`` is read.  The
+    status of a one-sample call is ``raising``: it raises the first failure
+    at once, so that call stops where the check is.
     """
 
     def __init__(self, rows: int, raising: bool = False):
-        self.errors = [None] * rows
-        self.ok = np.ones(rows, dtype=bool)
         self.raising = raising
+        self._errors = [None] * rows
+        self._checks = []
 
-    def fail(self, failed, error: Callable[[int], Exception]) -> None:
+    def fail(self, failed: np.ndarray, error: Callable[[int], Exception]) -> None:
         """Rows where the mask ``failed`` holds fail with ``error(row)``,
         unless they failed before."""
-        if not failed.any():
-            return
-        new = failed.ravel() & self.ok
-        rows = np.flatnonzero(new).tolist()
-        if self.raising:
-            raise error(rows[0])
-        for i in rows:
-            self.errors[i] = error(i)
-        self.ok &= ~new
+        if not self.raising:
+            self._checks.append((failed, error))
+        elif failed.any():
+            raise error(0)
 
-    def fail_range(self, name: str, failed) -> None:
+    @property
+    def errors(self) -> list:
+        """Per row, None or the exception of the first check it failed."""
+        checks, self._checks = self._checks, []
+        if checks and np.concatenate([failed.ravel() for failed, _ in checks]).any():
+            ok = np.array([error is None for error in self._errors])
+            for failed, error in checks:
+                new = failed.ravel() & ok
+                for i in np.flatnonzero(new).tolist():
+                    self._errors[i] = error(i)
+                ok &= ~new
+        return self._errors
+
+    def fail_range(self, name: str, failed: np.ndarray) -> None:
         """Rows where ``failed`` holds fail because ``name`` overflows the
         float range."""
         self.fail(failed, lambda i: _range_error(name))
@@ -252,7 +270,7 @@ class Rows:
         self.status = RowStatus(y.shape[0]) if status is None else status
         for name, values in (("y", y), ("x", x)):
             self.status.fail(~np.isfinite(values).all(axis=1),
-                             lambda i: _nonfinite_error(name, values[i]))
+                             lambda i, name=name, values=values: _nonfinite_error(name, values[i]))
 
 
 def as_rows(data) -> Rows:

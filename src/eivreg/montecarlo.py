@@ -16,11 +16,17 @@ Experiments:
 Every replication draws from the sub-streams keyed by (seed, n,
 replication index), so adding sample sizes or replications never perturbs
 existing draws and any worker count produces bit-identical reports.
-Replications run in blocks: each block derives its Philox keys in one
-vectorised call and resets one reused generator per role to each
-replication's keys, which gives the draws of ``samplers.substream``.
-Guard violations and degenerate inversions are counted per replication,
-never raised; coverage is computed over the non-failed replications with
+Replications run in blocks: each block derives the Philox keys of both
+roles in one vectorised call and resets one reused generator per role to
+each replication's keys, which gives the draws of ``samplers.substream``.
+Replication r of a block is drawn into row r of (B, n) arrays, and each
+sub-block of at most ``_BLOCK_ELEMENTS`` draws per series is evaluated at
+once by the library functions on ``moments.Rows``: the one-sample
+functions are the one-row case of the same code, so each row gets the
+outcome its own call would give.  Guard violations, zero normalizers and
+degenerate inversions are counted per replication, never raised; any
+other failure stops the run with the error of the first replication that
+meets it.  Coverage is computed over the non-failed replications with
 the failure rate reported alongside, so covered + missed + failed always
 equals the replication count.
 """
@@ -171,7 +177,8 @@ def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) ->
         for i, rep_keys in enumerate(zip(keys[0, lo:lo + count], keys[1, lo:lo + count])):
             _replicate(config, rngs, rep_keys, y[i], x[i], xi[i])
         rows = Rows(y, x, xi)
-        outcomes += map(_tagged, rows.status.errors, _evaluate(config, rows))
+        values = _evaluate(config, rows)
+        outcomes += map(_tagged, rows.status.errors, values)
     return outcomes
 
 

@@ -308,7 +308,8 @@ def _mixed_rows(n=6):
 def _block_outcomes(config, rows):
     y, x, xi = (np.stack(part) for part in zip(*rows))
     block = Rows(y, x, xi)
-    return list(map(_tagged, block.status.errors, _evaluate(config, block)))
+    values = _evaluate(config, block)
+    return list(map(_tagged, block.status.errors, values))
 
 
 def test_block_outcomes_equal_scalar_outcomes():
