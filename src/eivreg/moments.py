@@ -341,10 +341,7 @@ class MomentSet:
                          self.S_xx.item())
 
     def block(self) -> "MomentSet":
-        """This moment set as a block: itself if it is one, else its one row
-        with a status that raises."""
-        if self.status is not None:
-            return self
+        """This one-sample moment set as a one-row block whose status raises."""
         return MomentSet(self.n, self.c, np.full((1, 1), self.y_bar), np.full((1, 1), self.x_bar),
                          self.s_yy[None, :], self.s_xy[None, :], self.s_xx[None, :],
                          np.full((1, 1), self.S_yy), np.full((1, 1), self.S_xy),
