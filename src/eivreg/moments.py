@@ -13,8 +13,7 @@ bit-reproducible and carry one rounding at most, even for heavy-tailed
 magnitudes at n up to 1e7.  ``fsum`` sums each row of a (B, n) float64
 array exactly in NumPy by error-free extraction (Rump, Ogita and Oishi,
 "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
-2008): short rows all at once with a sigma per row, long rows one at a
-time; small inputs go to ``math.fsum`` itself.
+2008): the whole block at once, with a sigma per row.
 
 Computation is on blocks of B samples of one size n, ``Rows``: means and
 sums are (B, 1) columns that broadcast against the (B, n) terms the way
@@ -36,20 +35,16 @@ import numpy as np
 __all__ = ["MomentSet", "moment_set", "fsum", "Rows", "RowStatus"]
 
 
-# Below this many entries NumPy's fixed per-call cost loses to math.fsum.
-_EXACT_MIN = 1024
-
-
 def fsum(values):
     """The exactly rounded sum of ``values``: the bits of ``math.fsum``.
 
     A 2-D float64 array of shape (B, n) gives the array of its B row sums,
     each the bits of ``math.fsum`` of its row; a 1-D array is the one-row
     case and gives a float.  Rows are summed in NumPy by error-free
-    extraction (Rump, Ogita and Oishi, 2008).  Let L = (n + 1).bit_length(),
-    so 2**L >= n + 2, and take each level of a row at sigma = 2**(e + L),
-    where max|r| < 2**e for the row's remainder r (its data at the first
-    level).  Then
+    extraction (Rump, Ogita and Oishi, 2008), the whole block at once with
+    a sigma per row.  Let L = (n + 1).bit_length(), so 2**L >= n + 2, and
+    take each level of a row at sigma = 2**(e + L), where max|r| < 2**e for
+    the row's remainder r (its data at the first level).  Then
 
     - q = (sigma + r) - sigma is exact (Sterbenz), and so is r - q, the
       rounding error of sigma + r;
@@ -60,13 +55,11 @@ def fsum(values):
       falls by at least 52 - L per level until r is all zero.
 
     The level sums then add up to the exact total, and ``math.fsum`` of them
-    rounds it correctly, as ``math.fsum`` of the row would.  Rows of
-    ``_EXACT_MIN`` entries or more are extracted one at a time; shorter rows
-    are extracted together, with a sigma per row, once the block holds
-    ``_EXACT_MIN`` entries, and summed by ``math.fsum`` one at a time below
-    that.  A row holding a NaN or an infinity, an all-zero row and a row
-    with magnitudes of 2**(1020 - L) or more, where sigma could overflow,
-    goes to ``math.fsum`` itself, which keeps its NaN, infinity and overflow
+    rounds it correctly, as ``math.fsum`` of the row would.  A row that
+    runs out of levels before the others adds zeros.  An empty row, a row
+    holding a NaN or an infinity, an all-zero row and a row with magnitudes
+    of 2**(1020 - L) or more, where sigma could overflow, goes to
+    ``math.fsum`` itself, which keeps its NaN, infinity and overflow
     behaviour; so do lists and arrays of other types or shapes.
     """
     if isinstance(values, np.ndarray):
@@ -80,51 +73,25 @@ def fsum(values):
 def _row_sums(rows: np.ndarray, fallback) -> np.ndarray:
     """The exactly rounded sum of each row of a 2-D float64 array (see
     ``fsum``); ``fallback`` sums a row outside the extraction domain."""
-    count, n = rows.shape
-    sums = np.empty(count)
-    if n >= _EXACT_MIN or rows.size < _EXACT_MIN:
-        for i, row in enumerate(rows):
-            total = _extracted_sum(row) if n >= _EXACT_MIN else None
-            sums[i] = fallback(row.tolist()) if total is None else total
-        return sums
-    L = (n + 1).bit_length()
-    m = np.maximum.reduce(np.abs(rows), axis=1)
+    L = (rows.shape[1] + 1).bit_length()
+    q = np.abs(rows)
+    m = np.maximum.reduce(q, axis=1, initial=0.0)  # 0 for an empty row
     inside = (0.0 < m) & (m < math.ldexp(1.0, 1020 - L))  # also False for NaN
+    sums = np.empty(rows.shape[0])
     for i in np.flatnonzero(~inside).tolist():
         sums[i] = fallback(rows[i].tolist())
-    if inside.all():
-        sums[:] = _extracted_row_sums(rows, m, L)
-    elif inside.any():
-        sums[inside] = _extracted_row_sums(rows[inside], m[inside], L)
+    if not inside.all():
+        rows, m, q = rows[inside], m[inside], q[inside]
+    sums[inside] = _extracted_row_sums(rows, m, L, q)
     return sums
 
 
-def _extracted_sum(values: np.ndarray) -> Optional[float]:
-    """The exactly rounded sum of ``values`` by level extraction (see
-    ``fsum``), or None when ``values`` is outside its domain."""
-    L = (values.size + 1).bit_length()
-    q = np.abs(values)
-    m = np.maximum.reduce(q)
-    if not 0.0 < m < math.ldexp(1.0, 1020 - L):  # also False for NaN
-        return None
-    r, rest = values, np.empty_like(q)
-    level_sums = []
-    while m:
-        sigma = math.ldexp(1.0, math.frexp(m)[1] + L)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        level_sums.append(float(np.add.reduce(q)))
-        r = np.subtract(r, q, out=rest)
-        m = np.maximum.reduce(np.abs(r, out=q))
-    return math.fsum(level_sums)
-
-
-def _extracted_row_sums(rows: np.ndarray, m: np.ndarray, L: int) -> list:
+def _extracted_row_sums(rows: np.ndarray, m: np.ndarray, L: int, q: np.ndarray) -> list:
     """The exactly rounded row sums of ``rows``, every row inside the
     extraction domain with max|row| = ``m``, by one extraction of the whole
-    block with a sigma per row.  A row that runs out of levels early adds
-    zeros for the rest."""
-    q, rest = np.empty_like(rows), np.empty_like(rows)
+    block with a sigma per row; ``q`` is a buffer of the shape of ``rows``
+    that the levels overwrite."""
+    rest = np.empty_like(q)
     r, level_sums = rows, []
     while m.any():
         sigma = np.ldexp(1.0, np.frexp(m)[1] + L)[:, None]

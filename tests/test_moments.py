@@ -9,7 +9,7 @@ import pytest
 
 from conftest import PROP_CASES
 from eivreg import Dataset, SideInfo, estimate, moment_set
-from eivreg.moments import _EXACT_MIN, fsum
+from eivreg.moments import fsum
 
 REL = 1e-10
 
@@ -155,7 +155,9 @@ def test_overflow_names_the_sum(scale, name):
     # Finite data whose sums leave the float range raise instead of turning
     # into inf or NaN; the suite makes any RuntimeWarning an error, so this
     # also checks that no warning leaks.
-    # 2000 entries take fsum's long-array path up to its range check.
+    # The data (1e308) lie outside fsum's extraction domain and the squares
+    # (1e200 squared) are infinite, so at both sizes the sum leaves the
+    # range in fsum's math.fsum fallback.
     for n in (4, 2000):
         y = scale * np.resize([1.0, -0.5, 0.7, 1.2], n)
         for c in (0, 1):
@@ -226,8 +228,8 @@ _FSUM_FAMILIES = ("t2_squares", "cancellation", "subnormal", "signed_zeros",
 
 @pytest.mark.parametrize("n", [1, 2, 50, 1023, 1024, 2000, 200000])
 def test_fsum_matches_math_fsum_bitwise(n):
-    # fsum promises the bits of math.fsum on every input; arrays of 1024 or
-    # more finite float64 entries take the NumPy extraction path.
+    # fsum promises the bits of math.fsum on every input; a finite float64
+    # array of any length is a one-row block of the NumPy extraction.
     rng = np.random.default_rng(n)
     for family in _FSUM_FAMILIES:
         for _ in range(1 if n > 2000 else 20):
@@ -236,10 +238,9 @@ def test_fsum_matches_math_fsum_bitwise(n):
                 assert _same(fsum(view), math.fsum(view.tolist())), (family, n)
     if n > 2000:
         return
-    # A 2-D array gives its row sums.  Rows of every family share a block,
-    # with enough rows that short ones take the block extraction (a sigma
-    # per row) and long ones the extraction one row at a time.
-    count = max(2 * len(_FSUM_FAMILIES), -(-_EXACT_MIN // n) + 1)
+    # A 2-D array gives its row sums.  Rows of every family share a block of
+    # more than 1024 entries, extracted at once with a sigma per row.
+    count = max(2 * len(_FSUM_FAMILIES), -(-1024 // n) + 1)
     for _ in range(4 if n <= 50 else 1):
         block = np.stack([_fsum_family(_FSUM_FAMILIES[i % len(_FSUM_FAMILIES)], n, rng)
                           for i in range(count)])
@@ -285,7 +286,7 @@ def test_fsum_rows_special_values_match_math_fsum(n):
     # raises on makes the block raise the same exception type.
     rng = np.random.default_rng(n)
     ordinary = [rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5)
-                for _ in range(max(3, _EXACT_MIN // n))]
+                for _ in range(max(3, 1024 // n))]
     special = {kind: _special_row(kind, n, rng) for kind in _SPECIAL_ROWS}
     expected = {kind: _fsum_outcome(math.fsum, row.tolist()) for kind, row in special.items()}
     assert sorted(kind for kind, e in expected.items() if isinstance(e, type)) == [
@@ -315,6 +316,56 @@ def test_fsum_special_values_match_math_fsum(specials, n):
         except (ValueError, OverflowError) as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_fsum_empty_shapes():
+    # An empty row sums to 0.0 and a block without rows to an empty array.
+    assert repr(fsum(np.array([]))) == "0.0"
+    for shape in ((3, 0), (0, 5), (0, 0)):
+        sums = fsum(np.zeros(shape))
+        assert sums.shape == (shape[0],) and sums.dtype == np.float64
+        assert list(map(repr, sums.tolist())) == ["0.0"] * shape[0]
+
+
+def _levels(row: np.ndarray, monkeypatch) -> int:
+    """How many levels fsum extracts from ``row`` alone: the number of level
+    sums it hands to math.fsum."""
+    calls, real = [], math.fsum
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "fsum", lambda values: calls.append(len(values)) or real(values))
+        fsum(row[None, :])
+    return calls[0]
+
+
+def test_fsum_rows_are_independent(monkeypatch):
+    # A block extracts every row at once, with a sigma per row; rows that
+    # need more levels than others, and rows outside the extraction domain,
+    # leave the other rows' bits alone, sign of zero included.
+    tiny, tinier = 2.0 ** -60, 2.0 ** -130
+    rows = {
+        "one_level": [3.0, -1.0, 2.0, 0.5, 0.0, 0.0],
+        "two_levels": [1.0, tiny, -0.25, 0.0, 0.0, 0.0],
+        "three_levels": [1.0, tiny, tinier, -3.0, 0.0, 0.0],
+        "cancels_to_zero": [1.0, -1.0, tiny, -tiny, 0.0, -0.0],
+        "many_levels": [1e300, 1.0, -1e300, 2.0 ** -1000, tinier, -0.0],
+        "subnormal": [5e-324, -1e-310, 1e-310, 0.0, -0.0, 5e-324],
+        "zeros": [0.0, -0.0, 0.0, 0.0, -0.0, 0.0],
+        "negative_zeros": [-0.0] * 6,
+        "nan": [1.0, math.nan, 2.0, 0.0, 0.0, 0.0],
+        "inf": [1.0, -math.inf, 2.0, 0.0, 0.0, 0.0],
+        "huge": [3e307, -2e307, 1.0, 0.0, 0.0, 0.0],
+    }
+    block = np.array(list(rows.values()))
+    levels = {kind: _levels(block[i], monkeypatch) for i, kind in enumerate(rows)
+              if kind in ("one_level", "two_levels", "three_levels", "many_levels")}
+    assert levels["one_level"] == 1 and levels["two_levels"] == 2
+    assert levels["three_levels"] == 3 and levels["many_levels"] > 3
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        view = block[rng.permutation(len(block))]
+        got = list(map(repr, fsum(view).tolist()))
+        assert got == [repr(fsum(view[i:i + 1]).item()) for i in range(len(view))]
+        assert got == [repr(math.fsum(row)) for row in view.tolist()]
 
 
 def _raised_text(node: ast.Raise) -> str:
