@@ -302,6 +302,21 @@ def _words(name: str, value: int) -> list:
     return words
 
 
+def _rep_indices(reps) -> np.ndarray:
+    """The replication indices ``reps`` as a uint64 array; raises ValueError
+    naming ``rep`` unless each is an integer in [0, 2**64)."""
+    values = np.asarray(reps)
+    if values.dtype.kind in "iu":
+        bad = values[values < 0].tolist()
+    else:  # floats, or Python ints that no one integer dtype holds
+        values = np.asarray(reps, dtype=object)
+        bad = [rep for rep in values.tolist()
+               if not isinstance(rep, (int, np.integer)) or not 0 <= rep < 2 ** 64]
+    if bad:
+        raise ValueError(f"rep must be an integer in [0, 2**64), got {bad[0]!r}")
+    return values.astype(np.uint64)
+
+
 def _seed_seq_keys(entropy: list) -> np.ndarray:
     """Philox keys ``SeedSequence(...).generate_state(2, np.uint64)`` of the
     rows whose entropy words are the uint32 columns ``entropy``."""
@@ -345,12 +360,12 @@ def philox_keys(seed: int, n: int, reps, role) -> np.ndarray:
     result is (len(role), len(reps), 2), every role's keys derived in the
     same pass, with the spawn word a column like the rep's.  The hash runs
     word position by word position, so rows are grouped by how many 32-bit
-    words their rep and their role take; replication indices must lie in
-    [0, 2**64).
+    words their rep and their role take; a replication index that is not an
+    integer in [0, 2**64) raises ValueError.
     """
     roles = [role] if np.ndim(role) == 0 else list(role)
     spawns = [_words("role", r) for r in roles]
-    reps = np.asarray(reps, dtype=np.uint64)
+    reps = _rep_indices(reps)
     prefix = _words("seed", seed) + _words("n", n)
     keys = np.empty((len(roles), reps.size, 2), dtype=np.uint64)
     wide = reps > _MASK32

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,19 @@ def test_philox_keys_reject_negative_words():
     for seed, n, role in ((-1, 10, 0), (1, -10, 0), (1, 10, -1)):
         with pytest.raises(ValueError, match="must be nonnegative"):
             philox_keys(seed, n, [0], role)
+
+
+@pytest.mark.parametrize("reps, shown", [
+    ([-1], "-1"), (np.array([-1]), "-1"), ([2.5], "2.5"), (np.array([2.5]), "2.5"),
+    ([2 ** 64], str(2 ** 64)), ([0, 2 ** 64 - 1, -1], "-1"), ([3, "4"], "'4'")])
+def test_philox_keys_reject_bad_reps(reps, shown):
+    # The reference substream((seed, n, -1), role) raises ValueError; a
+    # fraction or an index of 2**64 or more has no key here either.
+    with pytest.raises(ValueError, match=r"^rep must be an integer in \[0, 2\*\*64\), got "
+                       + re.escape(shown) + "$"):
+        philox_keys(1, 100, reps, ROLE_XI)
+    with pytest.raises(ValueError):
+        substream((1, 100, -1), ROLE_XI)
 
 
 def test_philox_keys_never_collide():
