@@ -442,15 +442,8 @@ def simulate_dataset(spec: ModelSpec, n: int, seed: SeedLike) -> Dataset:
     draws the (seed, ROLE_ERRORS) sub-stream, so the two are independent
     and the latent series is unaffected by the error specification.
     """
-    return _simulate(spec, n, substream(seed, ROLE_XI), substream(seed, ROLE_ERRORS))
-
-
-def _simulate(spec: ModelSpec, n: int, rng_xi: np.random.Generator,
-              rng_err: np.random.Generator) -> Dataset:
-    """n observations from ``spec`` with xi drawn from ``rng_xi`` and the
-    errors from ``rng_err``."""
-    xi = sample_xi(spec.xi, n, rng_xi)
-    delta, epsilon = sample_errors(spec.err, n, rng_err)
+    xi = sample_xi(spec.xi, n, substream(seed, ROLE_XI))
+    delta, epsilon = sample_errors(spec.err, n, substream(seed, ROLE_ERRORS))
     y, x = _observe(spec, xi, delta, epsilon)
     return Dataset(y=y, x=x, latent=Latent(
         xi=xi,
