@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import ZeroNormalizer
 from .estimators import SideInfo, estimate_from_moments
-from .moments import (MomentSet, Rows, RowStatus, as_rows, check_finite_number, checked_fsum,
-                      moment_set, quiet_overflow)
+from .moments import (MomentSet, Rows, RowStatus, _range_error, as_rows, check_finite_number,
+                      checked_fsum, moment_set, quiet_overflow)
 from .normal import norm_cdf, z_for_gamma
 
 __all__ = [
@@ -485,20 +485,25 @@ _BISECT_ITERATIONS = 80
 def _acceptance(ms: MomentSet, side: SideInfo, k: int, z: float,
                 beta1: float) -> Callable[[np.ndarray], np.ndarray]:
     """The membership test of quadratic pivot ``k``: maps grid points b to
-    num(b) <= z*den(b), evaluated directly from the terms."""
+    num(b) <= z*den(b), evaluated directly from the terms.  It raises
+    ValueError where a product or difference overflows the float range."""
     U, ay, ax = _pivot_terms(ms, side, k)
     U, ay, ax = U.item(), ay[0], ax[0]
     num_factor, den_scale, _ = _pivot_scales(ms.n, k)
     block = max(1, _CHUNK_ELEMENTS // ay.size)
 
+    @np.errstate(over="raise", invalid="raise")
     def accept(grid: np.ndarray) -> np.ndarray:
         mask = np.empty(grid.size, dtype=bool)
         for start in range(0, grid.size, block):
             b = grid[start:start + block]
-            t = ay[None, :] - b[:, None] * ax[None, :]
-            den = np.sqrt(np.einsum("ij,ij->i", t, t)) * den_scale
-            num = num_factor * abs(U) * np.abs(beta1 - b)
-            mask[start:start + block] = num <= z * den
+            try:
+                t = ay[None, :] - b[:, None] * ax[None, :]
+                den = np.sqrt(np.einsum("ij,ij->i", t, t)) * den_scale
+                num = num_factor * abs(U) * np.abs(beta1 - b)
+                mask[start:start + block] = num <= z * den
+            except FloatingPointError:
+                raise _range_error("the pivot on the grid") from None
         return mask
 
     return accept
@@ -528,7 +533,10 @@ def grid_invert_ci(data, side: SideInfo, k: int = 1, gamma: Optional[float] = No
     inflated tenfold with a grid of 10^-4 of its width, doubled (around
     the estimate) whenever the acceptance set touches its edge.  Finite
     component boundaries are then refined by bisection, so the returned
-    endpoints are far more accurate than the grid step.
+    endpoints are far more accurate than the grid step.  Raises ValueError
+    when the bracket is not a finite range of floats, as when the plug-in
+    half-width is below the spacing of the floats at the estimate, or when
+    the pivot overflows on the grid.
     """
     check_quadratic(side, k)
     z, _level = _resolve_z(gamma, z)
@@ -553,6 +561,9 @@ def grid_invert_ci(data, side: SideInfo, k: int = 1, gamma: Optional[float] = No
 
     expansions = 0
     while True:
+        if not (step > 0.0 and hi - lo < math.inf):  # also False for NaN
+            raise ValueError(f"grid bracket [{lo!r}, {hi!r}] with step {step!r} "
+                             "is not a finite range of floats")
         npts = int(round((hi - lo) / step)) + 1
         pts = np.linspace(lo, hi, npts)
         mask = accept(pts)

@@ -7,6 +7,11 @@ in a documented exit code: 0 or 4 with a JSON document on stdout, or 2 or
 3 with exactly one ``eivreg: `` line on stderr.  No traceback and no
 warning may escape.  A static check keeps every exception class of the
 package in ``errors.py``, so those exit codes stay the whole story.
+
+Tiny seeded datasets of zeros, subnormals, values whose squares overflow
+and random scales also go through every public one-sample entry point of
+the library, which may only return or raise a ValueError or an
+``EivregError``.
 """
 
 from __future__ import annotations
@@ -186,3 +191,77 @@ def test_every_exception_class_lives_in_errors():
                 stray.append(f"{path.name}:{node.lineno} {node.name}")
     assert stray == []
 
+
+
+# Cells of the library sweep: zeros of both signs, subnormals and values
+# whose squares or sums overflow.
+LIBRARY_CELLS = (0.0, -0.0, 1e-310, 5e-324, 1e154, 1e200, 1e308, -1e308)
+
+
+def _library_column(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` finite cells: edge cells, one random scale in 1e+-200, or a
+    mixture of edge cells and random scales."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return rng.choice(LIBRARY_CELLS, n) * rng.choice((-1.0, 1.0), n)
+    if kind == 1:
+        return rng.normal(size=n) * 10.0 ** rng.uniform(-200.0, 200.0)
+    column = rng.normal(size=n) * 10.0 ** rng.uniform(-200.0, 200.0, n)
+    edge = rng.random(n) < 0.5
+    column[edge] = rng.choice(LIBRARY_CELLS, int(edge.sum()))
+    return column
+
+
+def _library_calls(data, side, rng: np.random.Generator):
+    """(name, call) of every public one-sample entry point on ``data``."""
+    beta = float(rng.choice((0.0, 2.0, -1e154, 1e-300, 1e200)))
+    alpha = float(rng.choice((0.0, 1.0, 1e300)))
+    yield "moment_set", lambda: eivreg.moment_set(data.y, data.x, side.c)
+    yield "estimate", lambda: eivreg.estimate(data, side)
+    yield "naive_ratio_estimates", lambda: eivreg.naive_ratio_estimates(data, side.c)
+    yield "slope_residuals", lambda: eivreg.slope_residuals(data, side)
+    yield "intercept_residuals", lambda: eivreg.intercept_residuals(data, side)
+    for variant in eivreg.inference.SLOPE_VARIANTS:
+        yield variant, lambda variant=variant: eivreg.slope_statistic(data, side, beta, variant)
+    yield "intercept plugin", lambda: eivreg.intercept_statistic(data, side, alpha)
+    yield "intercept known_slope", lambda: eivreg.intercept_statistic(
+        data, side, alpha, beta=beta, variant="known_slope")
+    yield "ci_slope_plugin", lambda: eivreg.ci_slope_plugin(data, side, 0.05)
+    yield "ci_intercept", lambda: eivreg.ci_intercept(data, side, 0.05)
+    for k in (1, 2):
+        yield f"quadratic_pivot k={k}", lambda k=k: eivreg.quadratic_pivot(data, side, k, beta)
+        yield f"ci_slope_quadratic k={k}", lambda k=k: eivreg.ci_slope_quadratic(data, side, k, 0.05)
+        yield f"grid_invert_ci k={k}", lambda k=k: eivreg.grid_invert_ci(data, side, k, 0.05)
+    yield "obrien_ratio", lambda: eivreg.obrien_ratio(data.x)
+    yield "empirical_bn", lambda: eivreg.empirical_bn(data.y)
+    yield "selfnorm_sum", lambda: eivreg.selfnorm_sum(data.x, beta)
+    yield "ks_distance_to_normal", lambda: eivreg.ks_distance_to_normal(data.y)
+
+
+def test_prop_hostile_library_input_ends_in_named_errors():
+    # Tiny finite datasets through every public one-sample entry point:
+    # each call returns, or raises a ValueError or an EivregError.  No
+    # other exception and no warning may escape.
+    called, returned = set(), set()
+    for seed in range(2 * PROP_CASES):
+        rng = np.random.default_rng([2026, seed])
+        n = int(rng.integers(2, 7))
+        data = eivreg.Dataset(y=_library_column(rng, n), x=_library_column(rng, n))
+        moments = (float(rng.choice((0.0, 0.25, 1.0, 1e-310, 1e154, 1e300))),
+                   float(rng.choice((0.0, 0.05, -0.3, 1e-310, 1e154, 1e200))))
+        c = int(rng.integers(2))
+        side = (eivreg.SideInfo.case1(*moments, c=c) if rng.random() < 0.6
+                else eivreg.SideInfo.case2(*moments, c=c))
+        for name, call in _library_calls(data, side, rng):
+            called.add(name)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    call()
+                    returned.add(name)
+                except (ValueError, eivreg.EivregError):
+                    pass
+                except Exception as exc:
+                    raise AssertionError((seed, name, data, side)) from exc
+    # Every entry point returns on some of the cases.
+    assert returned == called and len(called) == 22

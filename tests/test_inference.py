@@ -463,6 +463,27 @@ class TestGridInversion:
         gi = grid_invert_ci(offline_dataset(), SIDE1_FREE, 1, z=z, max_expansions=3)
         assert gi.unbounded
 
+    @pytest.mark.parametrize("y, x, c, k, message", [
+        # The plug-in half-width is far below the spacing of the floats at
+        # the estimate, so the default bracket is the one point beta1.
+        ([1e-310, -0.0, 1e154, -1.0],
+         [1.228683719203421e37, 3.396200082486426e36, 4.237713528533473e36,
+          3.7122741773625884e36], 0, 1,
+         r"^grid bracket \[2\.3597630969313438e\+117, 2\.3597630969313438e\+117\] with step "
+         r"0\.0 is not a finite range of floats$"),
+        # b * ax overflows as the bracket grows around beta1 = -1.4e241.
+        ([1e-310, 1e154], [4.117884010391812e-88, -3.020195569665504e-88], 1, 2,
+         "^the pivot on the grid overflows the float range$"),
+    ], ids=["collapsed_bracket", "pivot_overflow"])
+    def test_hostile_input_named(self, y, x, c, k, message):
+        # The closed form names its overflowing sum on both inputs; the
+        # oracle names its own failure, with no warning on the way.
+        data, side = Dataset(y=np.array(y), x=np.array(x)), SideInfo.case1(0.25, 0.05, c=c)
+        with pytest.raises(ValueError, match=r"^sum of ay\^2 overflows the float range$"):
+            ci_slope_quadratic(data, side, k, 0.05)
+        with pytest.raises(ValueError, match=message):
+            grid_invert_ci(data, side, k, 0.05)
+
 
 
 _C0 = SideInfo.case2(0.25, 0.05, c=0)
