@@ -13,7 +13,10 @@ bit-reproducible and carry one rounding at most, even for heavy-tailed
 magnitudes at n up to 1e7.  ``fsum`` sums each row of a (B, n) float64
 array exactly in NumPy by error-free extraction (Rump, Ogita and Oishi,
 "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
-2008): the whole block at once, with a sigma per row.
+2008): the whole block at once, with a sigma per row.  Each row stops as
+soon as a certified bound shows that its remainder can no longer move the
+rounding (as AccSum and NearSum do, part II of the same paper), which is
+after one level for almost every row.
 
 Computation is on blocks of B samples of one size n, ``Rows``: means and
 sums are (B, 1) columns that broadcast against the (B, n) terms the way
@@ -42,25 +45,43 @@ def fsum(values):
     each the bits of ``math.fsum`` of its row; a 1-D array is the one-row
     case and gives a float.  Rows are summed in NumPy by error-free
     extraction (Rump, Ogita and Oishi, 2008), the whole block at once with
-    a sigma per row.  Let L = (n + 1).bit_length(), so 2**L >= n + 2, and
-    take each level of a row at sigma = 2**(e + L), where max|r| < 2**e for
-    the row's remainder r (its data at the first level).  Then
+    a sigma per row, level by level (``_extract_level``).  Each level's row
+    sum tau_k is exact, so after level k a row's sum is S_k + sum(r), where
+    S_k = tau_1 + ... + tau_k and r is the remainder the level leaves.
 
-    - q = (sigma + r) - sigma is exact (Sterbenz), and so is r - q, the
-      rounding error of sigma + r;
-    - every q_i is a multiple of 2**-53 * sigma with |q_i| <= 2**e, so every
-      partial sum of the q_i, in any order, is such a multiple below sigma
-      in magnitude and hence a float: the row sum of q is exact;
-    - the new remainder r - q is at most 2**-53 * sigma in magnitude, so e
-      falls by at least 52 - L per level until r is all zero.
+    A row stops at the first level where the remainder can no longer move
+    the rounding (AccSum and NearSum; Rump, Ogita and Oishi, "Accurate
+    floating-point summation part II", SIAM J. Sci. Comput. 31(2), 2008).
+    Let t be the plain NumPy sum of r and u = 2**-53.  Every |r_i| is at
+    most 2**-53 * sigma, and any order of the n - 1 rounded additions,
+    pairwise or recursive, is within gamma_{n-1} * sum|r_i| of the exact
+    sum, gamma_{n-1} = (n - 1) u / (1 - (n - 1) u) (Higham, "Accuracy and
+    stability of numerical algorithms", 2nd ed., 2002, section 4.2).  So
 
-    The level sums then add up to the exact total, and ``math.fsum`` of them
-    rounds it correctly, as ``math.fsum`` of the row would.  A row that
-    runs out of levels before the others adds zeros.  An empty row, a row
-    holding a NaN or an infinity, an all-zero row and a row with magnitudes
-    of 2**(1020 - L) or more, where sigma could overflow, goes to
-    ``math.fsum`` itself, which keeps its NaN, infinity and overflow
-    behaviour; so do lists and arrays of other types or shapes.
+        |sum(r) - t| <= err = gamma_{n-1} * n * 2**-53 * sigma,
+
+    computed rounded up.  Underflow leaves the bound intact: a sum of
+    floats that is subnormal is exact, and if err rounds in the subnormal
+    range, sum(r) - t, a multiple of 2**-1074 no larger than err before
+    rounding, is no larger than err after it.
+
+    The stop rule: a row is settled when S_k + t - err and S_k + t + err
+    round to the same float, which is then the rounding of its sum.  After
+    the first level S_1 = tau_1 is a float and the whole block is tested
+    at once: with s + e = tau_1 + t exactly (TwoSum), the row is settled at
+    s when |e| + err is below half the gap from |s| to the next float
+    towards zero, the narrower gap below a power of two.  A sum of zero or
+    in the subnormal range never settles this way.  The rare rows that go
+    on are tested by ``math.fsum`` of their level sums, t and -err or +err,
+    and a row whose remainder is all zero is settled at ``math.fsum`` of
+    its level sums.  A row whose |S_k| is too small for 2 * err to fit in
+    one rounding gap skips t and goes on.
+
+    An empty row, a row holding a NaN or an infinity, an all-zero row and
+    a row with magnitudes of 2**(1020 - L) or more, where sigma could
+    overflow (L = (n + 1).bit_length()), goes to ``math.fsum`` itself,
+    which keeps its NaN, infinity and overflow behaviour; so do lists and
+    arrays of other types or shapes.
     """
     if isinstance(values, np.ndarray):
         if values.dtype == np.float64 and values.ndim in (1, 2):
@@ -77,30 +98,113 @@ def _row_sums(rows: np.ndarray, fallback) -> np.ndarray:
     q = np.abs(rows)
     m = np.maximum.reduce(q, axis=1, initial=0.0)  # 0 for an empty row
     inside = (0.0 < m) & (m < math.ldexp(1.0, 1020 - L))  # also False for NaN
+    if np.count_nonzero(inside) == len(inside):
+        return _extracted_row_sums(rows, m, L, q)
     sums = np.empty(rows.shape[0])
     for i in np.flatnonzero(~inside).tolist():
         sums[i] = fallback(rows[i].tolist())
-    if not inside.all():
-        rows, m, q = rows[inside], m[inside], q[inside]
-    sums[inside] = _extracted_row_sums(rows, m, L, q)
+    sums[inside] = _extracted_row_sums(rows[inside], m[inside], L, q[inside])
     return sums
 
 
-def _extracted_row_sums(rows: np.ndarray, m: np.ndarray, L: int, q: np.ndarray) -> list:
+def _extract_level(r: np.ndarray, sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """One extraction level of the rows ``r``: their exact row sums at the
+    units of the (B,) column ``sigma``; the remainder is left in ``q``.
+
+    Let L = (n + 1).bit_length(), so 2**L >= n + 2, and let
+    sigma = 2**(e + L) per row, where max|r| < 2**e.  Then
+
+    - q = (sigma + r) - sigma is exact (Sterbenz), and so is r - q, the
+      rounding error of sigma + r;
+    - every q_i is a multiple of 2**-53 * sigma with |q_i| <= 2**e, so every
+      partial sum of the q_i, in any order, is such a multiple below sigma
+      in magnitude and hence a float: the row sum of q is exact;
+    - the new remainder r - q is at most 2**-53 * sigma in magnitude, so e
+      falls by at least 52 - L per level until r is all zero.
+    """
+    sigma = sigma[:, None]
+    np.add(r, sigma, out=q)
+    q -= sigma
+    tau = np.add.reduce(q, axis=1)
+    np.subtract(r, q, out=q)
+    return tau
+
+
+def _extracted_row_sums(rows: np.ndarray, m: np.ndarray, L: int, q: np.ndarray) -> np.ndarray:
     """The exactly rounded row sums of ``rows``, every row inside the
     extraction domain with max|row| = ``m``, by one extraction of the whole
-    block with a sigma per row; ``q`` is a buffer of the shape of ``rows``
-    that the levels overwrite."""
-    rest = np.empty_like(q)
-    r, level_sums = rows, []
-    while m.any():
-        sigma = np.ldexp(1.0, np.frexp(m)[1] + L)[:, None]
-        np.add(r, sigma, out=q)
-        q -= sigma
-        level_sums.append(np.add.reduce(q, axis=1).tolist())
-        r = np.subtract(r, q, out=rest)
-        m = np.maximum.reduce(np.abs(r, out=q), axis=1)
-    return [math.fsum(levels) for levels in zip(*level_sums)]
+    block with a sigma per row that stops each row once it is settled (see
+    ``fsum``); ``q`` is a buffer of the shape of ``rows`` that the first
+    level overwrites.  A second buffer is made only for rows that go on."""
+    n = rows.shape[1]
+    g = (n - 1) * 2.0 ** -53
+    # err = ratio * sigma (see fsum): the factor 1 + 2**-49 covers the three
+    # roundings of ratio, and the product with a power of two is exact.
+    ratio = n * 2.0 ** -53 * g / (1.0 - g) * (1.0 + 2.0 ** -49)
+    # Two ends 2 * err apart round to one float only if err is at most
+    # 2**-53 * |S_k + t| <= 2**-53 * (|S_k| + 2**(L - 52) * sigma); with a
+    # factor 2 to spare, a row whose |S_k| is at most reach * sigma cannot
+    # settle at this level and skips t.
+    reach = ratio * 2.0 ** 52 - 2.0 ** (L - 52)
+    # np.count_nonzero tests masks: any() and all() cost several times more
+    # on the (B,) columns.
+    r, levels, head = rows, [], None
+    while True:
+        sigma = np.ldexp(2.0 ** L, np.frexp(m)[1])
+        tau = _extract_level(r, sigma, q)
+        levels.append(tau)
+        # The remainder is in q; the old r is the next scratch buffer, but
+        # never the caller's rows.
+        r, q = q, None if head is None else r
+        if head is None:
+            head, tried = tau, np.abs(tau) > reach * sigma
+            if np.count_nonzero(tried):
+                t, err = np.add.reduce(r, axis=1), ratio * sigma
+                sums = tau + t
+                z = sums - tau
+                e = (tau - (sums - z)) + (t - z)  # sums + e = tau + t exactly (TwoSum)
+                a = np.abs(sums)
+                settled = np.abs(e) + err < (a - np.nextafter(a, 0.0)) * 0.5
+                if np.count_nonzero(settled) == len(settled):
+                    return sums
+            else:
+                sums, settled = np.empty(len(tau)), tried
+            place = np.arange(len(tau))
+        else:
+            # Past the first level max|r| comes first: the next level needs
+            # it, and a row whose remainder is all zero is settled at once.
+            m = np.maximum.reduce(np.abs(r, out=q), axis=1)
+            settled = m == 0.0
+            zeros = np.count_nonzero(settled)
+            if zeros:
+                pick = slice(None) if zeros == len(settled) else settled
+                sums[place[pick]] = [math.fsum(terms) for terms in
+                                     zip(*[level[pick].tolist() for level in levels])]
+                if zeros == len(settled):
+                    return sums
+            head = head + tau
+            tried = np.abs(head) > reach * sigma
+            if np.count_nonzero(tried):
+                t, err = np.add.reduce(r, axis=1), ratio * sigma
+                columns = [level.tolist() for level in levels]
+                for i, (ti, ei, try_i) in enumerate(zip(t.tolist(), err.tolist(),
+                                                        (tried & ~settled).tolist())):
+                    if try_i:
+                        terms = [column[i] for column in columns] + [ti]
+                        low = math.fsum(terms + [-ei])
+                        if low == math.fsum(terms + [ei]):
+                            sums[place[i]], settled[i] = low, True
+        done = np.count_nonzero(settled)
+        if done == len(settled):
+            return sums
+        if q is None:
+            q = np.empty_like(r)
+        if done:
+            keep = ~settled
+            place, r, head, m, *levels = [a[keep] for a in (place, r, head, m, *levels)]
+            q = q[:len(place)]
+        if len(levels) == 1:
+            m = np.maximum.reduce(np.abs(r, out=q), axis=1)
 
 
 def _fsum_or_inf(values: list) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import PROP_CASES
-from eivreg import Dataset, SideInfo, estimate, moment_set
+from eivreg import Dataset, SideInfo, estimate, moment_set, moments
 from eivreg.moments import fsum
 
 REL = 1e-10
@@ -327,14 +327,56 @@ def test_fsum_empty_shapes():
         assert list(map(repr, sums.tolist())) == ["0.0"] * shape[0]
 
 
-def _levels(row: np.ndarray, monkeypatch) -> int:
-    """How many levels fsum extracts from ``row`` alone: the number of level
-    sums it hands to math.fsum."""
-    calls, real = [], math.fsum
+def _stop(row, monkeypatch):
+    """The level at which fsum settles ``row`` alone, and whether the row's
+    remainder was all zero by then."""
+    zero, real = [], moments._extract_level
     with monkeypatch.context() as patch:
-        patch.setattr(math, "fsum", lambda values: calls.append(len(values)) or real(values))
-        fsum(row[None, :])
-    return calls[0]
+        def counted(r, sigma, q):
+            tau = real(r, sigma, q)
+            zero.append(not q.any())
+            return tau
+
+        patch.setattr(moments, "_extract_level", counted)
+        fsum(np.array(row, dtype=float)[None, :])
+    return len(zero), zero[-1]
+
+
+# Rows of n = 6 (L = 3) whose first sigma is 16 or 32: after the first level
+# every remainder entry is at most 2**-53 * sigma, and err is 30.0000...
+# units of 2**-102 at sigma = 16.  _ERR_GAP lies between err / 2 and err.
+_ERR_GAP = 20 * 2.0 ** -102
+_STOP_ROWS = {
+    # Settled at the first level by the test.
+    "one_level": ([3.0, -1.0, 2.0, 0.5, 0.0, 0.0], (1, True)),
+    "two_levels": ([1.0, 2.0 ** -60, -0.25, 0.0, 0.0, 0.0], (1, False)),
+    "three_levels": ([1.0, 2.0 ** -60, 2.0 ** -130, -3.0, 0.0, 0.0], (1, False)),
+    # An exact tie of 1 and 1 + 2**-52 (to even), then the same tie broken
+    # by 2**-100: neither can settle while err covers the midpoint.  The
+    # first settles only when its remainder is zero, the second by the test
+    # at the second level, with 2**-200 left in its remainder.
+    "tie": ([1.0, 2.0 ** -53, 0.0, 0.0, 0.0, 0.0], (2, True)),
+    "above_tie": ([1.0, 2.0 ** -53, 2.0 ** -100, 2.0 ** -200, 0.0, 0.0], (2, False)),
+    # _ERR_GAP from the midpoint, above it and below it: err reaches the
+    # midpoint and err / 2 would not, so these settle at the second level,
+    # and would settle at the first with half the bound.
+    "err_above": ([1.0, 2.0 ** -53, _ERR_GAP, 0.0, 0.0, 0.0], (2, True)),
+    "err_below": ([1.5, 2.0 ** -53, -_ERR_GAP, 0.0, 0.0, 0.0], (2, True)),
+    # S_1 = 0: nothing settles before the remainder is zero, or before
+    # the level that holds the sum.
+    "cancels_to_zero": ([1.0, -1.0, 2.0 ** -60, -(2.0 ** -60), 0.0, -0.0], (2, True)),
+    "many_levels": ([1e300, 1.0, -1e300, 2.0 ** -1000, 2.0 ** -130, -0.0], (3, False)),
+    # A sum in the subnormal range never settles by the test.
+    "subnormal": ([5e-324, -1e-310, 1e-310, 0.0, -0.0, 5e-324], (2, True)),
+}
+
+
+def test_fsum_stop_levels(monkeypatch):
+    # A row stops at the first level where S_k + t - err and S_k + t + err
+    # round to the same float, or where its remainder is all zero.
+    for kind, (row, stop) in _STOP_ROWS.items():
+        assert _stop(row, monkeypatch) == stop, kind
+        assert _same(fsum(np.array(row)), math.fsum(row)), kind
 
 
 def test_fsum_rows_are_independent(monkeypatch):
@@ -356,16 +398,100 @@ def test_fsum_rows_are_independent(monkeypatch):
         "huge": [3e307, -2e307, 1.0, 0.0, 0.0, 0.0],
     }
     block = np.array(list(rows.values()))
-    levels = {kind: _levels(block[i], monkeypatch) for i, kind in enumerate(rows)
-              if kind in ("one_level", "two_levels", "three_levels", "many_levels")}
-    assert levels["one_level"] == 1 and levels["two_levels"] == 2
-    assert levels["three_levels"] == 3 and levels["many_levels"] > 3
+    stops = {kind: _stop(block[i], monkeypatch)[0] for i, kind in enumerate(rows)
+             if kind in ("one_level", "two_levels", "three_levels", "many_levels")}
+    assert stops == {"one_level": 1, "two_levels": 1, "three_levels": 1, "many_levels": 3}
     rng = np.random.default_rng(11)
     for _ in range(20):
         view = block[rng.permutation(len(block))]
         got = list(map(repr, fsum(view).tolist()))
         assert got == [repr(fsum(view[i:i + 1]).item()) for i in range(len(view))]
         assert got == [repr(math.fsum(row)) for row in view.tolist()]
+
+
+def _gensum(n: int, cond: float, rng) -> np.ndarray:
+    """n floats whose sum is ill-conditioned, built the way GenSum builds
+    them (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J.
+    Sci. Comput. 26(6), 2005): the first half has random signs and
+    exponents up to b = log2(cond), the largest first and 0 last; each
+    entry of the second half is a random number of exponent falling from b
+    to 0, minus the sum so far.  The sum is then of order 1 and
+    sum|x| / |sum x| of order cond, within a factor of n."""
+    b = round(math.log2(cond))
+    half = max(n // 2, 1)
+    exponents = rng.integers(0, b + 1, half)
+    exponents[-1], exponents[0] = 0, b
+    x = np.empty(n)
+    x[:half] = rng.uniform(-1.0, 1.0, half) * np.exp2(exponents)
+    # The sum so far as an unevaluated pair hi + lo of about 106 bits.
+    hi = math.fsum(x[:half].tolist())
+    lo = math.fsum(x[:half].tolist() + [-hi])
+    later = np.rint(np.linspace(b, 0, n - half + 1)[1:]).tolist()
+    for i, (u, e) in enumerate(zip(rng.uniform(-1.0, 1.0, n - half).tolist(), later), half):
+        x[i] = math.fsum([u * 2.0 ** e, -hi, -lo])
+        total = [hi, lo, x[i]]
+        hi = math.fsum(total)
+        lo = math.fsum(total + [-hi])
+    return rng.permutation(x)
+
+
+def _near_midpoint(n: int, side: int, rng, power_of_two: bool = False) -> np.ndarray:
+    """n floats summing exactly to a rounding midpoint plus ``side`` units
+    of the last bit of the remainder (side in -1, 0, 1): a head f, half
+    the gap from f to its neighbour plus those units, and pairs (a, -a) of
+    random magnitudes.  Pairs above f split f across levels; pairs below it
+    make the plain sum of the remainder lose bits.  With ``power_of_two``,
+    f is a power of two and the midpoint lies in the narrower gap below
+    it."""
+    k = int(rng.integers(-30, 30))
+    f = math.ldexp(1.0, k) if power_of_two else math.ldexp(float(rng.uniform(1.0, 2.0)), k)
+    half = -(f - math.nextafter(f, 0.0)) / 2 if power_of_two else math.ulp(f) / 2
+    unit = math.ldexp(abs(half), -int(rng.integers(1, 52)))
+    head = [f, half + side * unit]
+    x = np.zeros(n)
+    x[:2] = head
+    pairs = (n - 2) // 2
+    a = np.ldexp(rng.uniform(1.0, 2.0, pairs), rng.integers(k - 70, k + 20, pairs))
+    x[len(head):len(head) + pairs] = a
+    x[len(head) + pairs:len(head) + 2 * pairs] = -a
+    return rng.choice([-1.0, 1.0]) * rng.permutation(x)
+
+
+def _zero_sum(n: int, rng) -> np.ndarray:
+    """n floats of cancelling pairs at random scales, with negative zeros:
+    the level sums cancel, and the sum is +0.0."""
+    pairs = n // 2
+    a = np.ldexp(rng.uniform(-2.0, 2.0, pairs), rng.integers(-80, 80, pairs))
+    return rng.permutation(np.concatenate([a, -a, np.full(n - 2 * pairs, -0.0)]))
+
+
+def _adversarial_rows(n: int, rng) -> list:
+    rows = [np.abs(_gensum(n, 1.0, rng))]  # condition number 1
+    rows += [_gensum(n, cond, rng) for cond in (1e4, 1e8, 1e16, 1e24, 1e30)]
+    rows += [_near_midpoint(n, side, rng, power) for side in (-1, 0, 1)
+             for power in (False, True)]
+    rows.append(_zero_sum(n, rng))
+    # Scaled into the subnormal range: remainders are subnormal and err
+    # underflows.
+    return rows + [np.ldexp(row, -1040) for row in rows]
+
+
+@pytest.mark.parametrize("n", [2, 50, 2000, 200000])
+def test_fsum_adversarial_rows_match_math_fsum(n):
+    # GenSum rows of condition numbers 1 to 1e30, rows on a rounding
+    # midpoint or one remainder unit either side of it (also in the narrower
+    # gap below a power of two), rows whose level sums cancel to zero, and
+    # all of these with subnormal remainders: each row alone and in a block
+    # of rows keeps the bits of math.fsum, sign of zero included.
+    rng = np.random.default_rng(n + 7)
+    for _ in range(1 if n > 2000 else 12):
+        rows = _adversarial_rows(n, rng)
+        want = [math.fsum(row.tolist()) for row in rows]
+        for row, w in zip(rows, want):
+            assert _same(fsum(row), w), n
+        if n <= 2000:
+            got = fsum(np.stack(rows))
+            assert all(_same(g, w) for g, w in zip(got.tolist(), want)), n
 
 
 def _raised_text(node: ast.Raise) -> str:
