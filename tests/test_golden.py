@@ -133,6 +133,10 @@ CASES = [
     exp_case("exp_degeneracy_k2_c0_w2", "2", name="degeneracy", case=1, c=0, k=2,
              n_values=(3, 10), gamma=0.001),
     exp_case("exp_guard_failures_w1", name="coverage14", side={"theta": 1e9}),
+    # Every replication fails its guard: the null aggregates of each record.
+    exp_case("exp_all_failed_normality_w1", name="normality", side={"theta": 1e9}),
+    exp_case("exp_all_failed_rate_w1", name="rate", side={"theta": 1e9}),
+    exp_case("exp_all_failed_naive_w1", name="naive_consistency", side={"theta": 1e9}),
     exp_case("exp_mixed_guards_coverage15_w1", name="coverage15", n_values=(3,),
              reps=40, side={"theta": 0.9}),
     exp_case("exp_seed_gamma_override_w2", "2", ("--seed", "3", "--gamma", "0.1"),
