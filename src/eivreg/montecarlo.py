@@ -23,10 +23,12 @@ Replication r of a block is drawn into row r of (B, n) arrays, and each
 sub-block of at most ``_BLOCK_ELEMENTS`` draws per series is evaluated at
 once by the library functions on ``moments.Rows``: the one-sample
 functions are the one-row case of the same code, so each row gets the
-outcome its own call would give.  Guard violations, zero normalizers and
-degenerate inversions are counted per replication, never raised; any
-other failure stops the run with the error of the first replication that
-meets it.  Coverage is computed over the non-failed replications with
+outcome its own call would give.  A replication's outcome is an int8
+code, its index in ``OUTCOMES`` (scored, a degenerate inversion, a zero
+normalizer or a guard violation: counted, never raised), and a row of
+values, such as an interval's hit and width, read only when scored.  Any
+other failure stops the run with the error of the first replication
+that meets it.  Coverage is computed over the scored replications with
 the failure rate reported alongside, so covered + missed + failed always
 equals the replication count.
 """
@@ -36,36 +38,35 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .diagnostics import empirical_bn, ks_distance_to_normal
 from .errors import GuardViolation, ZeroNormalizer
-from .estimators import SideInfo, estimate, naive_ratio_estimates
-from .inference import (
-    DEGENERACY_NONE,
-    INTERCEPT_VARIANTS,
-    SLOPE_VARIANTS,
-    check_intercept_model,
-    check_k,
-    check_quadratic,
-    ci_intercept,
-    ci_slope_plugin,
-    ci_slope_quadratic,
-    intercept_statistic,
-    slope_statistic,
-)
+from .estimators import (GUARD_SXX_MINUS_THETA, GUARD_SXY_MINUS_MU, GUARD_SYY_MINUS_LAMBDA_THETA,
+                         SideInfo, estimate, naive_ratio_estimates)
+from .inference import (DEGENERACY_DISCRIMINANT, DEGENERACY_LEADING, DEGENERACY_NONE,
+                        INTERCEPT_VARIANTS, SLOPE_VARIANTS, check_intercept_model, check_k,
+                        check_quadratic, ci_intercept, ci_slope_plugin, ci_slope_quadratic,
+                        intercept_statistic, slope_statistic)
 from .moments import Rows, fsum, quiet_overflow
 from .samplers import (ROLE_ERRORS, ROLE_XI, XI_FAMILIES, ModelSpec, _observe,
                        _philox_generator, _reset, philox_keys, sample_errors, sample_xi)
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
-           "EXPERIMENTS", "PIVOTS", "WORKERS_ENV"]
+           "EXPERIMENTS", "OUTCOMES", "PIVOTS", "WORKERS_ENV"]
 
 PIVOTS = (tuple(f"slope_{v}" for v in SLOPE_VARIANTS)
           + tuple(f"intercept_{v}" for v in INTERCEPT_VARIANTS))
+
+ZERO_NORMALIZER = "zero_normalizer"
+# A replication's outcome code is its index here: scored, the degenerate
+# inversions (_DEGENERATE), then the failures (_FAILED).
+OUTCOMES = (DEGENERACY_NONE, DEGENERACY_LEADING, DEGENERACY_DISCRIMINANT, ZERO_NORMALIZER,
+            GUARD_SXY_MINUS_MU, GUARD_SYY_MINUS_LAMBDA_THETA, GUARD_SXX_MINUS_THETA)
+_SCORED, _DEGENERATE, _FAILED, _UNSCORED = 0, slice(1, 3), slice(3, None), slice(1, None)
 
 # Worker-count override; the result must not (and does not) depend on it.
 WORKERS_ENV = "EIVREG_WORKERS"
@@ -150,21 +151,21 @@ def _replicate(config: ExperimentConfig, rngs: tuple, keys: tuple, y: np.ndarray
     _observe(spec, xi, *sample_errors(spec.err, xi.size, _reset(rngs[1], keys[1])), y, x)
 
 
-def _tagged(error: Optional[Exception], outcome: tuple) -> tuple:
-    """A row's outcome: its own, or the tag of the guard or zero normalizer
-    it failed; any other failure stops the run with the row's error."""
+def _row_code(error: Optional[Exception], kind: str) -> int:
+    """A row's outcome code: the guard or zero normalizer it failed, else its
+    degeneracy kind; any other failure stops the run with the row's error."""
     if error is None:
-        return outcome
+        return OUTCOMES.index(kind)
     if isinstance(error, GuardViolation):
-        return ("guard", error.guard)
+        return OUTCOMES.index(error.guard)
     if isinstance(error, ZeroNormalizer):
-        return ("zero", None)
+        return OUTCOMES.index(ZERO_NORMALIZER)
     raise error
 
 
-def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) -> list:
-    """Outcomes of replications start..stop-1, in order.  Replication r
-    draws from the streams ``substream((seed, n, r), role)``, whatever
+def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) -> tuple:
+    """(codes, values) of replications start..stop-1, in order.  Replication
+    r draws from the streams ``substream((seed, n, r), role)``, whatever
     block it runs in.  The block is evaluated in sub-blocks of at most
     ``_BLOCK_ELEMENTS`` draws per series, each as (B, n) arrays."""
     keys = philox_keys(config.seed, n, range(start, stop), (ROLE_XI, ROLE_ERRORS))
@@ -176,16 +177,22 @@ def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) ->
         y, x, xi = np.empty((3, count, n))
         for i, rep_keys in enumerate(zip(keys[0, lo:lo + count], keys[1, lo:lo + count])):
             _replicate(config, rngs, rep_keys, y[i], x[i], xi[i])
-        rows = Rows(y, x, xi)
-        values = _evaluate(config, rows)
-        outcomes += map(_tagged, rows.status.errors, values)
-    return outcomes
+        outcomes.append(_evaluate(config, Rows(y, x, xi)))
+    return _joined(outcomes)
 
 
 @quiet_overflow
-def _evaluate(config: ExperimentConfig, rows: Rows) -> list:
-    """The outcomes of a sub-block, under one floating-point error state."""
-    return EXPERIMENTS[config.experiment].outcome(config, rows)
+def _evaluate(config: ExperimentConfig, rows: Rows) -> tuple:
+    """(codes, values) of a sub-block, under one floating-point error state."""
+    kinds, values = EXPERIMENTS[config.experiment].outcome(config, rows)
+    kinds = np.broadcast_to(kinds, (len(values), 1)).ravel().tolist()
+    return np.fromiter(map(_row_code, rows.status.errors, kinds), np.int8, len(kinds)), values
+
+
+def _joined(outcomes) -> tuple:
+    """The (codes, values) of consecutive blocks as one pair."""
+    codes, values = zip(*outcomes)
+    return np.concatenate(codes), np.concatenate(values)
 
 
 def _worker_count() -> int:
@@ -201,8 +208,8 @@ def _worker_count() -> int:
     return count
 
 
-def _map_replications(config: ExperimentConfig, n: int) -> list:
-    """Outcomes for replications 0..M-1, in replication order.
+def _map_replications(config: ExperimentConfig, n: int) -> tuple:
+    """(codes, values) of replications 0..M-1, in replication order.
 
     Replications are independent and run in blocks; with several workers
     the blocks run in a process pool, and the ordered collection makes the
@@ -215,76 +222,66 @@ def _map_replications(config: ExperimentConfig, n: int) -> list:
     starts = range(0, total, block)
     stops = [min(start + block, total) for start in starts]
     if serial:
-        return list(chain.from_iterable(
-            map(_replicate_block, repeat(config), repeat(n), starts, stops)))
+        return _joined(map(_replicate_block, repeat(config), repeat(n), starts, stops))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(chain.from_iterable(
-            pool.map(_replicate_block, repeat(config), repeat(n), starts, stops)))
+        return _joined(pool.map(_replicate_block, repeat(config), repeat(n), starts, stops))
 
 
-def _scored(ci, truth: float) -> list:
-    covered = ((ci.lower <= truth) & (truth <= ci.upper)).ravel().tolist()
-    widths = (ci.upper - ci.lower).ravel().tolist()
-    kinds = (repeat(ci.degeneracy) if isinstance(ci.degeneracy, str)
-             else ci.degeneracy.ravel().tolist())
-    return [("ok", hit, width) if kind == DEGENERACY_NONE else ("degenerate", kind)
-            for hit, width, kind in zip(covered, widths, kinds)]
+def _scored(ci, truth: float) -> tuple:
+    covered = (ci.lower <= truth) & (truth <= ci.upper)
+    return ci.degeneracy, np.hstack((covered, ci.upper - ci.lower))
 
 
-def _coverage14(config: ExperimentConfig, rows: Rows) -> list:
+def _coverage14(config: ExperimentConfig, rows: Rows) -> tuple:
     return _scored(ci_slope_plugin(rows, config.side, config.gamma), config.spec.beta)
 
 
-def _coverage15(config: ExperimentConfig, rows: Rows) -> list:
+def _coverage15(config: ExperimentConfig, rows: Rows) -> tuple:
     return _scored(ci_intercept(rows, config.side, config.gamma), config.spec.alpha)
 
 
-def _coverage16(config: ExperimentConfig, rows: Rows) -> list:
+def _coverage16(config: ExperimentConfig, rows: Rows) -> tuple:
     return _scored(ci_slope_quadratic(rows, config.side, config.k, config.gamma), config.spec.beta)
 
 
-def _normality(config: ExperimentConfig, rows: Rows) -> list:
+def _normality(config: ExperimentConfig, rows: Rows) -> tuple:
     spec, side, pivot = config.spec, config.side, config.pivot
     if pivot.startswith("slope_"):
         values = slope_statistic(rows, side, spec.beta, pivot.removeprefix("slope_"))
     else:
         values = intercept_statistic(rows, side, spec.alpha, beta=spec.beta,
                                      variant=pivot.removeprefix("intercept_"))
-    return [("ok", value) for value in values.ravel().tolist()]
+    return DEGENERACY_NONE, values
 
 
-def _ok(*columns) -> list:
-    """("ok", ...) outcomes whose fields are the rows of ``columns``."""
-    return [("ok", *fields) for fields in zip(*(
-        repeat(None) if column is None else column.ravel().tolist() for column in columns))]
-
-
-def _rate(config: ExperimentConfig, rows: Rows) -> list:
+def _rate(config: ExperimentConfig, rows: Rows) -> tuple:
+    # Columns |beta error|, b_n |beta error| and, with an intercept, |alpha error|.
     spec, side = config.spec, config.side
     est = estimate(rows, side)
-    bn = empirical_bn(rows.xi, rows.status)
     abs_beta = np.abs(est.beta_hat - spec.beta)
-    abs_alpha = np.abs(est.alpha_hat - spec.alpha) if side.c == 1 else None
-    return _ok(abs_beta, abs_alpha, bn * abs_beta)
+    columns = (abs_beta, empirical_bn(rows.xi, rows.status) * abs_beta)
+    if side.c == 1:
+        columns += (np.abs(est.alpha_hat - spec.alpha),)
+    return DEGENERACY_NONE, np.hstack(columns)
 
 
-def _naive(config: ExperimentConfig, rows: Rows) -> list:
+def _naive(config: ExperimentConfig, rows: Rows) -> tuple:
     beta = config.spec.beta
     naive = naive_ratio_estimates(rows, config.side.c)
     est = estimate(rows, config.side)
-    return _ok(np.abs(naive.beta_a - beta), np.abs(naive.beta_b - beta),
-               np.abs(est.beta_hat - beta))
+    return DEGENERACY_NONE, np.abs(np.hstack((naive.beta_a, naive.beta_b, est.beta_hat)) - beta)
 
 
-def _median(values: list) -> Optional[float]:
-    if not values:
-        return None
-    return float(np.median(np.asarray(values, dtype=float)))
+def _median(values: np.ndarray) -> Optional[float]:
+    return float(np.median(values)) if values.size else None
 
 
-def _base_record(n: int, config: ExperimentConfig, outcomes: list,
-                 failed: Tuple[str, ...] = ("guard", "zero")) -> dict:
-    failures = sum(1 for o in outcomes if o[0] in failed)
+def _count(codes: np.ndarray, outcomes: slice) -> int:
+    """How many replications have an outcome code in ``outcomes``."""
+    return int(np.bincount(codes, minlength=len(OUTCOMES))[outcomes].sum())
+
+
+def _base_record(n: int, config: ExperimentConfig, failures: int) -> dict:
     return {
         "n": n,
         "replications": config.replications,
@@ -293,55 +290,53 @@ def _base_record(n: int, config: ExperimentConfig, outcomes: list,
     }
 
 
-def _aggregate_coverage(n: int, config: ExperimentConfig, outcomes: list) -> dict:
+def _aggregate_coverage(n: int, config: ExperimentConfig, codes, values) -> dict:
     # Degenerate inversions cannot be scored for coverage; they count as
     # failures but are also reported on their own.
-    record = _base_record(n, config, outcomes, ("guard", "zero", "degenerate"))
-    record["degenerate_count"] = sum(1 for o in outcomes if o[0] == "degenerate")
-    covered = sum(1 for o in outcomes if o[0] == "ok" and o[1])
-    missed = sum(1 for o in outcomes if o[0] == "ok" and not o[1])
-    widths = [o[2] for o in outcomes if o[0] == "ok"]
+    record = _base_record(n, config, _count(codes, _UNSCORED))
+    record["degenerate_count"] = _count(codes, _DEGENERATE)
+    hits, widths = values[codes == _SCORED].T
+    covered = int(np.count_nonzero(hits))
     record["covered_count"] = covered
-    record["miss_count"] = missed
-    record["coverage"] = covered / (covered + missed) if covered + missed else None
-    record["mean_width"] = fsum(widths) / len(widths) if widths else None
+    record["miss_count"] = hits.size - covered
+    record["coverage"] = covered / hits.size if hits.size else None
+    record["mean_width"] = fsum(widths) / widths.size if widths.size else None
     return record
 
 
-def _aggregate_normality(n: int, config: ExperimentConfig, outcomes: list) -> dict:
-    record = _base_record(n, config, outcomes)
-    values = [o[1] for o in outcomes if o[0] == "ok"]
-    record["pivot_count"] = len(values)
-    record["ks"] = ks_distance_to_normal(values) if values else None
+def _aggregate_normality(n: int, config: ExperimentConfig, codes, values) -> dict:
+    record = _base_record(n, config, _count(codes, _FAILED))
+    pivots = values[codes == _SCORED, 0]
+    record["pivot_count"] = pivots.size
+    record["ks"] = ks_distance_to_normal(pivots) if pivots.size else None
     return record
 
 
-def _aggregate_rate(n: int, config: ExperimentConfig, outcomes: list) -> dict:
-    record = _base_record(n, config, outcomes)
-    ok = [o for o in outcomes if o[0] == "ok"]
-    record["median_abs_error"] = _median([o[1] for o in ok])
-    alphas = [o[2] for o in ok if o[2] is not None]
-    record["median_abs_error_intercept"] = _median(alphas)
-    record["scaled_error_median"] = _median([o[3] for o in ok])
+def _aggregate_rate(n: int, config: ExperimentConfig, codes, values) -> dict:
+    record = _base_record(n, config, _count(codes, _FAILED))
+    scored = values[codes == _SCORED]
+    record["median_abs_error"] = _median(scored[:, 0])
+    # Empty, hence None, without an intercept column.
+    record["median_abs_error_intercept"] = _median(scored[:, 2:])
+    record["scaled_error_median"] = _median(scored[:, 1])
     return record
 
 
-def _aggregate_naive(n: int, config: ExperimentConfig, outcomes: list) -> dict:
-    record = _base_record(n, config, outcomes)
-    ok = [o for o in outcomes if o[0] == "ok"]
-    record["median_abs_error_naive_a"] = _median([o[1] for o in ok])
-    record["median_abs_error_naive_b"] = _median([o[2] for o in ok])
-    record["median_abs_error_modified"] = _median([o[3] for o in ok])
+def _aggregate_naive(n: int, config: ExperimentConfig, codes, values) -> dict:
+    record = _base_record(n, config, _count(codes, _FAILED))
+    naive_a, naive_b, modified = values[codes == _SCORED].T
+    record["median_abs_error_naive_a"] = _median(naive_a)
+    record["median_abs_error_naive_b"] = _median(naive_b)
+    record["median_abs_error_modified"] = _median(modified)
     # The ratio S_xy/S_xx is the headline naive estimator.
     record["median_abs_error"] = record["median_abs_error_naive_b"]
     return record
 
 
-def _aggregate_degeneracy(n: int, config: ExperimentConfig, outcomes: list) -> dict:
-    record = _base_record(n, config, outcomes)
-    degenerate = sum(1 for o in outcomes if o[0] == "degenerate")
-    record["degenerate_count"] = degenerate
-    record["degeneracy_fraction"] = degenerate / config.replications
+def _aggregate_degeneracy(n: int, config: ExperimentConfig, codes, values) -> dict:
+    record = _base_record(n, config, _count(codes, _FAILED))
+    record["degenerate_count"] = _count(codes, _DEGENERATE)
+    record["degeneracy_fraction"] = record["degenerate_count"] / config.replications
     return record
 
 
@@ -349,10 +344,10 @@ def _aggregate_degeneracy(n: int, config: ExperimentConfig, outcomes: list) -> d
 class _Experiment:
     """Everything particular to one experiment."""
 
-    # (config, block of Rows) -> the tagged outcome tuple of each row; the
-    # caller replaces those of failed rows.
+    # (config, block of B Rows) -> (the degeneracy kind of each row or of
+    # all rows, the (B, k) values of the rows); the caller codes failed rows.
     outcome: Callable
-    # (n, config, outcomes) -> the per-n record.
+    # (n, config, int8 codes, float value rows) -> the per-n record.
     aggregate: Callable
     # Config fields echoed in the report besides the common ones.
     echo: Tuple[str, ...] = ()
@@ -377,7 +372,7 @@ EXPERIMENTS = {
     "normality": _Experiment(_normality, _aggregate_normality, ("pivot",), _normality_rule),
     "rate": _Experiment(_rate, _aggregate_rate),
     "naive_consistency": _Experiment(_naive, _aggregate_naive),
-    # Only the degeneracy tag of a quadratic-interval outcome is counted.
+    # Only the degeneracy codes of quadratic-interval outcomes are counted.
     "degeneracy": _Experiment(_coverage16, _aggregate_degeneracy, ("k",), _quadratic_rule),
 }
 
@@ -416,7 +411,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     aggregate = _AGGREGATE[config.experiment]
     per_n = []
     for n in config.n_values:
-        outcomes = _map_replications(config, n)
-        per_n.append(aggregate(n, config, outcomes))
+        per_n.append(aggregate(n, config, *_map_replications(config, n)))
     return ExperimentReport(experiment=config.experiment, seed=config.seed,
                             config=_config_echo(config), per_n=tuple(per_n))

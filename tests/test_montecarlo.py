@@ -9,10 +9,11 @@ from eivreg import (Dataset, ExperimentConfig, GuardViolation, ModelSpec, SideIn
                     XiDistribution, ZeroNormalizer, ci_intercept, ci_slope_plugin,
                     ci_slope_quadratic, empirical_bn, estimate, intercept_statistic,
                     naive_ratio_estimates, run_experiment, simulate_dataset, slope_statistic)
-from eivreg import montecarlo
+from eivreg import estimators, inference, montecarlo
 from eivreg.jsonout import dumps
 from eivreg.moments import Rows
-from eivreg.montecarlo import EXPERIMENTS, PIVOTS, _evaluate, _replicate_block, _tagged
+from eivreg.montecarlo import (EXPERIMENTS, OUTCOMES, PIVOTS, ZERO_NORMALIZER, _evaluate,
+                               _replicate_block, _row_code)
 from eivreg.samplers import Latent
 
 
@@ -178,10 +179,11 @@ class TestDeterminism:
     def test_replication_streams_keyed_by_seed_n_rep(self):
         # Replication r's outcome depends on (seed, n, r) only: not on the
         # replication count, nor on where its block starts.
-        shorter = _replicate_block(cfg(replications=50), 100, 0, 50)
-        longer = _replicate_block(cfg(replications=200), 100, 0, 200)
+        config = cfg(replications=50)
+        shorter = _as_tuples(config, _replicate_block(config, 100, 0, 50))
+        longer = _as_tuples(config, _replicate_block(cfg(replications=200), 100, 0, 200))
         for rep in (0, 7, 49):
-            alone = _replicate_block(cfg(replications=50), 100, rep, rep + 1)
+            alone = _as_tuples(config, _replicate_block(config, 100, rep, rep + 1))
             assert shorter[rep] == longer[rep] == alone[0]
 
     @pytest.mark.parametrize("replications", [3, 37, 1000])
@@ -260,6 +262,51 @@ def _scalar_outcome(config, data) -> tuple:
         return ("zero", None)
 
 
+GUARDS = {value for name, value in vars(estimators).items() if name.startswith("GUARD_")}
+DEGENERACIES = {value for name, value in vars(inference).items()
+                if name.startswith("DEGENERACY_")}
+
+
+def _as_tuples(config, outcomes) -> list:
+    """A block's (codes, values) as the tagged tuples ``_scalar_outcome``
+    gives: the outcome of each row with its fields."""
+    tuples = []
+    for code, row in zip(*(column.tolist() for column in outcomes)):
+        name = OUTCOMES[code]
+        if name in GUARDS:
+            tuples.append(("guard", name))
+        elif name == ZERO_NORMALIZER:
+            tuples.append(("zero", None))
+        elif name != inference.DEGENERACY_NONE:
+            tuples.append(("degenerate", name))
+        elif config.experiment in ("coverage14", "coverage15", "coverage16", "degeneracy"):
+            tuples.append(("ok", bool(row[0]), row[1]))
+        elif config.experiment == "rate":
+            tuples.append(("ok", row[0], row[2] if config.side.c == 1 else None, row[1]))
+        else:
+            tuples.append(("ok", *row))
+    return tuples
+
+
+def test_outcomes_are_the_guards_degeneracies_and_zero_normalizer():
+    # A new guard or degeneracy kind without an outcome code fails here.
+    assert len(set(OUTCOMES)) == len(OUTCOMES)
+    assert set(OUTCOMES) == GUARDS | DEGENERACIES | {ZERO_NORMALIZER}
+
+
+def test_every_outcome_round_trips_through_its_row_code():
+    # negative_discriminant is reachable only through rounding, since
+    # b = beta1 always lies in the acceptance set; its code is checked here.
+    for name in GUARDS:
+        assert OUTCOMES[_row_code(GuardViolation(name, 0.0), inference.DEGENERACY_NONE)] == name
+    assert OUTCOMES[_row_code(ZeroNormalizer("zero"), inference.DEGENERACY_LEADING)] == \
+        ZERO_NORMALIZER
+    for name in DEGENERACIES:
+        assert OUTCOMES[_row_code(None, name)] == name
+    with pytest.raises(ValueError, match="overflows"):
+        _row_code(ValueError("sum of s_yy overflows the float range"), inference.DEGENERACY_NONE)
+
+
 def _configs(spec_for_c, n, reps, gamma, known=0.25):
     """Every experiment, pivot, case, intercept flag and quadratic variant,
     with the known error variance ``known`` in both cases."""
@@ -307,9 +354,7 @@ def _mixed_rows(n=6):
 
 def _block_outcomes(config, rows):
     y, x, xi = (np.stack(part) for part in zip(*rows))
-    block = Rows(y, x, xi)
-    values = _evaluate(config, block)
-    return list(map(_tagged, block.status.errors, values))
+    return _evaluate(config, Rows(y, x, xi))
 
 
 def test_block_outcomes_equal_scalar_outcomes():
@@ -317,13 +362,15 @@ def test_block_outcomes_equal_scalar_outcomes():
     # library calls give it, bit for bit, whatever its neighbours do.
     rows = _mixed_rows()
     specs = {c: _spec(M0_SPEC.xi, c) for c in (0, 1)}
-    tags = set()
+    reached = set()
     for config in _configs(specs, 6, len(rows), 0.01):
-        got = _block_outcomes(config, rows)
+        codes, values = _block_outcomes(config, rows)
+        got = _as_tuples(config, (codes, values))
         want = [_scalar_outcome(config, _dataset(*row)) for row in rows]
         assert list(map(repr, got)) == list(map(repr, want)), config
-        tags.update(o[0] for o in got)
-    assert tags == {"ok", "guard", "zero", "degenerate"}
+        reached.update(OUTCOMES[code] for code in codes.tolist())
+    # Every outcome but the rounding-only negative discriminant, each guard included.
+    assert reached == set(OUTCOMES) - {inference.DEGENERACY_DISCRIMINANT}
 
 
 @pytest.mark.parametrize("n, elements", [(7, 7 * 5), (12, 12 * 7), (30, 8192)])
@@ -334,14 +381,16 @@ def test_replicate_block_equals_scalar_replications(monkeypatch, n, elements):
     # error variance of 1.5 makes some replications fail their guard.
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
     specs = {c: _spec(XiDistribution.symmetric_pareto2(0.7, 0.0), c) for c in (0, 1)}
-    tags = set()
+    reached = set()
     for config in _configs(specs, n, 26, 0.02, known=1.5):
-        got = _replicate_block(config, n, 3, 26)
+        codes, values = _replicate_block(config, n, 3, 26)
+        got = _as_tuples(config, (codes, values))
         want = [_scalar_outcome(config, simulate_dataset(config.spec, n, (config.seed, n, r)))
                 for r in range(3, 26)]
         assert list(map(repr, got)) == list(map(repr, want)), config
-        tags.update(o[0] for o in got)
-    assert {"ok", "guard", "degenerate"} <= tags
+        reached.update(OUTCOMES[code] for code in codes.tolist())
+    assert {inference.DEGENERACY_NONE, inference.DEGENERACY_LEADING,
+            estimators.GUARD_SXX_MINUS_THETA} <= reached
 
 
 def test_first_failing_row_stops_the_block_with_its_scalar_error():
