@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ZeroNormalizer
 from .estimators import SideInfo, estimate_from_moments
 from .moments import (MomentSet, Rows, RowStatus, _range_error, as_rows, check_finite_number,
-                      checked_fsum, moment_set, quiet_overflow)
+                      check_integer, checked_fsum, moment_set, quiet_overflow)
 from .normal import norm_cdf, z_for_gamma
 
 __all__ = [
@@ -87,7 +87,7 @@ def _resolve_z(gamma: Optional[float], z: Optional[float]) -> Tuple[float, float
 
 def check_k(k) -> None:
     """Raise ValueError unless ``k`` names a quadratic pivot (1 or 2)."""
-    if k not in (1, 2):
+    if check_integer("k", k) not in (1, 2):
         raise ValueError(f"k must be 1 or 2, got {k!r}")
 
 

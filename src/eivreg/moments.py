@@ -266,6 +266,14 @@ def check_finite_number(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; raises ValueError unless it is a Python or NumPy
+    integer.  A bool is not one, though Python counts it as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # Decorates the functions that form products and quotients on blocks, so an
 # overflowed term is an infinity and a failed row's NaN or division by
 # zero is quiet, not a warning.  Decorated calls nest.

@@ -51,7 +51,7 @@ from .inference import (DEGENERACY_DISCRIMINANT, DEGENERACY_LEADING, DEGENERACY_
                         INTERCEPT_VARIANTS, SLOPE_VARIANTS, check_intercept_model, check_k,
                         check_quadratic, ci_intercept, ci_slope_plugin, ci_slope_quadratic,
                         intercept_statistic, slope_statistic)
-from .moments import Rows, fsum, quiet_overflow
+from .moments import Rows, check_integer, fsum, quiet_overflow
 from .samplers import (ROLE_ERRORS, ROLE_XI, XI_FAMILIES, ModelSpec, _observe,
                        _philox_generator, _reset, philox_keys, sample_errors, sample_xi)
 
@@ -104,7 +104,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values",
+                           tuple(check_integer("every n", n) for n in self.n_values))
+        for name in ("replications", "seed", "k"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if not self.n_values:
             raise ValueError("n_values must not be empty")
         if any(n < 2 for n in self.n_values):

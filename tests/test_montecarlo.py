@@ -10,6 +10,7 @@ from eivreg import (Dataset, ExperimentConfig, GuardViolation, ModelSpec, SideIn
                     ci_slope_quadratic, empirical_bn, estimate, intercept_statistic,
                     naive_ratio_estimates, run_experiment, simulate_dataset, slope_statistic)
 from eivreg import estimators, inference, montecarlo
+from eivreg.inference import check_k
 from eivreg.jsonout import dumps
 from eivreg.moments import Rows
 from eivreg.montecarlo import (EXPERIMENTS, OUTCOMES, PIVOTS, ZERO_NORMALIZER, _evaluate,
@@ -58,6 +59,29 @@ class TestConfigValidation:
     def test_bad_pivot(self):
         with pytest.raises(ValueError):
             cfg(experiment="normality", pivot="median")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_values", (2.7,)), ("n_values", ("3",)), ("n_values", (True,)),
+        ("replications", 5.5), ("replications", True), ("seed", 1.5), ("seed", True),
+        ("k", True), ("k", 1.0)])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        name = "every n" if field == "n_values" else field
+        extra = {"experiment": "coverage16", "side": SIDE1_M0} if field == "k" else {}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            cfg(**{field: value}, **extra)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        config = cfg(experiment="coverage16", side=SIDE1_M0, n_values=(np.int64(8),),
+                     replications=np.int32(3), seed=np.uint8(4), k=np.int64(2))
+        fields = (*config.n_values, config.replications, config.seed, config.k)
+        assert fields == (8, 3, 4, 2) and all(type(f) is int for f in fields)
+        report = run_experiment(config)
+        assert '"seed": 4' in dumps(report.to_dict())
+
+    def test_check_k_rejects_bool(self):
+        with pytest.raises(ValueError, match="k must be an integer, got True"):
+            check_k(True)
+        check_k(np.int64(2))
 
     def test_intercept_flag_mismatch(self):
         with pytest.raises(ValueError):
