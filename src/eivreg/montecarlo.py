@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional, Tuple
@@ -211,23 +212,19 @@ def _worker_count() -> int:
     return count
 
 
-def _map_replications(config: ExperimentConfig, n: int) -> tuple:
+def _map_replications(config: ExperimentConfig, n: int, workers: int, pool) -> tuple:
     """(codes, values) of replications 0..M-1, in replication order.
 
-    Replications are independent and run in blocks; with several workers
-    the blocks run in a process pool, and the ordered collection makes the
-    aggregate independent of scheduling.
+    Replications are independent and run in blocks; ``pool``, unless None,
+    runs them on ``workers`` processes, and the ordered collection makes
+    the aggregate independent of scheduling.
     """
     total = config.replications
-    workers = _worker_count()
-    serial = workers == 1 or total < 4
-    block = _MAX_BLOCK if serial else min(_MAX_BLOCK, max(1, total // (workers * 8)))
+    block = _MAX_BLOCK if pool is None else min(_MAX_BLOCK, max(1, total // (workers * 8)))
     starts = range(0, total, block)
     stops = [min(start + block, total) for start in starts]
-    if serial:
-        return _joined(map(_replicate_block, repeat(config), repeat(n), starts, stops))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _joined(pool.map(_replicate_block, repeat(config), repeat(n), starts, stops))
+    mapper = map if pool is None else pool.map
+    return _joined(mapper(_replicate_block, repeat(config), repeat(n), starts, stops))
 
 
 def _scored(ci, truth: float) -> tuple:
@@ -412,8 +409,12 @@ def _config_echo(config: ExperimentConfig) -> dict:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all replications for every n and aggregate per-n summaries."""
     aggregate = _AGGREGATE[config.experiment]
-    per_n = []
-    for n in config.n_values:
-        per_n.append(aggregate(n, config, *_map_replications(config, n)))
+    workers = _worker_count()
+    # One pool serves every n; one worker, or too few replications to
+    # split, runs in this process.
+    serial = workers == 1 or config.replications < 4
+    with (nullcontext() if serial else ProcessPoolExecutor(max_workers=workers)) as pool:
+        per_n = [aggregate(n, config, *_map_replications(config, n, workers, pool))
+                 for n in config.n_values]
     return ExperimentReport(experiment=config.experiment, seed=config.seed,
                             config=_config_echo(config), per_n=tuple(per_n))

@@ -227,6 +227,20 @@ class TestDeterminism:
         two = run_experiment(cfg(n_values=(20, 40), replications=100))
         assert one.per_n[0] == two.per_n[1]
 
+    @pytest.mark.parametrize("workers, pools", [("1", 0), ("2", 1)])
+    def test_one_pool_per_run(self, monkeypatch, workers, pools):
+        opened = []
+
+        class CountingPool(montecarlo.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setenv("EIVREG_WORKERS", workers)
+        report = run_experiment(cfg(n_values=(10, 20, 30), replications=40))
+        assert len(report.per_n) == 3 and len(opened) == pools
+
     def test_seed_echo(self):
         report = run_experiment(cfg(seed=99, replications=4))
         assert report.seed == 99
