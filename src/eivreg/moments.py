@@ -13,10 +13,10 @@ bit-reproducible and carry one rounding at most, even for heavy-tailed
 magnitudes at n up to 1e7.  ``fsum`` sums each row of a (B, n) float64
 array exactly in NumPy by error-free extraction (Rump, Ogita and Oishi,
 "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
-2008): the whole block at once, with a sigma per row.  Each row stops as
-soon as a certified bound shows that its remainder can no longer move the
-rounding (as AccSum and NearSum do, part II of the same paper), which is
-after one level for almost every row.
+2008): the whole block at once, with a sigma per row.  Almost every row
+stops after the first level, where a certified bound shows that its
+remainder cannot move the rounding (as in AccSum and NearSum, part II of
+the same paper); the others go on until their remainder is zero.
 
 Computation is on blocks of B samples of one size n, ``Rows``: means and
 sums are (B, 1) columns that broadcast against the (B, n) terms the way
@@ -46,10 +46,10 @@ def fsum(values):
     case and gives a float.  Rows are summed in NumPy by error-free
     extraction (Rump, Ogita and Oishi, 2008), the whole block at once with
     a sigma per row, level by level (``_extract_level``).  Each level's row
-    sum tau_k is exact, so after level k a row's sum is S_k + sum(r), where
-    S_k = tau_1 + ... + tau_k and r is the remainder the level leaves.
+    sum tau_k is exact, so after level k a row's sum is
+    tau_1 + ... + tau_k + sum(r), where r is the remainder the level leaves.
 
-    A row stops at the first level where the remainder can no longer move
+    After the first level a row stops if its remainder can no longer move
     the rounding (AccSum and NearSum; Rump, Ogita and Oishi, "Accurate
     floating-point summation part II", SIAM J. Sci. Comput. 31(2), 2008).
     Let t be the plain NumPy sum of r and u = 2**-53.  Every |r_i| is at
@@ -65,17 +65,14 @@ def fsum(values):
     range, sum(r) - t, a multiple of 2**-1074 no larger than err before
     rounding, is no larger than err after it.
 
-    The stop rule: a row is settled when S_k + t - err and S_k + t + err
-    round to the same float, which is then the rounding of its sum.  After
-    the first level S_1 = tau_1 is a float and the whole block is tested
-    at once: with s + e = tau_1 + t exactly (TwoSum), the row is settled at
-    s when |e| + err is below half the gap from |s| to the next float
-    towards zero, the narrower gap below a power of two.  A sum of zero or
-    in the subnormal range never settles this way.  The rare rows that go
-    on are tested by ``math.fsum`` of their level sums, t and -err or +err,
-    and a row whose remainder is all zero is settled at ``math.fsum`` of
-    its level sums.  A row whose |S_k| is too small for 2 * err to fit in
-    one rounding gap skips t and goes on.
+    The settle test, on the whole block at once: with s + e = tau_1 + t
+    exactly (TwoSum), a row is settled at s when |e| + err is below half
+    the gap from |s| to the next float towards zero, the narrower gap below
+    a power of two; then tau_1 + t - err and tau_1 + t + err round to s,
+    and so does the row's sum.  A sum of zero or in the subnormal range
+    never settles this way.  The rows that go on are extracted until every
+    remainder is all zero; their level sums then add up to the exact
+    total, and ``math.fsum`` of them rounds it correctly.
 
     An empty row, a row holding a NaN or an infinity, an all-zero row and
     a row with magnitudes of 2**(1020 - L) or more, where sigma could
@@ -132,79 +129,39 @@ def _extract_level(r: np.ndarray, sigma: np.ndarray, q: np.ndarray) -> np.ndarra
 
 def _extracted_row_sums(rows: np.ndarray, m: np.ndarray, L: int, q: np.ndarray) -> np.ndarray:
     """The exactly rounded row sums of ``rows``, every row inside the
-    extraction domain with max|row| = ``m``, by one extraction of the whole
-    block with a sigma per row that stops each row once it is settled (see
-    ``fsum``); ``q`` is a buffer of the shape of ``rows`` that the first
-    level overwrites.  A second buffer is made only for rows that go on."""
+    extraction domain with max|row| = ``m``: the first level of the whole
+    block with a sigma per row and its settle test, then the levels of the
+    rows that go on (see ``fsum``); ``q`` is a buffer of the shape of
+    ``rows`` that the levels overwrite."""
     n = rows.shape[1]
     g = (n - 1) * 2.0 ** -53
     # err = ratio * sigma (see fsum): the factor 1 + 2**-49 covers the three
     # roundings of ratio, and the product with a power of two is exact.
     ratio = n * 2.0 ** -53 * g / (1.0 - g) * (1.0 + 2.0 ** -49)
-    # Two ends 2 * err apart round to one float only if err is at most
-    # 2**-53 * |S_k + t| <= 2**-53 * (|S_k| + 2**(L - 52) * sigma); with a
-    # factor 2 to spare, a row whose |S_k| is at most reach * sigma cannot
-    # settle at this level and skips t.
-    reach = ratio * 2.0 ** 52 - 2.0 ** (L - 52)
+    sigma = np.ldexp(2.0 ** L, np.frexp(m)[1])
+    tau = _extract_level(rows, sigma, q)
+    t, err = np.add.reduce(q, axis=1), ratio * sigma
+    sums = tau + t
+    z = sums - tau
+    e = (tau - (sums - z)) + (t - z)  # sums + e = tau + t exactly (TwoSum)
+    a = np.abs(sums)
+    settled = np.abs(e) + err < (a - np.nextafter(a, 0.0)) * 0.5
     # np.count_nonzero tests masks: any() and all() cost several times more
     # on the (B,) columns.
-    r, levels, head = rows, [], None
+    if np.count_nonzero(settled) == len(settled):
+        return sums
+    # The rows that go on are extracted until every remainder is all zero.
+    on = ~settled
+    levels, r = [tau[on]], q[on]
+    q = q[:len(r)]  # r is a copy, so q is free scratch
     while True:
-        sigma = np.ldexp(2.0 ** L, np.frexp(m)[1])
-        tau = _extract_level(r, sigma, q)
-        levels.append(tau)
-        # The remainder is in q; the old r is the next scratch buffer, but
-        # never the caller's rows.
-        r, q = q, None if head is None else r
-        if head is None:
-            head, tried = tau, np.abs(tau) > reach * sigma
-            if np.count_nonzero(tried):
-                t, err = np.add.reduce(r, axis=1), ratio * sigma
-                sums = tau + t
-                z = sums - tau
-                e = (tau - (sums - z)) + (t - z)  # sums + e = tau + t exactly (TwoSum)
-                a = np.abs(sums)
-                settled = np.abs(e) + err < (a - np.nextafter(a, 0.0)) * 0.5
-                if np.count_nonzero(settled) == len(settled):
-                    return sums
-            else:
-                sums, settled = np.empty(len(tau)), tried
-            place = np.arange(len(tau))
-        else:
-            # Past the first level max|r| comes first: the next level needs
-            # it, and a row whose remainder is all zero is settled at once.
-            m = np.maximum.reduce(np.abs(r, out=q), axis=1)
-            settled = m == 0.0
-            zeros = np.count_nonzero(settled)
-            if zeros:
-                pick = slice(None) if zeros == len(settled) else settled
-                sums[place[pick]] = [math.fsum(terms) for terms in
-                                     zip(*[level[pick].tolist() for level in levels])]
-                if zeros == len(settled):
-                    return sums
-            head = head + tau
-            tried = np.abs(head) > reach * sigma
-            if np.count_nonzero(tried):
-                t, err = np.add.reduce(r, axis=1), ratio * sigma
-                columns = [level.tolist() for level in levels]
-                for i, (ti, ei, try_i) in enumerate(zip(t.tolist(), err.tolist(),
-                                                        (tried & ~settled).tolist())):
-                    if try_i:
-                        terms = [column[i] for column in columns] + [ti]
-                        low = math.fsum(terms + [-ei])
-                        if low == math.fsum(terms + [ei]):
-                            sums[place[i]], settled[i] = low, True
-        done = np.count_nonzero(settled)
-        if done == len(settled):
-            return sums
-        if q is None:
-            q = np.empty_like(r)
-        if done:
-            keep = ~settled
-            place, r, head, m, *levels = [a[keep] for a in (place, r, head, m, *levels)]
-            q = q[:len(place)]
-        if len(levels) == 1:
-            m = np.maximum.reduce(np.abs(r, out=q), axis=1)
+        m = np.maximum.reduce(np.abs(r, out=q), axis=1)
+        if not np.count_nonzero(m):
+            break
+        levels.append(_extract_level(r, np.ldexp(2.0 ** L, np.frexp(m)[1]), q))
+        r, q = q, r
+    sums[on] = [math.fsum(terms) for terms in zip(*[level.tolist() for level in levels])]
+    return sums
 
 
 def _fsum_or_inf(values: list) -> float:
@@ -218,6 +175,9 @@ def _fsum_or_inf(values: list) -> float:
 
 def _row_totals(rows: np.ndarray) -> np.ndarray:
     """fsum of each row of ``rows``, inf where ``math.fsum`` raises."""
+    # Through the name fsum, not _row_sums: bench/tracer.py times every
+    # exact sum as the moments.fsum span, and tests/test_bench_trace.py pins
+    # how many fsum calls a traced experiment makes.
     try:
         return fsum(rows)
     except (OverflowError, ValueError):
@@ -360,18 +320,16 @@ def as_rows(data) -> Rows:
     return Rows(data.y[None, :], data.x[None, :], status=RowStatus(1, raising=True))
 
 
-def _checked_sums(name: str, rows: np.ndarray, status: RowStatus) -> np.ndarray:
-    return status.finite(f"sum of {name}", _row_totals(rows))[:, None]
-
-
 def checked_fsum(name: str, values, status: Optional[RowStatus] = None):
     """fsum(values); raises ValueError naming the sum if it leaves the float
     range.  With a ``status``, ``values`` is a (B, n) block and the result
     the (B, 1) column of its row sums; a row whose sum leaves the range
     fails in ``status``."""
-    if status is not None:
-        return _checked_sums(name, values, status)
-    return _checked_sums(name, values[None, :], RowStatus(1, raising=True)).item()
+    one = status is None
+    if one:
+        values, status = values[None, :], RowStatus(1, raising=True)
+    sums = status.finite(f"sum of {name}", _row_totals(values))[:, None]
+    return sums.item() if one else sums
 
 
 def series_mean(name: str, values: np.ndarray, status: RowStatus) -> np.ndarray:

@@ -352,28 +352,30 @@ _STOP_ROWS = {
     "two_levels": ([1.0, 2.0 ** -60, -0.25, 0.0, 0.0, 0.0], (1, False)),
     "three_levels": ([1.0, 2.0 ** -60, 2.0 ** -130, -3.0, 0.0, 0.0], (1, False)),
     # An exact tie of 1 and 1 + 2**-52 (to even), then the same tie broken
-    # by 2**-100: neither can settle while err covers the midpoint.  The
-    # first settles only when its remainder is zero, the second by the test
-    # at the second level, with 2**-200 left in its remainder.
+    # by 2**-100: neither can settle while err covers the midpoint, so both
+    # go on until their remainder is zero, the second past the level that
+    # leaves 2**-200.
     "tie": ([1.0, 2.0 ** -53, 0.0, 0.0, 0.0, 0.0], (2, True)),
-    "above_tie": ([1.0, 2.0 ** -53, 2.0 ** -100, 2.0 ** -200, 0.0, 0.0], (2, False)),
+    "above_tie": ([1.0, 2.0 ** -53, 2.0 ** -100, 2.0 ** -200, 0.0, 0.0], (3, True)),
     # _ERR_GAP from the midpoint, above it and below it: err reaches the
-    # midpoint and err / 2 would not, so these settle at the second level,
+    # midpoint and err / 2 would not, so these go on to the second level,
     # and would settle at the first with half the bound.
     "err_above": ([1.0, 2.0 ** -53, _ERR_GAP, 0.0, 0.0, 0.0], (2, True)),
     "err_below": ([1.5, 2.0 ** -53, -_ERR_GAP, 0.0, 0.0, 0.0], (2, True)),
-    # S_1 = 0: nothing settles before the remainder is zero, or before
-    # the level that holds the sum.
+    # S_1 = 0 never settles by the test: these go on until the remainder
+    # is zero.
     "cancels_to_zero": ([1.0, -1.0, 2.0 ** -60, -(2.0 ** -60), 0.0, -0.0], (2, True)),
-    "many_levels": ([1e300, 1.0, -1e300, 2.0 ** -1000, 2.0 ** -130, -0.0], (3, False)),
-    # A sum in the subnormal range never settles by the test.
-    "subnormal": ([5e-324, -1e-310, 1e-310, 0.0, -0.0, 5e-324], (2, True)),
+    "many_levels": ([1e300, 1.0, -1e300, 2.0 ** -1000, 2.0 ** -130, -0.0], (5, True)),
+    # A sum in the subnormal range never settles by the test; this row's
+    # first remainder is zero already, so no level follows.
+    "subnormal": ([5e-324, -1e-310, 1e-310, 0.0, -0.0, 5e-324], (1, True)),
 }
 
 
 def test_fsum_stop_levels(monkeypatch):
-    # A row stops at the first level where S_k + t - err and S_k + t + err
-    # round to the same float, or where its remainder is all zero.
+    # A row stops after the first level when tau_1 + t - err and
+    # tau_1 + t + err round to the same float, and else at the level where
+    # its remainder is all zero.
     for kind, (row, stop) in _STOP_ROWS.items():
         assert _stop(row, monkeypatch) == stop, kind
         assert _same(fsum(np.array(row)), math.fsum(row)), kind
@@ -400,13 +402,27 @@ def test_fsum_rows_are_independent(monkeypatch):
     block = np.array(list(rows.values()))
     stops = {kind: _stop(block[i], monkeypatch)[0] for i, kind in enumerate(rows)
              if kind in ("one_level", "two_levels", "three_levels", "many_levels")}
-    assert stops == {"one_level": 1, "two_levels": 1, "three_levels": 1, "many_levels": 3}
+    assert stops == {"one_level": 1, "two_levels": 1, "three_levels": 1, "many_levels": 5}
     rng = np.random.default_rng(11)
     for _ in range(20):
         view = block[rng.permutation(len(block))]
         got = list(map(repr, fsum(view).tolist()))
         assert got == [repr(fsum(view[i:i + 1]).item()) for i in range(len(view))]
         assert got == [repr(math.fsum(row)) for row in view.tolist()]
+
+
+def test_fsum_block_where_every_row_goes_on(monkeypatch):
+    # Centred Student-t2 rows sum to almost nothing next to their terms, so
+    # no row of the block settles at the first level: the whole block goes
+    # on, and each row keeps the bits of math.fsum.
+    t = np.random.default_rng(1).standard_t(2, (163, 50))
+    block = t - t.mean(axis=1, keepdims=True)
+    shapes, real = [], moments._extract_level
+    monkeypatch.setattr(moments, "_extract_level",
+                        lambda r, sigma, q: shapes.append(r.shape) or real(r, sigma, q))
+    sums = fsum(block)
+    assert shapes[:2] == [block.shape] * 2
+    assert all(_same(got, math.fsum(row)) for got, row in zip(sums.tolist(), block.tolist()))
 
 
 def _gensum(n: int, cond: float, rng) -> np.ndarray:
