@@ -32,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardViolation
-from .moments import (MomentSet, RowStatus, as_rows, check_finite_number, check_intercept_flag,
-                      moment_set, quiet_overflow)
+from .moments import (MomentSet, RowStatus, as_rows, check_finite_number, check_integer,
+                      check_intercept_flag, moment_set, quiet_overflow)
 
 __all__ = [
     "SideInfo",
@@ -66,9 +66,11 @@ class SideInfo:
     c: int = 1
 
     def __post_init__(self):
-        if self.case not in (1, 2):
+        case = check_integer("case", self.case)
+        if case not in (1, 2):
             raise ValueError(f"case must be 1 or 2, got {self.case!r}")
-        check_intercept_flag(self.c)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "c", check_intercept_flag(self.c))
         for name in ("mu", "lambda_theta", "theta"):
             value = getattr(self, name)
             if value is not None:

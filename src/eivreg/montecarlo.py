@@ -103,10 +103,14 @@ class ExperimentConfig:
     pivot: str = "slope_self_normalized_plugin"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        object.__setattr__(self, "n_values",
-                           tuple(check_integer("every n", n) for n in self.n_values))
+        try:
+            n_values = tuple(self.n_values)
+        except TypeError:
+            raise ValueError(f"n_values must be a sequence of integers, "
+                             f"got {self.n_values!r}") from None
+        object.__setattr__(self, "n_values", tuple(check_integer("every n", n) for n in n_values))
         for name in ("replications", "seed", "k"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if not self.n_values:
@@ -115,6 +119,10 @@ class ExperimentConfig:
             raise ValueError("every n must be at least 2")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        real = (int, float, np.integer, np.floating)
+        if isinstance(self.gamma, bool) or not isinstance(self.gamma, real):
+            raise ValueError(f"gamma must be a number, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", float(self.gamma))
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie strictly between 0 and 1, got {self.gamma!r}")
         if self.seed < 0:

@@ -213,6 +213,22 @@ def test_side_info_rejects_non_finite(kwargs, name):
         SideInfo(**kwargs)
 
 
+@pytest.mark.parametrize("case", [True, 2.0, "1"])
+def test_side_info_case_must_be_an_integer(case):
+    with pytest.raises(ValueError, match=f"^case must be an integer, got {case!r}$"):
+        SideInfo(case=case, mu=0.05, lambda_theta=0.25, theta=0.25)
+
+
+def test_side_info_stores_int_case_and_flag():
+    # NumPy integers and the flags True and 1.0 are stored as ints, so an
+    # estimate's j is the int case.
+    for c in (True, 1.0, np.int64(1)):
+        side = SideInfo(case=np.int64(1), mu=0.0, lambda_theta=0.0, c=c)
+        assert (side.case, side.c) == (1, 1) and type(side.case) is type(side.c) is int
+        est = estimate(line_dataset(), side)
+        assert type(est.j) is int and est.j == 1
+
+
 def test_side_info_validation():
     with pytest.raises(ValueError):
         SideInfo(case=3, mu=0.0)

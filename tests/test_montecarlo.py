@@ -70,6 +70,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             cfg(**{field: value}, **extra)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_values", 5, "n_values must be a sequence of integers, got 5"),
+        ("gamma", "0.05", "gamma must be a number, got '0.05'"),
+        ("gamma", True, "gamma must be a number, got True"),
+        ("experiment", ["x"], r"unknown experiment \['x'\]")])
+    def test_malformed_fields_are_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cfg(**{field: value})
+
+    def test_side_info_fields_echo_as_integers(self):
+        # A side of case np.int64(2) and c True runs as case 2 with c = 1.
+        side = SideInfo(case=np.int64(2), mu=0.05, theta=0.25, c=True)
+        report = dumps(run_experiment(cfg(side=side, replications=3)).to_dict())
+        assert report == dumps(run_experiment(cfg(replications=3)).to_dict())
+
     def test_integer_fields_accept_numpy_integers(self):
         config = cfg(experiment="coverage16", side=SIDE1_M0, n_values=(np.int64(8),),
                      replications=np.int32(3), seed=np.uint8(4), k=np.int64(2))
