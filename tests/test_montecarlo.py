@@ -79,11 +79,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             cfg(**{field: value})
 
-    def test_side_info_fields_echo_as_integers(self):
-        # A side of case np.int64(2) and c True runs as case 2 with c = 1.
+    def test_numpy_scalars_echo_as_json_numbers(self):
+        # A side of case np.int64(2) and c True runs as case 2 with c = 1,
+        # and gamma np.float32(0.25) as 0.25.
         side = SideInfo(case=np.int64(2), mu=0.05, theta=0.25, c=True)
-        report = dumps(run_experiment(cfg(side=side, replications=3)).to_dict())
-        assert report == dumps(run_experiment(cfg(replications=3)).to_dict())
+        report = run_experiment(cfg(side=side, gamma=np.float32(0.25), replications=3))
+        assert dumps(report.to_dict()) == dumps(run_experiment(
+            cfg(gamma=0.25, replications=3)).to_dict())
 
     def test_integer_fields_accept_numpy_integers(self):
         config = cfg(experiment="coverage16", side=SIDE1_M0, n_values=(np.int64(8),),
