@@ -19,18 +19,20 @@ existing draws and any worker count produces bit-identical reports.
 Replications run in blocks: each block derives the Philox keys of both
 roles in one vectorised call and resets one reused generator per role to
 each replication's keys, which gives the draws of ``samplers.substream``.
-Replication r of a block is drawn into row r of (B, n) arrays, and each
-sub-block of at most ``_BLOCK_ELEMENTS`` draws per series is evaluated at
-once by the library functions on ``moments.Rows``: the one-sample
-functions are the one-row case of the same code, so each row gets the
-outcome its own call would give.  A replication's outcome is an int8
-code, its index in ``OUTCOMES`` (scored, a degenerate inversion, a zero
-normalizer or a guard violation: counted, never raised), and a row of
-values, such as an interval's hit and width, read only when scored.  Any
-other failure stops the run with the error of the first replication
-that meets it.  Coverage is computed over the scored replications with
-the failure rate reported alongside, so covered + missed + failed always
-equals the replication count.
+A sub-block holds at most ``_BLOCK_ELEMENTS`` draws per series.  Per
+replication, ``_replicate`` only resets the generators and writes the raw
+variates into the replication's rows; the sub-block is then transformed
+into its (B, n) y, x and xi at once, and evaluated at once by the library
+functions on ``moments.Rows``.  The one-sample functions are the one-row
+case of the same code, so each row gets the draws and the outcome its
+own call would give.  A replication's outcome is an int8 code, its index
+in ``OUTCOMES`` (scored, a degenerate inversion, a zero normalizer or a
+guard violation: counted, never raised), and a row of values, such as an
+interval's hit and width, read only when scored.  Any other failure
+stops the run with the error of the first replication that meets it.
+Coverage is computed over the scored replications with the failure rate
+reported alongside, so covered + missed + failed always equals the
+replication count.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from .inference import (DEGENERACY_DISCRIMINANT, DEGENERACY_LEADING, DEGENERACY_
                         check_quadratic, ci_intercept, ci_slope_plugin, ci_slope_quadratic,
                         intercept_statistic, slope_statistic)
 from .moments import Rows, check_integer, fsum, quiet_overflow
-from .samplers import (ROLE_ERRORS, ROLE_XI, XI_FAMILIES, ModelSpec, _observe,
-                       _philox_generator, _reset, philox_keys, sample_errors, sample_xi)
+from .samplers import (_ERROR_BASES, ROLE_ERRORS, ROLE_XI, XI_FAMILIES, ModelSpec,
+                       _philox_generator, _raw_blocks, _reset, _simulate_rows, philox_keys)
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "EXPERIMENTS", "OUTCOMES", "PIVOTS", "WORKERS_ENV"]
@@ -103,6 +105,10 @@ class ExperimentConfig:
     pivot: str = "slope_self_normalized_plugin"
 
     def __post_init__(self):
+        if not isinstance(self.spec, ModelSpec):
+            raise ValueError(f"spec must be a ModelSpec, got {self.spec!r}")
+        if not isinstance(self.side, SideInfo):
+            raise ValueError(f"side must be a SideInfo, got {self.side!r}")
         if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         try:
@@ -153,14 +159,14 @@ class ExperimentReport:
         }
 
 
-def _replicate(config: ExperimentConfig, rngs: tuple, keys: tuple, y: np.ndarray,
-               x: np.ndarray, xi: np.ndarray) -> None:
-    """Draw one replication into the rows ``y``, ``x`` and ``xi`` of a block,
-    from the reused (xi, errors) generators ``rngs``, each first reset to
-    its Philox key in ``keys``."""
-    spec = config.spec
-    xi[:] = sample_xi(spec.xi, xi.size, _reset(rngs[0], keys[0]))
-    _observe(spec, xi, *sample_errors(spec.err, xi.size, _reset(rngs[1], keys[1])), y, x)
+def _replicate(draws: tuple, rngs: tuple, keys: tuple, xi_raw: np.ndarray,
+               err_raw: np.ndarray) -> None:
+    """Draw one replication's raw variates into its rows ``xi_raw`` and
+    ``err_raw`` of a block with the (xi, errors) raw draws ``draws``, from
+    the reused generators ``rngs``, each first reset to its Philox key in
+    ``keys``."""
+    draws[0](_reset(rngs[0], keys[0]), xi_raw)
+    draws[1](_reset(rngs[1], keys[1]), err_raw)
 
 
 def _row_code(error: Optional[Exception], kind: str) -> int:
@@ -179,17 +185,28 @@ def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) ->
     """(codes, values) of replications start..stop-1, in order.  Replication
     r draws from the streams ``substream((seed, n, r), role)``, whatever
     block it runs in.  The block is evaluated in sub-blocks of at most
-    ``_BLOCK_ELEMENTS`` draws per series, each as (B, n) arrays."""
+    ``_BLOCK_ELEMENTS`` draws per series: each replication's raw variates
+    are drawn into a row, then the sub-block is simulated and evaluated as
+    (B, n) arrays."""
+    spec = config.spec
     keys = philox_keys(config.seed, n, range(start, stop), (ROLE_XI, ROLE_ERRORS))
     rngs = (_philox_generator(), _philox_generator())
+    family = XI_FAMILIES[spec.xi.family]
+    draws = (family.draw, _ERROR_BASES[spec.err.base].draw)
     size = max(1, _BLOCK_ELEMENTS // n)
     outcomes = []
     for lo in range(0, stop - start, size):
         count = min(size, stop - start - lo)
-        y, x, xi = np.empty((3, count, n))
+        xi_raw, err_raw = _raw_blocks(n, count, family.series, 2)
         for i, rep_keys in enumerate(zip(keys[0, lo:lo + count], keys[1, lo:lo + count])):
-            _replicate(config, rngs, rep_keys, y[i], x[i], xi[i])
-        outcomes.append(_evaluate(config, Rows(y, x, xi)))
+            _replicate(draws, rngs, rep_keys, xi_raw[i], err_raw[i])
+        rows = Rows(*_simulate_rows(spec, xi_raw, err_raw))
+        # Free the raw variates before evaluating.  Kept alive, they lift a
+        # sub-block's heap peak at n = 2000 past glibc's trim threshold, and
+        # the freed top was returned to the system and faulted back in every
+        # sub-block (about 25 minor faults a replication).
+        del xi_raw, err_raw
+        outcomes.append(_evaluate(config, rows))
     return _joined(outcomes)
 
 

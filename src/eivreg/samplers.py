@@ -17,6 +17,16 @@ of a stream.  The Monte Carlo harness derives the Philox keys of a whole
 block of replications at once with ``philox_keys``, bitwise the keys
 SeedSequence would give, and resets one reused generator per role to
 each replication's key, so its draws are those of ``substream``.
+
+Drawing is split in two.  Per replication, only the generator calls run:
+each xi family and each error base writes its raw variates (standard
+normals, uniforms, standard exponentials, fair bits) into that
+replication's rows of a block.  Everything after them is elementwise and
+runs once per block of B replications: the family transform, the
+Cholesky mix of the error pair and the observations y and x, each in the
+operation order of the sized NumPy calls it replaces, so every row holds
+the bits its own call would.  ``sample_xi``, ``sample_errors`` and
+``simulate_dataset`` are the one-row case of this path.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .moments import as_sample, check_finite, check_finite_number, check_intercept_flag
+from .moments import (as_sample, check_finite, check_finite_number, check_integer,
+                      check_intercept_flag)
 
 __all__ = [
     "XI_FAMILIES",
@@ -54,33 +65,40 @@ ROLE_ERRORS = 1
 SeedLike = Union[int, Sequence[int]]
 
 
-def _sample_student_t2(params, n, rng):
-    scale, shift = params
+def _draw_student_t2(rng, out):
     # t with 2 degrees of freedom: normal over sqrt(chi-square_2 / 2).
-    z = rng.standard_normal(n)
-    w = rng.chisquare(2.0, n)
-    return shift + scale * z / np.sqrt(w / 2.0)
+    # rng.chisquare(2.0, n) is bitwise 2.0 * standard_exponential(n), with
+    # the same end state, so chi-square_2 / 2 is the standard exponential.
+    rng.standard_normal(out=out[0])
+    rng.standard_exponential(out=out[1])
 
 
-def _sample_symmetric_pareto2(params, n, rng):
-    scale, shift = params
-    # P(|xi - shift| > t) = (scale/t)^2 for t >= scale, symmetric sign.
-    u = 1.0 - rng.random(n)  # uniform on (0, 1]
-    magnitude = scale / np.sqrt(u)
-    sign = 2.0 * rng.integers(0, 2, n).astype(float) - 1.0
-    return shift + sign * magnitude
+def _draw_symmetric_pareto2(rng, out):
+    # P(|xi - shift| > t) = (scale/t)^2 for t >= scale: scale / sqrt(1 - u)
+    # with 1 - u uniform on (0, 1], and a fair sign bit.
+    rng.random(out=out[0])
+    out[1] = rng.integers(0, 2, out.shape[1])
 
 
 @dataclass(frozen=True)
 class XiFamily:
     """A latent-variable family: parameter names, when a parameter tuple is
-    invalid, the sampler and the population mean and variance (None when
-    infinite)."""
+    invalid, how its variates are made, and the population mean and
+    variance (None when infinite).
+
+    A replication's variates are ``series`` raw series of n generator
+    outputs: ``draw(rng, out)`` writes them into its (series, n) rows with
+    one generator call per series.  ``transform(params, raw)`` turns the
+    (B, series, n) raw block of B replications into their (B, n) xi at
+    once; it is elementwise, so each row gets the bits its own call would.
+    """
 
     params: Tuple[str, ...]
     invalid: Callable[[tuple], bool]
     invalid_message: str
-    sample: Callable[[tuple, int, np.random.Generator], np.ndarray]
+    series: int
+    draw: Callable[[np.random.Generator, np.ndarray], object]
+    transform: Callable[[tuple, np.ndarray], np.ndarray]
     mean: Callable[[tuple], float]
     variance: Optional[Callable[[tuple], float]] = None
 
@@ -89,26 +107,57 @@ class XiFamily:
         return self.variance is not None
 
 
+# rng.uniform(a, b) is a + (b - a) * rng.random() and rng.exponential(s) is
+# s * rng.standard_exponential(), bit for bit.
 XI_FAMILIES = {
     "normal": XiFamily(
         ("mean", "sd"), lambda p: p[1] <= 0, "normal sd must be positive",
-        lambda p, n, rng: p[0] + p[1] * rng.standard_normal(n),
+        1, lambda rng, out: rng.standard_normal(out=out),
+        lambda p, raw: p[0] + p[1] * raw[:, 0],
         mean=lambda p: p[0], variance=lambda p: p[1] ** 2),
     "uniform": XiFamily(
-        ("a", "b"), lambda p: p[1] <= p[0], "uniform needs a < b",
-        lambda p, n, rng: rng.uniform(p[0], p[1], n), mean=lambda p: 0.5 * (p[0] + p[1]),
-        variance=lambda p: (p[1] - p[0]) ** 2 / 12.0),
+        ("a", "b"), lambda p: not (p[0] < p[1] and math.isfinite(p[1] - p[0])),
+        "uniform needs a < b and a finite b - a",
+        1, lambda rng, out: rng.random(out=out),
+        lambda p, raw: p[0] + (p[1] - p[0]) * raw[:, 0],
+        mean=lambda p: 0.5 * (p[0] + p[1]), variance=lambda p: (p[1] - p[0]) ** 2 / 12.0),
     "centered_exponential": XiFamily(
         ("rate",), lambda p: p[0] <= 0, "exponential rate must be positive",
-        lambda p, n, rng: rng.exponential(1.0 / p[0], n) - 1.0 / p[0], mean=lambda p: 0.0,
-        variance=lambda p: 1.0 / p[0] ** 2),
+        1, lambda rng, out: rng.standard_exponential(out=out),
+        lambda p, raw: (1.0 / p[0]) * raw[:, 0] - 1.0 / p[0],
+        mean=lambda p: 0.0, variance=lambda p: 1.0 / p[0] ** 2),
     # Both heavy-tailed families are symmetric about their shift.
     "student_t2": XiFamily(
         ("scale", "shift"), lambda p: p[0] <= 0, "scale must be positive",
-        _sample_student_t2, mean=lambda p: p[1]),
+        2, _draw_student_t2, lambda p, raw: p[1] + p[0] * raw[:, 0] / np.sqrt(raw[:, 1]),
+        mean=lambda p: p[1]),
     "symmetric_pareto2": XiFamily(
         ("scale", "shift"), lambda p: p[0] <= 0, "scale must be positive",
-        _sample_symmetric_pareto2, mean=lambda p: p[1]),
+        2, _draw_symmetric_pareto2,
+        lambda p, raw: p[1] + (2.0 * raw[:, 1] - 1.0) * (p[0] / np.sqrt(1.0 - raw[:, 0])),
+        mean=lambda p: p[1]),
+}
+
+
+@dataclass(frozen=True)
+class _ErrorBase:
+    """A standardized error shape: ``draw(rng, out)`` writes the raw
+    variates of both series of one replication into its (2, n) rows in one
+    generator call, and ``standardize(raw)`` makes the (B, 2, n) raw block
+    zero-mean, unit-variance pairs of independent series."""
+
+    draw: Callable[[np.random.Generator, np.ndarray], object]
+    standardize: Callable[[np.ndarray], np.ndarray]
+
+
+# Uniform on [-sqrt(3), sqrt(3)] has unit variance.
+_HALF = math.sqrt(3.0)
+
+# One generator call fills both series with the bits of two calls of n.
+_ERROR_BASES = {
+    "gaussian": _ErrorBase(lambda rng, out: rng.standard_normal(out=out), lambda raw: raw),
+    "scaled_uniform": _ErrorBase(lambda rng, out: rng.random(out=out),
+                                 lambda raw: -_HALF + (_HALF - -_HALF) * raw),
 }
 
 
@@ -194,7 +243,7 @@ class ErrorSpec:
     base: str = "gaussian"
 
     def __post_init__(self):
-        if self.base not in ("gaussian", "scaled_uniform"):
+        if self.base not in _ERROR_BASES:
             raise ValueError(f"unknown error base {self.base!r}")
         for name in ("lambda_theta", "theta", "mu"):
             check_finite_number(name, getattr(self, name))
@@ -275,7 +324,10 @@ def substream(seed: SeedLike, *path: int) -> np.random.Generator:
     reference definition of every stream: ``philox_keys`` reproduces its
     Philox keys bitwise, and tests hold it to that.
     """
-    entropy = seed if isinstance(seed, int) else list(seed)
+    if np.ndim(seed) == 0:
+        entropy = check_integer("seed", seed)
+    else:
+        entropy = [check_integer("seed", word) for word in seed]
     ss = np.random.SeedSequence(entropy, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -411,27 +463,50 @@ def _reset(rng: np.random.Generator, key) -> np.random.Generator:
     return rng
 
 
-def sample_xi(dist: XiDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent draws of the latent explanatory variable."""
+def _raw_blocks(n: int, count: int, *series: int) -> list:
+    """Room for the raw variates of ``count`` replications of size ``n``:
+    one (count, k, n) array for each number of series k, replication i's
+    rows the contiguous block [i].  Raises ValueError naming n unless it is
+    an integer of at least 1."""
+    n = check_integer("n", n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return XI_FAMILIES[dist.family].sample(dist.params, n, rng)
+    return [np.empty((count, k, n)) for k in series]
+
+
+def _error_rows(err: ErrorSpec, raw: np.ndarray) -> tuple:
+    """The (B, n) delta and epsilon of a (B, 2, n) raw error block."""
+    w = _ERROR_BASES[err.base].standardize(raw)
+    l11, l21, l22 = err.cholesky()
+    w1, w2 = w[:, 0], w[:, 1]
+    return l11 * w1, l21 * w1 + l22 * w2
+
+
+def _simulate_rows(spec: ModelSpec, xi_raw: np.ndarray, err_raw: np.ndarray) -> tuple:
+    """The (B, n) y, x and xi of B replications from their raw blocks:
+    y = beta*xi + alpha + delta and x = xi + epsilon, evaluated in that
+    order."""
+    xi = XI_FAMILIES[spec.xi.family].transform(spec.xi.params, xi_raw)
+    delta, epsilon = _error_rows(spec.err, err_raw)
+    y = np.multiply(spec.beta, xi)
+    y += spec.alpha
+    y += delta
+    return y, xi + epsilon, xi
+
+
+def sample_xi(dist: XiDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent draws of the latent explanatory variable."""
+    family = XI_FAMILIES[dist.family]
+    raw, = _raw_blocks(n, 1, family.series)
+    family.draw(rng, raw[0])
+    return family.transform(dist.params, raw)[0]
 
 
 def sample_errors(err: ErrorSpec, n: int, rng: np.random.Generator) -> tuple:
     """n i.i.d. mean-zero (delta, epsilon) pairs with the prescribed covariance."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    l11, l21, l22 = err.cholesky()
-    if err.base == "gaussian":
-        w1 = rng.standard_normal(n)
-        w2 = rng.standard_normal(n)
-    else:
-        half = math.sqrt(3.0)  # uniform on [-sqrt(3), sqrt(3)] has unit variance
-        w1 = rng.uniform(-half, half, n)
-        w2 = rng.uniform(-half, half, n)
-    delta = l11 * w1
-    epsilon = l21 * w1 + l22 * w2
+    raw, = _raw_blocks(n, 1, 2)
+    _ERROR_BASES[err.base].draw(rng, raw[0])
+    (delta,), (epsilon,) = _error_rows(err, raw)
     return delta, epsilon
 
 
@@ -442,21 +517,13 @@ def simulate_dataset(spec: ModelSpec, n: int, seed: SeedLike) -> Dataset:
     draws the (seed, ROLE_ERRORS) sub-stream, so the two are independent
     and the latent series is unaffected by the error specification.
     """
-    xi = sample_xi(spec.xi, n, substream(seed, ROLE_XI))
-    delta, epsilon = sample_errors(spec.err, n, substream(seed, ROLE_ERRORS))
-    y, x = _observe(spec, xi, delta, epsilon)
+    family = XI_FAMILIES[spec.xi.family]
+    xi_raw, err_raw = _raw_blocks(n, 1, family.series, 2)
+    family.draw(substream(seed, ROLE_XI), xi_raw[0])
+    _ERROR_BASES[spec.err.base].draw(substream(seed, ROLE_ERRORS), err_raw[0])
+    (y,), (x,), (xi,) = _simulate_rows(spec, xi_raw, err_raw)
     return Dataset(y=y, x=x, latent=Latent(
         xi=xi,
         delta=y - spec.beta * xi - spec.alpha,
         epsilon=x - xi,
     ))
-
-
-def _observe(spec: ModelSpec, xi: np.ndarray, delta: np.ndarray, epsilon: np.ndarray,
-             y: Optional[np.ndarray] = None, x: Optional[np.ndarray] = None) -> tuple:
-    """The observations y = beta*xi + alpha + delta and x = xi + epsilon,
-    written into ``y`` and ``x`` when given."""
-    y = np.multiply(spec.beta, xi, out=y)
-    y += spec.alpha
-    y += delta
-    return y, np.add(xi, epsilon, out=x)

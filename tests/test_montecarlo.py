@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import M0_SPEC, SIDE1_M0, SIDE2_M0, T2_SPEC
-from eivreg import (Dataset, ExperimentConfig, GuardViolation, ModelSpec, SideInfo,
+from eivreg import (Dataset, ErrorSpec, ExperimentConfig, GuardViolation, ModelSpec, SideInfo,
                     XiDistribution, ZeroNormalizer, ci_intercept, ci_slope_plugin,
                     ci_slope_quadratic, empirical_bn, estimate, intercept_statistic,
                     naive_ratio_estimates, run_experiment, simulate_dataset, slope_statistic)
@@ -16,6 +16,7 @@ from eivreg.moments import Rows
 from eivreg.montecarlo import (EXPERIMENTS, OUTCOMES, PIVOTS, ZERO_NORMALIZER, _evaluate,
                                _replicate_block, _row_code)
 from eivreg.samplers import Latent
+from test_samplers import XI_CASES
 
 
 def cfg(**kw):
@@ -38,6 +39,13 @@ class TestConfigValidation:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError):
             cfg(experiment="bootstrap")
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("spec", "x", "ModelSpec"), ("spec", SIDE2_M0, "ModelSpec"),
+        ("side", None, "SideInfo"), ("side", M0_SPEC, "SideInfo")])
+    def test_spec_and_side_types_named(self, field, value, kind):
+        with pytest.raises(ValueError, match=f"^{field} must be a {kind}, got "):
+            cfg(**{field: value})
 
     def test_small_n(self):
         with pytest.raises(ValueError):
@@ -231,13 +239,18 @@ class TestDeterminism:
     def test_reports_byte_identical_across_worker_counts(self, monkeypatch, replications):
         # 3 runs serially at any worker count; 37 runs in pool blocks of 2
         # (2 workers) and 1 (3 workers); 1000 is a multiple of neither of
-        # its block sizes, 62 and 41.
-        config = cfg(n_values=(12,), replications=replications)
-        reports = set()
-        for workers in ("1", "2", "3"):
-            monkeypatch.setenv("EIVREG_WORKERS", workers)
-            reports.add(dumps(run_experiment(config).to_dict()))
-        assert len(reports) == 1
+        # its block sizes, 62 and 41.  Serially, 1000 replications at n = 12
+        # fill one sub-block of 682 rows and a partial one of 318.  Every xi
+        # family and error base is drawn and transformed.
+        for xi, base in itertools.product(XI_CASES, ("gaussian", "scaled_uniform")):
+            spec = ModelSpec(beta=2.0, alpha=1.0, c=1, xi=xi,
+                             err=ErrorSpec(lambda_theta=0.25, theta=0.25, mu=0.05, base=base))
+            config = cfg(spec=spec, n_values=(12,), replications=replications)
+            reports = set()
+            for workers in ("1", "2", "3"):
+                monkeypatch.setenv("EIVREG_WORKERS", workers)
+                reports.add(dumps(run_experiment(config).to_dict()))
+            assert len(reports) == 1, (xi, base)
 
     def test_adding_n_values_preserves_existing_records(self):
         one = run_experiment(cfg(n_values=(40,), replications=100))

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import M0_SPEC, SIDE2_M0, PROP_CASES
+from eivreg import montecarlo
 from eivreg import (
     Dataset,
     ErrorSpec,
     ModelSpec,
     XiDistribution,
+    ExperimentConfig,
+    SideInfo,
     estimate,
     philox_keys,
     sample_errors,
@@ -35,6 +38,8 @@ class TestXiDistribution:
             XiDistribution.normal(0, 0.0)
         with pytest.raises(ValueError):
             XiDistribution.uniform(1.0, 1.0)
+        with pytest.raises(ValueError, match="^uniform needs a < b and a finite b - a$"):
+            XiDistribution.uniform(-1e308, 1e308)  # NumPy's uniform rejected this range
         with pytest.raises(ValueError):
             XiDistribution.centered_exponential(0.0)
         with pytest.raises(ValueError):
@@ -115,6 +120,20 @@ def test_sample_xi_pareto_support():
 def test_sample_xi_needs_positive_n():
     with pytest.raises(ValueError):
         sample_xi(XiDistribution.normal(0, 1), 0, substream(0))
+
+
+@pytest.mark.parametrize("call, name, shown", [
+    (lambda: sample_xi(XiDistribution.normal(0, 1), 2.5, substream(0)), "n", "2.5"),
+    (lambda: sample_xi(XiDistribution.normal(0, 1), True, substream(0)), "n", "True"),
+    (lambda: sample_errors(ErrorSpec(1.0, 1.0, 0.0), "3", substream(0)), "n", "'3'"),
+    (lambda: simulate_dataset(M0_SPEC, 2.5, 1), "n", "2.5"),
+    (lambda: simulate_dataset(M0_SPEC, 3, 1.5), "seed", "1.5"),
+    (lambda: simulate_dataset(M0_SPEC, 3, (1, 2.5)), "seed", "2.5"),
+    (lambda: substream(True, ROLE_XI), "seed", "True"),
+])
+def test_sampler_integer_arguments_named(call, name, shown):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(shown)}$"):
+        call()
 
 
 @pytest.mark.parametrize("dist, fourth_central", [
@@ -295,17 +314,112 @@ def _dirty_generator():
     return rng
 
 
-# One distribution of every xi family.
-XI_CASES = [XiDistribution.normal(0.5, 2.0), XiDistribution.uniform(-1.0, 3.0),
-            XiDistribution.centered_exponential(1.5), XiDistribution.student_t2(1.0, 0.25),
-            XiDistribution.symmetric_pareto2(1.0, 0.25)]
+# One distribution of every xi family.  No scale or range is a power of two,
+# so a transform evaluated in another order changes some bits.
+XI_CASES = [XiDistribution.normal(0.3, 1.7), XiDistribution.uniform(-0.7, 2.9),
+            XiDistribution.centered_exponential(1.3), XiDistribution.student_t2(1.7, 0.3),
+            XiDistribution.symmetric_pareto2(0.7, 0.3)]
 
 
 def test_xi_cases_cover_every_family():
     assert sorted(dist.family for dist in XI_CASES) == sorted(XI_FAMILIES)
 
 
-@pytest.mark.parametrize("dist", XI_CASES, ids=[dist.family for dist in XI_CASES])
+XI_IDS = [dist.family for dist in XI_CASES]
+BASES = ["gaussian", "scaled_uniform"]
+
+
+def _reference_student_t2(p, n, rng):
+    z = rng.standard_normal(n)
+    w = rng.chisquare(2.0, n)
+    return p[1] + p[0] * z / np.sqrt(w / 2.0)
+
+
+def _reference_symmetric_pareto2(p, n, rng):
+    magnitude = p[0] / np.sqrt(1.0 - rng.random(n))
+    sign = 2.0 * rng.integers(0, 2, n).astype(float) - 1.0
+    return p[1] + sign * magnitude
+
+
+# Each family's draws as sized NumPy calls, one series at a time: the
+# reference that the raw draws and their block transforms must equal.
+REFERENCE_XI = {
+    "normal": lambda p, n, rng: p[0] + p[1] * rng.standard_normal(n),
+    "uniform": lambda p, n, rng: rng.uniform(p[0], p[1], n),
+    "centered_exponential": lambda p, n, rng: rng.exponential(1.0 / p[0], n) - 1.0 / p[0],
+    "student_t2": _reference_student_t2,
+    "symmetric_pareto2": _reference_symmetric_pareto2,
+}
+
+
+def _reference_errors(err, n, rng):
+    l11, l21, l22 = err.cholesky()
+    if err.base == "gaussian":
+        w1, w2 = rng.standard_normal(n), rng.standard_normal(n)
+    else:
+        half = math.sqrt(3.0)
+        w1, w2 = rng.uniform(-half, half, n), rng.uniform(-half, half, n)
+    return l11 * w1, l21 * w1 + l22 * w2
+
+
+def _same_state(a, b):
+    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+@pytest.mark.parametrize("n, reps", [(1, 300), (2, 300), (37, 150), (2000, 12)])
+@pytest.mark.parametrize("dist", XI_CASES, ids=XI_IDS)
+def test_draws_equal_sized_numpy_calls(dist, n, reps):
+    # Bit for bit, with the same end state of the generator, over many keys.
+    errs = [ErrorSpec(lambda_theta=0.5, theta=2.0, mu=-0.6, base=base) for base in BASES]
+    for rep in range(reps):
+        seed = (11, n, rep)
+        rng, ref = substream(seed, ROLE_XI), substream(seed, ROLE_XI)
+        xi = REFERENCE_XI[dist.family](dist.params, n, ref)
+        assert np.array_equal(sample_xi(dist, n, rng), xi) and _same_state(rng, ref)
+        for err in errs:
+            rng, ref = substream(seed, ROLE_ERRORS), substream(seed, ROLE_ERRORS)
+            delta, epsilon = _reference_errors(err, n, ref)
+            got = sample_errors(err, n, rng)
+            assert np.array_equal(got[0], delta) and np.array_equal(got[1], epsilon)
+            assert _same_state(rng, ref)
+            spec = ModelSpec(beta=2.0, alpha=1.0, c=1, xi=dist, err=err)
+            data = simulate_dataset(spec, n, seed)
+            y = spec.beta * xi
+            y += spec.alpha
+            y += delta
+            assert np.array_equal(data.y, y) and np.array_equal(data.x, xi + epsilon)
+            assert np.array_equal(data.latent.xi, xi)
+
+
+@pytest.mark.parametrize("n", [2, 37, 2000])
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("dist", XI_CASES, ids=XI_IDS)
+def test_block_rows_equal_simulate_dataset(monkeypatch, dist, base, n):
+    # Sub-blocks of 7 rows: replications 3..25 fill three and a partial one.
+    spec = ModelSpec(beta=2.0, alpha=1.0, c=1, xi=dist,
+                     err=ErrorSpec(lambda_theta=0.5, theta=2.0, mu=-0.6, base=base))
+    config = ExperimentConfig(spec=spec, side=SideInfo.case2(theta=2.0, mu=-0.6, c=1),
+                              experiment="coverage14", n_values=(n,), replications=26,
+                              gamma=0.05, seed=11)
+    blocks = []
+
+    def keep(config, rows):
+        blocks.append(rows)
+        return np.zeros(len(rows.y), np.int8), np.zeros((len(rows.y), 1))
+
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7 * n)
+    monkeypatch.setattr(montecarlo, "_evaluate", keep)
+    montecarlo._replicate_block(config, n, 3, 26)
+    assert [len(rows.y) for rows in blocks] == [7, 7, 7, 2]
+    y, x, xi = (np.concatenate([getattr(rows, name) for rows in blocks])
+                for name in ("y", "x", "xi"))
+    for i, rep in enumerate(range(3, 26)):
+        data = simulate_dataset(spec, n, (config.seed, n, rep))
+        assert np.array_equal(y[i], data.y) and np.array_equal(x[i], data.x)
+        assert np.array_equal(xi[i], data.latent.xi)
+
+
+@pytest.mark.parametrize("dist", XI_CASES, ids=XI_IDS)
 def test_reset_draws_equal_substream_xi(dist):
     seed, n, rep = 11, 37, 5
     expected = sample_xi(dist, n, substream((seed, n, rep), ROLE_XI))
@@ -315,7 +429,7 @@ def test_reset_draws_equal_substream_xi(dist):
         assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("base", ["gaussian", "scaled_uniform"])
+@pytest.mark.parametrize("base", BASES)
 def test_reset_draws_equal_substream_errors(base):
     err = ErrorSpec(lambda_theta=0.5, theta=2.0, mu=-0.6, base=base)
     seed, n, rep = 11, 37, 2 ** 32 + 5
