@@ -6,73 +6,42 @@ pivotal statistics valid even for infinite-variance explanatory
 variables, three families of large-sample confidence intervals, heavy-
 tail data generators, diagnostics, and a deterministic Monte Carlo
 harness.
+
+The public names below load their submodule on first use (PEP 562), so
+``import eivreg`` and ``eivreg --version`` import no NumPy.
 """
 
-from .diagnostics import (
-    DiagnosticReport,
-    empirical_bn,
-    ks_distance_to_normal,
-    obrien_ratio,
-    selfnorm_sum,
-)
-from .errors import ConfigError, EivregError, GuardViolation, ZeroNormalizer
-from .estimators import (
-    NaiveEstimates,
-    PointEstimate,
-    SideInfo,
-    estimate,
-    naive_ratio_estimates,
-    reliability_ratio,
-)
-from .inference import (
-    GridInversion,
-    GridSpec,
-    IntervalEstimate,
-    InterceptResiduals,
-    SlopeResiduals,
-    ci_intercept,
-    ci_slope_plugin,
-    ci_slope_quadratic,
-    grid_invert_ci,
-    intercept_residuals,
-    intercept_statistic,
-    quadratic_pivot,
-    slope_residuals,
-    slope_statistic,
-)
-from .moments import MomentSet, moment_set
-from .montecarlo import ExperimentConfig, ExperimentReport, run_experiment
-from .normal import norm_cdf, norm_ppf, z_for_gamma
-from .samplers import (
-    Dataset,
-    ErrorSpec,
-    Latent,
-    ModelSpec,
-    XiDistribution,
-    philox_keys,
-    sample_errors,
-    sample_xi,
-    simulate_dataset,
-    substream,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MomentSet", "moment_set",
-    "SideInfo", "PointEstimate", "NaiveEstimates",
-    "estimate", "naive_ratio_estimates", "reliability_ratio",
-    "SlopeResiduals", "InterceptResiduals", "IntervalEstimate",
-    "GridSpec", "GridInversion",
-    "slope_residuals", "intercept_residuals",
-    "slope_statistic", "intercept_statistic", "quadratic_pivot",
-    "ci_slope_plugin", "ci_intercept", "ci_slope_quadratic", "grid_invert_ci",
-    "XiDistribution", "ErrorSpec", "ModelSpec", "Latent", "Dataset",
-    "substream", "philox_keys", "sample_xi", "sample_errors", "simulate_dataset",
-    "DiagnosticReport", "obrien_ratio", "empirical_bn", "selfnorm_sum",
-    "ks_distance_to_normal",
-    "ExperimentConfig", "ExperimentReport", "run_experiment",
-    "norm_cdf", "norm_ppf", "z_for_gamma",
-    "EivregError", "GuardViolation", "ZeroNormalizer", "ConfigError",
-    "__version__",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "moments": ("MomentSet", "moment_set", "Latent", "Dataset"),
+    "estimators": ("SideInfo", "PointEstimate", "NaiveEstimates", "estimate",
+                   "naive_ratio_estimates", "reliability_ratio"),
+    "inference": ("SlopeResiduals", "InterceptResiduals", "IntervalEstimate", "GridSpec",
+                  "GridInversion", "slope_residuals", "intercept_residuals",
+                  "slope_statistic", "intercept_statistic", "quadratic_pivot",
+                  "ci_slope_plugin", "ci_intercept", "ci_slope_quadratic", "grid_invert_ci"),
+    "samplers": ("XiDistribution", "ErrorSpec", "ModelSpec", "substream", "philox_keys",
+                 "sample_xi", "sample_errors", "simulate_dataset"),
+    "diagnostics": ("DiagnosticReport", "obrien_ratio", "empirical_bn", "selfnorm_sum",
+                    "ks_distance_to_normal"),
+    "montecarlo": ("ExperimentConfig", "ExperimentReport", "run_experiment"),
+    "normal": ("norm_cdf", "norm_ppf", "z_for_gamma"),
+    "errors": ("EivregError", "GuardViolation", "ZeroNormalizer", "ConfigError"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

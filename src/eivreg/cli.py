@@ -21,23 +21,15 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import load_document, parse_experiment_config, parse_simulation
-from .diagnostics import DiagnosticReport, empirical_bn, ks_distance_to_normal, obrien_ratio, selfnorm_sum
 from .errors import ConfigError, GuardViolation, ZeroNormalizer
-from .estimators import SideInfo, estimate
-from .inference import DEGENERACY_NONE, ci_intercept, ci_slope_plugin, ci_slope_quadratic
-from .jsonout import dumps
-from .moments import check_finite
-from .montecarlo import run_experiment
-from .samplers import Dataset, simulate_dataset
 
+# Each command imports the layers it uses in its own body, so a command
+# loads only those, and --version and --help load no NumPy.
 
 # The CSV dialect of the fitting commands, as np.loadtxt settings.
 _CSV_FORMAT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2,
-               "dtype": np.float64}
+               "dtype": float}
 # Rows that _write_csv formats at a time; this bounds its memory.
 _WRITE_BLOCK_ROWS = 1 << 14
 # Lines that _bad_cell parses at a time when it looks for a bad cell.
@@ -48,6 +40,8 @@ def _read_columns(path: str, pick) -> dict:
     """The columns of a UTF-8 CSV file that ``pick`` names from its stripped
     header, as contiguous float64 arrays by name.  Empty lines are skipped;
     there must be at least one data row."""
+    import numpy as np
+
     try:
         with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
@@ -96,6 +90,8 @@ def _bad_cell(path: str, fh, names, cols):
 
 def _parses(lines: list, cols) -> bool:
     """Whether np.loadtxt reads columns ``cols`` of the CSV ``lines``."""
+    import numpy as np
+
     try:
         np.loadtxt(lines, usecols=cols, **_CSV_FORMAT)
     except ValueError:
@@ -103,7 +99,10 @@ def _parses(lines: list, cols) -> bool:
     return True
 
 
-def _read_xy(path: str) -> Dataset:
+def _read_xy(path: str):
+    """The ``Dataset`` of the 'y' and 'x' columns of a CSV file."""
+    from .moments import Dataset
+
     def pick(header):
         if not {"y", "x"} <= set(header):
             raise ConfigError(f"{path}: header must contain columns 'y' and 'x'")
@@ -111,7 +110,10 @@ def _read_xy(path: str) -> Dataset:
     return Dataset(**_read_columns(path, pick))
 
 
-def _read_column(path: str, column) -> np.ndarray:
+def _read_column(path: str, column):
+    """One finite column of a CSV file: ``column``, or the only one."""
+    from .moments import check_finite
+
     def pick(header):
         if column is None:
             if len(header) != 1:
@@ -137,14 +139,20 @@ def _write_csv(path, header: tuple, columns: tuple) -> None:
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
-def _side_from_flags(args) -> SideInfo:
+def _side_from_flags(args):
+    from .estimators import SideInfo
+
     c = 1 if args.intercept else 0
     if args.case == 1:
         return SideInfo.case1(args.lambda_theta, args.mu, c=c)
     return SideInfo.case2(args.theta, args.mu, c=c)
 
 
-def _emit(text: str, out) -> None:
+def _emit(doc: dict, out) -> None:
+    """Write ``doc`` as JSON to stdout or to the file ``out``."""
+    from .jsonout import dumps
+
+    text = dumps(doc)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -152,21 +160,25 @@ def _emit(text: str, out) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    from .estimators import estimate
+
     data = _read_xy(args.csv)
     side = _side_from_flags(args)
     est = estimate(data, side)
-    _emit(dumps({
+    _emit({
         "n": data.n,
         "case": side.case,
         "intercept_unknown": side.c == 1,
         "beta_hat": est.beta_hat,
         "alpha_hat": est.alpha_hat,
         "guards": est.guards,
-    }), args.out)
+    }, args.out)
     return 0
 
 
 def _cmd_ci(args) -> int:
+    from .inference import DEGENERACY_NONE, ci_intercept, ci_slope_plugin, ci_slope_quadratic
+
     data = _read_xy(args.csv)
     side = _side_from_flags(args)
     if args.family == "plugin-slope":
@@ -175,7 +187,7 @@ def _cmd_ci(args) -> int:
         ci = ci_intercept(data, side, args.gamma)
     else:
         ci = ci_slope_quadratic(data, side, args.k, args.gamma)
-    _emit(dumps({
+    _emit({
         "n": data.n,
         "family": ci.family,
         "case": ci.j,
@@ -185,11 +197,14 @@ def _cmd_ci(args) -> int:
         "lower": ci.lower,
         "upper": ci.upper,
         "degeneracy": ci.degeneracy,
-    }), args.out)
+    }, args.out)
     return 4 if ci.degeneracy != DEGENERACY_NONE else 0
 
 
 def _cmd_simulate(args) -> int:
+    from .config import load_document, parse_simulation
+    from .samplers import simulate_dataset
+
     spec, n, seed = parse_simulation(load_document(args.config), n_override=args.n,
                                      seed_override=args.seed)
     data = simulate_dataset(spec, n, seed)
@@ -203,22 +218,28 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .config import load_document, parse_experiment_config
+    from .montecarlo import run_experiment
+
     doc = load_document(args.config)
     config = parse_experiment_config(doc, seed_override=args.seed,
                                      gamma_override=args.gamma)
     report = run_experiment(config)
-    _emit(dumps(report.to_dict()), args.out)
+    _emit(report.to_dict(), args.out)
     return 0
 
 
 def _cmd_diagnose(args) -> int:
+    from .diagnostics import (DiagnosticReport, empirical_bn, ks_distance_to_normal,
+                              obrien_ratio, selfnorm_sum)
+
     z = _read_column(args.csv, args.column)
     report = DiagnosticReport(
         n=z.size, obrien_ratio=obrien_ratio(z),
         empirical_bn=empirical_bn(z) if z.size >= 2 else None,
         selfnorm_stat=None if args.center is None else selfnorm_sum(z, args.center),
         ks_distance=ks_distance_to_normal(z) if args.ks else None)
-    _emit(dumps(dataclasses.asdict(report)), args.out)
+    _emit(dataclasses.asdict(report), args.out)
     return 0
 
 

@@ -31,7 +31,6 @@ import math
 
 from .errors import ConfigError
 from .estimators import SideInfo
-from .montecarlo import ExperimentConfig
 from .samplers import XI_FAMILIES, ErrorSpec, ModelSpec, XiDistribution
 
 __all__ = ["load_document", "parse_model", "parse_side", "parse_simulation",
@@ -148,7 +147,11 @@ def parse_simulation(doc: dict, n_override=None, seed_override=None):
     return (spec, *settings)
 
 
-def parse_experiment_config(doc: dict, seed_override=None, gamma_override=None) -> ExperimentConfig:
+def parse_experiment_config(doc: dict, seed_override=None, gamma_override=None):
+    """The ``ExperimentConfig`` of an ``experiment`` run; an override, when
+    not None, replaces the config's value."""
+    from .montecarlo import ExperimentConfig
+
     spec = parse_model(doc)
     side = parse_side(doc, spec.c)
     experiment = _require(doc, "experiment", "")

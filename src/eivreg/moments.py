@@ -18,6 +18,9 @@ stops after the first level, where a certified bound shows that its
 remainder cannot move the rounding (as in AccSum and NearSum, part II of
 the same paper); the others go on until their remainder is zero.
 
+A ``Dataset`` is one checked sample, y and x, with the latent truth of a
+simulated one; the fitting commands build it without the generators.
+
 Computation is on blocks of B samples of one size n, ``Rows``: means and
 sums are (B, 1) columns that broadcast against the (B, n) terms the way
 floats do against one sample's terms.  A ``RowStatus`` holds the first
@@ -35,7 +38,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["MomentSet", "moment_set", "fsum", "Rows", "RowStatus"]
+__all__ = ["MomentSet", "moment_set", "fsum", "Rows", "RowStatus", "Latent", "Dataset"]
 
 
 def fsum(values):
@@ -232,6 +235,41 @@ def check_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+@dataclass(frozen=True)
+class Latent:
+    """Simulation truth carried alongside a dataset.
+
+    ``delta`` and ``epsilon`` are stored as the exact float residuals of
+    the generated series (delta = y - beta*xi - alpha, epsilon = x - xi,
+    evaluated in that order), so those identities reproduce them bitwise.
+    They differ from the raw noise draws by at most a rounding ulp.
+    """
+
+    xi: np.ndarray
+    delta: np.ndarray
+    epsilon: np.ndarray
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Observed pairs, optionally carrying the latent simulation truth."""
+
+    y: np.ndarray
+    x: np.ndarray
+    latent: Optional[Latent] = None
+
+    def __post_init__(self):
+        y, x = as_sample(self.y, self.x)
+        check_finite("y", y)
+        check_finite("x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", x)
+
+    @property
+    def n(self) -> int:
+        return self.y.size
 
 
 # Decorates the functions that form products and quotients on blocks, so an

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .moments import (as_sample, check_finite, check_finite_number, check_integer,
+from .moments import (Dataset, Latent, check_finite_number, check_integer,
                       check_intercept_flag)
 
 __all__ = [
@@ -279,41 +279,6 @@ class ModelSpec:
         check_finite_number("alpha", self.alpha)
         if self.c == 0 and self.alpha != 0.0:
             raise ValueError("alpha must be 0 when the intercept is known to be zero")
-
-
-@dataclass(frozen=True)
-class Latent:
-    """Simulation truth carried alongside a dataset.
-
-    ``delta`` and ``epsilon`` are stored as the exact float residuals of
-    the generated series (delta = y - beta*xi - alpha, epsilon = x - xi,
-    evaluated in that order), so those identities reproduce them bitwise.
-    They differ from the raw noise draws by at most a rounding ulp.
-    """
-
-    xi: np.ndarray
-    delta: np.ndarray
-    epsilon: np.ndarray
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Observed pairs, optionally carrying the latent simulation truth."""
-
-    y: np.ndarray
-    x: np.ndarray
-    latent: Optional[Latent] = None
-
-    def __post_init__(self):
-        y, x = as_sample(self.y, self.x)
-        check_finite("y", y)
-        check_finite("x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
-
-    @property
-    def n(self) -> int:
-        return self.y.size
 
 
 def substream(seed: SeedLike, *path: int) -> np.random.Generator:

@@ -1,0 +1,114 @@
+"""Start-up: each CLI command imports only the layers it uses, and the
+package exports its public names lazily (PEP 562).
+
+The import sets are pinned exactly, each in a fresh interpreter, since a
+module that one command starts to import at top level shows up in the
+others.  Times are not gated on: they are too noisy on a shared host.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import eivreg
+from test_cli import M0_CONFIG
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs eivreg.cli.main on its arguments, then prints, as the last line of
+# stdout, the package modules and the heavy dependencies it has imported.
+LOADED = """
+import json, sys
+from eivreg.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+heavy = ("numpy", "concurrent.futures", "multiprocessing")
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eivreg.") or m in heavy)]))
+"""
+
+# So --version and --help load no NumPy and no layer; estimate, ci and
+# diagnose no montecarlo, config, samplers or process pool; simulate no
+# montecarlo, inference, diagnostics or process pool.
+BARE = ["eivreg.cli", "eivreg.errors"]
+FIT = BARE + ["eivreg.estimators", "eivreg.jsonout", "eivreg.moments", "numpy"]
+SIDE = ("--case", "1", "--lambda-theta", "0.1", "--mu", "0", "--intercept")
+
+IMPORTS = {
+    "version": (["--version"], BARE),
+    "help": (["--help"], BARE),
+    "estimate": (["estimate", "data.csv", *SIDE], FIT),
+    "ci": (["ci", "data.csv", *SIDE, "--family", "quadratic"],
+           FIT + ["eivreg.inference", "eivreg.normal"]),
+    "diagnose": (["diagnose", "data.csv", "--column", "x", "--ks", "--center", "0"],
+                 BARE + ["eivreg.diagnostics", "eivreg.jsonout", "eivreg.moments",
+                         "eivreg.normal", "numpy"]),
+    "simulate": (["simulate", "--config", "config.json", "--out", "sim.csv", "--latent"],
+                 BARE + ["eivreg.config", "eivreg.estimators", "eivreg.moments",
+                         "eivreg.samplers", "numpy"]),
+    "experiment": (["experiment", "--config", "config.json"],
+                   BARE + ["concurrent.futures", "eivreg.config", "eivreg.diagnostics",
+                           "eivreg.estimators", "eivreg.inference", "eivreg.jsonout",
+                           "eivreg.moments", "eivreg.montecarlo", "eivreg.normal",
+                           "eivreg.samplers", "multiprocessing", "numpy"]),
+}
+
+
+def fresh_python(code: str, *args, cwd=None) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC), EIVREG_WORKERS="1")
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("command", IMPORTS)
+def test_command_imports_only_its_layers(tmp_path, command):
+    args, expected = IMPORTS[command]
+    (tmp_path / "data.csv").write_text("y,x\n1,0\n3.1,1\n5,2\n6.9,3\n9.2,4\n11,5\n")
+    (tmp_path / "config.json").write_text(
+        json.dumps({**M0_CONFIG, "n": 40, "n_values": [30], "replications": 4}))
+    code, loaded = json.loads(fresh_python(LOADED, *args, cwd=tmp_path).splitlines()[-1])
+    assert code == 0
+    assert loaded == sorted(expected)
+
+
+def test_import_and_version_load_no_numpy():
+    out = fresh_python("import sys, eivreg\n"
+                       "print(eivreg.__version__, 'numpy' in sys.modules,"
+                       " sorted(m for m in sys.modules if m.startswith('eivreg')))")
+    assert out == "0.1.0 False ['eivreg']\n"
+
+
+def test_public_names_resolve_to_their_defining_module():
+    assert len(set(eivreg.__all__)) == len(eivreg.__all__)
+    for name in eivreg.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(eivreg, name)
+        assert value.__module__.startswith("eivreg."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from eivreg import *", namespace)
+    assert set(eivreg.__all__) <= set(namespace)
+    for name in eivreg.__all__:
+        assert namespace[name] is getattr(eivreg, name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(eivreg.__all__) <= set(dir(eivreg))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'eivreg' has no attribute 'no_such_name'"):
+        eivreg.no_such_name
+    assert not hasattr(eivreg, "fsum")
