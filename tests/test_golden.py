@@ -57,7 +57,7 @@ def experiment(name, *, family="normal", base="gaussian", case=2, c=1,
             else {"case": 2, "lambda_theta": None, "mu": 0.05, "theta": 0.25})
     side.update(extra.pop("side", {}))
     doc = {"model": model(family, base, c), "side": side, "experiment": name,
-           "n_values": list(n_values), "replications": reps, "gamma": gamma,
+           "n_values": n_values, "replications": reps, "gamma": gamma,
            "seed": seed, **extra}
     return json.dumps(doc)
 
@@ -159,6 +159,11 @@ CASES = [
     exp_case("exp_reject_bad_k", name="coverage16", case=1, k=3),
     exp_case("exp_reject_bad_workers", "abc", name="coverage14"),
     exp_case("exp_reject_gamma_0", flags=("--gamma", "0"), name="coverage14"),
+    # Documents the config layer rejects.
+    exp_case("exp_reject_model_not_object", name="coverage14", model=5),
+    exp_case("exp_reject_unknown_xi_family", name="coverage14",
+             model={**model(), "xi": {"family": "cauchy", "params": {"scale": 1.0}}}),
+    exp_case("exp_reject_n_values_not_list", name="coverage14", n_values=5),
     # Fits of one CSV dataset.
     fit_case("estimate_case1_c1", "estimate", *SIDE1, "--intercept"),
     fit_case("estimate_case2_c0", "estimate", *SIDE2),
