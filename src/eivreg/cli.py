@@ -205,8 +205,7 @@ def _cmd_simulate(args) -> int:
     from .config import load_document, parse_simulation
     from .samplers import simulate_dataset
 
-    spec, n, seed = parse_simulation(load_document(args.config), n_override=args.n,
-                                     seed_override=args.seed)
+    spec, n, seed = parse_simulation(load_document(args.config, n=args.n, seed=args.seed))
     data = simulate_dataset(spec, n, seed)
     _write_csv(args.out, ("y", "x"), (data.y, data.x))
     if args.latent:
@@ -221,10 +220,8 @@ def _cmd_experiment(args) -> int:
     from .config import load_document, parse_experiment_config
     from .montecarlo import run_experiment
 
-    doc = load_document(args.config)
-    config = parse_experiment_config(doc, seed_override=args.seed,
-                                     gamma_override=args.gamma)
-    report = run_experiment(config)
+    doc = load_document(args.config, seed=args.seed, gamma=args.gamma)
+    report = run_experiment(parse_experiment_config(doc))
     _emit(report.to_dict(), args.out)
     return 0
 

@@ -37,7 +37,9 @@ __all__ = ["load_document", "parse_model", "parse_side", "parse_simulation",
            "parse_experiment_config"]
 
 
-def load_document(path: str) -> dict:
+def load_document(path: str, **flags) -> dict:
+    """The JSON object in the file ``path``, with each of ``flags`` that is
+    not None as the value of its field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -45,70 +47,67 @@ def load_document(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    doc.update((key, value) for key, value in flags.items() if value is not None)
     return doc
 
 
-def _require(mapping: dict, key: str, context: str):
+def _require(mapping: dict, path: str, check=None):
+    """The value at the last key of the dotted ``path`` in ``mapping``,
+    passed through ``check(value, path)`` when one is given."""
+    key = path.rpartition(".")[2]
     if key not in mapping:
-        raise ConfigError(f"missing field {context}.{key}")
-    return mapping[key]
+        raise ConfigError(f"missing field {path}")
+    return mapping[key] if check is None else check(mapping[key], path)
 
 
-def _number(value, context: str) -> float:
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object")
+    return value
+
+
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context} must be a number, got {value!r}")
+        raise ConfigError(f"{path} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{context} must be finite, got {value!r}")
+        raise ConfigError(f"{path} must be finite, got {value!r}")
     return number
 
 
-def _integer(value, context: str, least=None) -> int:
+def _integer(value, path: str, least=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or \
             (least is not None and value < least):
         bound = "" if least is None else f" of at least {least}"
-        raise ConfigError(f"{context} must be an integer{bound}, got {value!r}")
+        raise ConfigError(f"{path} must be an integer{bound}, got {value!r}")
     return value
 
 
 def parse_model(doc: dict) -> ModelSpec:
-    model = _require(doc, "model", "")
-    if not isinstance(model, dict):
-        raise ConfigError("model must be an object")
-    beta = _number(_require(model, "beta", "model"), "model.beta")
-    alpha = _number(_require(model, "alpha", "model"), "model.alpha")
-    unknown = _require(model, "intercept_unknown", "model")
+    model = _require(doc, "model", _object)
+    beta = _require(model, "model.beta", _number)
+    alpha = _require(model, "model.alpha", _number)
+    unknown = _require(model, "model.intercept_unknown")
     if not isinstance(unknown, bool):
         raise ConfigError("model.intercept_unknown must be a boolean")
-    xi_doc = _require(model, "xi", "model")
-    if not isinstance(xi_doc, dict):
-        raise ConfigError("model.xi must be an object")
-    family = _require(xi_doc, "family", "model.xi")
+    xi_doc = _require(model, "model.xi", _object)
+    family = _require(xi_doc, "model.xi.family")
     if family not in XI_FAMILIES:
         raise ConfigError(f"unknown xi family {family!r}")
-    params_doc = _require(xi_doc, "params", "model.xi")
-    if not isinstance(params_doc, dict):
-        raise ConfigError("model.xi.params must be an object")
-    params = tuple(
-        _number(_require(params_doc, name, "model.xi.params"),
-                f"model.xi.params.{name}")
-        for name in XI_FAMILIES[family].params)
-    err_doc = _require(model, "errors", "model")
-    if not isinstance(err_doc, dict):
-        raise ConfigError("model.errors must be an object")
-    base = err_doc.get("base", "gaussian")
+    params_doc = _require(xi_doc, "model.xi.params", _object)
+    params = tuple(_require(params_doc, f"model.xi.params.{name}", _number)
+                   for name in XI_FAMILIES[family].params)
+    err_doc = _require(model, "model.errors", _object)
     try:
         xi = XiDistribution(family, params)
         err = ErrorSpec(
-            lambda_theta=_number(_require(err_doc, "lambda_theta", "model.errors"),
-                                 "model.errors.lambda_theta"),
-            theta=_number(_require(err_doc, "theta", "model.errors"),
-                          "model.errors.theta"),
-            mu=_number(_require(err_doc, "mu", "model.errors"), "model.errors.mu"),
-            base=base,
+            lambda_theta=_require(err_doc, "model.errors.lambda_theta", _number),
+            theta=_require(err_doc, "model.errors.theta", _number),
+            mu=_require(err_doc, "model.errors.mu", _number),
+            base=err_doc.get("base", "gaussian"),
         )
         return ModelSpec(beta=beta, alpha=alpha, c=1 if unknown else 0, xi=xi, err=err)
     except ValueError as exc:
@@ -116,11 +115,9 @@ def parse_model(doc: dict) -> ModelSpec:
 
 
 def parse_side(doc: dict, c: int) -> SideInfo:
-    side = _require(doc, "side", "")
-    if not isinstance(side, dict):
-        raise ConfigError("side must be an object")
-    case = _integer(_require(side, "case", "side"), "side.case")
-    mu = _number(_require(side, "mu", "side"), "side.mu")
+    side = _require(doc, "side", _object)
+    case = _require(side, "side.case", _integer)
+    mu = _require(side, "side.mu", _number)
     lam = side.get("lambda_theta")
     theta = side.get("theta")
     try:
@@ -134,44 +131,36 @@ def parse_side(doc: dict, c: int) -> SideInfo:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_simulation(doc: dict, n_override=None, seed_override=None):
-    """(model, n, seed) of a ``simulate`` run; an override, when not None,
-    replaces the config's value."""
+def parse_simulation(doc: dict):
+    """(model, n, seed) of a ``simulate`` run."""
     spec = parse_model(doc)
     settings = []
-    for key, override, least in (("n", n_override, 1), ("seed", seed_override, 0)):
-        value = doc.get(key) if override is None else override
+    for key, least in (("n", 1), ("seed", 0)):
+        value = doc.get(key)
         if value is None:
             raise ConfigError(f"{key} missing: set \"{key}\" in the config or pass --{key}")
         settings.append(_integer(value, key, least))
     return (spec, *settings)
 
 
-def parse_experiment_config(doc: dict, seed_override=None, gamma_override=None):
-    """The ``ExperimentConfig`` of an ``experiment`` run; an override, when
-    not None, replaces the config's value."""
+def parse_experiment_config(doc: dict):
+    """The ``ExperimentConfig`` of an ``experiment`` run."""
     from .montecarlo import ExperimentConfig
 
     spec = parse_model(doc)
     side = parse_side(doc, spec.c)
-    experiment = _require(doc, "experiment", "")
-    n_values = _require(doc, "n_values", "")
+    experiment = _require(doc, "experiment")
+    n_values = _require(doc, "n_values")
     if not isinstance(n_values, list) or not n_values:
         raise ConfigError("n_values must be a nonempty list of integers")
     n_values = tuple(_integer(n, "n_values[]") for n in n_values)
-    replications = _integer(_require(doc, "replications", ""), "replications")
-    gamma = _number(_require(doc, "gamma", ""), "gamma") \
-        if gamma_override is None else gamma_override
-    seed = _integer(_require(doc, "seed", ""), "seed") \
-        if seed_override is None else seed_override
-    kwargs = {}
-    if "k" in doc:
-        kwargs["k"] = _integer(doc["k"], "k")
-    if "pivot" in doc:
-        kwargs["pivot"] = doc["pivot"]
+    replications = _require(doc, "replications")
+    gamma = _require(doc, "gamma", _number)
+    seed = _require(doc, "seed")
+    optional = {key: doc[key] for key in ("k", "pivot") if key in doc}
     try:
         return ExperimentConfig(spec=spec, side=side, experiment=experiment,
                                 n_values=n_values, replications=replications,
-                                gamma=gamma, seed=seed, **kwargs)
+                                gamma=gamma, seed=seed, **optional)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

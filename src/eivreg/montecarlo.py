@@ -55,6 +55,7 @@ from .inference import (DEGENERACY_DISCRIMINANT, DEGENERACY_LEADING, DEGENERACY_
                         check_quadratic, ci_intercept, ci_slope_plugin, ci_slope_quadratic,
                         intercept_statistic, slope_statistic)
 from .moments import Rows, check_integer, fsum, quiet_overflow
+from .normal import z_for_gamma
 from .samplers import (_ERROR_BASES, ROLE_ERRORS, ROLE_XI, XI_FAMILIES, ModelSpec,
                        _philox_generator, _raw_blocks, _reset, _simulate_rows, philox_keys)
 
@@ -128,9 +129,8 @@ class ExperimentConfig:
         real = (int, float, np.integer, np.floating)
         if isinstance(self.gamma, bool) or not isinstance(self.gamma, real):
             raise ValueError(f"gamma must be a number, got {self.gamma!r}")
+        z_for_gamma(self.gamma)  # before float(), which an integer past its range overflows
         object.__setattr__(self, "gamma", float(self.gamma))
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie strictly between 0 and 1, got {self.gamma!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         check_k(self.k)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import PROP_CASES
-from eivreg import cli
+from eivreg import cli, montecarlo
 from eivreg.cli import main
+from eivreg.montecarlo import EXPERIMENTS
 
 M0_CONFIG = {
     "model": {
@@ -216,6 +217,14 @@ class TestSimulate:
                        str(tmp_path / "x.csv"))
         assert proc.returncode == 2
 
+    def test_flags_are_document_values(self, tmp_path):
+        flagged = write(tmp_path, "a.json", json.dumps({**M0_CONFIG, "n": 3, "seed": 2}))
+        plain = write(tmp_path, "b.json", json.dumps({**M0_CONFIG, "n": 7, "seed": 9}))
+        assert main(["simulate", "--config", flagged, "--out", str(tmp_path / "a.csv"),
+                     "--n", "7", "--seed", "9"]) == 0
+        assert main(["simulate", "--config", plain, "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
 
 class TestExperiment:
     def test_coverage_report(self, tmp_path):
@@ -262,6 +271,36 @@ class TestExperiment:
         echo0 = {k: v for k, v in rep0["config"].items() if k != "seed"}
         echo1 = {k: v for k, v in rep1["config"].items() if k != "seed"}
         assert echo0 == echo1
+
+    def test_flags_are_document_values(self, tmp_path, capsys):
+        flagged = write(tmp_path, "a.json", json.dumps(M0_CONFIG))
+        plain = write(tmp_path, "b.json", json.dumps({**M0_CONFIG, "seed": 5, "gamma": 0.1}))
+        assert main(["experiment", "--config", flagged, "--seed", "5", "--gamma", "0.1"]) == 0
+        by_flags = capsys.readouterr().out
+        assert main(["experiment", "--config", plain]) == 0
+        assert capsys.readouterr().out == by_flags
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_flag_reads_like_document(self, tmp_path, capsys, value):
+        config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))
+        assert main(["experiment", "--config", config, f"--gamma={value}"]) == 2
+        assert capsys.readouterr().err == f"eivreg: gamma must be finite, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_tiny_gamma_rejected_before_any_replication(self, tmp_path, capsys, monkeypatch,
+                                                         experiment, workers):
+        def replicate(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setenv("EIVREG_WORKERS", workers)
+        monkeypatch.setattr(montecarlo, "_map_replications", replicate)
+        doc = {**M0_CONFIG, "experiment": experiment, "gamma": 1e-300,
+               "side": {"case": 1, "lambda_theta": 0.25, "mu": 0.05, "theta": None}}
+        config = write(tmp_path, "cfg.json", json.dumps(doc))
+        assert main(["experiment", "--config", config]) == 2
+        assert capsys.readouterr().err == ("eivreg: gamma must exceed 2**-53, below which "
+                                           "1 - gamma/2 rounds to 1, got 1e-300\n")
 
     def test_byte_identical_reports(self, tmp_path):
         config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))

@@ -6,11 +6,12 @@ The corpus spans every experiment and pivot, every latent family, both
 error bases, both identifiability cases, both intercept flags, both
 quadratic variants, one and two workers, and the ``estimate``, ``ci``,
 ``simulate`` and ``diagnose`` subcommands, and one rejected input for each
-rule the command line enforces.  A refactor that claims to change no
-behaviour must pass it unchanged.  Each case runs ``eivreg.cli.main``
-in-process in its own working directory, with ``COLUMNS=80`` so that
-argparse wraps its usage lines the same way on every terminal; sizes are
-kept tiny so the whole corpus takes a few seconds.
+rule the command line and its config documents enforce.  A refactor that
+claims to change no behaviour must pass it unchanged.  Each case runs
+``eivreg.cli.main`` in-process in its own working directory, with
+``COLUMNS=80`` so that argparse wraps its usage lines the same way on
+every terminal; sizes are kept tiny so the whole corpus takes a few
+seconds.
 
 After an intended change of output, recapture the expected files with
 
@@ -164,6 +165,12 @@ CASES = [
     exp_case("exp_reject_unknown_xi_family", name="coverage14",
              model={**model(), "xi": {"family": "cauchy", "params": {"scale": 1.0}}}),
     exp_case("exp_reject_n_values_not_list", name="coverage14", n_values=5),
+    Case("exp_reject_missing_experiment", ("experiment", "--config", "cfg.json"),
+         {"cfg.json": json.dumps({key: value for key, value in json.loads(
+             experiment("coverage14")).items() if key != "experiment"})}),
+    # Gamma's one owner, z_for_gamma, rejects these before any replication runs.
+    exp_case("exp_reject_normality_gamma_1e_300", name="normality", gamma=1e-300),
+    exp_case("exp_reject_gamma_nan_flag", flags=("--gamma", "nan"), name="coverage14"),
     # Fits of one CSV dataset.
     fit_case("estimate_case1_c1", "estimate", *SIDE1, "--intercept"),
     fit_case("estimate_case2_c0", "estimate", *SIDE2),

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from eivreg.jsonout import dumps
 from eivreg.moments import Rows
 from eivreg.montecarlo import (EXPERIMENTS, OUTCOMES, PIVOTS, ZERO_NORMALIZER, _evaluate,
                                _replicate_block, _row_code)
+from eivreg.normal import z_for_gamma
 from eivreg.samplers import Latent
 from test_samplers import XI_CASES
 
@@ -87,6 +90,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             cfg(**{field: value})
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.1, math.nan, 2.0 ** -54, 1e-300, 10 ** 400])
+    def test_gamma_range_is_z_for_gamma(self, gamma):
+        # One owner: the config rejects each gamma with z_for_gamma's own
+        # error, an integer beyond the float range included.
+        with pytest.raises(ValueError) as owner:
+            z_for_gamma(gamma)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(owner.value))}$"):
+            cfg(gamma=gamma)
+
+    def test_gamma_beyond_float_range_named(self):
+        with pytest.raises(ValueError, match=r"^gamma must lie strictly between 0 and 1, got 1000"):
+            cfg(gamma=10 ** 400)
+
     def test_numpy_scalars_echo_as_json_numbers(self):
         # A side of case np.int64(2) and c True runs as case 2 with c = 1,
         # and gamma np.float32(0.25) as 0.25.
@@ -111,6 +127,8 @@ class TestConfigValidation:
     def test_intercept_flag_mismatch(self):
         with pytest.raises(ValueError):
             cfg(side=SideInfo.case2(0.25, 0.05, c=0))
+
+
 
 
 class TestCoverage:
