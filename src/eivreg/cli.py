@@ -6,16 +6,15 @@ JSON config, and ``diagnose`` computes heavy-tail diagnostics for one
 numeric column.  All structured output is JSON with 17-significant-digit
 floats, so identical runs produce byte-identical documents.
 
-Exit codes: 0 ok, 2 input or configuration error, 3 guard violation or a
-statistic undefined on the data, 4 degenerate quadratic interval (its JSON
-is still emitted).
+Exit codes: 0 ok, 2 input or configuration error or a size that cannot be
+allocated, 3 guard violation or a statistic undefined on the data, 4
+degenerate quadratic interval (its JSON is still emitted).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import sys
 import warnings
@@ -227,6 +226,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from dataclasses import asdict
+
     from .diagnostics import (DiagnosticReport, empirical_bn, ks_distance_to_normal,
                               obrien_ratio, selfnorm_sum)
 
@@ -236,7 +237,7 @@ def _cmd_diagnose(args) -> int:
         empirical_bn=empirical_bn(z) if z.size >= 2 else None,
         selfnorm_stat=None if args.center is None else selfnorm_sum(z, args.center),
         ks_distance=ks_distance_to_normal(z) if args.ks else None)
-    _emit(dataclasses.asdict(report), args.out)
+    _emit(asdict(report), args.out)
     return 0
 
 
@@ -311,6 +312,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"eivreg: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size no allocation can meet
+        print(f"eivreg: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

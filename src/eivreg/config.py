@@ -17,11 +17,18 @@ Document layout::
     }
 
 ``simulate`` runs read only "model", "n" (an integer of at least 1) and
-"seed" (an integer of at least 0); its ``--n`` and ``--seed`` flags, when
-given, replace the config's values and are checked the same way.
-Experiment runs need everything except "n"; their ``--seed`` and
-``--gamma`` flags replace the config's values.  Violations raise
-ConfigError with a message naming the offending field.
+"seed" (an integer of at least 0); experiment runs need everything except
+"n".  The command line merges its ``--n``, ``--seed`` and ``--gamma``
+flags into the document as it loads it, so a flag meets the same checks
+as the field it replaces.
+
+This module checks what JSON can get wrong: missing fields, values that
+are not objects, not numbers or not integers, NaN and Infinity literals,
+integers beyond the float range, and the "n_values" list.  The library
+owns every other rule: ``ModelSpec``, ``SideInfo`` and ``ExperimentConfig``
+check their own fields, and ``ExperimentConfig`` checks replications,
+seed, k and gamma.  Violations raise ConfigError with a message naming
+the offending field.
 """
 
 from __future__ import annotations

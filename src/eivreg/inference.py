@@ -308,8 +308,9 @@ class IntervalEstimate:
     degenerates (the acceptance region is not a bounded interval); the
     ``degeneracy`` field names which of the two finite-sample events
     failed.  Degeneracy is reported, never silently widened to the whole
-    line.  The intervals of a block of ``Rows`` hold (B, 1) columns, with
-    NaN ends where a row degenerates.
+    line.  The intervals of a block of ``Rows`` hold (B, 1) columns, and a
+    row's ends mean something only where its degeneracy is ``none``: a
+    degenerate row's ends may be NaN or finite.
     """
 
     center: float

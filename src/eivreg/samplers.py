@@ -293,7 +293,7 @@ def substream(seed: SeedLike, *path: int) -> np.random.Generator:
         entropy = check_integer("seed", seed)
     else:
         entropy = [check_integer("seed", word) for word in seed]
-    ss = np.random.SeedSequence(entropy, spawn_key=tuple(path))
+    ss = np.random.SeedSequence(entropy, spawn_key=tuple(check_integer("path", p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -308,7 +308,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _words(name: str, value: int) -> list:
-    """The little-endian uint32 words SeedSequence splits ``value`` into."""
+    """The little-endian uint32 words SeedSequence splits ``value`` into;
+    raises ValueError naming ``name`` unless it is a nonnegative integer."""
+    value = check_integer(name, value)
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
     words = [value & _MASK32]

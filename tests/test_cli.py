@@ -225,6 +225,16 @@ class TestSimulate:
         assert main(["simulate", "--config", plain, "--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_unallocatable_n_exit_2(self, tmp_path, capsys):
+        # 10**15 float64 values (7.1 PiB) lie beyond a 47-bit address space,
+        # so the allocation is refused at once.
+        config = write(tmp_path, "cfg.json", json.dumps({**M0_CONFIG, "seed": 1}))
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "x.csv"),
+                     "--n", str(10 ** 15)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("eivreg: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestExperiment:
     def test_coverage_report(self, tmp_path):
@@ -301,6 +311,18 @@ class TestExperiment:
         assert main(["experiment", "--config", config]) == 2
         assert capsys.readouterr().err == ("eivreg: gamma must exceed 2**-53, below which "
                                            "1 - gamma/2 rounds to 1, got 1e-300\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unallocatable_n_exit_2(self, tmp_path, capsys, monkeypatch, workers):
+        # As for simulate: 10**15 float64 values are refused at once.  With
+        # eight replications, two workers run them in a process pool.
+        monkeypatch.setenv("EIVREG_WORKERS", workers)
+        doc = {**M0_CONFIG, "n_values": [10 ** 15], "replications": 8}
+        config = write(tmp_path, "cfg.json", json.dumps(doc))
+        assert main(["experiment", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("eivreg: ") and captured.err.count("\n") == 1
 
     def test_byte_identical_reports(self, tmp_path):
         config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))

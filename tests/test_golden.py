@@ -6,7 +6,8 @@ The corpus spans every experiment and pivot, every latent family, both
 error bases, both identifiability cases, both intercept flags, both
 quadratic variants, one and two workers, and the ``estimate``, ``ci``,
 ``simulate`` and ``diagnose`` subcommands, and one rejected input for each
-rule the command line and its config documents enforce.  A refactor that
+rule the command line and its config documents enforce.  Every report
+re-runs from its own config echo to the same bytes.  A refactor that
 claims to change no behaviour must pass it unchanged.  Each case runs
 ``eivreg.cli.main`` in-process in its own working directory, with
 ``COLUMNS=80`` so that argparse wraps its usage lines the same way on
@@ -171,6 +172,8 @@ CASES = [
     # Gamma's one owner, z_for_gamma, rejects these before any replication runs.
     exp_case("exp_reject_normality_gamma_1e_300", name="normality", gamma=1e-300),
     exp_case("exp_reject_gamma_nan_flag", flags=("--gamma", "nan"), name="coverage14"),
+    # 10**15 float64 values lie beyond a 47-bit address space: refused at once.
+    exp_case("exp_reject_unallocatable_n", name="coverage14", n_values=(10 ** 15,)),
     # Fits of one CSV dataset.
     fit_case("estimate_case1_c1", "estimate", *SIDE1, "--intercept"),
     fit_case("estimate_case2_c0", "estimate", *SIDE2),
@@ -213,6 +216,9 @@ CASES = [
     Case("simulate_reject_n_0", ("simulate", "--config", "cfg.json", "--out", "sim.csv"),
          {"cfg.json": json.dumps({"model": model(), "n": 0, "seed": 1})}),
     Case("simulate_reject_no_n", ("simulate", "--config", "cfg.json", "--out", "sim.csv"),
+         {"cfg.json": json.dumps({"model": model(), "seed": 1})}),
+    Case("simulate_reject_unallocatable_n", ("simulate", "--config", "cfg.json", "--out",
+                                              "sim.csv", "--n", str(10 ** 15)),
          {"cfg.json": json.dumps({"model": model(), "seed": 1})}),
 ] + [
     # One simulation per latent family, alternating the error base.
@@ -275,6 +281,18 @@ def test_golden(case, tmp_path):
     assert code == _expected_codes()[case.name]
     for name, data in outputs.items():
         assert data == (GOLDEN / f"{case.name}.{name}").read_bytes(), name
+
+
+REPORTS = [c for c in CASES if c.name.startswith("exp_") and _expected_codes()[c.name] == 0]
+
+
+@pytest.mark.parametrize("case", REPORTS, ids=lambda c: c.name)
+def test_report_reruns_from_its_config_echo(case, tmp_path):
+    report = (GOLDEN / f"{case.name}.stdout").read_bytes()
+    echo = json.dumps(json.loads(report)["config"])
+    rerun = Case(case.name, ("experiment", "--config", "echo.json"), {"echo.json": echo},
+                 case.workers)
+    assert run_case(rerun, tmp_path) == (0, {"stdout": report, "stderr": b""})
 
 
 def test_corpus_files_match_cases():

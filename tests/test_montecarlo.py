@@ -12,6 +12,7 @@ from eivreg import (Dataset, ErrorSpec, ExperimentConfig, GuardViolation, ModelS
                     ci_slope_quadratic, empirical_bn, estimate, intercept_statistic,
                     naive_ratio_estimates, run_experiment, simulate_dataset, slope_statistic)
 from eivreg import estimators, inference, montecarlo
+from eivreg.config import parse_experiment_config
 from eivreg.inference import check_k
 from eivreg.jsonout import dumps
 from eivreg.moments import Rows
@@ -19,7 +20,7 @@ from eivreg.montecarlo import (EXPERIMENTS, OUTCOMES, PIVOTS, ZERO_NORMALIZER, _
                                _replicate_block, _row_code)
 from eivreg.normal import z_for_gamma
 from eivreg.samplers import Latent
-from test_samplers import XI_CASES
+from test_samplers import BASES, XI_CASES, XI_IDS
 
 
 def cfg(**kw):
@@ -129,6 +130,20 @@ class TestConfigValidation:
             cfg(side=SideInfo.case2(0.25, 0.05, c=0))
 
 
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("dist", XI_CASES, ids=XI_IDS)
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_report_config_parses_to_its_config(experiment, dist, base):
+    # A report's config echo is a config document: parsed, it is the config.
+    echoed = {name: value for name, value in (("k", 2), ("pivot", "intercept_plugin"))
+              if name in EXPERIMENTS[experiment].echo}
+    spec = ModelSpec(beta=-1.5, alpha=0.75, c=1, xi=dist,
+                     err=ErrorSpec(lambda_theta=0.5, theta=2.0, mu=-0.6, base=base))
+    config = ExperimentConfig(spec=spec, side=SideInfo.case1(0.5, -0.6), experiment=experiment,
+                              n_values=(5, 3), replications=2, gamma=0.1, seed=2 ** 40 + 3,
+                              **echoed)
+    assert parse_experiment_config(run_experiment(config).config) == config
 
 
 class TestCoverage:

@@ -130,6 +130,13 @@ def test_sample_xi_needs_positive_n():
     (lambda: simulate_dataset(M0_SPEC, 3, 1.5), "seed", "1.5"),
     (lambda: simulate_dataset(M0_SPEC, 3, (1, 2.5)), "seed", "2.5"),
     (lambda: substream(True, ROLE_XI), "seed", "True"),
+    (lambda: substream(1, 1.5), "path", "1.5"),
+    (lambda: substream(1, ROLE_XI, True), "path", "True"),
+    (lambda: philox_keys(1.5, 100, [0], ROLE_XI), "seed", "1.5"),
+    (lambda: philox_keys(True, 100, [0], ROLE_XI), "seed", "True"),
+    (lambda: philox_keys(1, 100.0, [0], ROLE_XI), "n", "100.0"),
+    (lambda: philox_keys(1, 100, [0], 0.5), "role", "0.5"),
+    (lambda: philox_keys(1, 100, [0], (ROLE_XI, "1")), "role", "'1'"),
 ])
 def test_sampler_integer_arguments_named(call, name, shown):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(shown)}$"):

@@ -29,15 +29,17 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-heavy = ("numpy", "concurrent.futures", "multiprocessing")
+heavy = ("numpy", "concurrent.futures", "multiprocessing", "dataclasses", "inspect")
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eivreg.") or m in heavy)]))
 """
 
-# So --version and --help load no NumPy and no layer; estimate, ci and
-# diagnose no montecarlo, config, samplers or process pool; simulate no
-# montecarlo, inference, diagnostics or process pool.
+# So --version and --help load no NumPy, no dataclasses (which imports
+# inspect) and no layer; estimate, ci and diagnose no montecarlo, config,
+# samplers or process pool; simulate no montecarlo, inference, diagnostics
+# or process pool.
 BARE = ["eivreg.cli", "eivreg.errors"]
-FIT = BARE + ["eivreg.estimators", "eivreg.jsonout", "eivreg.moments", "numpy"]
+LAYER = BARE + ["dataclasses", "inspect", "numpy"]
+FIT = LAYER + ["eivreg.estimators", "eivreg.jsonout", "eivreg.moments"]
 SIDE = ("--case", "1", "--lambda-theta", "0.1", "--mu", "0", "--intercept")
 
 IMPORTS = {
@@ -47,16 +49,16 @@ IMPORTS = {
     "ci": (["ci", "data.csv", *SIDE, "--family", "quadratic"],
            FIT + ["eivreg.inference", "eivreg.normal"]),
     "diagnose": (["diagnose", "data.csv", "--column", "x", "--ks", "--center", "0"],
-                 BARE + ["eivreg.diagnostics", "eivreg.jsonout", "eivreg.moments",
-                         "eivreg.normal", "numpy"]),
+                 LAYER + ["eivreg.diagnostics", "eivreg.jsonout", "eivreg.moments",
+                          "eivreg.normal"]),
     "simulate": (["simulate", "--config", "config.json", "--out", "sim.csv", "--latent"],
-                 BARE + ["eivreg.config", "eivreg.estimators", "eivreg.moments",
-                         "eivreg.samplers", "numpy"]),
+                 LAYER + ["eivreg.config", "eivreg.estimators", "eivreg.moments",
+                          "eivreg.samplers"]),
     "experiment": (["experiment", "--config", "config.json"],
-                   BARE + ["concurrent.futures", "eivreg.config", "eivreg.diagnostics",
-                           "eivreg.estimators", "eivreg.inference", "eivreg.jsonout",
-                           "eivreg.moments", "eivreg.montecarlo", "eivreg.normal",
-                           "eivreg.samplers", "multiprocessing", "numpy"]),
+                   LAYER + ["concurrent.futures", "eivreg.config", "eivreg.diagnostics",
+                            "eivreg.estimators", "eivreg.inference", "eivreg.jsonout",
+                            "eivreg.moments", "eivreg.montecarlo", "eivreg.normal",
+                            "eivreg.samplers", "multiprocessing"]),
 }
 
 
