@@ -132,8 +132,8 @@ def test_sample_xi_needs_positive_n():
     (lambda: substream(True, ROLE_XI), "seed", "True"),
     (lambda: substream(1, 1.5), "path", "1.5"),
     (lambda: substream(1, ROLE_XI, True), "path", "True"),
-    (lambda: philox_keys(1.5, 100, [0], ROLE_XI), "seed", "1.5"),
-    (lambda: philox_keys(True, 100, [0], ROLE_XI), "seed", "True"),
+    (lambda: philox_keys(0.5, 100, [0], ROLE_XI), "seed", "0.5"),
+    (lambda: philox_keys(False, 100, [0], ROLE_XI), "seed", "False"),
     (lambda: philox_keys(1, 100.0, [0], ROLE_XI), "n", "100.0"),
     (lambda: philox_keys(1, 100, [0], 0.5), "role", "0.5"),
     (lambda: philox_keys(1, 100, [0], (ROLE_XI, "1")), "role", "'1'"),
