@@ -38,7 +38,7 @@ import math
 
 from .errors import ConfigError
 from .estimators import SideInfo
-from .samplers import XI_FAMILIES, ErrorSpec, ModelSpec, XiDistribution
+from .samplers import ErrorSpec, ModelSpec, XiDistribution, _xi_family
 
 __all__ = ["load_document", "parse_model", "parse_side", "parse_simulation",
            "parse_experiment_config"]
@@ -102,13 +102,12 @@ def parse_model(doc: dict) -> ModelSpec:
         raise ConfigError("model.intercept_unknown must be a boolean")
     xi_doc = _require(model, "model.xi", _object)
     family = _require(xi_doc, "model.xi.family")
-    if family not in XI_FAMILIES:
-        raise ConfigError(f"unknown xi family {family!r}")
-    params_doc = _require(xi_doc, "model.xi.params", _object)
-    params = tuple(_require(params_doc, f"model.xi.params.{name}", _number)
-                   for name in XI_FAMILIES[family].params)
-    err_doc = _require(model, "model.errors", _object)
     try:
+        names = _xi_family(family).params
+        params_doc = _require(xi_doc, "model.xi.params", _object)
+        params = tuple(_require(params_doc, f"model.xi.params.{name}", _number)
+                       for name in names)
+        err_doc = _require(model, "model.errors", _object)
         xi = XiDistribution(family, params)
         err = ErrorSpec(
             lambda_theta=_require(err_doc, "model.errors.lambda_theta", _number),

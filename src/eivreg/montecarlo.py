@@ -19,26 +19,26 @@ existing draws and any worker count produces bit-identical reports.
 Replications run in blocks: each block derives the Philox keys of both
 roles in one vectorised call and resets one reused generator per role to
 each replication's keys, which gives the draws of ``samplers.substream``.
-A sub-block holds at most ``_BLOCK_ELEMENTS`` draws per series.  Per
-replication, ``_replicate`` only resets the generators and writes the raw
-variates into the replication's rows; the sub-block is then transformed
-into its (B, n) y, x and xi at once, and evaluated at once by the library
-functions on ``moments.Rows``.  The one-sample functions are the one-row
-case of the same code, so each row gets the draws and the outcome its
-own call would give.  A replication's outcome is an int8 code, its index
-in ``OUTCOMES`` (scored, a degenerate inversion, a zero normalizer or a
+A sub-block holds the rows ``_sub_block_rows`` gives.  Per replication,
+``_replicate`` only resets the generators and writes the raw variates into
+the replication's rows; the sub-block is then transformed into its (B, n)
+y, x and xi at once, and evaluated at once by the library functions on
+``moments.Rows``.  The one-sample functions are the one-row case of the
+same code, so each row gets the draws and the outcome its own call would
+give.  A replication's outcome is an int8 code, its index in
+``OUTCOMES`` (scored, a degenerate inversion, a zero normalizer or a
 guard violation: counted, never raised), and a row of values, such as an
-interval's hit and width, read only when scored.  Any other failure
-stops the run with the error of the first replication that meets it.
-Coverage is computed over the scored replications with the failure rate
-reported alongside, so covered + missed + failed always equals the
+interval's hit and width, read only when scored.  The outcomes of every
+replication at one n are allocated before any of them runs.  Any other
+failure stops the run with the error of the first replication that meets
+it.  Coverage is computed over the scored replications with the failure
+rate reported alongside, so covered + missed + failed always equals the
 replication count.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
@@ -79,10 +79,14 @@ WORKERS_ENV = "EIVREG_WORKERS"
 # outcomes, so its memory does not grow with the replication count.
 _MAX_BLOCK = 1024
 
-# The most draws per series one sub-block evaluates at once, as (B, n)
-# arrays: 163 rows at n = 50, 81 at n = 100, 4 at n = 2000.  This bounds
-# the memory of the arrays and their temporaries.
+# A sub-block is evaluated at once as (B, n) arrays, and its fixed cost of
+# about 100 NumPy calls on (B, 1) columns and 6 to 9 fsum calls is shared
+# by its B rows.  It holds at most _BLOCK_ELEMENTS draws per series (163
+# rows at n = 50, 81 at n = 100), or _MIN_ROWS rows while they stay within
+# 4 * _BLOCK_ELEMENTS draws (16 at n = 2000, 8 at n = 4096), which bounds
+# the memory of the arrays and their temporaries at every n.
 _BLOCK_ELEMENTS = 8192
+_MIN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -181,19 +185,24 @@ def _row_code(error: Optional[Exception], kind: str) -> int:
     raise error
 
 
+def _sub_block_rows(n: int) -> int:
+    """The rows of a full sub-block of replications of size ``n``."""
+    return max(1, _BLOCK_ELEMENTS // n, min(_MIN_ROWS, 4 * _BLOCK_ELEMENTS // n))
+
+
 def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) -> tuple:
     """(codes, values) of replications start..stop-1, in order.  Replication
     r draws from the streams ``substream((seed, n, r), role)``, whatever
-    block it runs in.  The block is evaluated in sub-blocks of at most
-    ``_BLOCK_ELEMENTS`` draws per series: each replication's raw variates
-    are drawn into a row, then the sub-block is simulated and evaluated as
-    (B, n) arrays."""
+    block it runs in.  The block is evaluated in sub-blocks of
+    ``_sub_block_rows(n)`` rows: each replication's raw variates are drawn
+    into a row, then the sub-block is simulated and evaluated as (B, n)
+    arrays."""
     spec = config.spec
     keys = philox_keys(config.seed, n, range(start, stop), (ROLE_XI, ROLE_ERRORS))
     rngs = (_philox_generator(), _philox_generator())
     family = XI_FAMILIES[spec.xi.family]
     draws = (family.draw, _ERROR_BASES[spec.err.base].draw)
-    size = max(1, _BLOCK_ELEMENTS // n)
+    size = _sub_block_rows(n)
     outcomes = []
     for lo in range(0, stop - start, size):
         count = min(size, stop - start - lo)
@@ -207,7 +216,8 @@ def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) ->
         # sub-block (about 25 minor faults a replication).
         del xi_raw, err_raw
         outcomes.append(_evaluate(config, rows))
-    return _joined(outcomes)
+    codes, values = zip(*outcomes)
+    return np.concatenate(codes), np.concatenate(values)
 
 
 @quiet_overflow
@@ -216,12 +226,6 @@ def _evaluate(config: ExperimentConfig, rows: Rows) -> tuple:
     kinds, values = EXPERIMENTS[config.experiment].outcome(config, rows)
     kinds = np.broadcast_to(kinds, (len(values), 1)).ravel().tolist()
     return np.fromiter(map(_row_code, rows.status.errors, kinds), np.int8, len(kinds)), values
-
-
-def _joined(outcomes) -> tuple:
-    """The (codes, values) of consecutive blocks as one pair."""
-    codes, values = zip(*outcomes)
-    return np.concatenate(codes), np.concatenate(values)
 
 
 def _worker_count() -> int:
@@ -237,19 +241,35 @@ def _worker_count() -> int:
     return count
 
 
+def _outcome_columns(config: ExperimentConfig) -> tuple:
+    """Room for the codes and values of a run's replications at one n.  A
+    count no allocation can meet raises MemoryError naming replications."""
+    columns = EXPERIMENTS[config.experiment].columns(config)
+    try:
+        return np.empty(config.replications, np.int8), np.empty((config.replications, columns))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond NumPy's largest dimension
+        raise MemoryError(f"cannot allocate the outcomes of the replications: {exc}") from None
+
+
 def _map_replications(config: ExperimentConfig, n: int, workers: int, pool) -> tuple:
     """(codes, values) of replications 0..M-1, in replication order.
 
-    Replications are independent and run in blocks; ``pool``, unless None,
-    runs them on ``workers`` processes, and the ordered collection makes
-    the aggregate independent of scheduling.
+    The outcome columns are allocated before any replication runs, then
+    filled block by block.  Replications are independent and run in
+    blocks; ``pool``, unless None, runs them on ``workers`` processes, and
+    the ordered collection makes the aggregate independent of scheduling.
     """
+    codes, values = _outcome_columns(config)
     total = config.replications
     block = _MAX_BLOCK if pool is None else min(_MAX_BLOCK, max(1, total // (workers * 8)))
     starts = range(0, total, block)
-    stops = [min(start + block, total) for start in starts]
+    stops = map(min, range(block, total + block, block), repeat(total))
     mapper = map if pool is None else pool.map
-    return _joined(mapper(_replicate_block, repeat(config), repeat(n), starts, stops))
+    blocks = mapper(_replicate_block, repeat(config), repeat(n), starts, stops)
+    for start, (block_codes, block_values) in zip(starts, blocks):
+        codes[start:start + len(block_codes)] = block_codes
+        values[start:start + len(block_codes)] = block_values
+    return codes, values
 
 
 def _scored(ci, truth: float) -> tuple:
@@ -374,6 +394,8 @@ class _Experiment:
     outcome: Callable
     # (n, config, int8 codes, float value rows) -> the per-n record.
     aggregate: Callable
+    # config -> k, the number of values outcome gives each row.
+    columns: Callable
     # Config fields echoed in the report besides the common ones.
     echo: Tuple[str, ...] = ()
     # config -> None; raises ValueError when the config does not suit it.
@@ -390,15 +412,18 @@ def _normality_rule(config: ExperimentConfig) -> None:
 
 
 EXPERIMENTS = {
-    "coverage14": _Experiment(_coverage14, _aggregate_coverage),
-    "coverage15": _Experiment(_coverage15, _aggregate_coverage,
+    "coverage14": _Experiment(_coverage14, _aggregate_coverage, lambda config: 2),
+    "coverage15": _Experiment(_coverage15, _aggregate_coverage, lambda config: 2,
                               rule=lambda config: check_intercept_model(config.side)),
-    "coverage16": _Experiment(_coverage16, _aggregate_coverage, ("k",), _quadratic_rule),
-    "normality": _Experiment(_normality, _aggregate_normality, ("pivot",), _normality_rule),
-    "rate": _Experiment(_rate, _aggregate_rate),
-    "naive_consistency": _Experiment(_naive, _aggregate_naive),
+    "coverage16": _Experiment(_coverage16, _aggregate_coverage, lambda config: 2, ("k",),
+                              _quadratic_rule),
+    "normality": _Experiment(_normality, _aggregate_normality, lambda config: 1, ("pivot",),
+                             _normality_rule),
+    "rate": _Experiment(_rate, _aggregate_rate, lambda config: 2 + config.side.c),
+    "naive_consistency": _Experiment(_naive, _aggregate_naive, lambda config: 3),
     # Only the degeneracy codes of quadratic-interval outcomes are counted.
-    "degeneracy": _Experiment(_coverage16, _aggregate_degeneracy, ("k",), _quadratic_rule),
+    "degeneracy": _Experiment(_coverage16, _aggregate_degeneracy, lambda config: 2, ("k",),
+                              _quadratic_rule),
 }
 
 # Plain dict values, unlike record fields, are rebound by instrumentation
@@ -431,6 +456,14 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return echo
 
 
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes.  Its module is imported here, so a
+    serial run loads no multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all replications for every n and aggregate per-n summaries."""
     aggregate = _AGGREGATE[config.experiment]
@@ -438,7 +471,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     # One pool serves every n; one worker, or too few replications to
     # split, runs in this process.
     serial = workers == 1 or config.replications < 4
-    with (nullcontext() if serial else ProcessPoolExecutor(max_workers=workers)) as pool:
+    with (nullcontext() if serial else _process_pool(workers)) as pool:
         per_n = [aggregate(n, config, *_map_replications(config, n, workers, pool))
                  for n in config.n_values]
     return ExperimentReport(experiment=config.experiment, seed=config.seed,

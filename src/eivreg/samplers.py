@@ -139,6 +139,13 @@ XI_FAMILIES = {
 }
 
 
+def _xi_family(family) -> XiFamily:
+    """The entry of ``XI_FAMILIES`` named ``family``: the one family rule."""
+    if not isinstance(family, str) or family not in XI_FAMILIES:
+        raise ValueError(f"unknown xi family {family!r}")
+    return XI_FAMILIES[family]
+
+
 @dataclass(frozen=True)
 class _ErrorBase:
     """A standardized error shape: ``draw(rng, out)`` writes the raw
@@ -173,9 +180,7 @@ class XiDistribution:
     params: tuple
 
     def __post_init__(self):
-        if self.family not in XI_FAMILIES:
-            raise ValueError(f"unknown xi family {self.family!r}")
-        fam = XI_FAMILIES[self.family]
+        fam = _xi_family(self.family)
         if len(self.params) != len(fam.params):
             raise ValueError(
                 f"{self.family} takes parameters {fam.params}, got {self.params!r}")
@@ -243,7 +248,7 @@ class ErrorSpec:
     base: str = "gaussian"
 
     def __post_init__(self):
-        if self.base not in _ERROR_BASES:
+        if not isinstance(self.base, str) or self.base not in _ERROR_BASES:
             raise ValueError(f"unknown error base {self.base!r}")
         for name in ("lambda_theta", "theta", "mu"):
             check_finite_number(name, getattr(self, name))

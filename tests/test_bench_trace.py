@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 import tracer  # noqa: E402
 
-from eivreg.montecarlo import _BLOCK_ELEMENTS  # noqa: E402
+from eivreg.montecarlo import _sub_block_rows  # noqa: E402
 from test_cli import M0_CONFIG  # noqa: E402
 
 REPS = 5
@@ -29,9 +29,9 @@ def fsum_calls(n: int) -> int:
     """coverage14 in case 2 sums each sub-block of replications as (B, n)
     rows: six fsum calls per sub-block (five in moment_set, one plug-in
     half-width), plus the mean width in the aggregate.  The REPS
-    replications fill ceil(REPS / B) sub-blocks of B = _BLOCK_ELEMENTS // n
-    rows: one at n = 30, two at n = 2000 (B = 4)."""
-    return 6 * math.ceil(REPS / max(1, _BLOCK_ELEMENTS // n)) + 1
+    replications fill ceil(REPS / B) sub-blocks of B = _sub_block_rows(n)
+    rows: one at n = 30 (B = 273) and one at n = 2000 (B = 16)."""
+    return 6 * math.ceil(REPS / _sub_block_rows(n)) + 1
 
 
 def _traced_profile(tmp_path, n):
@@ -62,7 +62,7 @@ def test_traced_long_arrays_reach_every_boundary(tmp_path):
     profile = _traced_profile(tmp_path, 2000)
     assert profile.missing == set()
     assert profile.count["montecarlo._replicate"] == REPS
-    assert profile.count["moments.fsum"] == fsum_calls(2000) == 13
+    assert profile.count["moments.fsum"] == fsum_calls(2000) == 7
 
 
 def test_traced_streams_come_from_block_keys(tmp_path):

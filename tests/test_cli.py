@@ -304,6 +304,25 @@ class TestExperiment:
         assert captured.out == ""
         assert captured.err.startswith("eivreg: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("replications", [10 ** 15, 10 ** 400])
+    def test_unallocatable_replications_exit_2_before_any_replication(
+            self, tmp_path, capsys, monkeypatch, replications):
+        # The outcome columns are allocated in the parent before the pool
+        # runs a block; the count is never iterated.
+        def replicate(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo, "_replicate_block", replicate)
+        monkeypatch.setenv("EIVREG_WORKERS", "2")
+        doc = {**M0_CONFIG, "replications": replications}
+        config = write(tmp_path, "cfg.json", json.dumps(doc))
+        assert main(["experiment", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "eivreg: cannot allocate the outcomes of the replications: ")
+        assert captured.err.count("\n") == 1
+
     def test_byte_identical_reports(self, tmp_path):
         config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))
         a = run_cli("experiment", "--config", config)

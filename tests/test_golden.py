@@ -174,6 +174,15 @@ CASES = [
     exp_case("exp_reject_gamma_nan_flag", flags=("--gamma", "nan"), name="coverage14"),
     # 10**15 float64 values lie beyond a 47-bit address space: refused at once.
     exp_case("exp_reject_unallocatable_n", name="coverage14", n_values=(10 ** 15,)),
+    # Replication counts whose outcomes no allocation can meet, the second
+    # beyond NumPy's largest dimension: refused before any replication runs.
+    exp_case("exp_reject_unallocatable_replications", name="coverage14", reps=10 ** 15),
+    exp_case("exp_reject_replications_1e400", name="coverage14", reps=10 ** 400),
+    # A family and a base that are not strings.
+    exp_case("exp_reject_xi_family_list", name="coverage14",
+             model={**model(), "xi": {"family": [], "params": {}}}),
+    exp_case("exp_reject_error_base_object", name="coverage14",
+             model={**model(), "errors": {**model()["errors"], "base": {}}}),
     # Fits of one CSV dataset.
     fit_case("estimate_case1_c1", "estimate", *SIDE1, "--intercept"),
     fit_case("estimate_case2_c0", "estimate", *SIDE2),

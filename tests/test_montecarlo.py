@@ -289,13 +289,13 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers, pools", [("1", 0), ("2", 1)])
     def test_one_pool_per_run(self, monkeypatch, workers, pools):
         opened = []
+        process_pool = montecarlo._process_pool
 
-        class CountingPool(montecarlo.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(self)
-                super().__init__(*args, **kwargs)
+        def counting_pool(workers):
+            opened.append(workers)
+            return process_pool(workers)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(montecarlo, "_process_pool", counting_pool)
         monkeypatch.setenv("EIVREG_WORKERS", workers)
         report = run_experiment(cfg(n_values=(10, 20, 30), replications=40))
         assert len(report.per_n) == 3 and len(opened) == pools
@@ -462,6 +462,8 @@ def test_block_outcomes_equal_scalar_outcomes():
     reached = set()
     for config in _configs(specs, 6, len(rows), 0.01):
         codes, values = _block_outcomes(config, rows)
+        # _map_replications allocates the run's values by this width.
+        assert values.shape == (len(rows), EXPERIMENTS[config.experiment].columns(config))
         got = _as_tuples(config, (codes, values))
         want = [_scalar_outcome(config, _dataset(*row)) for row in rows]
         assert list(map(repr, got)) == list(map(repr, want)), config
@@ -477,6 +479,7 @@ def test_replicate_block_equals_scalar_replications(monkeypatch, n, elements):
     # divide neither 23 replications nor the block's start, 3.  A known
     # error variance of 1.5 makes some replications fail their guard.
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", elements)
+    monkeypatch.setattr(montecarlo, "_MIN_ROWS", 1)
     specs = {c: _spec(XiDistribution.symmetric_pareto2(0.7, 0.0), c) for c in (0, 1)}
     reached = set()
     for config in _configs(specs, n, 26, 0.02, known=1.5):
@@ -488,6 +491,22 @@ def test_replicate_block_equals_scalar_replications(monkeypatch, n, elements):
         reached.update(OUTCOMES[code] for code in codes.tolist())
     assert {inference.DEGENERACY_NONE, inference.DEGENERACY_LEADING,
             estimators.GUARD_SXX_MINUS_THETA} <= reached
+
+
+@pytest.mark.parametrize("n, rows", [(30, 273), (100, 81), (2000, 16), (4096, 8), (10 ** 5, 1)])
+def test_sub_block_plan(monkeypatch, n, rows):
+    # A full sub-block holds at most _BLOCK_ELEMENTS = 8192 draws per
+    # series, or 16 rows while they stay within 4 * 8192 draws.  One more
+    # replication than a full sub-block starts a second one.
+    sizes = []
+
+    def keep(config, block):
+        sizes.append(len(block.y))
+        return np.zeros(len(block.y), np.int8), np.zeros((len(block.y), 2))
+
+    monkeypatch.setattr(montecarlo, "_evaluate", keep)
+    _replicate_block(cfg(n_values=(n,), replications=rows + 1), n, 0, rows + 1)
+    assert sizes == [rows, 1]
 
 
 def test_first_failing_row_stops_the_block_with_its_scalar_error():
@@ -511,6 +530,7 @@ def test_overflowing_run_stops_with_scalar_error(monkeypatch):
     # replications: the run stops with the error of the first of them.
     monkeypatch.setenv("EIVREG_WORKERS", "1")
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 12 * 5)
+    monkeypatch.setattr(montecarlo, "_MIN_ROWS", 1)
     spec = _spec(XiDistribution.symmetric_pareto2(3e152, 0.0), 1)
     config = cfg(spec=spec, n_values=(12,), replications=40)
     first = None

@@ -49,6 +49,11 @@ class TestXiDistribution:
         with pytest.raises(ValueError):
             XiDistribution("cauchy", (1.0,))
 
+    @pytest.mark.parametrize("family", [[], {}, None, 1])
+    def test_non_string_family_rejected(self, family):
+        with pytest.raises(ValueError, match=f"^unknown xi family {re.escape(repr(family))}$"):
+            XiDistribution(family, (1.0,))
+
     @pytest.mark.parametrize("family, params, name", [
         ("normal", [0.0, None], "sd"),
         ("uniform", [None, 1.0], "a"),
@@ -89,6 +94,11 @@ class TestErrorSpec:
     def test_unknown_base_rejected(self):
         with pytest.raises(ValueError):
             ErrorSpec(lambda_theta=1.0, theta=1.0, mu=0.0, base="laplace")
+
+    @pytest.mark.parametrize("base", [{}, [], None])
+    def test_non_string_base_rejected(self, base):
+        with pytest.raises(ValueError, match=f"^unknown error base {re.escape(repr(base))}$"):
+            ErrorSpec(lambda_theta=1.0, theta=1.0, mu=0.0, base=base)
 
 
 @pytest.mark.parametrize("name, value", [("beta", math.nan), ("alpha", math.inf),
@@ -415,6 +425,7 @@ def test_block_rows_equal_simulate_dataset(monkeypatch, dist, base, n):
         return np.zeros(len(rows.y), np.int8), np.zeros((len(rows.y), 1))
 
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7 * n)
+    monkeypatch.setattr(montecarlo, "_MIN_ROWS", 1)
     monkeypatch.setattr(montecarlo, "_evaluate", keep)
     montecarlo._replicate_block(config, n, 3, 26)
     assert [len(rows.y) for rows in blocks] == [7, 7, 7, 2]

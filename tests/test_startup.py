@@ -36,11 +36,15 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eivreg.")
 # So --version and --help load no NumPy, no dataclasses (which imports
 # inspect) and no layer; estimate, ci and diagnose no montecarlo, config,
 # samplers or process pool; simulate no montecarlo, inference, diagnostics
-# or process pool.
+# or process pool; experiment loads the process pool only when it runs on
+# more than one worker.
 BARE = ["eivreg.cli", "eivreg.errors"]
 LAYER = BARE + ["dataclasses", "inspect", "numpy"]
 FIT = LAYER + ["eivreg.estimators", "eivreg.jsonout", "eivreg.moments"]
 SIDE = ("--case", "1", "--lambda-theta", "0.1", "--mu", "0", "--intercept")
+EXPERIMENT = LAYER + ["eivreg.config", "eivreg.diagnostics", "eivreg.estimators",
+                      "eivreg.inference", "eivreg.jsonout", "eivreg.moments",
+                      "eivreg.montecarlo", "eivreg.normal", "eivreg.samplers"]
 
 IMPORTS = {
     "version": (["--version"], BARE),
@@ -54,16 +58,16 @@ IMPORTS = {
     "simulate": (["simulate", "--config", "config.json", "--out", "sim.csv", "--latent"],
                  LAYER + ["eivreg.config", "eivreg.estimators", "eivreg.moments",
                           "eivreg.samplers"]),
-    "experiment": (["experiment", "--config", "config.json"],
-                   LAYER + ["concurrent.futures", "eivreg.config", "eivreg.diagnostics",
-                            "eivreg.estimators", "eivreg.inference", "eivreg.jsonout",
-                            "eivreg.moments", "eivreg.montecarlo", "eivreg.normal",
-                            "eivreg.samplers", "multiprocessing"]),
+    "experiment": (["experiment", "--config", "config.json"], EXPERIMENT),
+    "experiment_2_workers": (["experiment", "--config", "config.json"],
+                             EXPERIMENT + ["concurrent.futures", "multiprocessing"]),
 }
+# EIVREG_WORKERS of the commands that do not run on one worker.
+WORKERS = {"experiment_2_workers": "2"}
 
 
-def fresh_python(code: str, *args, cwd=None) -> str:
-    env = dict(os.environ, PYTHONPATH=str(SRC), EIVREG_WORKERS="1")
+def fresh_python(code: str, *args, cwd=None, workers="1") -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC), EIVREG_WORKERS=workers)
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env=env, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
@@ -76,7 +80,8 @@ def test_command_imports_only_its_layers(tmp_path, command):
     (tmp_path / "data.csv").write_text("y,x\n1,0\n3.1,1\n5,2\n6.9,3\n9.2,4\n11,5\n")
     (tmp_path / "config.json").write_text(
         json.dumps({**M0_CONFIG, "n": 40, "n_values": [30], "replications": 4}))
-    code, loaded = json.loads(fresh_python(LOADED, *args, cwd=tmp_path).splitlines()[-1])
+    out = fresh_python(LOADED, *args, cwd=tmp_path, workers=WORKERS.get(command, "1"))
+    code, loaded = json.loads(out.splitlines()[-1])
     assert code == 0
     assert loaded == sorted(expected)
 
