@@ -165,7 +165,7 @@ def estimate(data, side: SideInfo) -> PointEstimate:
     """
     rows = as_rows(data)
     est = estimate_from_moments(moment_set(rows.y, rows.x, side.c, rows.status), side)
-    return est if rows is data else est.first()
+    return est.first() if rows.status.raising else est
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def naive_ratio_estimates(data, c: int = 1) -> NaiveEstimates:
     a = estimate_from_moments(ms, SideInfo.case1(0.0, 0.0, c))
     b = estimate_from_moments(ms, SideInfo.case2(0.0, 0.0, c))
     naive = (a.beta_hat, b.beta_hat, a.alpha_hat, b.alpha_hat)
-    return NaiveEstimates(*(naive if rows is data else map(_item, naive)))
+    return NaiveEstimates(*(map(_item, naive) if rows.status.raising else naive))
 
 
 def reliability_ratio(xi, var_epsilon: float, c: int = 1) -> float:

@@ -136,9 +136,9 @@ def _moments(rows: Rows, side: SideInfo) -> MomentSet:
     return ms
 
 
-def _one(data, column):
-    """``column`` for a block of ``Rows``; its one value for a dataset."""
-    return column if isinstance(data, Rows) else column.item()
+def _one(status: RowStatus, column):
+    """``column`` for a block; its one value for a one-sample call."""
+    return column.item() if status.raising else column
 
 
 def _slope_terms(ms: MomentSet, side: SideInfo, b) -> Tuple[np.ndarray, np.ndarray]:
@@ -271,8 +271,8 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str):
         ss, residuals = _plugin_sum(ms, side)[2], "plug-in slope"
     status.fail(ss == 0.0, lambda i: ZeroNormalizer(f"{residuals} residuals are all zero"))
     if variant == "studentized":
-        return _one(data, math.sqrt(n) * term_mean / np.sqrt(ss / (n - 1)))
-    return _one(data, n * term_mean / np.sqrt(ss))
+        return _one(status, math.sqrt(n) * term_mean / np.sqrt(ss / (n - 1)))
+    return _one(status, n * term_mean / np.sqrt(ss))
 
 
 @quiet_overflow
@@ -296,7 +296,7 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
     rows = as_rows(data)
     n, alpha_hat, ss = _intercept_studentization(rows, side, beta, alpha)
     rows.status.fail(ss == 0.0, lambda i: ZeroNormalizer("centered intercept residuals are all zero"))
-    return _one(data, rows.status.finite(
+    return _one(rows.status, rows.status.finite(
         "the intercept statistic", math.sqrt(n) * (alpha_hat - alpha) / np.sqrt(ss / (n - 1))))
 
 
@@ -323,15 +323,15 @@ class IntervalEstimate:
     degeneracy: str = DEGENERACY_NONE
 
 
-def _interval(data, status: RowStatus, center, lower, upper, level: float, family: str, j: int,
+def _interval(status: RowStatus, center, lower, upper, level: float, family: str, j: int,
               k: Optional[int] = None, degeneracy=DEGENERACY_NONE) -> IntervalEstimate:
-    """The interval of ``data``: a row whose center, or an end of its bounded
-    interval, leaves the float range fails."""
+    """The interval of the block of ``status``: a row whose center, or an
+    end of its bounded interval, leaves the float range fails."""
     bounded = degeneracy == DEGENERACY_NONE
     for part, value, where in (("center", center, True), ("lower end", lower, bounded),
                                ("upper end", upper, bounded)):
         status.finite(f"the {part} of the {family} interval", value, where)
-    if isinstance(data, Rows):
+    if not status.raising:
         return IntervalEstimate(center, lower, upper, level, family, j, k, degeneracy)
     kind = degeneracy if isinstance(degeneracy, str) else degeneracy.item()
     ends = (lower.item(), upper.item()) if kind == DEGENERACY_NONE else (None, None)
@@ -346,7 +346,7 @@ def ci_slope_plugin(data, side: SideInfo, gamma: Optional[float] = None, *,
     z, level = _resolve_z(gamma, z)
     rows = as_rows(data)
     b, half = _plugin_half_width(_moments(rows, side), side, z)
-    return _interval(data, rows.status, b, b - half, b + half, level, "slope_plugin", side.case)
+    return _interval(rows.status, b, b - half, b + half, level, "slope_plugin", side.case)
 
 
 @quiet_overflow
@@ -359,7 +359,7 @@ def ci_intercept(data, side: SideInfo, gamma: Optional[float] = None, *,
     rows = as_rows(data)
     n, alpha_hat, ss = _intercept_studentization(rows, side)
     half = z * np.sqrt(ss) / math.sqrt(n * (n - 1))
-    return _interval(data, rows.status, alpha_hat, alpha_hat - half, alpha_hat + half, level,
+    return _interval(rows.status, alpha_hat, alpha_hat - half, alpha_hat + half, level,
                      "intercept", side.case)
 
 
@@ -420,8 +420,8 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
     status = ms.status
     status.finite("the leading coefficient of the inversion quadratic", A)
     leading = A <= 0.0
-    status.fail_range("the inversion quadratic",
-                      ~leading & ~(np.isfinite(N) & np.isfinite(C) & np.isfinite(d4)))
+    status.fail(~leading & ~(np.isfinite(N) & np.isfinite(C) & np.isfinite(d4)),
+                lambda i: _range_error("the inversion quadratic"))
     discriminant = ~leading & (d4 < 0.0)
     degeneracy = np.where(leading, DEGENERACY_LEADING,
                           np.where(discriminant, DEGENERACY_DISCRIMINANT, DEGENERACY_NONE))
@@ -431,8 +431,7 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
     plus, minus = N + sd, N - sd
     upper = np.where(N > 0.0, plus / A, np.where(N < 0.0, C / minus, sd / A))
     lower = np.where(N > 0.0, C / plus, np.where(N < 0.0, minus / A, -(sd / A)))
-    return _interval(data, status, beta1, lower, upper, level, "slope_quadratic", 1, k,
-                     degeneracy)
+    return _interval(status, beta1, lower, upper, level, "slope_quadratic", 1, k, degeneracy)
 
 
 def quadratic_pivot(data, side: SideInfo, k: int, beta: float) -> float:

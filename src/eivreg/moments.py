@@ -289,49 +289,36 @@ class RowStatus:
 
     ``errors[i]`` is None while row i passes, else the exception the
     one-sample call on row i raises: the first check it fails, in the order
-    the one-sample code checks.  A failed row is still computed on, with
-    floating-point warnings off, but nothing reads its results.  A block's
-    checks are kept in order and resolved when ``errors`` is read.  The
-    status of a one-sample call is ``raising``: it raises the first failure
-    at once, so that call stops where the check is.
+    the one-sample code checks, built when that check runs.  A failed row
+    is still computed on, with floating-point warnings off, but nothing
+    reads its results.  The status of a one-sample call is ``raising``: it
+    raises the first failure at once, so that call stops where the check
+    is.
     """
 
     def __init__(self, rows: int, raising: bool = False):
         self.raising = raising
-        self._errors = [None] * rows
-        self._checks = []
+        self.errors = [None] * rows
+        self._ok = np.ones(rows, dtype=bool)
 
     def fail(self, failed: np.ndarray, error: Callable[[int], Exception]) -> None:
         """Rows where the mask ``failed`` holds fail with ``error(row)``,
         unless they failed before."""
-        if not self.raising:
-            self._checks.append((failed, error))
-        elif failed.any():
-            raise error(0)
-
-    @property
-    def errors(self) -> list:
-        """Per row, None or the exception of the first check it failed."""
-        checks, self._checks = self._checks, []
-        if checks and np.concatenate([failed.ravel() for failed, _ in checks]).any():
-            ok = np.array([error is None for error in self._errors])
-            for failed, error in checks:
-                new = failed.ravel() & ok
-                for i in np.flatnonzero(new).tolist():
-                    self._errors[i] = error(i)
-                ok &= ~new
-        return self._errors
-
-    def fail_range(self, name: str, failed: np.ndarray) -> None:
-        """Rows where ``failed`` holds fail because ``name`` overflows the
-        float range."""
-        self.fail(failed, lambda i: _range_error(name))
+        if not np.count_nonzero(failed):
+            return
+        new = failed.ravel() & self._ok
+        rows = np.flatnonzero(new).tolist()
+        for i in rows:
+            self.errors[i] = error(i)
+        self._ok &= ~new
+        if self.raising:
+            raise self.errors[rows[0]]
 
     def finite(self, name: str, values: np.ndarray, where=True) -> np.ndarray:
         """``values``; rows in ``where`` whose value is not finite fail
         because ``name`` overflows the float range."""
         bad = ~np.isfinite(values)
-        self.fail_range(name, bad if where is True else bad & where)
+        self.fail(bad if where is True else bad & where, lambda i: _range_error(name))
         return values
 
 
@@ -347,15 +334,15 @@ class Rows:
         self.status = RowStatus(y.shape[0]) if status is None else status
         for name, values in (("y", y), ("x", x)):
             self.status.fail(~np.isfinite(values).all(axis=1),
-                             lambda i, name=name, values=values: _nonfinite_error(name, values[i]))
+                             lambda i: _nonfinite_error(name, values[i]))
 
 
 def as_rows(data) -> Rows:
-    """``data`` itself if it is a block of rows; a dataset as the one-row
-    block whose status raises."""
-    if isinstance(data, Rows):
-        return data
-    return Rows(data.y[None, :], data.x[None, :], status=RowStatus(1, raising=True))
+    """A dataset as the one-row block whose status raises; a block of rows
+    itself."""
+    if isinstance(data, Dataset):
+        return Rows(data.y[None, :], data.x[None, :], status=RowStatus(1, raising=True))
+    return data
 
 
 def checked_fsum(name: str, values, status: Optional[RowStatus] = None):

@@ -185,6 +185,52 @@ def test_non_finite_input_named(series, bad, message):
                 moment_set(values["y"], values["x"], c=c)
 
 
+def _messages(status) -> list:
+    return [None if error is None else str(error) for error in status.errors]
+
+
+def test_row_status_keeps_each_rows_first_failure():
+    # Each row keeps the first check it failed; a later check neither
+    # overwrites it nor builds an error for it.
+    built = []
+
+    def error(tag):
+        def make(i):
+            built.append((tag, i))
+            return ValueError(f"{tag} {i}")
+        return make
+
+    status = moments.RowStatus(4)
+    status.fail(np.array([False, True, False, True]), error("first"))
+    status.fail(np.array([[True], [True], [False], [False]]), error("second"))
+    status.fail(np.zeros(4, dtype=bool), error("third"))
+    status.fail(np.ones((4, 1), dtype=bool), error("fourth"))
+    assert _messages(status) == ["second 0", "first 1", "fourth 2", "first 3"]
+    assert built == [("first", 1), ("first", 3), ("second", 0), ("fourth", 2)]
+
+
+def test_raising_status_raises_first_failure_at_once():
+    status = moments.RowStatus(1, raising=True)
+    status.fail(np.array([[False]]), lambda i: ValueError("passed"))
+    with pytest.raises(ValueError, match="^first$"):
+        status.fail(np.array([[True]]), lambda i: ValueError("first"))
+    assert _messages(status) == ["first"]
+
+
+def test_row_error_is_built_when_its_check_runs():
+    # A row's error holds the values as they were at its check, as the
+    # one-sample call's does, whatever the arrays hold later.
+    values = np.array([[1.0], [2.0]])
+    status = moments.RowStatus(2)
+    status.fail(values > 1.5, lambda i: ValueError(f"value {values.item(i)}"))
+    one = values[1:].copy()
+    values[1] = 99.0
+    with pytest.raises(ValueError) as raised:
+        moments.RowStatus(1, raising=True).fail(
+            one > 1.5, lambda i: ValueError(f"value {one.item(i)}"))
+    assert _messages(status) == [None, str(raised.value)] == [None, "value 2.0"]
+
+
 def _fsum_family(family: str, n: int, rng) -> np.ndarray:
     t = rng.standard_normal(n) / np.sqrt(rng.chisquare(2.0, n) / 2.0)
     if family == "t2_squares":
