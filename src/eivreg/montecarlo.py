@@ -251,17 +251,17 @@ def _outcome_columns(config: ExperimentConfig) -> tuple:
         raise MemoryError(f"cannot allocate the outcomes of the replications: {exc}") from None
 
 
-def _map_replications(config: ExperimentConfig, n: int, workers: int, pool) -> tuple:
+def _map_replications(config: ExperimentConfig, n: int, block: int, pool) -> tuple:
     """(codes, values) of replications 0..M-1, in replication order.
 
     The outcome columns are allocated before any replication runs, then
     filled block by block.  Replications are independent and run in
-    blocks; ``pool``, unless None, runs them on ``workers`` processes, and
-    the ordered collection makes the aggregate independent of scheduling.
+    blocks of ``block``; ``pool``, unless None, runs them in its
+    processes, and the ordered collection makes the aggregate independent
+    of scheduling.
     """
     codes, values = _outcome_columns(config)
     total = config.replications
-    block = _MAX_BLOCK if pool is None else min(_MAX_BLOCK, max(1, total // (workers * 8)))
     starts = range(0, total, block)
     stops = map(min, range(block, total + block, block), repeat(total))
     mapper = map if pool is None else pool.map
@@ -467,12 +467,16 @@ def _process_pool(workers: int):
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all replications for every n and aggregate per-n summaries."""
     aggregate = _AGGREGATE[config.experiment]
-    workers = _worker_count()
+    workers, total = _worker_count(), config.replications
     # One pool serves every n; one worker, or too few replications to
-    # split, runs in this process.
-    serial = workers == 1 or config.replications < 4
-    with (nullcontext() if serial else _process_pool(workers)) as pool:
-        per_n = [aggregate(n, config, *_map_replications(config, n, workers, pool))
+    # split, runs in this process.  The block plan follows the worker
+    # count, so the report does not depend on the machine; the pool starts
+    # no more processes than there are cores or blocks.
+    serial = workers == 1 or total < 4
+    block = _MAX_BLOCK if serial else min(_MAX_BLOCK, max(1, total // (workers * 8)))
+    processes = min(workers, os.cpu_count() or 1, -(-total // block))
+    with (nullcontext() if serial else _process_pool(processes)) as pool:
+        per_n = [aggregate(n, config, *_map_replications(config, n, block, pool))
                  for n in config.n_values]
     return ExperimentReport(experiment=config.experiment, seed=config.seed,
                             config=_config_echo(config), per_n=tuple(per_n))

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .moments import (Dataset, Latent, check_finite_number, check_integer,
+from .moments import (Dataset, Latent, _range_error, check_finite_number, check_integer,
                       check_intercept_flag)
 
 __all__ = [
@@ -220,16 +220,31 @@ class XiDistribution:
 
     @property
     def variance(self) -> Optional[float]:
-        """Population variance; None for the infinite-variance families."""
+        """Population variance; None for the infinite-variance families.
+        Raises ValueError where it leaves the float range."""
         variance = XI_FAMILIES[self.family].variance
-        return None if variance is None else variance(self.params)
+        return None if variance is None else _in_range(
+            "the variance of xi", lambda: variance(self.params))
 
     @property
     def second_moment(self) -> Optional[float]:
         var = self.variance
         if var is None:
             return None
-        return var + self.mean ** 2
+        return _in_range("the second moment of xi", lambda: var + self.mean ** 2)
+
+
+def _in_range(name: str, value: Callable[[], float]) -> float:
+    """``value()``; raises ValueError naming ``name`` where it leaves the
+    float range: a float power overflows, a divisor underflows to zero or
+    the result is infinite."""
+    try:
+        result = value()
+    except (OverflowError, ZeroDivisionError):
+        result = math.inf
+    if not math.isfinite(result):
+        raise _range_error(name)
+    return result
 
 
 @dataclass(frozen=True)
@@ -254,6 +269,9 @@ class ErrorSpec:
             check_finite_number(name, getattr(self, name))
         if self.lambda_theta <= 0 or self.theta <= 0:
             raise ValueError("error variances must be positive")
+        # mu ** 2 is the float power cholesky() takes too: it raises
+        # OverflowError where the product would be inf.
+        _in_range("mu^2", lambda: self.mu ** 2)
         if self.lambda_theta * self.theta - self.mu ** 2 <= 0:
             raise ValueError(
                 "error covariance matrix is not positive definite: "
@@ -439,11 +457,14 @@ def _raw_blocks(n: int, count: int, *series: int) -> list:
     """Room for the raw variates of ``count`` replications of size ``n``:
     one (count, k, n) array for each number of series k, replication i's
     rows the contiguous block [i].  Raises ValueError naming n unless it is
-    an integer of at least 1."""
+    an integer of at least 1 within NumPy's largest dimension."""
     n = check_integer("n", n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return [np.empty((count, k, n)) for k in series]
+    try:
+        return [np.empty((count, k, n)) for k in series]
+    except ValueError as exc:  # beyond NumPy's largest dimension
+        raise ValueError(f"cannot allocate the variates of a sample of size n: {exc}") from None
 
 
 def _error_rows(err: ErrorSpec, raw: np.ndarray) -> tuple:

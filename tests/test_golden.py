@@ -178,6 +178,8 @@ CASES = [
     # beyond NumPy's largest dimension: refused before any replication runs.
     exp_case("exp_reject_unallocatable_replications", name="coverage14", reps=10 ** 15),
     exp_case("exp_reject_replications_1e400", name="coverage14", reps=10 ** 400),
+    # A sample size beyond NumPy's largest dimension, named in the error.
+    exp_case("exp_reject_n_1e400", name="coverage14", n_values=(10 ** 400,)),
     # A family and a base that are not strings.
     exp_case("exp_reject_xi_family_list", name="coverage14",
              model={**model(), "xi": {"family": [], "params": {}}}),
@@ -229,6 +231,12 @@ CASES = [
     Case("simulate_reject_unallocatable_n", ("simulate", "--config", "cfg.json", "--out",
                                               "sim.csv", "--n", str(10 ** 15)),
          {"cfg.json": json.dumps({"model": model(), "seed": 1})}),
+    Case("simulate_reject_n_1e400", ("simulate", "--config", "cfg.json", "--out", "sim.csv"),
+         {"cfg.json": json.dumps({"model": model(), "n": 10 ** 400, "seed": 1})}),
+    # An error covariance whose mu^2 leaves the float range.
+    Case("simulate_reject_mu_1e200", ("simulate", "--config", "cfg.json", "--out", "sim.csv"),
+         {"cfg.json": json.dumps({"model": {**model(), "errors": {
+             "lambda_theta": 1e300, "theta": 1e300, "mu": 1e200}}, "n": 5, "seed": 1})}),
 ] + [
     # One simulation per latent family, alternating the error base.
     Case(f"simulate_{family}", ("simulate", "--config", "cfg.json", "--out", "sim.csv",

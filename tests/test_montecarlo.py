@@ -1,7 +1,9 @@
+import contextlib
 import itertools
 import json
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -299,6 +301,29 @@ class TestDeterminism:
         monkeypatch.setenv("EIVREG_WORKERS", workers)
         report = run_experiment(cfg(n_values=(10, 20, 30), replications=40))
         assert len(report.per_n) == 3 and len(opened) == pools
+
+    @pytest.mark.parametrize("workers, cores, replications, processes", [
+        ("100000", 2, 40, 2), ("64", 128, 5, 5), ("3", 2, 37, 2), ("2", 8, 40, 2),
+        ("4", None, 40, 1)])
+    def test_pool_size_capped_by_cores_and_blocks(self, monkeypatch, workers, cores,
+                                                  replications, processes):
+        # The stand-in pool records its size and maps in this process: no
+        # process starts, whatever the count.  The block plan still follows
+        # EIVREG_WORKERS, so the report is the serial one.
+        config = cfg(n_values=(10, 20), replications=replications)
+        monkeypatch.setenv("EIVREG_WORKERS", "1")
+        serial = dumps(run_experiment(config).to_dict())
+        sizes = []
+
+        def stand_in(size):
+            sizes.append(size)
+            return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+        monkeypatch.setattr(montecarlo, "_process_pool", stand_in)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        monkeypatch.setenv("EIVREG_WORKERS", workers)
+        assert dumps(run_experiment(config).to_dict()) == serial
+        assert sizes == [processes]
 
     def test_seed_echo(self):
         report = run_experiment(cfg(seed=99, replications=4))

@@ -17,6 +17,7 @@ from eivreg import (
     SideInfo,
     estimate,
     philox_keys,
+    reliability_ratio,
     sample_errors,
     sample_xi,
     simulate_dataset,
@@ -74,6 +75,23 @@ class TestXiDistribution:
         assert XiDistribution.student_t2(1, 0).variance is None
         assert XiDistribution.normal(1, 1).second_moment == 2.0
 
+    @pytest.mark.parametrize("dist, moment, name", [
+        (XiDistribution.normal(0, 1e200), "variance", "the variance of xi"),
+        (XiDistribution.uniform(-1e200, 1e200), "variance", "the variance of xi"),
+        (XiDistribution.normal(1e200, 1), "second_moment", "the second moment of xi"),
+        (XiDistribution.centered_exponential(1e-170), "variance", "the variance of xi"),
+        (XiDistribution.centered_exponential(1e-160), "variance", "the variance of xi"),
+    ], ids=["normal_sd", "uniform_width", "normal_mean", "rate_squared_zero",
+            "rate_squared_subnormal"])
+    def test_population_moment_out_of_float_range_named(self, dist, moment, name):
+        # A float power that overflows, a square that underflows to zero
+        # and one whose reciprocal is inf all end in the same error, and
+        # reliability_ratio, built on these moments, raises it too.
+        with pytest.raises(ValueError, match=f"^{name} overflows the float range$"):
+            getattr(dist, moment)
+        with pytest.raises(ValueError, match=f"^{name} overflows the float range$"):
+            reliability_ratio(dist, 1.0, c=1)
+
 
 class TestErrorSpec:
     def test_positive_definite_required(self):
@@ -83,6 +101,18 @@ class TestErrorSpec:
             ErrorSpec(lambda_theta=1.0, theta=1.0, mu=-1.5)
         with pytest.raises(ValueError):
             ErrorSpec(lambda_theta=0.0, theta=1.0, mu=0.0)
+
+    @pytest.mark.parametrize("mu", [1e200, -1e300])
+    @pytest.mark.parametrize("variances", [(1.0, 1.0), (1e300, 1e300)])
+    def test_mu_square_out_of_float_range_named(self, mu, variances):
+        with pytest.raises(ValueError, match=r"^mu\^2 overflows the float range$"):
+            ErrorSpec(*variances, mu)
+
+    def test_overflowed_determinant_keeps_its_bits(self):
+        # lambda_theta*theta is inf but mu^2 is a float: the spec is built
+        # as before, with the same factor.
+        err = ErrorSpec(1e300, 1e300, 1e150)
+        assert err.cholesky() == (1e150, 1.0, 1e150)
 
     @pytest.mark.parametrize("name", ["lambda_theta", "theta", "mu"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -1,0 +1,80 @@
+"""Nothing in the package goes unused: every import is referenced by its
+module, and every module-level private function, class or constant by some
+module of the package besides its definition.  Only the standard library's
+``ast`` reads the sources; nothing is imported."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eivreg"
+
+
+def _modules() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _exported(tree: ast.Module) -> set:
+    """The string literals listed in the module's ``__all__``."""
+    names = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names.update(sub.value for sub in ast.walk(node.value)
+                         if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+    return names
+
+
+def _loaded(tree: ast.Module) -> set:
+    """The names a module reads: bare names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in _modules().items():
+        used = _loaded(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{module}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_every_private_definition_is_used():
+    modules = _modules()
+    referenced = set()
+    for tree in modules.values():
+        referenced |= _loaded(tree)
+        referenced.update(alias.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom) for alias in node.names)
+    unused = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [sub.id for t in targets for sub in ast.walk(t)
+                         if isinstance(sub, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}:{node.lineno} {name}" for name in names
+                       if _private(name) and name not in referenced]
+    assert unused == []
