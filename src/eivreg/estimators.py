@@ -32,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import GuardViolation
-from .moments import (MomentSet, RowStatus, as_rows, check_finite_number, check_integer,
-                      check_intercept_flag, moment_set, quiet_overflow)
+from .moments import (MomentSet, RowStatus, _in_range, as_rows, check_finite_number,
+                      check_integer, check_intercept_flag, moment_set, quiet_overflow)
 
 __all__ = [
     "SideInfo",
@@ -216,4 +216,4 @@ def reliability_ratio(xi, var_epsilon: float, c: int = 1) -> float:
     signal = xi.second_moment - c * xi.mean ** 2
     if signal == 0.0:
         raise ValueError("degenerate latent variable: zero signal variance")
-    return signal / (signal + var_epsilon)
+    return signal / _in_range("the variance of x", lambda: signal + var_epsilon)

@@ -284,6 +284,19 @@ def _range_error(name: str) -> ValueError:
     return ValueError(f"{name} overflows the float range")
 
 
+def _in_range(name: str, value: Callable[[], float]) -> float:
+    """``value()`` of Python floats; raises ValueError naming ``name`` where
+    it leaves the float range: a float power overflows, a divisor
+    underflows to zero or the result is infinite."""
+    try:
+        result = value()
+    except (OverflowError, ZeroDivisionError):
+        result = math.inf
+    if not math.isfinite(result):
+        raise _range_error(name)
+    return result
+
+
 class RowStatus:
     """The first failed check of each row of a block of B samples.
 

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .moments import (Dataset, Latent, _range_error, check_finite_number, check_integer,
+from .moments import (Dataset, Latent, _in_range, check_finite_number, check_integer,
                       check_intercept_flag)
 
 __all__ = [
@@ -232,19 +232,6 @@ class XiDistribution:
         if var is None:
             return None
         return _in_range("the second moment of xi", lambda: var + self.mean ** 2)
-
-
-def _in_range(name: str, value: Callable[[], float]) -> float:
-    """``value()``; raises ValueError naming ``name`` where it leaves the
-    float range: a float power overflows, a divisor underflows to zero or
-    the result is infinite."""
-    try:
-        result = value()
-    except (OverflowError, ZeroDivisionError):
-        result = math.inf
-    if not math.isfinite(result):
-        raise _range_error(name)
-    return result
 
 
 @dataclass(frozen=True)

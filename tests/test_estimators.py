@@ -146,6 +146,12 @@ class TestReliabilityRatio:
             k = reliability_ratio(xi, rng.uniform(0, 4), c=int(rng.integers(0, 2)))
             assert 0.0 < k <= 1.0
 
+    def test_total_variance_out_of_float_range_named(self):
+        # Both variances are floats but their sum is not; the ratio, about
+        # 0.37, read 0.0 when the sum was left infinite.
+        with pytest.raises(ValueError, match="^the variance of x overflows the float range$"):
+            reliability_ratio(XiDistribution.normal(0, 1e154), 1.7e308, c=1)
+
     def test_negative_var_epsilon_rejected(self):
         with pytest.raises(ValueError):
             reliability_ratio(XiDistribution.normal(0, 1), -1.0, c=1)
