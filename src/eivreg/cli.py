@@ -230,7 +230,10 @@ def _cmd_diagnose(args) -> int:
 
     from .diagnostics import (DiagnosticReport, empirical_bn, ks_distance_to_normal,
                               obrien_ratio, selfnorm_sum)
+    from .moments import check_finite_number
 
+    if args.center is not None:
+        check_finite_number("--center", args.center)
     z = _read_column(args.csv, args.column)
     report = DiagnosticReport(
         n=z.size, obrien_ratio=obrien_ratio(z),

@@ -34,10 +34,10 @@ the offending field.
 from __future__ import annotations
 
 import json
-import math
 
 from .errors import ConfigError
 from .estimators import SideInfo
+from .moments import check_finite_number
 from .samplers import ErrorSpec, ModelSpec, XiDistribution, _xi_family
 
 __all__ = ["load_document", "parse_model", "parse_side", "parse_simulation",
@@ -74,15 +74,10 @@ def _object(value, path: str) -> dict:
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
     try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{path} must be finite, got {value!r}")
-    return number
+        return check_finite_number(path, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _integer(value, path: str, least=None) -> int:

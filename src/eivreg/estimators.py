@@ -40,7 +40,6 @@ __all__ = [
     "PointEstimate",
     "NaiveEstimates",
     "estimate",
-    "estimate_from_moments",
     "naive_ratio_estimates",
     "reliability_ratio",
 ]
@@ -117,16 +116,10 @@ def _item(column) -> Optional[float]:
 
 @quiet_overflow
 def estimate_from_moments(ms: MomentSet, side: SideInfo) -> PointEstimate:
-    """The estimate under ``side`` together with the guard values it was
-    checked against.  Raises ValueError naming a guard value or an estimate
-    that leaves the float range.  A block moment set gives the block's
-    estimate; each row's guard violation or overflow fails in its status."""
-    if ms.status is not None:
-        return _estimate_rows(ms, side)
-    return _estimate_rows(ms.block(), side).first()
-
-
-def _estimate_rows(ms: MomentSet, side: SideInfo) -> PointEstimate:
+    """The estimate under ``side`` of the block moment set ``ms`` together
+    with the guard values it was checked against.  Each row's guard
+    violation, or guard value or estimate that leaves the float range,
+    fails in its status."""
     if ms.n < 2:
         raise ValueError(f"need at least 2 observations, got {ms.n}")
     if ms.c != side.c:

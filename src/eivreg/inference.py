@@ -28,15 +28,14 @@ what makes the plug-in variant fully data-based.
 Three interval families are provided: the plug-in slope interval and the
 intercept interval (symmetric around the estimate), and the quadratic
 slope intervals obtained by inverting the known-slope pivots in closed
-form for case 1.  A grid/bisection inversion of the same pivots serves as
-an independent oracle for the closed-form endpoints.
+form for case 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,8 +49,6 @@ __all__ = [
     "SlopeResiduals",
     "InterceptResiduals",
     "IntervalEstimate",
-    "GridSpec",
-    "GridInversion",
     "slope_residuals",
     "intercept_residuals",
     "slope_statistic",
@@ -60,7 +57,6 @@ __all__ = [
     "ci_slope_plugin",
     "ci_intercept",
     "ci_slope_quadratic",
-    "grid_invert_ci",
     "SLOPE_VARIANTS",
     "INTERCEPT_VARIANTS",
 ]
@@ -118,15 +114,6 @@ def _pivot_terms(ms: MomentSet, side: SideInfo,
     if k == 1:
         return U, ms.s_yy - ms.S_yy, ms.s_xy - ms.S_xy
     return U, ms.s_yy - side.lambda_theta, ms.s_xy - side.mu
-
-
-def _pivot_scales(n: int, k: int) -> Tuple[float, float, int]:
-    """Numerator factor and denominator scale of quadratic pivot ``k``, and
-    the factor f of its inversion quadratic: k = 1 Studentizes (degrees of
-    freedom n - 1, f = n*(n-1)), k = 2 self-normalizes (f = n^2)."""
-    if k == 1:
-        return math.sqrt(n), 1.0 / math.sqrt(n - 1), n * (n - 1)
-    return float(n), 1.0, n * n
 
 
 def _moments(rows: Rows, side: SideInfo) -> MomentSet:
@@ -381,9 +368,11 @@ def _squares(f: int, U: np.ndarray, beta1: np.ndarray) -> Tuple[np.ndarray, np.n
 def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, beta1):
     """Coefficients of the inversion quadratic A*b^2 - 2*N*b + C <= 0 of
     quadratic pivot ``k`` and its quarter discriminant d4, as columns; a
-    coefficient whose products overflow is infinite or NaN."""
+    coefficient whose products overflow is infinite or NaN.  The factor f
+    of f*U^2 is n*(n-1) where k = 1 Studentizes (n - 1 degrees of freedom)
+    and n^2 where k = 2 self-normalizes."""
     U, ay, ax = _pivot_terms(ms, side, k)
-    f = _pivot_scales(ms.n, k)[2]
+    f = ms.n * (ms.n - 1) if k == 1 else ms.n * ms.n
     status = ms.status
     syy2, sxy2, cross, resid2 = (
         checked_fsum("ay^2", ay * ay, status), checked_fsum("ax^2", ax * ax, status),
@@ -441,160 +430,3 @@ def quadratic_pivot(data, side: SideInfo, k: int, beta: float) -> float:
     """
     check_quadratic(side, k)
     return abs(slope_statistic(data, side, beta, "studentized" if k == 1 else "self_normalized"))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Explicit search bracket and step for the grid inversion."""
-
-    lo: float
-    hi: float
-    step: float
-
-    def __post_init__(self):
-        for name in ("lo", "hi", "step"):
-            check_finite_number(name, getattr(self, name))
-        if not self.lo < self.hi:
-            raise ValueError("grid needs lo < hi")
-        if not 0 < self.step <= (self.hi - self.lo):
-            raise ValueError("grid step must be positive and at most the bracket width")
-
-
-@dataclass(frozen=True)
-class GridInversion:
-    """Acceptance set of a pivot inversion located on a grid.
-
-    ``intervals`` lists the connected components (normally exactly one),
-    with finite boundaries sharpened by bisection on the raw pivot.
-    ``unbounded`` is set when the set still touches the bracket edge after
-    all expansions, meaning it is not a bounded interval.
-    """
-
-    intervals: tuple
-    z: float
-    step: float
-    expansions: int
-    unbounded: bool
-
-
-_GRID_POINTS = 20001
-_CHUNK_ELEMENTS = 2_000_000
-_BISECT_ITERATIONS = 80
-
-
-def _acceptance(ms: MomentSet, side: SideInfo, k: int, z: float,
-                beta1: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The membership test of quadratic pivot ``k``: maps grid points b to
-    num(b) <= z*den(b), evaluated directly from the terms.  It raises
-    ValueError where a product or difference overflows the float range."""
-    U, ay, ax = _pivot_terms(ms, side, k)
-    U, ay, ax = U.item(), ay[0], ax[0]
-    num_factor, den_scale, _ = _pivot_scales(ms.n, k)
-    block = max(1, _CHUNK_ELEMENTS // ay.size)
-
-    @np.errstate(over="raise", invalid="raise")
-    def accept(grid: np.ndarray) -> np.ndarray:
-        mask = np.empty(grid.size, dtype=bool)
-        for start in range(0, grid.size, block):
-            b = grid[start:start + block]
-            try:
-                t = ay[None, :] - b[:, None] * ax[None, :]
-                den = np.sqrt(np.einsum("ij,ij->i", t, t)) * den_scale
-                num = num_factor * abs(U) * np.abs(beta1 - b)
-                mask[start:start + block] = num <= z * den
-            except FloatingPointError:
-                raise _range_error("the pivot on the grid") from None
-        return mask
-
-    return accept
-
-
-def _bisect_boundary(accept, b_in: float, b_out: float) -> float:
-    """Boundary of the acceptance set between an inside and an outside point."""
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (b_in + b_out)
-        if mid == b_in or mid == b_out:
-            break
-        if accept(np.array([mid]))[0]:
-            b_in = mid
-        else:
-            b_out = mid
-    return b_in
-
-
-def grid_invert_ci(data, side: SideInfo, k: int = 1, gamma: Optional[float] = None, *,
-                   z: Optional[float] = None, grid: Optional[GridSpec] = None,
-                   max_expansions: int = 40) -> GridInversion:
-    """Locate {b : |pivot(b)| <= z} by direct evaluation over a grid.
-
-    Serves as an oracle for the closed-form quadratic intervals: it never
-    touches the quadratic algebra, evaluating the raw pivot at every grid
-    point instead.  The default bracket is the plug-in slope interval
-    inflated tenfold with a grid of 10^-4 of its width, doubled (around
-    the estimate) whenever the acceptance set touches its edge.  Finite
-    component boundaries are then refined by bisection, so the returned
-    endpoints are far more accurate than the grid step.  Raises ValueError
-    when the bracket is not a finite range of floats, as when the plug-in
-    half-width is below the spacing of the floats at the estimate, or when
-    the pivot overflows on the grid.
-    """
-    check_quadratic(side, k)
-    z, _level = _resolve_z(gamma, z)
-    ms = _moments(as_rows(data), side)
-    beta1 = estimate_from_moments(ms, side).beta_hat.item()
-
-    if z == 0.0:
-        # |pivot| <= 0 only at the estimate itself.
-        return GridInversion(intervals=((beta1, beta1),), z=0.0, step=0.0,
-                             expansions=0, unbounded=False)
-
-    accept = _acceptance(ms, side, k, z, beta1)
-    if grid is not None:
-        lo, hi, step = grid.lo, grid.hi, grid.step
-    else:
-        half = _plugin_half_width(ms, side, z)[1].item()
-        if half == 0.0:
-            half = 1e-8 * max(1.0, abs(beta1))
-        half *= 10.0
-        lo, hi = beta1 - half, beta1 + half
-        step = (hi - lo) / (_GRID_POINTS - 1)
-
-    expansions = 0
-    while True:
-        if not (step > 0.0 and hi - lo < math.inf):  # also False for NaN
-            raise ValueError(f"grid bracket [{lo!r}, {hi!r}] with step {step!r} "
-                             "is not a finite range of floats")
-        npts = int(round((hi - lo) / step)) + 1
-        pts = np.linspace(lo, hi, npts)
-        mask = accept(pts)
-        touches = (mask.size and (mask[0] or mask[-1]))
-        if not touches or grid is not None or expansions >= max_expansions:
-            break
-        expansions += 1
-        width = hi - lo
-        lo -= width / 2
-        hi += width / 2
-        step = (hi - lo) / (_GRID_POINTS - 1)
-
-    idx = np.flatnonzero(mask)
-    intervals = []
-    unbounded = False
-    if idx.size:
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [idx.size - 1]))
-        for s, e in zip(starts, ends):
-            i_lo, i_hi = idx[s], idx[e]
-            left = pts[i_lo]
-            right = pts[i_hi]
-            if i_lo > 0:
-                left = _bisect_boundary(accept, pts[i_lo], pts[i_lo - 1])
-            else:
-                unbounded = True
-            if i_hi < pts.size - 1:
-                right = _bisect_boundary(accept, pts[i_hi], pts[i_hi + 1])
-            else:
-                unbounded = True
-            intervals.append((left, right))
-    return GridInversion(intervals=tuple(intervals), z=z, step=step,
-                         expansions=expansions, unbounded=unbounded)

@@ -33,6 +33,7 @@ one row whose status raises at once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -222,11 +223,20 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_finite_number(name: str, value: float) -> None:
-    """Raise ValueError unless ``value`` is finite.  Sign and order checks
-    compare False with NaN, so they cannot catch it themselves."""
-    if not math.isfinite(value):
+def check_finite_number(name: str, value) -> float:
+    """``value`` as a float; raises ValueError unless it is a real number,
+    not a bool, that reads as a finite float.  Sign and order checks compare
+    False with NaN, so they cannot catch it themselves; an integer past the
+    float range is not finite either."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def check_integer(name: str, value) -> int:
@@ -414,13 +424,6 @@ class MomentSet:
         return MomentSet(self.n, self.c, self.y_bar.item(), self.x_bar.item(), self.s_yy[0],
                          self.s_xy[0], self.s_xx[0], self.S_yy.item(), self.S_xy.item(),
                          self.S_xx.item())
-
-    def block(self) -> "MomentSet":
-        """This one-sample moment set as a one-row block whose status raises."""
-        return MomentSet(self.n, self.c, np.full((1, 1), self.y_bar), np.full((1, 1), self.x_bar),
-                         self.s_yy[None, :], self.s_xy[None, :], self.s_xx[None, :],
-                         np.full((1, 1), self.S_yy), np.full((1, 1), self.S_xy),
-                         np.full((1, 1), self.S_xx), RowStatus(1, raising=True))
 
 
 @quiet_overflow

@@ -130,10 +130,7 @@ class ExperimentConfig:
             raise ValueError("every n must be at least 2")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        real = (int, float, np.integer, np.floating)
-        if isinstance(self.gamma, bool) or not isinstance(self.gamma, real):
-            raise ValueError(f"gamma must be a number, got {self.gamma!r}")
-        z_for_gamma(self.gamma)  # before float(), which an integer past its range overflows
+        z_for_gamma(self.gamma)  # the number rule and the range of gamma
         object.__setattr__(self, "gamma", float(self.gamma))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")

@@ -8,6 +8,8 @@ about 1e-9 down to the order of 1e-15.
 
 import math
 
+from .moments import check_finite_number
+
 __all__ = ["norm_cdf", "norm_sf", "norm_pdf", "norm_ppf", "z_for_gamma"]
 
 _SQRT2 = math.sqrt(2.0)
@@ -77,6 +79,7 @@ def norm_ppf(p: float) -> float:
 
 def z_for_gamma(gamma: float) -> float:
     """Two-sided critical value: the upper gamma/2 standard normal quantile."""
+    check_finite_number("gamma", gamma)
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie strictly between 0 and 1, got {gamma!r}")
     p = 1.0 - gamma / 2.0

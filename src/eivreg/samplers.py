@@ -181,12 +181,15 @@ class XiDistribution:
 
     def __post_init__(self):
         fam = _xi_family(self.family)
-        if len(self.params) != len(fam.params):
+        try:
+            count = len(self.params)
+        except TypeError:  # not a sequence
+            count = None
+        if count != len(fam.params):
             raise ValueError(
                 f"{self.family} takes parameters {fam.params}, got {self.params!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        for name, value in zip(fam.params, self.params):
-            check_finite_number(name, value)
+        object.__setattr__(self, "params", tuple(
+            check_finite_number(name, value) for name, value in zip(fam.params, self.params)))
         if fam.invalid(self.params):
             raise ValueError(fam.invalid_message)
 

@@ -29,6 +29,7 @@ from conftest import (
     line_dataset,
     offline_dataset,
 )
+from grid_oracle import grid_invert
 import eivreg as ev
 
 REL = 1e-10
@@ -128,9 +129,9 @@ def test_criterion_2_quadratic_matches_grid_oracle():
         for k in (1, 2):
             ci = ev.ci_slope_quadratic(data, SIDE1_M0, k, 0.05)
             assert ci.degeneracy == "none"
-            gi = ev.grid_invert_ci(data, SIDE1_M0, k, 0.05)
-            assert len(gi.intervals) == 1 and not gi.unbounded
-            lo, hi = gi.intervals[0]
+            intervals, unbounded = grid_invert(data, SIDE1_M0, k, z)
+            assert len(intervals) == 1 and not unbounded
+            lo, hi = intervals[0]
             worst_gap = max(worst_gap, abs(lo - ci.lower) / abs(ci.lower),
                             abs(hi - ci.upper) / abs(ci.upper))
             for endpoint in (ci.lower, ci.upper):

@@ -8,7 +8,6 @@ from eivreg import (
     SideInfo,
     XiDistribution,
     estimate,
-    moment_set,
     naive_ratio_estimates,
     reliability_ratio,
 )
@@ -17,7 +16,6 @@ from eivreg.estimators import (
     GUARD_SXY_MINUS_MU,
     GUARD_SYY_MINUS_LAMBDA_THETA,
     NaiveEstimates,
-    estimate_from_moments,
 )
 
 REL = 1e-10
@@ -165,10 +163,9 @@ class TestReliabilityRatio:
 def _zero_side_fits(data, c):
     """The case 1 and case 2 modified fits with every error moment zero, or
     the guard the first failing one names."""
-    ms = moment_set(data.y, data.x, c)
     try:
-        a = estimate_from_moments(ms, SideInfo.case1(0.0, 0.0, c))
-        b = estimate_from_moments(ms, SideInfo.case2(0.0, 0.0, c))
+        a = estimate(data, SideInfo.case1(0.0, 0.0, c))
+        b = estimate(data, SideInfo.case2(0.0, 0.0, c))
     except GuardViolation as exc:
         return exc.guard
     return NaiveEstimates(a.beta_hat, b.beta_hat, a.alpha_hat, b.alpha_hat)

@@ -212,6 +212,7 @@ CASES = [
              "--family", "plugin-slope"),
     fit_case("ci_reject_gamma_1_5", "ci", *SIDE2, "--family", "plugin-slope",
              "--gamma", "1.5"),
+    fit_case("diagnose_reject_center_nan", "diagnose", "--column", "x", "--center", "nan"),
     fit_case("estimate_reject_non_numeric_cell", "estimate", *SIDE2,
              csv="y,x\n1,0\nabc,1\n5,2\n"),
     # Spellings of a CSV file that spreadsheets and editors write.

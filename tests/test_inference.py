@@ -15,10 +15,10 @@ from conftest import (
     m0_dataset,
     offline_dataset,
 )
+from grid_oracle import grid_invert
 from eivreg import (
     Dataset,
     ExperimentConfig,
-    GridSpec,
     GuardViolation,
     SideInfo,
     ZeroNormalizer,
@@ -26,7 +26,6 @@ from eivreg import (
     ci_slope_plugin,
     ci_slope_quadratic,
     estimate,
-    grid_invert_ci,
     intercept_residuals,
     intercept_statistic,
     quadratic_pivot,
@@ -358,9 +357,9 @@ class TestCiSlopeQuadratic:
         for k in (1, 2):
             ci = ci_slope_quadratic(data, SIDE1_M0, k, 0.05)
             assert ci.degeneracy == "none"
-            gi = grid_invert_ci(data, SIDE1_M0, k, 0.05)
-            assert len(gi.intervals) == 1 and not gi.unbounded
-            lo, hi = gi.intervals[0]
+            intervals, unbounded = grid_invert(data, SIDE1_M0, k, z_for_gamma(0.05))
+            assert len(intervals) == 1 and not unbounded
+            lo, hi = intervals[0]
             assert ci.lower == pytest.approx(lo, rel=1e-6)
             assert ci.upper == pytest.approx(hi, rel=1e-6)
 
@@ -426,63 +425,29 @@ def test_prop_interval_monotone_in_gamma():
 
 
 class TestGridInversion:
-    def test_zero_z_singleton(self):
-        gi = grid_invert_ci(offline_dataset(), SIDE1_FREE, 1, z=0.0)
-        est = estimate(offline_dataset(), SIDE1_FREE)
-        assert gi.intervals == ((est.beta_hat, est.beta_hat),)
-
-    def test_explicit_grid(self):
-        data = m0_dataset(50, 7)
-        ci = ci_slope_quadratic(data, SIDE1_M0, 1, 0.05)
-        spec = GridSpec(lo=ci.lower - 1.0, hi=ci.upper + 1.0, step=1e-3)
-        gi = grid_invert_ci(data, SIDE1_M0, 1, 0.05, grid=spec)
-        assert len(gi.intervals) == 1
-        lo, hi = gi.intervals[0]
-        assert lo == pytest.approx(ci.lower, rel=1e-6)
-        assert hi == pytest.approx(ci.upper, rel=1e-6)
-
-    def test_grid_spec_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(lo=1.0, hi=0.0, step=0.1)
-        with pytest.raises(ValueError):
-            GridSpec(lo=0.0, hi=1.0, step=0.0)
-        with pytest.raises(ValueError):
-            GridSpec(lo=0.0, hi=1.0, step=2.0)
-
-    @pytest.mark.parametrize("name", ["lo", "hi", "step"])
-    def test_grid_spec_rejects_non_finite(self, name):
-        bounds = dict(lo=0.0, hi=1.0, step=0.1)
-        bounds[name] = math.inf if name == "hi" else math.nan
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            GridSpec(**bounds)
-
     def test_degenerate_region_reported_unbounded(self):
         # Past the leading-coefficient threshold the acceptance region is
-        # unbounded; the inversion must say so rather than fake an interval.
+        # unbounded: the closed form reports the degeneracy, and the grid
+        # oracle still touches its bracket edge after every expansion.
         z = math.sqrt(150.0 / 38.0) * 1.2
-        gi = grid_invert_ci(offline_dataset(), SIDE1_FREE, 1, z=z, max_expansions=3)
-        assert gi.unbounded
+        ci = ci_slope_quadratic(offline_dataset(), SIDE1_FREE, 1, z=z)
+        assert ci.degeneracy == "nonpositive_leading_coeff"
+        assert grid_invert(offline_dataset(), SIDE1_FREE, 1, z, max_expansions=3)[1]
 
-    @pytest.mark.parametrize("y, x, c, k, message", [
+    @pytest.mark.parametrize("y, x, c, k", [
         # The plug-in half-width is far below the spacing of the floats at
-        # the estimate, so the default bracket is the one point beta1.
+        # the estimate, so a grid bracket around it collapses to beta1.
         ([1e-310, -0.0, 1e154, -1.0],
          [1.228683719203421e37, 3.396200082486426e36, 4.237713528533473e36,
-          3.7122741773625884e36], 0, 1,
-         r"^grid bracket \[2\.3597630969313438e\+117, 2\.3597630969313438e\+117\] with step "
-         r"0\.0 is not a finite range of floats$"),
-        # b * ax overflows as the bracket grows around beta1 = -1.4e241.
-        ([1e-310, 1e154], [4.117884010391812e-88, -3.020195569665504e-88], 1, 2,
-         "^the pivot on the grid overflows the float range$"),
+          3.7122741773625884e36], 0, 1),
+        # b * ax overflows as a grid bracket grows around beta1 = -1.4e241.
+        ([1e-310, 1e154], [4.117884010391812e-88, -3.020195569665504e-88], 1, 2),
     ], ids=["collapsed_bracket", "pivot_overflow"])
-    def test_hostile_input_named(self, y, x, c, k, message):
-        # The closed form names its overflowing sum on both inputs; the
-        # oracle names its own failure, with no warning on the way.
+    def test_hostile_input_named(self, y, x, c, k):
+        # The closed form names its overflowing sum, with no warning on the way.
         data, side = Dataset(y=np.array(y), x=np.array(x)), SideInfo.case1(0.25, 0.05, c=c)
         with pytest.raises(ValueError, match=r"^sum of ay\^2 overflows the float range$"):
             ci_slope_quadratic(data, side, k, 0.05)
-        with pytest.raises(ValueError, match=message):
-            grid_invert_ci(data, side, k, 0.05)
 
 
 
@@ -505,8 +470,6 @@ _REJECTED = {
     "ci_slope_quadratic_k3": (lambda d: ci_slope_quadratic(d, SIDE1_M0, 3, 0.05), _K),
     "quadratic_pivot_case2": (lambda d: quadratic_pivot(d, SIDE2_M0, 1, 2.0), _CASE1),
     "quadratic_pivot_k3": (lambda d: quadratic_pivot(d, SIDE1_M0, 3, 2.0), _K),
-    "grid_invert_ci_case2": (lambda d: grid_invert_ci(d, SIDE2_M0, 1, 0.05), _CASE1),
-    "grid_invert_ci_k3": (lambda d: grid_invert_ci(d, SIDE1_M0, 3, 0.05), _K),
     "intercept_residuals_c0": (lambda d: intercept_residuals(d, _C0), _C1),
     "intercept_statistic_c0": (lambda d: intercept_statistic(d, _C0, 1.0), _C1),
     "ci_intercept_c0": (lambda d: ci_intercept(d, _C0, 0.05), _C1),
@@ -533,7 +496,6 @@ _NON_FINITE = {
     "ci_slope_plugin_z": (lambda d: ci_slope_plugin(d, SIDE2_M0, z=math.nan), "z"),
     "ci_intercept_z": (lambda d: ci_intercept(d, SIDE2_M0, z=math.inf), "z"),
     "ci_slope_quadratic_z": (lambda d: ci_slope_quadratic(d, SIDE1_M0, 1, z=math.nan), "z"),
-    "grid_invert_ci_z": (lambda d: grid_invert_ci(d, SIDE1_M0, 1, z=math.nan), "z"),
     "slope_statistic_beta": (lambda d: slope_statistic(d, SIDE2_M0, math.nan, "studentized"),
                              "beta"),
     "quadratic_pivot_beta": (lambda d: quadratic_pivot(d, SIDE1_M0, 2, -math.inf), "beta"),

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import PROP_CASES
-from eivreg import Dataset, SideInfo, estimate, moment_set, moments
+from eivreg import (Dataset, ErrorSpec, ModelSpec, SideInfo, XiDistribution, ci_slope_plugin,
+                    estimate, moment_set, moments, reliability_ratio, z_for_gamma)
 from eivreg.moments import fsum
 
 REL = 1e-10
@@ -586,3 +587,35 @@ def test_only_moments_calls_math_fsum():
                                                            _raised_text(node)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+# Entry points of the finite-number rule, each given an integer past the
+# float range or a value that is not a real number, and the start of the
+# error that must name it.
+_NUMBER_RULE = {
+    "side_info_mu_1e400": (lambda: SideInfo.case2(0.25, 10 ** 400), "mu must be finite, got 1000"),
+    "model_spec_beta_1e400": (lambda: ModelSpec(10 ** 400, 1.0, 1, XiDistribution.normal(0, 1),
+                                                ErrorSpec(0.25, 0.25, 0.05)),
+                              "beta must be finite, got 1000"),
+    "error_spec_lambda_theta_1e400": (lambda: ErrorSpec(10 ** 400, 0.25, 0),
+                                      "lambda_theta must be finite, got 1000"),
+    "side_info_mu_str": (lambda: SideInfo.case2(0.25, "x"), "mu must be a number, got 'x'$"),
+    "side_info_mu_bool": (lambda: SideInfo.case2(0.25, True), "mu must be a number, got True$"),
+    "reliability_ratio_str": (lambda: reliability_ratio(XiDistribution.normal(0, 1), "a"),
+                              "var_epsilon must be a number, got 'a'$"),
+    "ci_slope_plugin_z_str": (lambda: ci_slope_plugin(
+        Dataset(y=[1.0, 3.0, 6.0], x=[0.0, 1.0, 2.0]), SideInfo.case2(0.0, 0.0), z="a"),
+        "z must be a number, got 'a'$"),
+    "z_for_gamma_str": (lambda: z_for_gamma("a"), "gamma must be a number, got 'a'$"),
+    "z_for_gamma_1e400": (lambda: z_for_gamma(10 ** 400), "gamma must be finite, got 1000"),
+    "xi_params_none": (lambda: XiDistribution("normal", None),
+                       r"normal takes parameters \('mean', 'sd'\), got None$"),
+    "xi_param_none": (lambda: XiDistribution.normal(0.0, None), "sd must be a number, got None$"),
+}
+
+
+@pytest.mark.parametrize("name", list(_NUMBER_RULE))
+def test_finite_number_rule_names_its_argument(name):
+    call, message = _NUMBER_RULE[name]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()

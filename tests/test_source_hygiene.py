@@ -1,6 +1,7 @@
-"""Nothing in the package goes unused: every import is referenced by its
-module, and every module-level private function, class or constant by some
-module of the package besides its definition.  Only the standard library's
+"""Nothing in the package goes unused or stale: every import is referenced
+by its module, every module-level private function, class or constant by
+some module of the package besides its definition, and every name of a
+module's ``__all__`` is bound in that module.  Only the standard library's
 ``ast`` reads the sources; nothing is imported."""
 
 from __future__ import annotations
@@ -38,6 +39,17 @@ def _loaded(tree: ast.Module) -> set:
     return names
 
 
+def _defined(node: ast.stmt) -> list:
+    """The names a top-level statement defines: a function, a class or
+    assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
+    return []
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
@@ -67,14 +79,20 @@ def test_every_private_definition_is_used():
     unused = []
     for module, tree in modules.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [sub.id for t in targets for sub in ast.walk(t)
-                         if isinstance(sub, ast.Name)]
-            else:
-                continue
-            unused += [f"{module}:{node.lineno} {name}" for name in names
+            unused += [f"{module}:{node.lineno} {name}" for name in _defined(node)
                        if _private(name) and name not in referenced]
     assert unused == []
+
+
+def test_every_exported_name_is_bound():
+    # A name listed in a module's __all__ must be defined or imported at
+    # the module's top level, so an entry left behind by a removal fails.
+    stale = []
+    for module, tree in _modules().items():
+        bound = set()
+        for node in tree.body:
+            bound.update(_defined(node))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        stale += [f"{module} {name}" for name in sorted(_exported(tree) - bound)]
+    assert stale == []
