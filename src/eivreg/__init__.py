@@ -20,10 +20,8 @@ _EXPORTS = {
     "moments": ("MomentSet", "moment_set", "Latent", "Dataset"),
     "estimators": ("SideInfo", "PointEstimate", "NaiveEstimates", "estimate",
                    "naive_ratio_estimates", "reliability_ratio"),
-    "inference": ("SlopeResiduals", "InterceptResiduals", "IntervalEstimate",
-                  "slope_residuals", "intercept_residuals", "slope_statistic",
-                  "intercept_statistic", "quadratic_pivot", "ci_slope_plugin", "ci_intercept",
-                  "ci_slope_quadratic"),
+    "inference": ("IntervalEstimate", "slope_statistic", "intercept_statistic",
+                  "ci_slope_plugin", "ci_intercept", "ci_slope_quadratic"),
     "samplers": ("XiDistribution", "ErrorSpec", "ModelSpec", "substream", "philox_keys",
                  "sample_xi", "sample_errors", "simulate_dataset"),
     "diagnostics": ("DiagnosticReport", "obrien_ratio", "empirical_bn", "selfnorm_sum",

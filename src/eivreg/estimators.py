@@ -200,6 +200,9 @@ def reliability_ratio(xi, var_epsilon: float, c: int = 1) -> float:
     exactly 1.  A population-level quantity: ``xi`` is a distribution
     description, not a sample.
     """
+    from .samplers import XiDistribution  # here, so estimate and ci load no samplers
+    if not isinstance(xi, XiDistribution):
+        raise ValueError(f"xi must be an XiDistribution, got {xi!r}")
     c = check_intercept_flag(c)
     check_finite_number("var_epsilon", var_epsilon)
     if var_epsilon < 0:

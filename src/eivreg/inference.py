@@ -46,14 +46,9 @@ from .moments import (MomentSet, Rows, RowStatus, _range_error, as_rows, check_f
 from .normal import norm_cdf, z_for_gamma
 
 __all__ = [
-    "SlopeResiduals",
-    "InterceptResiduals",
     "IntervalEstimate",
-    "slope_residuals",
-    "intercept_residuals",
     "slope_statistic",
     "intercept_statistic",
-    "quadratic_pivot",
     "ci_slope_plugin",
     "ci_intercept",
     "ci_slope_quadratic",
@@ -143,91 +138,16 @@ def _plugin_sum(ms: MomentSet, side: SideInfo) -> Tuple[np.ndarray, np.ndarray, 
     return U, b, checked_fsum("a_i(beta_hat)^2", terms ** 2, ms.status)
 
 
-@quiet_overflow
-def _plugin_half_width(ms: MomentSet, side: SideInfo, z: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The estimate and z * sqrt(sum a_i(beta_hat)^2) / (n*|U|), as columns."""
-    U, b, ss = _plugin_sum(ms, side)
-    return b, z * np.sqrt(ss) / (ms.n * np.abs(U))
-
-
-@dataclass(frozen=True)
-class SlopeResiduals:
-    """Per-observation slope residual terms a_i and their normalizer."""
-
-    j: int
-    kind: str  # "known_beta" or "plugin"
-    beta_used: float
-    U: float
-    terms: np.ndarray
-    term_mean: float
-
-
-@quiet_overflow
-def slope_residuals(data, side: SideInfo, *, beta: Optional[float] = None) -> SlopeResiduals:
-    """Slope residual terms; pass ``beta`` for the known-slope version,
-    omit it to plug in the estimate (propagates its guard checks)."""
-    ms = _moments(as_rows(data), side)
-    if beta is None:
-        b, kind = estimate_from_moments(ms, side).beta_hat, "plugin"
-    else:
-        check_finite_number("beta", beta)
-        b, kind = np.full((1, 1), float(beta)), "known_beta"
-    U, terms = _slope_terms(ms, side, b)
-    return SlopeResiduals(j=side.case, kind=kind, beta_used=b.item(), U=U.item(), terms=terms[0],
-                          term_mean=(checked_fsum("a_i", terms, ms.status) / ms.n).item())
-
-
-@dataclass(frozen=True)
-class InterceptResiduals:
-    """Per-observation intercept residual terms (up to an additive constant)."""
-
-    j: int
-    kind: str
-    terms: np.ndarray
-    term_mean: float
-
-
-def _intercept_terms(rows: Rows, ms: MomentSet, side: SideInfo, beta: Optional[float],
-                     alpha: Optional[float], est=None) -> np.ndarray:
-    """Intercept residual terms v_i at the known (beta, alpha), or at the
-    estimate ``est`` (computed when not given) when ``beta`` is None."""
-    if beta is None:
-        est = estimate_from_moments(ms, side) if est is None else est
-        b, alpha0 = est.beta_hat, 0.0
-    else:
-        check_finite_number("beta", beta)
-        check_finite_number("alpha", alpha)
-        b, alpha0 = float(beta), float(alpha)
-    U, terms = _slope_terms(ms, side, b)
-    return (rows.y - alpha0) - b * rows.x - (ms.x_bar / U) * terms
-
-
-@quiet_overflow
-def intercept_residuals(data, side: SideInfo, *, beta: Optional[float] = None,
-                        alpha: Optional[float] = None) -> InterceptResiduals:
-    """Intercept residual terms.
-
-    Only centered sums of these terms enter any statistic, so the plug-in
-    version sets the unknown intercept to 0; the constant cancels.
-    """
-    check_intercept_model(side)
-    rows = as_rows(data)
-    ms = _moments(rows, side)
-    if (beta is None) != (alpha is None):
-        raise ValueError("pass both beta and alpha for known values, or neither to plug in")
-    terms = _intercept_terms(rows, ms, side, beta, alpha)
-    return InterceptResiduals(j=side.case, kind="plugin" if beta is None else "known_beta",
-                              terms=terms[0],
-                              term_mean=(checked_fsum("v_i", terms, ms.status) / ms.n).item())
-
-
 def _intercept_studentization(rows: Rows, side: SideInfo, beta: Optional[float] = None,
                               alpha: Optional[float] = None):
     """n, the intercept estimate and the centered sum of squares of the
-    intercept residual terms (plug-in when ``beta`` is None), as columns."""
+    intercept residual terms v_i, as columns: at the known (beta, alpha), or
+    at the estimate with alpha0 = 0 when ``beta`` is None."""
     ms = _moments(rows, side)
     est = estimate_from_moments(ms, side)
-    terms = _intercept_terms(rows, ms, side, beta, alpha, est)
+    b, alpha0 = (est.beta_hat, 0.0) if beta is None else (float(beta), float(alpha))
+    U, slope_terms = _slope_terms(ms, side, b)
+    terms = (rows.y - alpha0) - b * rows.x - (ms.x_bar / U) * slope_terms
     v_bar = checked_fsum("v_i", terms, ms.status) / ms.n
     return ms.n, est.alpha_hat, checked_fsum("(v_i - v_bar)^2", (terms - v_bar) ** 2, ms.status)
 
@@ -268,8 +188,9 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
     """Value of an intercept pivot at the hypothesized intercept ``alpha``;
     on a block of ``Rows``, the (B, 1) column of the rows' values.
 
-    ``known_slope`` Studentizes with residuals at the true (beta, alpha);
-    ``plugin`` uses the fully data-based residuals.  Both numerators are
+    ``known_slope`` Studentizes with residuals at the true (beta, alpha)
+    and needs ``beta``; ``plugin`` uses the fully data-based residuals and
+    takes no ``beta``.  Both numerators are
     sqrt(n) * (alpha_hat - alpha).
     """
     if variant not in INTERCEPT_VARIANTS:
@@ -277,9 +198,12 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
     check_intercept_model(side)
     check_finite_number("alpha", alpha)
     if variant == "plugin":
-        beta = None
+        if beta is not None:
+            raise ValueError(f"beta is given only with the known_slope variant, got {beta!r}")
     elif beta is None:
         raise ValueError("known_slope variant requires beta")
+    else:
+        check_finite_number("beta", beta)
     rows = as_rows(data)
     n, alpha_hat, ss = _intercept_studentization(rows, side, beta, alpha)
     rows.status.fail(ss == 0.0, lambda i: ZeroNormalizer("centered intercept residuals are all zero"))
@@ -332,7 +256,9 @@ def ci_slope_plugin(data, side: SideInfo, gamma: Optional[float] = None, *,
     beta_hat -+ z * sqrt(sum a_i(beta_hat)^2) / (n*|U|)."""
     z, level = _resolve_z(gamma, z)
     rows = as_rows(data)
-    b, half = _plugin_half_width(_moments(rows, side), side, z)
+    ms = _moments(rows, side)
+    U, b, ss = _plugin_sum(ms, side)
+    half = z * np.sqrt(ss) / (ms.n * np.abs(U))
     return _interval(rows.status, b, b - half, b + half, level, "slope_plugin", side.case)
 
 
@@ -422,11 +348,3 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
     lower = np.where(N > 0.0, C / plus, np.where(N < 0.0, minus / A, -(sd / A)))
     return _interval(status, beta1, lower, upper, level, "slope_quadratic", 1, k, degeneracy)
 
-
-def quadratic_pivot(data, side: SideInfo, k: int, beta: float) -> float:
-    """|pivot| the quadratic interval of variant ``k`` inverts, at slope ``beta``.
-
-    k = 1 is the Studentized pivot, k = 2 the self-normalized one.
-    """
-    check_quadratic(side, k)
-    return abs(slope_statistic(data, side, beta, "studentized" if k == 1 else "self_normalized"))

@@ -189,7 +189,10 @@ def _row_totals(rows: np.ndarray) -> np.ndarray:
 
 
 def as_series(name: str, seq) -> np.ndarray:
-    arr = np.asarray(seq, dtype=float)
+    try:
+        arr = np.asarray(seq, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a sequence of numbers: {exc}") from exc
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:

@@ -291,8 +291,9 @@ def _normality(config: ExperimentConfig, rows: Rows) -> tuple:
     if pivot.startswith("slope_"):
         values = slope_statistic(rows, side, spec.beta, pivot.removeprefix("slope_"))
     else:
-        values = intercept_statistic(rows, side, spec.alpha, beta=spec.beta,
-                                     variant=pivot.removeprefix("intercept_"))
+        variant = pivot.removeprefix("intercept_")
+        values = intercept_statistic(rows, side, spec.alpha, variant=variant,
+                                     beta=spec.beta if variant == "known_slope" else None)
     return DEGENERACY_NONE, values
 
 

@@ -102,10 +102,6 @@ class XiFamily:
     mean: Callable[[tuple], float]
     variance: Optional[Callable[[tuple], float]] = None
 
-    @property
-    def var_finite(self) -> bool:
-        return self.variance is not None
-
 
 # rng.uniform(a, b) is a + (b - a) * rng.random() and rng.exponential(s) is
 # s * rng.standard_exponential(), bit for bit.
@@ -215,7 +211,7 @@ class XiDistribution:
 
     @property
     def var_finite(self) -> bool:
-        return XI_FAMILIES[self.family].var_finite
+        return XI_FAMILIES[self.family].variance is not None
 
     @property
     def mean(self) -> float:

@@ -15,11 +15,11 @@ the slope b is accepted at critical value z where
     k = 2:       n*|U|*|beta_hat - b| <= z * sqrt(sum a_i^2),
 
 the numerator being U*(beta_hat - b) = a_bar(b).  The bracket is the
-plug-in slope interval inflated tenfold, from the public
-``slope_residuals`` terms, with a grid of 10^-4 of its width, doubled
-around the estimate whenever the accepted set touches its edge.  Each
-finite boundary is then refined by bisection, so the endpoints are far
-more accurate than the grid step.
+plug-in slope interval beta_hat -+ z*sqrt(sum a_i(beta_hat)^2)/(n*|U|),
+with beta_hat from the public ``estimate``, inflated tenfold, with a grid
+of 10^-4 of its width, doubled around the estimate whenever the accepted
+set touches its edge.  Each finite boundary is then refined by
+bisection, so the endpoints are far more accurate than the grid step.
 """
 
 from __future__ import annotations
@@ -28,17 +28,16 @@ import math
 
 import numpy as np
 
-from eivreg import moment_set, slope_residuals
+from eivreg import estimate, moment_set
 
 GRID_POINTS = 20001
 CHUNK_ELEMENTS = 2_000_000
 BISECT_ITERATIONS = 80
 
 
-def _acceptance(data, side, k: int, z: float, beta1: float):
-    """The membership test of quadratic pivot ``k``: maps an array of
-    slopes b to the mask of those it accepts."""
-    ms = moment_set(data.y, data.x, side.c)
+def _acceptance(ms, side, k: int, z: float, beta1: float):
+    """The membership test of quadratic pivot ``k`` on the moments ``ms``:
+    maps an array of slopes b to the mask of those it accepts."""
     n = ms.n
     U = ms.S_xy - side.mu
     ay, ax = ms.s_yy - side.lambda_theta, ms.s_xy - side.mu
@@ -79,13 +78,14 @@ def grid_invert(data, side, k: int, z: float, max_expansions: int = 40):
     {b : |pivot k at b| <= z} on the grid, each with its finite boundaries
     bisected, and whether the set still touches the bracket edge after
     ``max_expansions`` doublings, so that it is not a bounded interval."""
-    plugin = slope_residuals(data, side)
-    beta1 = plugin.beta_used
-    half = z * math.sqrt(math.fsum(plugin.terms ** 2)) / (plugin.terms.size * abs(plugin.U))
+    beta1 = estimate(data, side).beta_hat
+    ms = moment_set(data.y, data.x, side.c)
+    terms = (ms.s_yy - side.lambda_theta) - beta1 * (ms.s_xy - side.mu)
+    half = z * math.sqrt(math.fsum(terms ** 2)) / (ms.n * abs(ms.S_xy - side.mu))
     if half == 0.0:
         half = 1e-8 * max(1.0, abs(beta1))
     lo, hi = beta1 - 10.0 * half, beta1 + 10.0 * half
-    accept = _acceptance(data, side, k, z, beta1)
+    accept = _acceptance(ms, side, k, z, beta1)
 
     expansions = 0
     while True:

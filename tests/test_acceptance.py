@@ -52,6 +52,14 @@ def test_criterion_1_hand_oracles():
     def close(got, want, rel=REL):
         checks.append(got == pytest.approx(want, rel=rel, abs=1e-14))
 
+    def raises(error, call):
+        try:
+            call()
+        except error:
+            checks.append(True)
+        else:
+            checks.append(False)
+
     # Cross-moment machinery.
     ms = ev.moment_set(y=[2, 4, 6], x=[1, 2, 3], c=1)
     close(ms.S_xy, 4 / 3)
@@ -79,19 +87,19 @@ def test_criterion_1_hand_oracles():
     close(ev.naive_ratio_estimates(off, c=1).beta_b, 2.5)
     close(ev.reliability_ratio(ev.XiDistribution.normal(1.0, 1.0), 1.0, c=1), 0.5)
 
-    # Residuals and pivots for case 2 with theta = mu = 0.
+    # Pivots for case 2 with theta = mu = 0.  On the line every residual
+    # term vanishes at (2, 1), so every normalizer is zero; its U = S_xx is
+    # 2/3.  Off the line the known-slope terms at 2 are 1/3, 0, 2/3 and the
+    # plug-in terms at 2.5 are -1/6, 0, 1/6.
     side2 = ev.SideInfo.case2(0.0, 0.0, c=1)
-    r = ev.slope_residuals(line, side2, beta=2.0)
-    checks.append(np.allclose(r.terms, 0.0, atol=1e-14))
-    close(r.U, 2 / 3)
-    r = ev.slope_residuals(off, side2, beta=2.0)
-    checks.append(np.allclose(r.terms, [1 / 3, 0, 2 / 3], rtol=REL, atol=1e-14))
-    r = ev.slope_residuals(off, side2)
-    checks.append(np.allclose(r.terms, [-1 / 6, 0, 1 / 6], rtol=REL, atol=1e-14))
+    for variant in ("studentized", "self_normalized", "self_normalized_plugin"):
+        raises(ev.ZeroNormalizer, lambda: ev.slope_statistic(line, side2, 2.0, variant))
+    close(ev.moment_set(line.y, line.x).S_xx, 2 / 3)
     close(ev.slope_statistic(off, side2, 2.0, "studentized"), math.sqrt(3.0))
     close(ev.slope_statistic(off, side2, 2.0, "self_normalized"), 3 / math.sqrt(5.0))
-    ri = ev.intercept_residuals(line, side2, beta=2.0, alpha=1.0)
-    checks.append(np.allclose(ri.terms, 0.0, atol=1e-14))
+    close(ev.slope_statistic(off, side2, 2.0, "self_normalized_plugin"), math.sqrt(18.0))
+    raises(ev.ZeroNormalizer, lambda: ev.intercept_statistic(line, side2, 1.0, beta=2.0,
+                                                             variant="known_slope"))
 
     # Plug-in slope interval on the off-line dataset, z from an external
     # quantile oracle.
@@ -134,9 +142,10 @@ def test_criterion_2_quadratic_matches_grid_oracle():
             lo, hi = intervals[0]
             worst_gap = max(worst_gap, abs(lo - ci.lower) / abs(ci.lower),
                             abs(hi - ci.upper) / abs(ci.upper))
+            variant = "studentized" if k == 1 else "self_normalized"
             for endpoint in (ci.lower, ci.upper):
                 worst_pivot = max(worst_pivot, abs(
-                    ev.quadratic_pivot(data, SIDE1_M0, k, endpoint) - z))
+                    abs(ev.slope_statistic(data, SIDE1_M0, endpoint, variant)) - z))
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-6 and worst_pivot <= 1e-9 and elapsed < 30.0
     assert report("2 (closed form vs grid inversion)", ok,

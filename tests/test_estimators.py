@@ -154,6 +154,11 @@ class TestReliabilityRatio:
         with pytest.raises(ValueError):
             reliability_ratio(XiDistribution.normal(0, 1), -1.0, c=1)
 
+    @pytest.mark.parametrize("xi", [None, "normal", ("normal", (0.0, 1.0))])
+    def test_non_distribution_xi_rejected(self, xi):
+        with pytest.raises(ValueError, match="^xi must be an XiDistribution, got "):
+            reliability_ratio(xi, 0.1)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_var_epsilon_rejected(self, value):
         with pytest.raises(ValueError, match="^var_epsilon must be finite"):

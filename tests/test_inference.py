@@ -26,10 +26,8 @@ from eivreg import (
     ci_slope_plugin,
     ci_slope_quadratic,
     estimate,
-    intercept_residuals,
     intercept_statistic,
-    quadratic_pivot,
-    slope_residuals,
+    moment_set,
     slope_statistic,
     z_for_gamma,
 )
@@ -41,36 +39,18 @@ SIDE2_FREE = SideInfo.case2(0.0, 0.0, c=1)
 SIDE1_FREE = SideInfo.case1(0.0, 0.0, c=1)
 
 
-class TestSlopeResiduals:
-    def test_perfect_line_known_slope(self):
-        r = slope_residuals(line_dataset(), SIDE2_FREE, beta=2.0)
-        assert np.allclose(r.terms, 0.0, atol=1e-14)
-        assert r.U == pytest.approx(2.0 / 3.0, rel=REL)
-        assert r.kind == "known_beta" and r.j == 2
+def _slope_terms(data, side, b):
+    """U and the terms a_i at slope ``b``, built from ``moment_set`` with
+    the formulas of the ``eivreg.inference`` docstring."""
+    ms = moment_set(data.y, data.x, side.c)
+    if side.case == 2:
+        return ms.S_xx - side.theta, (ms.s_xy - side.mu) - b * (ms.s_xx - side.theta)
+    return ms.S_xy - side.mu, (ms.s_yy - side.lambda_theta) - b * (ms.s_xy - side.mu)
 
-    def test_off_line_known_slope(self):
-        r = slope_residuals(offline_dataset(), SIDE2_FREE, beta=2.0)
-        assert np.allclose(r.terms, [1 / 3, 0.0, 2 / 3], rtol=REL, atol=1e-14)
 
-    def test_off_line_plugin(self):
-        r = slope_residuals(offline_dataset(), SIDE2_FREE)
-        assert r.beta_used == pytest.approx(2.5, rel=REL)
-        assert np.allclose(r.terms, [-1 / 6, 0.0, 1 / 6], rtol=REL, atol=1e-14)
-        assert abs(r.term_mean) <= 1e-10 * np.max(np.abs(r.terms))
-
-    def test_plugin_propagates_guards(self):
-        data = Dataset(y=np.array([1.0, 2.0, 3.0]), x=np.ones(3))
-        with pytest.raises(GuardViolation):
-            slope_residuals(data, SIDE2_FREE)
-
-    def test_case1_terms(self):
-        # terms = (s_yy - lambda_theta) - beta*(s_xy - mu)
-        data = offline_dataset()
-        r = slope_residuals(data, SIDE1_FREE, beta=2.0)
-        s_yy = np.array([49, 1, 64]) / 9.0
-        s_xy = np.array([7 / 3, 0.0, 8 / 3])
-        assert np.allclose(r.terms, s_yy - 2.0 * s_xy, rtol=REL, atol=1e-12)
-        assert r.U == pytest.approx(5.0 / 3.0, rel=REL)
+def _quadratic_pivot(data, k, b):
+    """|pivot| that the quadratic interval of variant ``k`` inverts."""
+    return abs(slope_statistic(data, SIDE1_M0, b, "studentized" if k == 1 else "self_normalized"))
 
 
 class TestSlopeStatistic:
@@ -92,9 +72,27 @@ class TestSlopeStatistic:
         with pytest.raises(ValueError):
             slope_statistic(offline_dataset(), SIDE2_FREE, 2.0, "bootstrap")
 
+    def test_self_normalized_plugin_hand_value(self):
+        # Plug-in terms at beta_hat = 2.5 are -1/6, 0, 1/6; the known-slope
+        # terms at 2 have mean 1/3, so 3 * (1/3) / sqrt(1/18).
+        value = slope_statistic(offline_dataset(), SIDE2_FREE, 2.0, "self_normalized_plugin")
+        assert value == pytest.approx(math.sqrt(18.0), rel=REL)
+
+    def test_case1_self_normalized_hand_value(self):
+        # Case 1 terms (s_yy - lambda_theta) - 2*(s_xy - mu) are 7/9, 1/9 and
+        # 16/9: mean 8/9 and sum of squares 306/81.
+        value = slope_statistic(offline_dataset(), SIDE1_FREE, 2.0, "self_normalized")
+        assert value == pytest.approx(24.0 / math.sqrt(306.0), rel=REL)
+
+    def test_plugin_propagates_guards(self):
+        data = Dataset(y=np.array([1.0, 2.0, 3.0]), x=np.ones(3))
+        with pytest.raises(GuardViolation):
+            slope_statistic(data, SIDE2_FREE, 2.0, "self_normalized_plugin")
+
     def test_prop_numerator_identity(self):
-        # sqrt(n)*U*(beta_hat - beta) must equal sqrt(n) times the mean of
-        # the known-slope terms, both computed independently.
+        # The self-normalized pivot, whose numerator is n times the mean of
+        # the known-slope terms, equals n*U*(beta_hat - beta)/sqrt(sum a_i^2)
+        # with U, a_i and beta_hat computed independently.
         rng = np.random.default_rng(30)
         done, i = 0, 0
         while done < PROP_CASES:
@@ -107,57 +105,55 @@ class TestSlopeStatistic:
                 est = estimate(data, side)
             except GuardViolation:
                 continue
-            r = slope_residuals(data, side, beta=beta)
-            lhs = math.sqrt(n) * r.U * (est.beta_hat - beta)
-            rhs = math.sqrt(n) * r.term_mean
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+            U, terms = _slope_terms(data, side, beta)
+            expect = n * U * (est.beta_hat - beta) / math.sqrt(math.fsum(terms ** 2))
+            value = slope_statistic(data, side, beta, "self_normalized")
+            assert value == pytest.approx(expect, rel=1e-10, abs=1e-12)
             done += 1
 
     def test_prop_plugin_mean_vanishes(self):
+        # At b = beta_hat the plug-in terms have mean zero, so the plug-in
+        # pivot is zero up to rounding: |n*a_bar| / sqrt(sum a_i^2) is at
+        # most n*|a_bar| / max|a_i|.
         rng = np.random.default_rng(32)
         for i in range(PROP_CASES):
             n = int(rng.integers(5, 80))
             data = m0_dataset(n, (33, i))
             side = SIDE2_M0 if i % 2 == 0 else SIDE1_M0
             try:
-                r = slope_residuals(data, side)
+                beta_hat = estimate(data, side).beta_hat
             except GuardViolation:
                 continue
-            assert abs(r.term_mean) <= 1e-10 * max(np.max(np.abs(r.terms)), 1e-300)
+            value = slope_statistic(data, side, beta_hat, "self_normalized_plugin")
+            assert abs(value) <= 1e-10 * n
 
 
 class TestInterceptResiduals:
-    def test_perfect_line_known_values(self):
-        r = intercept_residuals(line_dataset(), SIDE2_FREE, beta=2.0, alpha=1.0)
-        assert np.allclose(r.terms, 0.0, atol=1e-14)
-
-    def test_requires_unknown_intercept(self):
-        side = SideInfo.case2(0.0, 0.0, c=0)
-        with pytest.raises(ValueError):
-            intercept_residuals(line_dataset(), side, beta=2.0, alpha=1.0)
-
-    def test_mixed_known_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            intercept_residuals(line_dataset(), SIDE2_FREE, beta=2.0)
+    # The residual terms v_i enter only through the centered sum of squares
+    # that Studentizes the intercept statistic and sizes its interval.
 
     def test_plugin_matches_direct_recomputation(self):
         data = m0_dataset(40, 77)
-        r = intercept_residuals(data, SIDE2_M0)
         # Plain numpy recomputation from the definitions.
         y, x = data.y, data.x
+        n = y.size
         dx, dy = x - x.mean(), y - y.mean()
         S_xy, S_xx = np.mean(dx * dy), np.mean(dx * dx)
         U = S_xx - 0.25
         beta2 = (S_xy - 0.05) / U
-        u_t = (dx * dy - 0.05) - beta2 * (dx * dx - 0.25)
-        expect = y - beta2 * x - (x.mean() / U) * u_t
-        assert np.allclose(r.terms, expect, rtol=1e-9, atol=1e-12)
-        centered = r.terms - r.term_mean
-        assert np.allclose(centered, expect - expect.mean(), rtol=1e-9, atol=1e-12)
+        alpha2 = y.mean() - beta2 * x.mean()
+        for variant, b, a in (("plugin", beta2, 0.0), ("known_slope", 2.0, 1.0)):
+            u_t = (dx * dy - 0.05) - b * (dx * dx - 0.25)
+            v = (y - a) - b * x - (x.mean() / U) * u_t
+            expect = math.sqrt(n) * (alpha2 - 0.5) / math.sqrt(
+                np.sum((v - v.mean()) ** 2) / (n - 1))
+            value = intercept_statistic(data, SIDE2_M0, 0.5, variant=variant,
+                                        beta=2.0 if variant == "known_slope" else None)
+            assert value == pytest.approx(expect, rel=1e-9)
 
     def test_prop_centered_terms_shift_invariant(self):
-        # Shifting every response and recomputing leaves the centered
-        # plug-in terms unchanged.
+        # Shifting every response moves the intercept interval by the shift
+        # and leaves its width, set by the centered plug-in terms, unchanged.
         rng = np.random.default_rng(35)
         done, i = 0, 0
         while done < PROP_CASES:
@@ -166,19 +162,19 @@ class TestInterceptResiduals:
             t = float(rng.uniform(-30, 30))
             shifted = Dataset(y=data.y + t, x=data.x)
             try:
-                r0 = intercept_residuals(data, SIDE2_M0)
-                r1 = intercept_residuals(shifted, SIDE2_M0)
+                ci0 = ci_intercept(data, SIDE2_M0, z=1.0)
+                ci1 = ci_intercept(shifted, SIDE2_M0, z=1.0)
             except GuardViolation:
                 continue
-            c0 = r0.terms - r0.term_mean
-            c1 = r1.terms - r1.term_mean
-            scale = max(np.max(np.abs(c0)), 1e-12)
-            assert np.max(np.abs(c0 - c1)) <= 1e-9 * max(scale, abs(t))
+            width0, width1 = ci0.upper - ci0.lower, ci1.upper - ci1.lower
+            assert abs(width1 - width0) <= 1e-9 * max(width0, abs(t))
+            assert ci1.center == pytest.approx(ci0.center + t, rel=1e-9, abs=1e-9)
             done += 1
 
     def test_prop_alpha_constant_cancels(self):
-        # Using any constant for the unknown intercept changes the raw
-        # terms by that constant only; centered sums are unaffected.
+        # Any constant in place of the unknown intercept changes the raw
+        # terms by that constant only, so the known-slope statistic at
+        # (beta_hat, alpha0) equals the plug-in one, which uses 0.
         rng = np.random.default_rng(37)
         done, i = 0, 0
         while done < PROP_CASES:
@@ -189,11 +185,10 @@ class TestInterceptResiduals:
                 est = estimate(data, SIDE2_M0)
             except GuardViolation:
                 continue
-            plug = intercept_residuals(data, SIDE2_M0)
-            known = intercept_residuals(data, SIDE2_M0, beta=est.beta_hat, alpha=a)
-            s_plug = np.sum((plug.terms - np.mean(plug.terms)) ** 2)
-            s_known = np.sum((known.terms - np.mean(known.terms)) ** 2)
-            assert s_known == pytest.approx(s_plug, rel=1e-8, abs=1e-12)
+            plug = intercept_statistic(data, SIDE2_M0, a)
+            known = intercept_statistic(data, SIDE2_M0, a, beta=est.beta_hat,
+                                        variant="known_slope")
+            assert known == pytest.approx(plug, rel=1e-8, abs=1e-12)
             done += 1
 
 
@@ -246,6 +241,11 @@ class TestInterceptStatistic:
     def test_requires_beta_for_known_slope(self):
         with pytest.raises(ValueError):
             intercept_statistic(offline_dataset(), SIDE2_FREE, 1.0, variant="known_slope")
+
+    def test_plugin_rejects_beta(self):
+        # The plug-in variant estimates the slope, so a given beta would be ignored.
+        with pytest.raises(ValueError, match=r"^beta is given only with the known_slope variant"):
+            intercept_statistic(m0_dataset(50, 3), SIDE2_M0, 1.0, beta=99.0, variant="plugin")
 
 
 class TestCiSlopePlugin:
@@ -368,13 +368,8 @@ class TestCiSlopeQuadratic:
         z = z_for_gamma(0.05)
         for k in (1, 2):
             ci = ci_slope_quadratic(data, SIDE1_M0, k, 0.05)
-            variant = ("studentized", "self_normalized")[k - 1]
             for endpoint in (ci.lower, ci.upper):
-                pivot = quadratic_pivot(data, SIDE1_M0, k, endpoint)
-                assert abs(pivot - z) < 1e-9
-                # The quadratic pivots are the slope pivots at a known slope.
-                assert pivot == pytest.approx(
-                    abs(slope_statistic(data, SIDE1_M0, endpoint, variant)), rel=1e-12)
+                assert abs(_quadratic_pivot(data, k, endpoint) - z) < 1e-9
 
     def test_prop_interval_membership_matches_pivot(self):
         # beta inside the interval iff |pivot(beta)| <= z, probed pointwise.
@@ -395,10 +390,10 @@ class TestCiSlopeQuadratic:
             width = ci.upper - ci.lower
             for t in (0.1, 0.35, 0.65, 0.9):
                 inside = ci.lower + t * width
-                assert quadratic_pivot(data, SIDE1_M0, k, inside) <= z * (1 + 1e-9)
+                assert _quadratic_pivot(data, k, inside) <= z * (1 + 1e-9)
             for outside in (ci.lower - 0.05 * width - 1e-9,
                             ci.upper + 0.05 * width + 1e-9):
-                assert quadratic_pivot(data, SIDE1_M0, k, outside) > z * (1 - 1e-9)
+                assert _quadratic_pivot(data, k, outside) > z * (1 - 1e-9)
 
 
 def test_prop_interval_monotone_in_gamma():
@@ -463,14 +458,11 @@ def _config(experiment, side=SIDE1_M0, spec=M0_SPEC, **kw):
                             replications=2, gamma=0.05, seed=1, **kw)
 
 
-# Each entry point of a quadratic pivot or of intercept inference, and each
+# Each entry point of a quadratic interval or of intercept inference, and each
 # experiment, with a side info or k it must refuse and the rule it breaks.
 _REJECTED = {
     "ci_slope_quadratic_case2": (lambda d: ci_slope_quadratic(d, SIDE2_M0, 1, 0.05), _CASE1),
     "ci_slope_quadratic_k3": (lambda d: ci_slope_quadratic(d, SIDE1_M0, 3, 0.05), _K),
-    "quadratic_pivot_case2": (lambda d: quadratic_pivot(d, SIDE2_M0, 1, 2.0), _CASE1),
-    "quadratic_pivot_k3": (lambda d: quadratic_pivot(d, SIDE1_M0, 3, 2.0), _K),
-    "intercept_residuals_c0": (lambda d: intercept_residuals(d, _C0), _C1),
     "intercept_statistic_c0": (lambda d: intercept_statistic(d, _C0, 1.0), _C1),
     "ci_intercept_c0": (lambda d: ci_intercept(d, _C0, 0.05), _C1),
     "config_coverage16_case2": (lambda d: _config("coverage16", SIDE2_M0), _CASE1),
@@ -498,15 +490,9 @@ _NON_FINITE = {
     "ci_slope_quadratic_z": (lambda d: ci_slope_quadratic(d, SIDE1_M0, 1, z=math.nan), "z"),
     "slope_statistic_beta": (lambda d: slope_statistic(d, SIDE2_M0, math.nan, "studentized"),
                              "beta"),
-    "quadratic_pivot_beta": (lambda d: quadratic_pivot(d, SIDE1_M0, 2, -math.inf), "beta"),
     "intercept_statistic_alpha": (lambda d: intercept_statistic(d, SIDE2_M0, math.nan), "alpha"),
     "intercept_statistic_beta": (lambda d: intercept_statistic(
         d, SIDE2_M0, 1.0, beta=math.inf, variant="known_slope"), "beta"),
-    "slope_residuals_beta": (lambda d: slope_residuals(d, SIDE2_M0, beta=math.nan), "beta"),
-    "intercept_residuals_beta": (lambda d: intercept_residuals(
-        d, SIDE2_M0, beta=math.nan, alpha=1.0), "beta"),
-    "intercept_residuals_alpha": (lambda d: intercept_residuals(
-        d, SIDE2_M0, beta=2.0, alpha=-math.inf), "alpha"),
 }
 
 
@@ -528,9 +514,6 @@ _HUGE = {
                           "the lower end of the slope_plugin interval"),
     "ci_intercept_z": (lambda d: ci_intercept(d, SIDE2_M0, z=1e308),
                        "the lower end of the intercept interval"),
-    "slope_residuals_beta": (lambda d: slope_residuals(d, SIDE2_M0, beta=1e308), "sum of a_i"),
-    "intercept_residuals_beta": (lambda d: intercept_residuals(
-        d, SIDE2_M0, beta=1e308, alpha=1.0), "sum of v_i"),
     "slope_statistic_beta": (lambda d: slope_statistic(
         d, SIDE2_M0, 1e308, "self_normalized_plugin"), "sum of a_i"),
 }

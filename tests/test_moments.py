@@ -9,7 +9,8 @@ import pytest
 
 from conftest import PROP_CASES
 from eivreg import (Dataset, ErrorSpec, ModelSpec, SideInfo, XiDistribution, ci_slope_plugin,
-                    estimate, moment_set, moments, reliability_ratio, z_for_gamma)
+                    empirical_bn, estimate, ks_distance_to_normal, moment_set, moments,
+                    obrien_ratio, reliability_ratio, selfnorm_sum, z_for_gamma)
 from eivreg.moments import fsum
 
 REL = 1e-10
@@ -618,4 +619,23 @@ _NUMBER_RULE = {
 def test_finite_number_rule_names_its_argument(name):
     call, message = _NUMBER_RULE[name]
     with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
+# Entry points that read a series, each given one that is not numeric, and
+# the series the error must name.
+_NOT_NUMERIC = {
+    "dataset_y": (lambda: Dataset(y="abc", x=[1.0]), "y"),
+    "moment_set_x": (lambda: moment_set([1.0, 2.0], [1.0, "a"]), "x"),
+    "obrien_ratio": (lambda: obrien_ratio("abc"), "z"),
+    "empirical_bn": (lambda: empirical_bn(["1", "b"]), "z"),
+    "selfnorm_sum": (lambda: selfnorm_sum([{}], 1.0), "z"),
+    "ks_distance_to_normal": (lambda: ks_distance_to_normal(["a"]), "samples"),
+}
+
+
+@pytest.mark.parametrize("name", list(_NOT_NUMERIC))
+def test_non_numeric_series_named(name):
+    call, series = _NOT_NUMERIC[name]
+    with pytest.raises(ValueError, match=f"^{series} must be a sequence of numbers: "):
         call()

@@ -367,8 +367,9 @@ def _scalar_outcome(config, data) -> tuple:
             kind, variant = config.pivot.split("_", 1)
             if kind == "slope":
                 return ("ok", slope_statistic(data, side, spec.beta, variant))
-            return ("ok", intercept_statistic(data, side, spec.alpha, beta=spec.beta,
-                                              variant=variant))
+            return ("ok", intercept_statistic(
+                data, side, spec.alpha, variant=variant,
+                beta=spec.beta if variant == "known_slope" else None))
         if name == "rate":
             est = estimate(data, side)
             abs_beta = abs(est.beta_hat - spec.beta)

@@ -1,15 +1,18 @@
 """Nothing in the package goes unused or stale: every import is referenced
 by its module, every module-level private function, class or constant by
-some module of the package besides its definition, and every name of a
-module's ``__all__`` is bound in that module.  Only the standard library's
-``ast`` reads the sources; nothing is imported."""
+some module of the package besides its definition, every name of a
+module's ``__all__`` is bound in that module, and every public name of the
+package is read by one of its modules or shown in the README.  Only the
+standard library's ``ast`` reads the sources; nothing is imported."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eivreg"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def _modules() -> dict:
@@ -36,6 +39,16 @@ def _loaded(tree: ast.Module) -> set:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+    return names
+
+
+def _read_anywhere(modules: dict) -> set:
+    """The names some module of the package reads or imports by name."""
+    names = set()
+    for tree in modules.values():
+        names |= _loaded(tree)
+        names.update(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names)
     return names
 
 
@@ -71,11 +84,7 @@ def test_every_import_is_used():
 
 def test_every_private_definition_is_used():
     modules = _modules()
-    referenced = set()
-    for tree in modules.values():
-        referenced |= _loaded(tree)
-        referenced.update(alias.name for node in ast.walk(tree)
-                          if isinstance(node, ast.ImportFrom) for alias in node.names)
+    referenced = _read_anywhere(modules)
     unused = []
     for module, tree in modules.items():
         for node in tree.body:
@@ -96,3 +105,16 @@ def test_every_exported_name_is_bound():
                 bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         stale += [f"{module} {name}" for name in sorted(_exported(tree) - bound)]
     assert stale == []
+
+
+def test_every_public_name_is_used_or_documented():
+    # A name of eivreg._EXPORTS that no module reads and no code span of
+    # the README shows is public API that only the tests call.
+    modules = _modules()
+    exports = next(ast.literal_eval(node.value) for node in modules["__init__.py"].body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets))
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    shown = {word for span in spans for word in re.findall(r"\w+", span)}
+    public = {name for names in exports.values() for name in names}
+    assert sorted(public - _read_anywhere(modules) - shown) == []
