@@ -22,8 +22,8 @@ _EXPORTS = {
                    "naive_ratio_estimates", "reliability_ratio"),
     "inference": ("IntervalEstimate", "slope_statistic", "intercept_statistic",
                   "ci_slope_plugin", "ci_intercept", "ci_slope_quadratic"),
-    "samplers": ("XiDistribution", "ErrorSpec", "ModelSpec", "substream", "philox_keys",
-                 "sample_xi", "sample_errors", "simulate_dataset"),
+    "samplers": ("XiDistribution", "ErrorSpec", "ModelSpec", "substream", "sample_xi",
+                 "sample_errors", "simulate_dataset"),
     "diagnostics": ("DiagnosticReport", "obrien_ratio", "empirical_bn", "selfnorm_sum",
                     "ks_distance_to_normal"),
     "montecarlo": ("ExperimentConfig", "ExperimentReport", "run_experiment"),

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["EivregError", "GuardViolation", "ZeroNormalizer", "ConfigError"]
+
 
 class EivregError(Exception):
     """Base class for domain errors raised by this package."""

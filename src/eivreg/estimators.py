@@ -73,7 +73,7 @@ class SideInfo:
         for name in ("mu", "lambda_theta", "theta"):
             value = getattr(self, name)
             if value is not None:
-                check_finite_number(name, value)
+                object.__setattr__(self, name, check_finite_number(name, value))
         if self.case == 1:
             if self.lambda_theta is None:
                 raise ValueError("case 1 requires lambda_theta (Var delta)")
@@ -92,6 +92,12 @@ class SideInfo:
     @classmethod
     def case2(cls, theta: float, mu: float, c: int = 1) -> "SideInfo":
         return cls(case=2, mu=mu, theta=theta, c=c)
+
+
+def check_side(side) -> None:
+    """Raise ValueError unless ``side`` is a SideInfo."""
+    if not isinstance(side, SideInfo):
+        raise ValueError(f"side must be a SideInfo, got {side!r}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +162,7 @@ def estimate(data, side: SideInfo) -> PointEstimate:
     Raises GuardViolation when the side-specific finite-sample conditions
     fail; the exception names the failed guard.
     """
+    check_side(side)
     rows = as_rows(data)
     est = estimate_from_moments(moment_set(rows.y, rows.x, side.c, rows.status), side)
     return est.first() if rows.status.raising else est
@@ -204,7 +211,7 @@ def reliability_ratio(xi, var_epsilon: float, c: int = 1) -> float:
     if not isinstance(xi, XiDistribution):
         raise ValueError(f"xi must be an XiDistribution, got {xi!r}")
     c = check_intercept_flag(c)
-    check_finite_number("var_epsilon", var_epsilon)
+    var_epsilon = check_finite_number("var_epsilon", var_epsilon)
     if var_epsilon < 0:
         raise ValueError("var_epsilon must be nonnegative")
     if not xi.var_finite:

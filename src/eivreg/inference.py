@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ZeroNormalizer
-from .estimators import SideInfo, estimate_from_moments
+from .estimators import SideInfo, check_side, estimate_from_moments
 from .moments import (MomentSet, Rows, RowStatus, _range_error, as_rows, check_finite_number,
                       check_integer, checked_fsum, moment_set, quiet_overflow)
 from .normal import norm_cdf, z_for_gamma
@@ -69,11 +69,11 @@ def _resolve_z(gamma: Optional[float], z: Optional[float]) -> Tuple[float, float
     if (gamma is None) == (z is None):
         raise ValueError("exactly one of gamma and z must be given")
     if gamma is not None:
-        return z_for_gamma(gamma), 1.0 - gamma
-    check_finite_number("z", z)
+        return z_for_gamma(gamma), 1.0 - float(gamma)
+    z = check_finite_number("z", z)
     if z < 0:
         raise ValueError(f"z must be nonnegative, got {z!r}")
-    return float(z), 2.0 * norm_cdf(z) - 1.0
+    return z, 2.0 * norm_cdf(z) - 1.0
 
 
 def check_k(k) -> None:
@@ -160,6 +160,7 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str):
     Raises ZeroNormalizer when the normalizing sum of squares vanishes
     (for example on exact-line data); a row of a block fails with it.
     """
+    check_side(side)
     if variant not in SLOPE_VARIANTS:
         raise ValueError(f"unknown slope variant {variant!r}")
     check_finite_number("beta", beta)
@@ -193,6 +194,7 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
     takes no ``beta``.  Both numerators are
     sqrt(n) * (alpha_hat - alpha).
     """
+    check_side(side)
     if variant not in INTERCEPT_VARIANTS:
         raise ValueError(f"unknown intercept variant {variant!r}")
     check_intercept_model(side)
@@ -254,6 +256,7 @@ def ci_slope_plugin(data, side: SideInfo, gamma: Optional[float] = None, *,
                     z: Optional[float] = None) -> IntervalEstimate:
     """Symmetric slope interval from the self-normalized plug-in pivot:
     beta_hat -+ z * sqrt(sum a_i(beta_hat)^2) / (n*|U|)."""
+    check_side(side)
     z, level = _resolve_z(gamma, z)
     rows = as_rows(data)
     ms = _moments(rows, side)
@@ -267,6 +270,7 @@ def ci_intercept(data, side: SideInfo, gamma: Optional[float] = None, *,
                  z: Optional[float] = None) -> IntervalEstimate:
     """Symmetric intercept interval:
     alpha_hat -+ z * sqrt(sum (v_i - v_bar)^2) / sqrt(n*(n-1))."""
+    check_side(side)
     z, level = _resolve_z(gamma, z)
     check_intercept_model(side)
     rows = as_rows(data)
@@ -326,6 +330,7 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
     nonnegative the region is the interval between the two roots.
     Otherwise the result carries the degeneracy kind and no endpoints.
     """
+    check_side(side)
     check_quadratic(side, k)
     z, level = _resolve_z(gamma, z)
     rows = as_rows(data)

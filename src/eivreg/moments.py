@@ -365,9 +365,11 @@ class Rows:
 
 def as_rows(data) -> Rows:
     """A dataset as the one-row block whose status raises; a block of rows
-    itself."""
+    itself.  Raises ValueError naming ``data`` for anything else."""
     if isinstance(data, Dataset):
         return Rows(data.y[None, :], data.x[None, :], status=RowStatus(1, raising=True))
+    if not isinstance(data, Rows):
+        raise ValueError(f"data must be a Dataset or Rows, got {type(data).__name__}")
     return data
 
 

@@ -49,15 +49,15 @@ import numpy as np
 from .diagnostics import empirical_bn, ks_distance_to_normal
 from .errors import GuardViolation, ZeroNormalizer
 from .estimators import (GUARD_SXX_MINUS_THETA, GUARD_SXY_MINUS_MU, GUARD_SYY_MINUS_LAMBDA_THETA,
-                         SideInfo, estimate, naive_ratio_estimates)
+                         SideInfo, check_side, estimate, naive_ratio_estimates)
 from .inference import (DEGENERACY_DISCRIMINANT, DEGENERACY_LEADING, DEGENERACY_NONE,
                         INTERCEPT_VARIANTS, SLOPE_VARIANTS, check_intercept_model, check_k,
                         check_quadratic, ci_intercept, ci_slope_plugin, ci_slope_quadratic,
                         intercept_statistic, slope_statistic)
 from .moments import Rows, check_integer, fsum, quiet_overflow
 from .normal import z_for_gamma
-from .samplers import (_ERROR_BASES, ROLE_ERRORS, ROLE_XI, XI_FAMILIES, ModelSpec,
-                       _philox_generator, _raw_blocks, _reset, _simulate_rows, philox_keys)
+from .samplers import (_ERROR_BASES, XI_FAMILIES, ModelSpec, _philox_generator, _raw_blocks,
+                       _reset, _simulate_rows, philox_keys)
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "EXPERIMENTS", "OUTCOMES", "PIVOTS", "WORKERS_ENV"]
@@ -112,8 +112,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.spec, ModelSpec):
             raise ValueError(f"spec must be a ModelSpec, got {self.spec!r}")
-        if not isinstance(self.side, SideInfo):
-            raise ValueError(f"side must be a SideInfo, got {self.side!r}")
+        check_side(self.side)
         if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         try:
@@ -195,7 +194,7 @@ def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) ->
     into a row, then the sub-block is simulated and evaluated as (B, n)
     arrays."""
     spec = config.spec
-    keys = philox_keys(config.seed, n, range(start, stop), (ROLE_XI, ROLE_ERRORS))
+    keys = philox_keys(config.seed, n, start, stop)
     rngs = (_philox_generator(), _philox_generator())
     family = XI_FAMILIES[spec.xi.family]
     draws = (family.draw, _ERROR_BASES[spec.err.base].draw)

@@ -61,6 +61,7 @@ def _acklam(p: float) -> float:
 
 def norm_ppf(p: float) -> float:
     """Quantile of the standard normal distribution, p in (0, 1)."""
+    p = check_finite_number("p", p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p!r}")
     x = _acklam(p)
@@ -79,7 +80,7 @@ def norm_ppf(p: float) -> float:
 
 def z_for_gamma(gamma: float) -> float:
     """Two-sided critical value: the upper gamma/2 standard normal quantile."""
-    check_finite_number("gamma", gamma)
+    gamma = check_finite_number("gamma", gamma)
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie strictly between 0 and 1, got {gamma!r}")
     p = 1.0 - gamma / 2.0

@@ -13,10 +13,12 @@ Randomness is counter-based and splittable: every stream is derived from
 (seed, path) through ``numpy``'s SeedSequence/Philox machinery, so
 parallel replications can never perturb each other and identical inputs
 reproduce bit-identical draws.  ``substream`` is the reference definition
-of a stream.  The Monte Carlo harness derives the Philox keys of a whole
-block of replications at once with ``philox_keys``, bitwise the keys
-SeedSequence would give, and resets one reused generator per role to
-each replication's key, so its draws are those of ``substream``.
+of a stream.  The Monte Carlo harness derives the Philox keys of a
+block's replication range, both roles at once, with
+``philox_keys(seed, n, start, stop)``, bitwise the keys SeedSequence
+would give, and resets one reused generator per role to each
+replication's key, so its draws are those of ``substream``.
+``philox_keys`` serves that one caller and is not package API.
 
 Drawing is split in two.  Per replication, only the generator calls run:
 each xi family and each error base writes its raw variates (standard
@@ -48,7 +50,6 @@ __all__ = [
     "Latent",
     "Dataset",
     "substream",
-    "philox_keys",
     "sample_xi",
     "sample_errors",
     "simulate_dataset",
@@ -252,7 +253,7 @@ class ErrorSpec:
         if not isinstance(self.base, str) or self.base not in _ERROR_BASES:
             raise ValueError(f"unknown error base {self.base!r}")
         for name in ("lambda_theta", "theta", "mu"):
-            check_finite_number(name, getattr(self, name))
+            object.__setattr__(self, name, check_finite_number(name, getattr(self, name)))
         if self.lambda_theta <= 0 or self.theta <= 0:
             raise ValueError("error variances must be positive")
         # mu ** 2 is the float power cholesky() takes too: it raises
@@ -283,9 +284,9 @@ class ModelSpec:
     err: ErrorSpec
 
     def __post_init__(self):
-        check_intercept_flag(self.c)
-        check_finite_number("beta", self.beta)
-        check_finite_number("alpha", self.alpha)
+        object.__setattr__(self, "c", check_intercept_flag(self.c))
+        for name in ("beta", "alpha"):
+            object.__setattr__(self, name, check_finite_number(name, getattr(self, name)))
         if self.c == 0 and self.alpha != 0.0:
             raise ValueError("alpha must be 0 when the intercept is known to be zero")
 
@@ -330,21 +331,6 @@ def _words(name: str, value: int) -> list:
     return words
 
 
-def _rep_indices(reps) -> np.ndarray:
-    """The replication indices ``reps`` as a uint64 array; raises ValueError
-    naming ``rep`` unless each is an integer in [0, 2**64)."""
-    values = np.asarray(reps)
-    if values.dtype.kind in "iu":
-        bad = values[values < 0].tolist()
-    else:  # floats, or Python ints that no one integer dtype holds
-        values = np.asarray(reps, dtype=object)
-        bad = [rep for rep in values.tolist()
-               if not isinstance(rep, (int, np.integer)) or not 0 <= rep < 2 ** 64]
-    if bad:
-        raise ValueError(f"rep must be an integer in [0, 2**64), got {bad[0]!r}")
-    return values.astype(np.uint64)
-
-
 def _seed_seq_keys(entropy: list) -> np.ndarray:
     """Philox keys ``SeedSequence(...).generate_state(2, np.uint64)`` of the
     rows whose entropy words are the uint32 columns ``entropy``."""
@@ -379,41 +365,33 @@ def _seed_seq_keys(entropy: list) -> np.ndarray:
     return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=1)
 
 
-def philox_keys(seed: int, n: int, reps, role) -> np.ndarray:
-    """The (len(reps), 2) uint64 Philox keys of ``substream((seed, n, rep), role)``.
+def philox_keys(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+    """The (2, stop - start, 2) uint64 Philox keys of replications
+    start..stop-1, for ROLE_XI then ROLE_ERRORS, all derived in one pass.
 
-    Row i is bitwise ``SeedSequence((seed, n, reps[i]), spawn_key=(role,))
-    .generate_state(2, np.uint64)``, the key ``substream`` gives its
-    Philox, derived for all rows at once.  For a sequence of roles the
-    result is (len(role), len(reps), 2), every role's keys derived in the
-    same pass, with the spawn word a column like the rep's.  The hash runs
-    word position by word position, so rows are grouped by how many 32-bit
-    words their rep and their role take; a replication index that is not an
-    integer in [0, 2**64) raises ValueError.
+    Key [role, i] is bitwise ``SeedSequence((seed, n, start + i),
+    spawn_key=(role,)).generate_state(2, np.uint64)``, the key
+    ``substream((seed, n, start + i), role)`` gives its Philox.  The hash
+    runs word position by word position, so replications whose index
+    takes one 32-bit word are hashed apart from those whose index takes two.
     """
-    roles = [role] if np.ndim(role) == 0 else list(role)
-    spawns = [_words("role", r) for r in roles]
-    reps = _rep_indices(reps)
     prefix = _words("seed", seed) + _words("n", n)
-    keys = np.empty((len(roles), reps.size, 2), dtype=np.uint64)
-    wide = reps > _MASK32
-    for spawn_width in sorted({len(spawn) for spawn in spawns}):
-        picked = [i for i, spawn in enumerate(spawns) if len(spawn) == spawn_width]
-        spawn_words = np.array([spawns[i] for i in picked], dtype=np.uint32)
-        for rows, width in ((~wide, 1), (wide, 2)):
-            group = reps[rows]
-            if not group.size:
-                continue
-            run = ([np.full(group.size, w, dtype=np.uint32) for w in prefix]
-                   + [(group >> (32 * j)).astype(np.uint32) for j in range(width)])
-            # SeedSequence pads the run entropy with zeros to the pool size
-            # before it appends a spawn key.
-            run += [np.zeros(group.size, dtype=np.uint32)] * (_POOL_SIZE - len(run))
-            entropy = ([np.tile(word, len(picked)) for word in run]
-                       + [np.repeat(column, group.size) for column in spawn_words.T])
-            keys[np.ix_(picked, np.flatnonzero(rows))] = _seed_seq_keys(entropy).reshape(
-                len(picked), group.size, 2)
-    return keys[0] if np.ndim(role) == 0 else keys
+    reps = np.arange(start, stop, dtype=np.uint64)
+    keys = np.empty((2, reps.size, 2), dtype=np.uint64)
+    split = int(np.searchsorted(reps, 2 ** 32))
+    for rows, width in ((slice(0, split), 1), (slice(split, None), 2)):
+        group = reps[rows]
+        if not group.size:
+            continue
+        run = ([np.full(group.size, w, dtype=np.uint32) for w in prefix]
+               + [(group >> (32 * j)).astype(np.uint32) for j in range(width)])
+        # SeedSequence pads the run entropy with zeros to the pool size
+        # before it appends a spawn key.
+        run += [np.zeros(group.size, dtype=np.uint32)] * (_POOL_SIZE - len(run))
+        spawn = np.repeat(np.array([ROLE_XI, ROLE_ERRORS], dtype=np.uint32), group.size)
+        keys[:, rows] = _seed_seq_keys([np.tile(word, 2) for word in run] + [spawn]).reshape(
+            2, group.size, 2)
+    return keys
 
 
 _ZERO_WORDS = (0, 0, 0, 0)
@@ -425,8 +403,8 @@ def _philox_generator() -> np.random.Generator:
 
 
 def _reset(rng: np.random.Generator, key) -> np.random.Generator:
-    """``rng`` set to the start of the Philox stream with ``key``, a row of
-    ``philox_keys``: zero counter and an empty buffer, the state
+    """``rng`` set to the start of the Philox stream with ``key``, one key
+    of ``philox_keys``: zero counter and an empty buffer, the state
     ``Philox(ss)`` starts in, so the draws that follow are those of the
     matching ``substream``."""
     rng.bit_generator.state = {

@@ -22,10 +22,12 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import eivreg
 from conftest import PROP_CASES
@@ -261,3 +263,34 @@ def test_prop_hostile_library_input_ends_in_named_errors():
                     raise AssertionError((seed, name, data, side)) from exc
     # Every entry point returns on some of the cases.
     assert returned == called and len(called) == 16
+
+
+# The seven entry points that take a dataset or a block of rows, six of
+# them with side information, as calls on (data, side).
+DATA_ENTRY_POINTS = {
+    "estimate": lambda data, side: eivreg.estimate(data, side),
+    "naive_ratio_estimates": lambda data, side: eivreg.naive_ratio_estimates(data),
+    "slope_statistic": lambda data, side: eivreg.slope_statistic(data, side, 2.0, "studentized"),
+    "intercept_statistic": lambda data, side: eivreg.intercept_statistic(data, side, 1.0),
+    "ci_slope_plugin": lambda data, side: eivreg.ci_slope_plugin(data, side, 0.05),
+    "ci_intercept": lambda data, side: eivreg.ci_intercept(data, side, 0.05),
+    "ci_slope_quadratic": lambda data, side: eivreg.ci_slope_quadratic(data, side, 1, 0.05),
+}
+
+
+@pytest.mark.parametrize("name", DATA_ENTRY_POINTS)
+def test_wrong_data_or_side_type_is_named(name):
+    # Anything but a Dataset or Rows as data, and anything but a SideInfo
+    # as side, ends in a ValueError that names the argument.
+    call = DATA_ENTRY_POINTS[name]
+    data = eivreg.Dataset(y=np.array([1.0, 3.0, 6.0]), x=np.array([0.0, 1.0, 2.0]))
+    side = eivreg.SideInfo.case1(0.25, 0.05)
+    call(data, side)
+    for bad, shown in (([1.0, 2.0], "list"), (None, "NoneType"), (np.ones((2, 3)), "ndarray")):
+        with pytest.raises(ValueError, match=f"^data must be a Dataset or Rows, got {shown}$"):
+            call(bad, side)
+    if name != "naive_ratio_estimates":
+        for bad in ("case2", None, 1):
+            with pytest.raises(ValueError,
+                               match=f"^side must be a SideInfo, got {re.escape(repr(bad))}$"):
+                call(data, bad)

@@ -104,11 +104,17 @@ class TestConfigValidation:
 
     def test_numpy_scalars_echo_as_json_numbers(self):
         # A side of case np.int64(2) and c True runs as case 2 with c = 1,
-        # and gamma np.float32(0.25) as 0.25.
-        side = SideInfo(case=np.int64(2), mu=0.05, theta=0.25, c=True)
-        report = run_experiment(cfg(side=side, gamma=np.float32(0.25), replications=3))
-        assert dumps(report.to_dict()) == dumps(run_experiment(
-            cfg(gamma=0.25, replications=3)).to_dict())
+        # a model of c np.int64(1) with c = 1, gamma np.float32(0.25) as
+        # 0.25, and float32 beta, mu and theta as the floats they hold.
+        mu, theta = np.float32(0.05), np.float32(0.25)
+        spec = ModelSpec(np.float32(2.0), 1.0, np.int64(1), M0_SPEC.xi, ErrorSpec(0.25, theta, mu))
+        side = SideInfo(case=np.int64(2), mu=mu, theta=theta, c=True)
+        report = run_experiment(cfg(spec=spec, side=side, gamma=np.float32(0.25), replications=3))
+        plain = cfg(spec=ModelSpec(2.0, 1.0, 1, M0_SPEC.xi, ErrorSpec(0.25, 0.25, float(mu))),
+                    side=SideInfo.case2(0.25, float(mu)), gamma=0.25, replications=3)
+        assert dumps(report.to_dict()) == dumps(run_experiment(plain).to_dict())
+        assert all(type(value) is float for value in (
+            spec.beta, spec.err.mu, spec.err.theta, side.mu, side.theta))
 
     def test_integer_fields_accept_numpy_integers(self):
         config = cfg(experiment="coverage16", side=SIDE1_M0, n_values=(np.int64(8),),

@@ -16,14 +16,14 @@ from eivreg import (
     ExperimentConfig,
     SideInfo,
     estimate,
-    philox_keys,
     reliability_ratio,
     sample_errors,
     sample_xi,
     simulate_dataset,
     substream,
 )
-from eivreg.samplers import ROLE_ERRORS, ROLE_XI, XI_FAMILIES, _philox_generator, _reset
+from eivreg.samplers import (ROLE_ERRORS, ROLE_XI, XI_FAMILIES, _philox_generator, _reset,
+                             philox_keys)
 
 
 class TestXiDistribution:
@@ -172,11 +172,9 @@ def test_sample_xi_needs_positive_n():
     (lambda: substream(True, ROLE_XI), "seed", "True"),
     (lambda: substream(1, 1.5), "path", "1.5"),
     (lambda: substream(1, ROLE_XI, True), "path", "True"),
-    (lambda: philox_keys(0.5, 100, [0], ROLE_XI), "seed", "0.5"),
-    (lambda: philox_keys(False, 100, [0], ROLE_XI), "seed", "False"),
-    (lambda: philox_keys(1, 100.0, [0], ROLE_XI), "n", "100.0"),
-    (lambda: philox_keys(1, 100, [0], 0.5), "role", "0.5"),
-    (lambda: philox_keys(1, 100, [0], (ROLE_XI, "1")), "role", "'1'"),
+    (lambda: philox_keys(0.5, 100, 0, 1), "seed", "0.5"),
+    (lambda: philox_keys(False, 100, 0, 1), "seed", "False"),
+    (lambda: philox_keys(1, 100.0, 0, 1), "n", "100.0"),
 ])
 def test_sampler_integer_arguments_named(call, name, shown):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(shown)}$"):
@@ -295,48 +293,21 @@ def _seed_sequence_key(seed, n, rep, role):
 @pytest.mark.parametrize("n", [2, 100, 2 ** 33 + 1])
 @pytest.mark.parametrize("role", [ROLE_XI, ROLE_ERRORS])
 def test_philox_keys_are_seed_sequence_keys(seed, n, role):
-    # The third block crosses the 32-bit word boundary of the rep.
-    blocks = ([0, 1, 999, 2 ** 32 - 1], range(998, 1003), range(2 ** 32 - 3, 2 ** 32 + 3),
-              [2 ** 64 - 1])
-    for reps in blocks:
-        keys = philox_keys(seed, n, reps, role)
-        assert keys.shape == (len(reps), 2) and keys.dtype == np.uint64
-        expected = np.array([_seed_sequence_key(seed, n, rep, role) for rep in reps])
-        assert np.array_equal(keys, expected)
-
-
-@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 70 + 3])
-@pytest.mark.parametrize("n", [2, 2 ** 33 + 1])
-def test_joint_philox_keys_are_each_roles_keys(seed, n):
-    # One call derives every role's keys, roles that take two words
-    # included; each role's slice is bitwise its own call's result.
-    reps = [0, 1, 999, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
-    roles = (ROLE_XI, ROLE_ERRORS, 2 ** 32 + 7, 5)
-    keys = philox_keys(seed, n, reps, roles)
-    assert keys.shape == (len(roles), len(reps), 2) and keys.dtype == np.uint64
-    for role, role_keys in zip(roles, keys):
-        expected = np.array([_seed_sequence_key(seed, n, rep, role) for rep in reps])
-        assert np.array_equal(role_keys, expected)
-        assert np.array_equal(role_keys, philox_keys(seed, n, reps, role))
+    # Each call derives both roles' keys; this case checks the role's
+    # slice.  The third range crosses the 32-bit word boundary of the rep,
+    # the last ends at the largest index SeedSequence takes.
+    for start, stop in ((0, 5), (998, 1003), (2 ** 32 - 3, 2 ** 32 + 3),
+                        (2 ** 64 - 2, 2 ** 64 - 1)):
+        keys = philox_keys(seed, n, start, stop)
+        assert keys.shape == (2, stop - start, 2) and keys.dtype == np.uint64
+        expected = [_seed_sequence_key(seed, n, rep, role) for rep in range(start, stop)]
+        assert np.array_equal(keys[role], expected)
 
 
 def test_philox_keys_reject_negative_words():
-    for seed, n, role in ((-1, 10, 0), (1, -10, 0), (1, 10, -1)):
+    for seed, n in ((-1, 10), (1, -10)):
         with pytest.raises(ValueError, match="must be nonnegative"):
-            philox_keys(seed, n, [0], role)
-
-
-@pytest.mark.parametrize("reps, shown", [
-    ([-1], "-1"), (np.array([-1]), "-1"), ([2.5], "2.5"), (np.array([2.5]), "2.5"),
-    ([2 ** 64], str(2 ** 64)), ([0, 2 ** 64 - 1, -1], "-1"), ([3, "4"], "'4'")])
-def test_philox_keys_reject_bad_reps(reps, shown):
-    # The reference substream((seed, n, -1), role) raises ValueError; a
-    # fraction or an index of 2**64 or more has no key here either.
-    with pytest.raises(ValueError, match=r"^rep must be an integer in \[0, 2\*\*64\), got "
-                       + re.escape(shown) + "$"):
-        philox_keys(1, 100, reps, ROLE_XI)
-    with pytest.raises(ValueError):
-        substream((1, 100, -1), ROLE_XI)
+            philox_keys(seed, n, 0, 1)
 
 
 def test_philox_keys_never_collide():
@@ -345,9 +316,9 @@ def test_philox_keys_never_collide():
     # key; n stays below 2**32 here, as any n that can be simulated does.
     keys = set()
     count = 0
-    for seed, n, role in itertools.product((0, 1, 2, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3),
-                                           (2, 3, 50, 100, 2000), (ROLE_XI, ROLE_ERRORS)):
-        block = philox_keys(seed, n, range(400), role)
+    for seed, n in itertools.product((0, 1, 2, 2 ** 32 - 1, 2 ** 32, 2 ** 70 + 3),
+                                     (2, 3, 50, 100, 2000)):
+        block = philox_keys(seed, n, 0, 400).reshape(-1, 2)
         keys.update(map(tuple, block.tolist()))
         count += len(block)
     assert len(keys) == count == 24000
@@ -438,11 +409,11 @@ def test_draws_equal_sized_numpy_calls(dist, n, reps):
             assert np.array_equal(data.latent.xi, xi)
 
 
-@pytest.mark.parametrize("n", [2, 37, 2000])
-@pytest.mark.parametrize("base", BASES)
-@pytest.mark.parametrize("dist", XI_CASES, ids=XI_IDS)
-def test_block_rows_equal_simulate_dataset(monkeypatch, dist, base, n):
-    # Sub-blocks of 7 rows: replications 3..25 fill three and a partial one.
+def _check_block_rows(monkeypatch, dist, base, n, start, stop):
+    """Run replications start..stop-1 through ``_replicate_block`` in
+    sub-blocks of at most 7 rows, check each row against the dataset
+    ``simulate_dataset`` gives its replication, and return the sub-block
+    sizes."""
     spec = ModelSpec(beta=2.0, alpha=1.0, c=1, xi=dist,
                      err=ErrorSpec(lambda_theta=0.5, theta=2.0, mu=-0.6, base=base))
     config = ExperimentConfig(spec=spec, side=SideInfo.case2(theta=2.0, mu=-0.6, c=1),
@@ -457,24 +428,38 @@ def test_block_rows_equal_simulate_dataset(monkeypatch, dist, base, n):
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7 * n)
     monkeypatch.setattr(montecarlo, "_MIN_ROWS", 1)
     monkeypatch.setattr(montecarlo, "_evaluate", keep)
-    montecarlo._replicate_block(config, n, 3, 26)
-    assert [len(rows.y) for rows in blocks] == [7, 7, 7, 2]
+    montecarlo._replicate_block(config, n, start, stop)
     y, x, xi = (np.concatenate([getattr(rows, name) for rows in blocks])
                 for name in ("y", "x", "xi"))
-    for i, rep in enumerate(range(3, 26)):
+    for i, rep in enumerate(range(start, stop)):
         data = simulate_dataset(spec, n, (config.seed, n, rep))
         assert np.array_equal(y[i], data.y) and np.array_equal(x[i], data.x)
         assert np.array_equal(xi[i], data.latent.xi)
+    return [len(rows.y) for rows in blocks]
+
+
+@pytest.mark.parametrize("n", [2, 37, 2000])
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("dist", XI_CASES, ids=XI_IDS)
+def test_block_rows_equal_simulate_dataset(monkeypatch, dist, base, n):
+    # Replications 3..25 fill three sub-blocks and a partial one.
+    assert _check_block_rows(monkeypatch, dist, base, n, 3, 26) == [7, 7, 7, 2]
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("dist", XI_CASES, ids=XI_IDS)
+def test_block_rows_across_the_two_word_rep_boundary(monkeypatch, dist, base):
+    # The first two indices take one 32-bit word and the last two take
+    # two, so the block's keys come from both word groups.
+    assert _check_block_rows(monkeypatch, dist, base, 37, 2 ** 32 - 2, 2 ** 32 + 2) == [4]
 
 
 @pytest.mark.parametrize("dist", XI_CASES, ids=XI_IDS)
 def test_reset_draws_equal_substream_xi(dist):
     seed, n, rep = 11, 37, 5
     expected = sample_xi(dist, n, substream((seed, n, rep), ROLE_XI))
-    for key in (philox_keys(seed, n, [rep], ROLE_XI)[0],
-                philox_keys(seed, n, [rep], (ROLE_XI, ROLE_ERRORS))[0, 0]):
-        got = sample_xi(dist, n, _reset(_dirty_generator(), key))
-        assert np.array_equal(got, expected)
+    key = philox_keys(seed, n, rep, rep + 1)[ROLE_XI, 0]
+    assert np.array_equal(sample_xi(dist, n, _reset(_dirty_generator(), key)), expected)
 
 
 @pytest.mark.parametrize("base", BASES)
@@ -482,10 +467,9 @@ def test_reset_draws_equal_substream_errors(base):
     err = ErrorSpec(lambda_theta=0.5, theta=2.0, mu=-0.6, base=base)
     seed, n, rep = 11, 37, 2 ** 32 + 5
     expected = sample_errors(err, n, substream((seed, n, rep), ROLE_ERRORS))
-    for key in (philox_keys(seed, n, [rep], ROLE_ERRORS)[0],
-                philox_keys(seed, n, [rep], (ROLE_XI, ROLE_ERRORS))[1, 0]):
-        got = sample_errors(err, n, _reset(_dirty_generator(), key))
-        assert all(map(np.array_equal, got, expected))
+    key = philox_keys(seed, n, rep, rep + 1)[ROLE_ERRORS, 0]
+    got = sample_errors(err, n, _reset(_dirty_generator(), key))
+    assert all(map(np.array_equal, got, expected))
 
 
 def test_dataset_validation():

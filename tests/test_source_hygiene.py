@@ -2,8 +2,9 @@
 by its module, every module-level private function, class or constant by
 some module of the package besides its definition, every name of a
 module's ``__all__`` is bound in that module, and every public name of the
-package is read by one of its modules or shown in the README.  Only the
-standard library's ``ast`` reads the sources; nothing is imported."""
+package is listed in its module's ``__all__`` and read by one of its
+modules or shown in the README.  Only the standard library's ``ast``
+reads the sources; nothing is imported."""
 
 from __future__ import annotations
 
@@ -107,13 +108,27 @@ def test_every_exported_name_is_bound():
     assert stale == []
 
 
+def _package_exports(modules: dict) -> dict:
+    """``eivreg._EXPORTS``: the public names, by the submodule that defines them."""
+    return next(ast.literal_eval(node.value) for node in modules["__init__.py"].body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets))
+
+
+def test_package_exports_are_in_their_modules_all():
+    # The package's public names and each submodule's __all__ agree: a
+    # name of eivreg._EXPORTS is listed in its module's __all__.
+    modules = _modules()
+    missing = [f"{module}.py {name}" for module, names in _package_exports(modules).items()
+               for name in names if name not in _exported(modules[f"{module}.py"])]
+    assert missing == []
+
+
 def test_every_public_name_is_used_or_documented():
     # A name of eivreg._EXPORTS that no module reads and no code span of
     # the README shows is public API that only the tests call.
     modules = _modules()
-    exports = next(ast.literal_eval(node.value) for node in modules["__init__.py"].body
-                   if isinstance(node, ast.Assign)
-                   and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets))
+    exports = _package_exports(modules)
     spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
     shown = {word for span in spans for word in re.findall(r"\w+", span)}
     public = {name for names in exports.values() for name in names}
