@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -307,6 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # eivreg calls no BLAS routine, yet OpenBLAS starts a pool of threads
+    # when NumPy loads, each of which spins for about 0.1 s of CPU before it
+    # sleeps.  NumPy loads after this line, in the command's body, so one
+    # thread is all it starts, here and in forked pool workers.  A value the
+    # user set wins, and importing eivreg as a library changes nothing.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -397,7 +397,9 @@ def series_mean(name: str, values: np.ndarray, status: RowStatus) -> np.ndarray:
 
 
 def check_intercept_flag(c) -> int:
-    if c not in (0, 1):
+    """``c`` as the int 0 or 1; raises ValueError unless it is a bool or a
+    Python or NumPy integer of that value."""
+    if not isinstance(c, (int, np.integer, np.bool_)) or c not in (0, 1):
         raise ValueError(f"intercept flag c must be 0 or 1, got {c!r}")
     return int(c)
 

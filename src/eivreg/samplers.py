@@ -284,6 +284,10 @@ class ModelSpec:
     err: ErrorSpec
 
     def __post_init__(self):
+        if not isinstance(self.xi, XiDistribution):
+            raise ValueError(f"xi must be an XiDistribution, got {self.xi!r}")
+        if not isinstance(self.err, ErrorSpec):
+            raise ValueError(f"err must be an ErrorSpec, got {self.err!r}")
         object.__setattr__(self, "c", check_intercept_flag(self.c))
         for name in ("beta", "alpha"):
             object.__setattr__(self, name, check_finite_number(name, getattr(self, name)))

@@ -228,9 +228,9 @@ def test_side_info_case_must_be_an_integer(case):
 
 
 def test_side_info_stores_int_case_and_flag():
-    # NumPy integers and the flags True and 1.0 are stored as ints, so an
-    # estimate's j is the int case.
-    for c in (True, 1.0, np.int64(1)):
+    # NumPy integers and the flag True are stored as ints, so an estimate's
+    # j is the int case.  A float flag is rejected (see test_hostile_input).
+    for c in (True, 1, np.int64(1)):
         side = SideInfo(case=np.int64(1), mu=0.0, lambda_theta=0.0, c=c)
         assert (side.case, side.c) == (1, 1) and type(side.case) is type(side.c) is int
         est = estimate(line_dataset(), side)

@@ -294,3 +294,39 @@ def test_wrong_data_or_side_type_is_named(name):
             with pytest.raises(ValueError,
                                match=f"^side must be a SideInfo, got {re.escape(repr(bad))}$"):
                 call(data, bad)
+
+
+# The three entry points that take an intercept flag, as calls on c.
+INTERCEPT_FLAG_ENTRY_POINTS = {
+    "SideInfo": lambda c: eivreg.SideInfo.case2(0.25, 0.05, c=c),
+    "ModelSpec": lambda c: eivreg.ModelSpec(2.0, 0.0, c, eivreg.XiDistribution.normal(0, 1),
+                                            eivreg.ErrorSpec(0.25, 0.25, 0.05)),
+    "moment_set": lambda c: eivreg.moment_set([1.0, 3.0, 6.0], [0.0, 1.0, 2.0], c),
+}
+
+
+@pytest.mark.parametrize("name", INTERCEPT_FLAG_ENTRY_POINTS)
+def test_intercept_flag_must_be_a_bool_or_an_integer(name):
+    # The flag is a bool or a Python or NumPy integer of value 0 or 1; a
+    # float of that value is rejected like any other value.
+    call = INTERCEPT_FLAG_ENTRY_POINTS[name]
+    for good in (0, 1, True, False, np.True_, np.int64(1), np.uint8(0)):
+        call(good)
+    for bad in (1.0, 0.0, np.float32(1.0), 2, -1, "1", None):
+        with pytest.raises(ValueError,
+                           match=f"^intercept flag c must be 0 or 1, got {re.escape(repr(bad))}$"):
+            call(bad)
+
+
+def test_model_spec_parts_are_typed():
+    # A ModelSpec's xi and err are checked when it is built, not when a
+    # simulation first reads them.
+    xi, err = eivreg.XiDistribution.normal(0, 1), eivreg.ErrorSpec(0.25, 0.25, 0.05)
+    with pytest.raises(ValueError, match="^xi must be an XiDistribution, got None$"):
+        eivreg.ModelSpec(2.0, 1.0, 1, None, None)
+    with pytest.raises(ValueError, match="^xi must be an XiDistribution, got 'normal'$"):
+        eivreg.ModelSpec(2.0, 1.0, 1, "normal", err)
+    with pytest.raises(ValueError, match="^err must be an ErrorSpec, got None$"):
+        eivreg.ModelSpec(2.0, 1.0, 1, xi, None)
+    with pytest.raises(ValueError, match=f"^err must be an ErrorSpec, got {re.escape(repr(xi))}$"):
+        eivreg.ModelSpec(2.0, 1.0, 1, xi, xi)

@@ -133,3 +133,34 @@ def test_every_public_name_is_used_or_documented():
     shown = {word for span in spans for word in re.findall(r"\w+", span)}
     public = {name for names in exports.values() for name in names}
     assert sorted(public - _read_anywhere(modules) - shown) == []
+
+
+# NumPy's names for the routines it hands to BLAS.
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def _blas_uses(tree: ast.Module) -> list:
+    """The lines of a module that multiply by ``@``, read a BLAS name as an
+    attribute (``np.dot``, ``a.dot``, ``np.linalg``) or import one from
+    NumPy."""
+    lines = []
+    for node in ast.walk(tree):
+        imported = []
+        if isinstance(node, ast.Import):
+            imported = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported = [[*(node.module or "").split("."), alias.name] for alias in node.names]
+        if ((isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+                or (isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES)
+                or any(parts[0] == "numpy" and BLAS_NAMES & set(parts) for parts in imported)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_package_calls_no_blas():
+    # Every estimator and interval is a ratio or a square root of moment
+    # sums, so no module hands work to BLAS.  That is why the CLI can run
+    # it on one BLAS thread without slowing down.
+    calls = [f"{module}:{line}" for module, tree in _modules().items()
+             for line in _blas_uses(tree)]
+    assert calls == []

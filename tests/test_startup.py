@@ -1,5 +1,5 @@
-"""Start-up: each CLI command imports only the layers it uses, and the
-package exports its public names lazily (PEP 562).
+"""Start-up: each CLI command imports only the layers it uses, starts no
+BLAS threads, and the package exports its public names lazily (PEP 562).
 
 The import sets are pinned exactly, each in a fresh interpreter, since a
 module that one command starts to import at top level shows up in the
@@ -66,31 +66,76 @@ IMPORTS = {
 WORKERS = {"experiment_2_workers": "2"}
 
 
-def fresh_python(code: str, *args, cwd=None, workers="1") -> str:
-    env = dict(os.environ, PYTHONPATH=str(SRC), EIVREG_WORKERS=workers)
+# In-process main calls elsewhere in the suite set this variable in the
+# test process, so a child never inherits it unless a test sets it.
+BLAS_ENV = "OPENBLAS_NUM_THREADS"
+
+
+def fresh_python(code: str, *args, cwd=None, workers="1", blas_threads=None) -> str:
+    env = {name: value for name, value in os.environ.items() if name != BLAS_ENV}
+    env.update(PYTHONPATH=str(SRC), EIVREG_WORKERS=workers)
+    if blas_threads is not None:
+        env[BLAS_ENV] = blas_threads
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env=env, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-@pytest.mark.parametrize("command", IMPORTS)
-def test_command_imports_only_its_layers(tmp_path, command):
-    args, expected = IMPORTS[command]
+def write_inputs(tmp_path) -> None:
     (tmp_path / "data.csv").write_text("y,x\n1,0\n3.1,1\n5,2\n6.9,3\n9.2,4\n11,5\n")
     (tmp_path / "config.json").write_text(
         json.dumps({**M0_CONFIG, "n": 40, "n_values": [30], "replications": 4}))
+
+
+@pytest.mark.parametrize("command", IMPORTS)
+def test_command_imports_only_its_layers(tmp_path, command):
+    args, expected = IMPORTS[command]
+    write_inputs(tmp_path)
     out = fresh_python(LOADED, *args, cwd=tmp_path, workers=WORKERS.get(command, "1"))
     code, loaded = json.loads(out.splitlines()[-1])
     assert code == 0
     assert loaded == sorted(expected)
 
 
+# Runs eivreg.cli.main on its arguments, then prints, as the last line of
+# stdout, its exit code, the BLAS thread setting and the process's threads.
+THREADS = """
+import os, sys
+from eivreg.cli import main
+code = main(sys.argv[1:])
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")))
+"""
+# The commands that load NumPy.  Two workers are left out: there the pool's
+# threads can still be exiting when main returns.
+NUMPY_COMMANDS = ("estimate", "ci", "diagnose", "simulate", "experiment")
+needs_proc_tasks = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                      reason="no /proc/self/task to count threads")
+
+
+@needs_proc_tasks
+@pytest.mark.parametrize("command", NUMPY_COMMANDS)
+def test_command_starts_no_blas_threads(tmp_path, command):
+    write_inputs(tmp_path)
+    out = fresh_python(THREADS, *IMPORTS[command][0], cwd=tmp_path)
+    assert out.splitlines()[-1] == "0 1 1"
+
+
+@needs_proc_tasks
+def test_user_blas_thread_setting_is_kept(tmp_path):
+    write_inputs(tmp_path)
+    out = fresh_python(THREADS, *IMPORTS["estimate"][0], cwd=tmp_path, blas_threads="2")
+    code, blas_threads, _ = out.splitlines()[-1].split()
+    assert (code, blas_threads) == ("0", "2")
+
+
 def test_import_and_version_load_no_numpy():
-    out = fresh_python("import sys, eivreg\n"
+    # A library import also leaves the caller's BLAS setting alone.
+    out = fresh_python("import os, sys, eivreg\n"
                        "print(eivreg.__version__, 'numpy' in sys.modules,"
+                       " 'OPENBLAS_NUM_THREADS' in os.environ,"
                        " sorted(m for m in sys.modules if m.startswith('eivreg')))")
-    assert out == "0.1.0 False ['eivreg']\n"
+    assert out == "0.1.0 False False ['eivreg']\n"
 
 
 def test_public_names_resolve_to_their_defining_module():
