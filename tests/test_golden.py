@@ -289,6 +289,12 @@ def run_case(case: Case, workdir: Path) -> tuple:
     return code, outputs
 
 
+def _serialised(codes: dict) -> str:
+    """The text of ``exit_codes.json``: sorted by case name, so a recapture
+    rewrites only the codes that change."""
+    return json.dumps(codes, indent=2, sort_keys=True) + "\n"
+
+
 def _expected_codes() -> dict:
     return json.loads(EXIT_CODES.read_text(encoding="utf-8"))
 
@@ -320,6 +326,7 @@ def test_corpus_files_match_cases():
     present = {p.name for p in GOLDEN.iterdir() if p != EXIT_CODES}
     assert present == expected
     assert set(_expected_codes()) == {c.name for c in CASES}
+    assert EXIT_CODES.read_text(encoding="utf-8") == _serialised(_expected_codes())
 
 
 def capture() -> None:
@@ -333,7 +340,7 @@ def capture() -> None:
         codes[case.name] = code
         for name, data in outputs.items():
             (GOLDEN / f"{case.name}.{name}").write_bytes(data)
-    EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
+    EXIT_CODES.write_text(_serialised(codes), encoding="utf-8")
 
 
 if __name__ == "__main__":
