@@ -280,21 +280,6 @@ def ci_intercept(data, side: SideInfo, gamma: Optional[float] = None, *,
                      "intercept", side.case)
 
 
-def _squares(f: int, U: np.ndarray, beta1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Columns f*U**2 and beta1**2, by Python's float power row by row: its
-    C pow differs from U*U in the last bit on some inputs, and where either
-    square overflows both are inf."""
-    fu2, beta1_sq = [], []
-    for u, b in zip(U.ravel().tolist(), beta1.ravel().tolist()):
-        try:
-            pair = f * u ** 2, b ** 2
-        except OverflowError:
-            pair = math.inf, math.inf
-        fu2.append(pair[0])
-        beta1_sq.append(pair[1])
-    return np.array(fu2)[:, None], np.array(beta1_sq)[:, None]
-
-
 def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, beta1):
     """Coefficients of the inversion quadratic A*b^2 - 2*N*b + C <= 0 of
     quadratic pivot ``k`` and its quarter discriminant d4, as columns; a
@@ -309,7 +294,7 @@ def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, bet
         checked_fsum("ay*ax", ay * ax, status),
         checked_fsum("(ay - b*ax)^2", (ay - beta1 * ax) ** 2, status))
     z2 = z * z
-    fu2, beta1_sq = _squares(f, U, beta1)
+    fu2, beta1_sq = f * (U * U), beta1 * beta1
     A = fu2 - z2 * sxy2
     N = fu2 * beta1 - z2 * cross
     C = fu2 * beta1_sq - z2 * syy2

@@ -31,7 +31,6 @@ from eivreg import (
     slope_statistic,
     z_for_gamma,
 )
-from eivreg.inference import _squares
 from eivreg.montecarlo import EXPERIMENTS
 
 REL = 1e-10
@@ -326,19 +325,25 @@ class TestCiSlopeQuadratic:
         assert ci.lower < ci.upper
 
     @staticmethod
-    def _scaled(scale):
+    def _scaled(scale, x_scale=None):
         y = scale * np.array([1.0, -0.5, 0.7, 1.2, 0.3])
-        return Dataset(y=y, x=0.9 * scale * np.array([1.1, -0.4, 0.9, 1.0, 0.1]))
+        x_scale = scale if x_scale is None else x_scale
+        return Dataset(y=y, x=0.9 * x_scale * np.array([1.1, -0.4, 0.9, 1.0, 0.1]))
 
     @pytest.mark.parametrize("scale, message", [
         (1e77, "the leading coefficient of the inversion quadratic overflows"),
         (1e60, "the inversion quadratic overflows"),
+        pytest.param((1e50, 1e-110), "the inversion quadratic overflows",
+                     id="1e+50/1e-110-the inversion quadratic overflows"),
     ])
     def test_coefficient_overflow_named(self, scale, message):
-        # Every sum stays finite; f*U^2 (1e77) or the Gram determinant of
-        # the discriminant (1e60) leaves the float range.
+        # Every sum stays finite; f*U^2 (1e77), the Gram determinant of
+        # the discriminant (1e60) or beta_hat^2 alone (y at 1e50 and x at
+        # 1e-110, so beta_hat is about 1.2e160) leaves the float range.  In
+        # the last case f*U^2 and A stay finite and only C is infinite.
+        scales = scale if isinstance(scale, tuple) else (scale,)
         with pytest.raises(ValueError, match=f"^{message} the float range$"):
-            ci_slope_quadratic(self._scaled(scale), SIDE1_FREE, 1, 0.05)
+            ci_slope_quadratic(self._scaled(*scales), SIDE1_FREE, 1, 0.05)
 
     def test_leading_degeneracy_needs_no_discriminant(self):
         # A <= 0 is decided before the discriminant, whose products
@@ -525,31 +530,3 @@ def test_overflowing_result_named(name):
     call, result = _HUGE[name]
     with pytest.raises(ValueError, match=rf"^{re.escape(result)} overflows the float range$"):
         call(m0_dataset(30, 3))
-
-
-
-def test_quadratic_squares_are_python_float_powers():
-    # f*U**2 and beta1**2 keep the bits of Python's float ** (the C pow),
-    # which differ from U*U on some inputs, row by row; a row where either
-    # square overflows gets inf in both, as the OverflowError handler of the
-    # one-sample code did.
-    rng = np.random.default_rng(8)
-    U = rng.standard_normal(20000) * np.exp(rng.uniform(-300, 300, 20000))
-    beta1 = rng.standard_normal(20000) * np.exp(rng.uniform(-30, 30, 20000))
-    U[:2], beta1[2:4] = [1e200, -1e160], [1e155, -2e300]
-    f = 37 * 36
-    fu2, beta1_sq = _squares(f, U[:, None], beta1[:, None])
-    want_fu2, want_sq = [], []
-    for u, b in zip(U.tolist(), beta1.tolist()):
-        try:
-            pair = f * u ** 2, b ** 2
-        except OverflowError:
-            pair = math.inf, math.inf
-        want_fu2.append(pair[0])
-        want_sq.append(pair[1])
-    assert fu2.shape == beta1_sq.shape == (20000, 1)
-    assert fu2.ravel().tolist() == want_fu2 and beta1_sq.ravel().tolist() == want_sq
-    assert np.isinf(fu2[:4]).all() and np.isinf(beta1_sq[:4]).all()
-    # The case this helper exists for: C pow and U*U disagree on some rows.
-    finite = U[4:]
-    assert (finite * finite != np.array([u ** 2 for u in finite.tolist()])).any()
