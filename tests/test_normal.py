@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from eivreg.normal import norm_cdf, norm_pdf, norm_ppf, z_for_gamma
+from eivreg.normal import norm_cdf, norm_ppf, z_for_gamma
 
 
 def test_ppf_matches_scipy_on_grid():
@@ -12,6 +12,20 @@ def test_ppf_matches_scipy_on_grid():
     ours = np.array([norm_ppf(float(p)) for p in ps])
     ref = stats.norm.ppf(ps)
     assert np.max(np.abs(ours - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("ps", [
+    np.linspace(1e-12, 1 - 1e-12, 40001),
+    np.linspace(0.5 - 1e-3, 0.5 + 1e-3, 40001),
+], ids=["grid", "median_band"])
+def test_ppf_relative_error(ps):
+    # Relative error against scipy's ndtri.  Measured: at most 1.0e-15 on
+    # the grid and 6.4e-16 within 1e-3 of p = 0.5; the bound is 4e-15.  (A
+    # rational approximation with one Newton step reached 1.1e-9 and
+    # 1.8e-11, losing relative accuracy near the median.)
+    ours = np.array([norm_ppf(float(p)) for p in ps])
+    ref = special.ndtri(ps)
+    assert np.all(np.abs(ours - ref) <= 4e-15 * np.abs(ref))
 
 
 def test_ppf_tails():
@@ -28,10 +42,6 @@ def test_cdf_matches_scipy():
 def test_cdf_ppf_round_trip():
     for p in np.linspace(0.001, 0.999, 997):
         assert abs(norm_cdf(norm_ppf(float(p))) - p) < 1e-13
-
-
-def test_pdf_value():
-    assert norm_pdf(0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-15)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
