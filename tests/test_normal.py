@@ -19,10 +19,10 @@ def test_ppf_matches_scipy_on_grid():
     np.linspace(0.5 - 1e-3, 0.5 + 1e-3, 40001),
 ], ids=["grid", "median_band"])
 def test_ppf_relative_error(ps):
-    # Relative error against scipy's ndtri.  Measured: at most 1.0e-15 on
-    # the grid and 6.4e-16 within 1e-3 of p = 0.5; the bound is 4e-15.  (A
-    # rational approximation with one Newton step reached 1.1e-9 and
-    # 1.8e-11, losing relative accuracy near the median.)
+    # Relative error against scipy's ndtri: near p = 0.5 the quantile is
+    # close to 0, where an absolute bound would hide a loss of relative
+    # accuracy.  Measured: at most 1.0e-15 on the grid and 6.4e-16 within
+    # 1e-3 of p = 0.5; the bound is 4e-15.
     ours = np.array([norm_ppf(float(p)) for p in ps])
     ref = special.ndtri(ps)
     assert np.all(np.abs(ours - ref) <= 4e-15 * np.abs(ref))
