@@ -28,21 +28,27 @@ same code, so each row gets the draws and the outcome its own call would
 give.  A replication's outcome is an int8 code, its index in
 ``OUTCOMES`` (scored, a degenerate inversion, a zero normalizer or a
 guard violation: counted, never raised), and a row of values, such as an
-interval's hit and width, read only when scored.  The outcomes of every
-replication at one n are allocated before any of them runs.  Any other
-failure stops the run with the error of the first replication that meets
-it.  Coverage is computed over the scored replications with the failure
-rate reported alongside, so covered + missed + failed always equals the
-replication count.
+interval's hit and width, read only when scored.  The outcome columns of
+a run are allocated before any replication runs, and serve every n.  Any
+other failure stops the run with the error of the first replication that
+meets it.  Coverage is computed over the scored replications with the
+failure rate reported alongside, so covered + missed + failed always
+equals the replication count.
+
+A run uses W processes: ``EIVREG_WORKERS`` (default: every core), at most
+the cores and the replications, and splits each n's replications into W
+contiguous shares.  On more than one worker each share runs in a child
+forked once per run (``workers.Worker``), and this process reads the
+children in share order, so the run raises the error of its first
+failing replication whatever W is.  One worker runs the same blocks here,
+as does every run where ``os.fork`` is missing.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -224,17 +230,19 @@ def _evaluate(config: ExperimentConfig, rows: Rows) -> tuple:
     return np.fromiter(map(_row_code, rows.status.errors, kinds), np.int8, len(kinds)), values
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
+def _worker_count(replications: int) -> int:
+    """The processes that run ``replications`` replications: EIVREG_WORKERS
+    (default: every core), but no more than the cores or the replications,
+    and one where ``os.fork`` is missing."""
+    cores = os.cpu_count() or 1
+    raw = os.environ.get(WORKERS_ENV, str(cores))
     try:
         count = int(raw)
     except ValueError:
         count = 0
     if count < 1:
         raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return count
+    return min(count, cores, replications) if hasattr(os, "fork") else 1
 
 
 def _outcome_columns(config: ExperimentConfig) -> tuple:
@@ -247,24 +255,38 @@ def _outcome_columns(config: ExperimentConfig) -> tuple:
         raise MemoryError(f"cannot allocate the outcomes of the replications: {exc}") from None
 
 
-def _map_replications(config: ExperimentConfig, n: int, block: int, pool) -> tuple:
-    """(codes, values) of replications 0..M-1, in replication order.
+def _blocks(start: int, stop: int) -> list:
+    """The (lo, hi) blocks of replications start..stop-1, each at most
+    ``_MAX_BLOCK`` long: the one block plan of a share, for the process
+    that runs it and the one that receives it."""
+    return [(lo, min(lo + _MAX_BLOCK, stop)) for lo in range(start, stop, _MAX_BLOCK)]
 
-    The outcome columns are allocated before any replication runs, then
-    filled block by block.  Replications are independent and run in
-    blocks of ``block``; ``pool``, unless None, runs them in its
-    processes, and the ordered collection makes the aggregate independent
-    of scheduling.
+
+def _share_outcomes(config: ExperimentConfig, start: int, stop: int) -> Iterator:
+    """(codes, values) of each block of replications start..stop-1, at
+    every n in order: the work of one forked worker."""
+    for n in config.n_values:
+        for lo, hi in _blocks(start, stop):
+            yield _replicate_block(config, n, lo, hi)
+
+
+def _map_replications(config: ExperimentConfig, n: int, columns: tuple, shares: list,
+                      children: list) -> tuple:
+    """(codes, values) of replications 0..M-1 at n, in replication order,
+    in ``columns``, the outcome columns of the run.
+
+    Replications are independent and split into the contiguous ``shares``.
+    Each share is read from its forked worker in ``children``, in share
+    order, so the run stops with the error of its first failing
+    replication; with no children the one share runs here, through the
+    same block plan.
     """
-    codes, values = _outcome_columns(config)
-    total = config.replications
-    starts = range(0, total, block)
-    stops = map(min, range(block, total + block, block), repeat(total))
-    mapper = map if pool is None else pool.map
-    blocks = mapper(_replicate_block, repeat(config), repeat(n), starts, stops)
-    for start, (block_codes, block_values) in zip(starts, blocks):
-        codes[start:start + len(block_codes)] = block_codes
-        values[start:start + len(block_codes)] = block_values
+    codes, values = columns
+    for (start, stop), child in zip(shares, children):
+        child.receive([(codes[lo:hi], values[lo:hi]) for lo, hi in _blocks(start, stop)])
+    if not children:
+        for lo, hi in _blocks(0, config.replications):
+            codes[lo:hi], values[lo:hi] = _replicate_block(config, n, lo, hi)
     return codes, values
 
 
@@ -453,27 +475,33 @@ def _config_echo(config: ExperimentConfig) -> dict:
     return echo
 
 
-def _process_pool(workers: int):
-    """A pool of ``workers`` processes.  Its module is imported here, so a
-    serial run loads no multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all replications for every n and aggregate per-n summaries."""
     aggregate = _AGGREGATE[config.experiment]
-    workers, total = _worker_count(), config.replications
-    # One pool serves every n; one worker, or too few replications to
-    # split, runs in this process.  The block plan follows the worker
-    # count, so the report does not depend on the machine; the pool starts
-    # no more processes than there are cores or blocks.
-    serial = workers == 1 or total < 4
-    block = _MAX_BLOCK if serial else min(_MAX_BLOCK, max(1, total // (workers * 8)))
-    processes = min(workers, os.cpu_count() or 1, -(-total // block))
-    with (nullcontext() if serial else _process_pool(processes)) as pool:
-        per_n = [aggregate(n, config, *_map_replications(config, n, block, pool))
+    total = config.replications
+    workers = _worker_count(total)
+    # One set of outcome columns serves every n: each aggregate copies what
+    # it keeps.  They are allocated before any process starts.
+    columns = _outcome_columns(config)
+    bounds = [total * j // workers for j in range(workers + 1)]
+    shares = list(zip(bounds, bounds[1:]))
+    # On more than one worker, each share runs in a child forked once for
+    # the whole run, and this process only reads and aggregates.
+    children = []
+    try:
+        if workers > 1:
+            from .workers import Worker
+
+            for start, stop in shares:
+                children.append(Worker(_share_outcomes(config, start, stop)))
+        per_n = [aggregate(n, config, *_map_replications(config, n, columns, shares, children))
                  for n in config.n_values]
+    except BaseException:
+        for child in children:
+            child.reap(kill=True)
+        raise
+    finally:
+        for child in children:
+            child.reap()
     return ExperimentReport(experiment=config.experiment, seed=config.seed,
                             config=_config_echo(config), per_n=tuple(per_n))

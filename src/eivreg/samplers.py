@@ -76,9 +76,18 @@ def _draw_student_t2(rng, out):
 
 def _draw_symmetric_pareto2(rng, out):
     # P(|xi - shift| > t) = (scale/t)^2 for t >= scale: scale / sqrt(1 - u)
-    # with 1 - u uniform on (0, 1], and a fair sign bit.
+    # with 1 - u uniform on (0, 1], and a fair sign bit.  The bits are those
+    # of rng.integers(0, 2, n), read from one raw call: integers takes bit
+    # 31 of each 32-bit half of a word, low half first.  At odd n the last
+    # bit is drawn by integers itself, which keeps the word's high half for
+    # the next 32-bit draw as the sized call does.  The generator must hold
+    # no such half on entry, as after _reset or in a fresh substream.
     rng.random(out=out[0])
-    out[1] = rng.integers(0, 2, out.shape[1])
+    n = out.shape[1]
+    words = rng.bit_generator.random_raw(n // 2)
+    out[1, :n - n % 2] = words.astype("<u8", copy=False).view("<u4") >> 31
+    if n % 2:
+        out[1, -1] = rng.integers(0, 2)
 
 
 @dataclass(frozen=True)

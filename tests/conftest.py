@@ -1,6 +1,9 @@
 """Shared constants and helpers for the test suite."""
 
+import os
+
 import numpy as np
+import pytest
 
 from eivreg import Dataset, ErrorSpec, ModelSpec, SideInfo, XiDistribution, simulate_dataset
 
@@ -52,3 +55,9 @@ def random_dataset(rng: np.random.Generator, n: int = None) -> Dataset:
 
 def m0_dataset(n: int, seed) -> Dataset:
     return simulate_dataset(M0_SPEC, n, seed)
+
+
+def assert_no_child_left() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

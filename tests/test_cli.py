@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -6,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import PROP_CASES
+from conftest import PROP_CASES, assert_no_child_left
 from eivreg import cli, montecarlo
 from eivreg.cli import main
 from eivreg.montecarlo import EXPERIMENTS
@@ -294,8 +296,8 @@ class TestExperiment:
 
     def test_unallocatable_n_in_workers_exit_2(self, tmp_path, capsys, monkeypatch):
         # 10**15 float64 values lie beyond a 47-bit address space, so each
-        # worker's allocation is refused at once; its MemoryError reaches
-        # the parent through the process pool.
+        # worker's allocation is refused at once; its error reaches the
+        # parent down the worker's pipe.
         monkeypatch.setenv("EIVREG_WORKERS", "2")
         doc = {**M0_CONFIG, "n_values": [10 ** 15], "replications": 8}
         config = write(tmp_path, "cfg.json", json.dumps(doc))
@@ -303,12 +305,37 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("eivreg: ") and captured.err.count("\n") == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("ending, how", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL}"),
+        (lambda: os._exit(3), "exit status 3")], ids=["sigkill", "exit_3"])
+    def test_worker_ending_unreported_exit_2(self, tmp_path, capsys, monkeypatch, ending,
+                                             how):
+        # A worker that dies without sending its error ends the run with one
+        # line, never a hang or a traceback, and leaves no process behind.
+        parent = os.getpid()
+
+        def replicate(*args):
+            if os.getpid() == parent:
+                raise AssertionError("a block ran in the parent")
+            ending()
+
+        monkeypatch.setattr(montecarlo, "_replicate_block", replicate)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("EIVREG_WORKERS", "2")
+        config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))
+        assert main(["experiment", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"eivreg: a worker process ended without its replications ({how})\n"
+        assert_no_child_left()
 
     @pytest.mark.parametrize("replications", [10 ** 15, 10 ** 400])
     def test_unallocatable_replications_exit_2_before_any_replication(
             self, tmp_path, capsys, monkeypatch, replications):
-        # The outcome columns are allocated in the parent before the pool
-        # runs a block; the count is never iterated.
+        # The outcome columns are allocated in the parent before any worker
+        # starts; the count is never iterated.
         def replicate(*args):
             raise AssertionError("a replication ran")
 

@@ -1,14 +1,14 @@
-import contextlib
 import itertools
 import json
 import math
+import os
 import re
-import types
+import time
 
 import numpy as np
 import pytest
 
-from conftest import M0_SPEC, SIDE1_M0, SIDE2_M0, T2_SPEC
+from conftest import M0_SPEC, SIDE1_M0, SIDE2_M0, T2_SPEC, assert_no_child_left
 from eivreg import (Dataset, ErrorSpec, ExperimentConfig, GuardViolation, ModelSpec, SideInfo,
                     XiDistribution, ZeroNormalizer, ci_intercept, ci_slope_plugin,
                     ci_slope_quadratic, empirical_bn, estimate, intercept_statistic,
@@ -294,42 +294,83 @@ class TestDeterminism:
         two = run_experiment(cfg(n_values=(20, 40), replications=100))
         assert one.per_n[0] == two.per_n[1]
 
-    @pytest.mark.parametrize("workers, pools", [("1", 0), ("2", 1)])
-    def test_one_pool_per_run(self, monkeypatch, workers, pools):
-        opened = []
-        process_pool = montecarlo._process_pool
+    @pytest.mark.parametrize("workers, forks", [("1", 0), ("2", 2), ("3", 3)])
+    def test_one_fork_per_child_per_run(self, monkeypatch, workers, forks):
+        # Each child is forked once and serves all three n values; one
+        # worker runs in this process and forks none.
+        fork, forked = os.fork, []
 
-        def counting_pool(workers):
-            opened.append(workers)
-            return process_pool(workers)
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        monkeypatch.setattr(montecarlo, "_process_pool", counting_pool)
+        monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         monkeypatch.setenv("EIVREG_WORKERS", workers)
         report = run_experiment(cfg(n_values=(10, 20, 30), replications=40))
-        assert len(report.per_n) == 3 and len(opened) == pools
+        assert len(report.per_n) == 3 and len(set(forked)) == forks
+        assert_no_child_left()
 
     @pytest.mark.parametrize("workers, cores, replications, processes", [
         ("100000", 2, 40, 2), ("64", 128, 5, 5), ("3", 2, 37, 2), ("2", 8, 40, 2),
         ("4", None, 40, 1)])
     def test_pool_size_capped_by_cores_and_blocks(self, monkeypatch, workers, cores,
                                                   replications, processes):
-        # The stand-in pool records its size and maps in this process: no
-        # process starts, whatever the count.  The block plan still follows
-        # EIVREG_WORKERS, so the report is the serial one.
-        config = cfg(n_values=(10, 20), replications=replications)
-        monkeypatch.setenv("EIVREG_WORKERS", "1")
-        serial = dumps(run_experiment(config).to_dict())
-        sizes = []
-
-        def stand_in(size):
-            sizes.append(size)
-            return contextlib.nullcontext(types.SimpleNamespace(map=map))
-
-        monkeypatch.setattr(montecarlo, "_process_pool", stand_in)
+        # The process count is fixed before any process starts: no more than
+        # the cores or the replications.  Counting starts none.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
         monkeypatch.setenv("EIVREG_WORKERS", workers)
+        assert montecarlo._worker_count(replications) == processes
+
+    def test_one_process_without_fork(self, monkeypatch):
+        config = cfg(n_values=(10, 20), replications=40)
+        monkeypatch.setenv("EIVREG_WORKERS", "1")
+        serial = dumps(run_experiment(config).to_dict())
+        monkeypatch.delattr(montecarlo.os, "fork")
+        monkeypatch.setenv("EIVREG_WORKERS", "2")
+        assert montecarlo._worker_count(40) == 1
         assert dumps(run_experiment(config).to_dict()) == serial
-        assert sizes == [processes]
+
+    def test_pooled_run_raises_the_serial_runs_error(self, monkeypatch):
+        # Every block fails, and the second share fails first in time: the
+        # run still stops with the first block's error, as the serial run does.
+        def failing_block(config, n, start, stop):
+            if start == 0:
+                time.sleep(0.2)
+            raise ValueError(f"the block from {start} failed")
+
+        monkeypatch.setattr(montecarlo, "_replicate_block", failing_block)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("EIVREG_WORKERS", workers)
+            with pytest.raises(ValueError, match="^the block from 0 failed$"):
+                run_experiment(cfg(n_values=(10,), replications=40))
+        assert_no_child_left()
+
+    def test_interrupted_run_kills_its_children(self, monkeypatch):
+        # The children are still on the second n when the first aggregate is
+        # interrupted: they are killed and reaped, not waited for.
+        replicate_block = montecarlo._replicate_block
+
+        def slow_second_n(config, n, start, stop):
+            if n == 20:
+                time.sleep(60)
+            return replicate_block(config, n, start, stop)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(montecarlo, "_replicate_block", slow_second_n)
+        monkeypatch.setitem(montecarlo._AGGREGATE, "coverage14", interrupted)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("EIVREG_WORKERS", "2")
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg(n_values=(10, 20), replications=40))
+        assert time.perf_counter() - started < 30
+        assert_no_child_left()
 
     def test_seed_echo(self):
         report = run_experiment(cfg(seed=99, replications=4))
@@ -559,8 +600,9 @@ def test_first_failing_row_stops_the_block_with_its_scalar_error():
 
 def test_overflowing_run_stops_with_scalar_error(monkeypatch):
     # Pareto-2 draws of scale 3e152 overflow the squares in some
-    # replications: the run stops with the error of the first of them.
-    monkeypatch.setenv("EIVREG_WORKERS", "1")
+    # replications: the run stops with the error of the first of them, on
+    # one worker and on two.
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 12 * 5)
     monkeypatch.setattr(montecarlo, "_MIN_ROWS", 1)
     spec = _spec(XiDistribution.symmetric_pareto2(3e152, 0.0), 1)
@@ -573,6 +615,9 @@ def test_overflowing_run_stops_with_scalar_error(monkeypatch):
             first = exc
             break
     assert first is not None and r > 0
-    with pytest.raises(ValueError) as run:
-        run_experiment(config)
-    assert str(run.value) == str(first)
+    for workers in ("1", "2"):
+        monkeypatch.setenv("EIVREG_WORKERS", workers)
+        with pytest.raises(ValueError) as run:
+            run_experiment(config)
+        assert str(run.value) == str(first)
+    assert_no_child_left()

@@ -34,10 +34,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eivreg.")
 """
 
 # So --version and --help load no NumPy, no dataclasses (which imports
-# inspect) and no layer; estimate, ci and diagnose no montecarlo, config,
-# samplers or process pool; simulate no montecarlo, inference, diagnostics
-# or process pool; experiment loads the process pool only when it runs on
-# more than one worker.
+# inspect) and no layer; estimate, ci and diagnose no montecarlo, config or
+# samplers; simulate no montecarlo, inference or diagnostics; experiment
+# loads the worker module only when it forks, and no multiprocessing.
 BARE = ["eivreg.cli", "eivreg.errors"]
 LAYER = BARE + ["dataclasses", "inspect", "numpy"]
 FIT = LAYER + ["eivreg.estimators", "eivreg.jsonout", "eivreg.moments"]
@@ -59,8 +58,9 @@ IMPORTS = {
                  LAYER + ["eivreg.config", "eivreg.estimators", "eivreg.moments",
                           "eivreg.samplers"]),
     "experiment": (["experiment", "--config", "config.json"], EXPERIMENT),
+    # One core runs every worker count in one process.
     "experiment_2_workers": (["experiment", "--config", "config.json"],
-                             EXPERIMENT + ["concurrent.futures", "multiprocessing"]),
+                             EXPERIMENT + ["eivreg.workers"] * ((os.cpu_count() or 1) > 1)),
 }
 # EIVREG_WORKERS of the commands that do not run on one worker.
 WORKERS = {"experiment_2_workers": "2"}
@@ -106,9 +106,9 @@ from eivreg.cli import main
 code = main(sys.argv[1:])
 print(code, os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")))
 """
-# The commands that load NumPy.  Two workers are left out: there the pool's
-# threads can still be exiting when main returns.
-NUMPY_COMMANDS = ("estimate", "ci", "diagnose", "simulate", "experiment")
+# The commands that load NumPy.
+NUMPY_COMMANDS = ("estimate", "ci", "diagnose", "simulate", "experiment",
+                  "experiment_2_workers")
 needs_proc_tasks = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                                       reason="no /proc/self/task to count threads")
 
@@ -117,7 +117,8 @@ needs_proc_tasks = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
 @pytest.mark.parametrize("command", NUMPY_COMMANDS)
 def test_command_starts_no_blas_threads(tmp_path, command):
     write_inputs(tmp_path)
-    out = fresh_python(THREADS, *IMPORTS[command][0], cwd=tmp_path)
+    out = fresh_python(THREADS, *IMPORTS[command][0], cwd=tmp_path,
+                       workers=WORKERS.get(command, "1"))
     assert out.splitlines()[-1] == "0 1 1"
 
 
