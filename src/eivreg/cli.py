@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import itertools
 import os
 import sys
@@ -30,6 +31,8 @@ from .errors import ConfigError, GuardViolation, ZeroNormalizer
 # The CSV dialect of the fitting commands, as np.loadtxt settings.
 _CSV_FORMAT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2,
                "dtype": float}
+# The names np.loadtxt opens as compressed files.
+_PACKED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # Rows that _write_csv formats at a time; this bounds its memory.
 _WRITE_BLOCK_ROWS = 1 << 14
 # Lines that _bad_cell parses at a time when it looks for a bad cell.
@@ -45,14 +48,23 @@ def _read_columns(path: str, pick) -> dict:
     try:
         with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
-            row = next(csv.reader(fh), None)
+            reader = csv.reader(fh)
+            row = next(reader, None)
             if row is None:
                 raise ConfigError(f"{path}: empty file")
             header = [h.strip() for h in row]
             names = pick(header)
             cols = [header.index(name) for name in names]
+            # NumPy reads a file it opens by name in chunks, but a handle
+            # line by line.  A pipe cannot be opened again at its start,
+            # and NumPy would unpack a name with a compression suffix.
+            if fh.seekable() and not path.endswith(_PACKED_SUFFIXES):
+                source, skip = path, reader.line_num
+            else:
+                source, skip = fh, 0
             try:
-                table = np.loadtxt(fh, usecols=cols, **_CSV_FORMAT)
+                table = np.loadtxt(source, skiprows=skip, usecols=cols, encoding="utf-8-sig",
+                                   **_CSV_FORMAT)
             except ValueError as exc:  # also a UnicodeDecodeError, which the scan meets again
                 raise _bad_cell(path, fh, names, cols) or ConfigError(f"{path}: {exc}")
     except UnicodeDecodeError as exc:
@@ -328,5 +340,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The ``eivreg`` process: ``main`` on the command line, then exit with
+    its code.  The cyclic garbage collector stays off for the process's
+    short life, and is frozen before exit, so that the interpreter does not
+    walk every NumPy module object a last time as it shuts down; atexit
+    hooks and the flush of stdio still run.  Forked workers inherit the
+    disabled collector.  ``main`` itself leaves the collector alone, for
+    in-process callers."""
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -30,6 +30,10 @@ __all__ = [
     "ks_distance_to_normal",
 ]
 
+# Pivots whose normal CDF ks_distance_to_normal takes at a time, so its
+# memory does not grow with the sample.
+_KS_BLOCK = 1 << 12
+
 
 @quiet_overflow
 def obrien_ratio(z) -> float:
@@ -84,10 +88,11 @@ def ks_distance_to_normal(samples) -> float:
     s = np.sort(check_finite("samples", as_series("samples", samples)))
     n = s.size
     d = 0.0
-    for i in range(n):
-        phi = norm_cdf(float(s[i]))
-        d = max(d, (i + 1) / n - phi, phi - i / n)
-    return d
+    for start in range(0, n, _KS_BLOCK):
+        phi = np.fromiter(map(norm_cdf, s[start:start + _KS_BLOCK].tolist()), float)
+        i = np.arange(start, start + phi.size)
+        d = max(d, np.max((i + 1) / n - phi), np.max(phi - i / n))
+    return float(d)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ class GuardViolation(EivregError):
         self.guard = guard
         self.value = value
 
+    def __reduce__(self):
+        # Its args hold the message alone, which __init__ cannot take back.
+        return GuardViolation, (self.guard, self.value)
+
 
 class ZeroNormalizer(EivregError, ValueError):
     """The normalizing sum of squares of a statistic is zero, so the

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -463,6 +464,8 @@ class TestCsvInput:
         ("x,y\r\n1,0\r\n\r\n2,1_0\r\n", 4, "y", "1_0"),
         ("y,x\n1,0\n\u0661,1\n", 3, "y", "\u0661"),
         ("y,x\n1,0\n2\n", 3, "x", ""),
+        ('y,x,"a\nb"\n1,0,0\n\n3,x1,0\n', 5, "x", "x1"),
+        ("\ufeffy,x\n\n1,0\n\n2,1e\n", 5, "x", "1e"),
     ])
     def test_bad_cell_names_line_column_and_text(self, tmp_path, capsys, text, line,
                                                  column, cell):
@@ -493,6 +496,39 @@ class TestCsvInput:
         assert main(["estimate", csv, *SIDE2_FLAGS]) == 2
         assert capsys.readouterr().err == (
             f"eivreg: {csv}: line {line}: column 'x' holds 'x{bad}', not a number\n")
+
+    @pytest.mark.parametrize("text", [
+        'y,x,"a\nb"\n1,2,7\n3,4,8\n',
+        'y,x,"a\r\nb"\r\n1,2,7\r\n3,4,8\r\n',
+        "\ufeffy,x\n1,2\n3,4\n",
+        "y,x\n\n1,2\n\n\n3,4\n\n",
+    ], ids=["quoted_newline", "quoted_crlf", "bom", "blank_lines"])
+    def test_rows_follow_any_header(self, tmp_path, text):
+        # The rows start after every line the header takes, a quoted
+        # newline's too; a byte-order mark and blank lines change nothing.
+        path = write(tmp_path, "data.csv", text)
+        columns = cli._read_columns(path, lambda header: ("y", "x"))
+        assert {name: c.tolist() for name, c in columns.items()} == {"y": [1.0, 3.0],
+                                                                     "x": [2.0, 4.0]}
+
+    def test_pipe_and_packed_name_read_as_a_file(self, tmp_path):
+        # A pipe cannot be opened a second time, and NumPy would unpack a
+        # file by its name: both are read from the one open handle.  The
+        # rows span many read buffers.
+        text = "y,x\n" + "".join(f"{i}.5,{i}\n" for i in range(20000))
+        expected = cli._read_columns(write(tmp_path, "data.csv", text),
+                                     lambda header: ("y", "x"))
+        packed = write(tmp_path, "data.csv.gz", text)
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        for path in (packed, str(pipe)):
+            columns = cli._read_columns(path, lambda header: ("y", "x"))
+            assert all(columns[name].tobytes() == expected[name].tobytes()
+                       for name in ("y", "x")), path
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_bad_cell_in_diagnose_column(self, tmp_path, capsys):
         csv = write(tmp_path, "wide.csv", "a,b\n1,2\n3,zz\n")

@@ -16,6 +16,7 @@ from eivreg import (
     selfnorm_sum,
     substream,
 )
+from eivreg.normal import norm_cdf
 
 REL = 1e-10
 
@@ -115,6 +116,25 @@ class TestKsDistance:
                                       rel=1e-12, abs=1e-14)
             shuffled = rng.permutation(z)
             assert ks_distance_to_normal(shuffled) == d
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 10, 1000, 10000))
+    def test_matches_the_loop_bit_for_bit(self, n):
+        # The reference is the per-pivot loop the array form replaced.  At
+        # +-40, Phi rounds to 1 or 0.
+        def loop(samples):
+            s = np.sort(samples)
+            d = 0.0
+            for i in range(n):
+                phi = norm_cdf(float(s[i]))
+                d = max(d, (i + 1) / n - phi, phi - i / n)
+            return d
+
+        rng = np.random.default_rng([71, n])
+        for z in (rng.standard_normal(n), rng.standard_t(2, n) * 1e3, np.full(n, 40.0),
+                  np.full(n, -40.0)):
+            d = ks_distance_to_normal(z)
+            assert type(d) is float
+            assert np.float64(d).tobytes() == np.float64(loop(z)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

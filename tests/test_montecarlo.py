@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import time
 
@@ -13,7 +14,7 @@ from eivreg import (Dataset, ErrorSpec, ExperimentConfig, GuardViolation, ModelS
                     XiDistribution, ZeroNormalizer, ci_intercept, ci_slope_plugin,
                     ci_slope_quadratic, empirical_bn, estimate, intercept_statistic,
                     naive_ratio_estimates, run_experiment, simulate_dataset, slope_statistic)
-from eivreg import estimators, inference, montecarlo
+from eivreg import errors, estimators, inference, montecarlo
 from eivreg.config import parse_experiment_config
 from eivreg.inference import check_k
 from eivreg.jsonout import dumps
@@ -22,6 +23,7 @@ from eivreg.montecarlo import (EXPERIMENTS, OUTCOMES, PIVOTS, ZERO_NORMALIZER, _
                                _replicate_block, _row_code)
 from eivreg.normal import z_for_gamma
 from eivreg.samplers import Latent
+from eivreg.workers import Worker
 from test_samplers import BASES, XI_CASES, XI_IDS
 
 
@@ -30,6 +32,23 @@ def cfg(**kw):
                 n_values=(100,), replications=50, gamma=0.05, seed=1)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+# Arguments for one instance of each error class.
+ERROR_ARGS = {"EivregError": ("a domain error",),
+              "GuardViolation": ("s_xy_minus_mu", -0.0),
+              "ZeroNormalizer": ("centered slope residuals are all zero",),
+              "ConfigError": ("data.csv: no data rows",)}
+
+
+def test_every_error_survives_pickling():
+    # A forked worker sends the exception that stops it pickled.
+    assert set(ERROR_ARGS) == set(errors.__all__)
+    for name, args in ERROR_ARGS.items():
+        error = getattr(errors, name)(*args)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert (str(copy), copy.args, vars(copy)) == (str(error), error.args, vars(error))
 
 
 class TestConfigValidation:
@@ -347,6 +366,21 @@ class TestDeterminism:
             monkeypatch.setenv("EIVREG_WORKERS", workers)
             with pytest.raises(ValueError, match="^the block from 0 failed$"):
                 run_experiment(cfg(n_values=(10,), replications=40))
+        assert_no_child_left()
+
+    def test_worker_raises_the_guard_violation_its_child_sent(self):
+        def outcomes():
+            raise GuardViolation("s_xy_minus_mu", 0.0)
+            yield
+
+        worker = Worker(outcomes())
+        try:
+            with pytest.raises(GuardViolation) as raised:
+                worker.receive([(np.zeros(1, np.int8), np.zeros(1))])
+        finally:
+            assert worker.reap() == 0
+        assert (raised.value.guard, raised.value.value) == ("s_xy_minus_mu", 0.0)
+        assert str(raised.value) == "guard violation: s_xy_minus_mu = 0.0"
         assert_no_child_left()
 
     def test_interrupted_run_kills_its_children(self, monkeypatch):

@@ -1,11 +1,13 @@
 """Start-up: each CLI command imports only the layers it uses, starts no
-BLAS threads, and the package exports its public names lazily (PEP 562).
+BLAS threads, the process runs with the garbage collector off, and the
+package exports its public names lazily (PEP 562).
 
 The import sets are pinned exactly, each in a fresh interpreter, since a
 module that one command starts to import at top level shows up in the
 others.  Times are not gated on: they are too noisy on a shared host.
 """
 
+import gc
 import importlib
 import json
 import os
@@ -16,9 +18,11 @@ from pathlib import Path
 import pytest
 
 import eivreg
+from eivreg.cli import main
 from test_cli import M0_CONFIG
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # Runs eivreg.cli.main on its arguments, then prints, as the last line of
 # stdout, the package modules and the heavy dependencies it has imported.
@@ -128,6 +132,34 @@ def test_user_blas_thread_setting_is_kept(tmp_path):
     out = fresh_python(THREADS, *IMPORTS["estimate"][0], cwd=tmp_path, blas_threads="2")
     code, blas_threads, _ = out.splitlines()[-1].split()
     assert (code, blas_threads) == ("0", "2")
+
+
+# Runs ``python -m eivreg --version``, then prints from an atexit hook
+# whether the collector is on and whether it was frozen.
+EXIT_STATE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))
+sys.argv = ["eivreg", "--version"]
+runpy.run_module("eivreg", run_name="__main__")
+"""
+
+
+def test_process_exits_with_the_collector_off_and_frozen():
+    assert fresh_python(EXIT_STATE).splitlines() == ["eivreg 0.1.0", "False True"]
+
+
+def test_main_leaves_the_collector_alone():
+    before = gc.isenabled(), gc.get_freeze_count()
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_installed_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"eivreg": "eivreg.cli:run"}
 
 
 def test_import_and_version_load_no_numpy():
