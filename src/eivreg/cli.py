@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import itertools
 import os
 import sys
@@ -46,8 +47,12 @@ def _read_columns(path: str, pick) -> dict:
     import numpy as np
 
     try:
-        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        with open(path, encoding="utf-8-sig") as handle, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
+            # A pipe cannot be read again from its start, as _bad_cell does,
+            # so it is read into memory once.
+            seekable = handle.seekable()
+            fh = handle if seekable else io.StringIO(handle.read())
             reader = csv.reader(fh)
             row = next(reader, None)
             if row is None:
@@ -58,7 +63,7 @@ def _read_columns(path: str, pick) -> dict:
             # NumPy reads a file it opens by name in chunks, but a handle
             # line by line.  A pipe cannot be opened again at its start,
             # and NumPy would unpack a name with a compression suffix.
-            if fh.seekable() and not path.endswith(_PACKED_SUFFIXES):
+            if seekable and not path.endswith(_PACKED_SUFFIXES):
                 source, skip = path, reader.line_num
             else:
                 source, skip = fh, 0

@@ -351,16 +351,15 @@ class RowStatus:
 class Rows:
     """A block of B samples of one size n: the rows of (B, n) float arrays
     ``y`` and ``x``, the latent ``xi`` of simulated rows, and the ``status``
-    of each row.  Like ``Dataset`` it checks y, then x, for a non-finite
-    entry, but a failing row fails in its status instead of raising."""
+    of each row.  It checks nothing itself: every computation on a block
+    starts with ``moment_set``, whose ``series_mean`` fails a row with a
+    non-finite entry, naming it, y before x, as that call fails on the row
+    alone."""
 
     def __init__(self, y: np.ndarray, x: np.ndarray, xi: Optional[np.ndarray] = None,
                  status: Optional[RowStatus] = None):
         self.y, self.x, self.xi = y, x, xi
         self.status = RowStatus(y.shape[0]) if status is None else status
-        for name, values in (("y", y), ("x", x)):
-            self.status.fail(~np.isfinite(values).all(axis=1),
-                             lambda i: _nonfinite_error(name, values[i]))
 
 
 def as_rows(data) -> Rows:

@@ -37,18 +37,19 @@ equals the replication count.
 
 A run uses W processes: ``EIVREG_WORKERS`` (default: every core), at most
 the cores and the replications, and splits each n's replications into W
-contiguous shares.  On more than one worker each share runs in a child
-forked once per run (``workers.Worker``), and this process reads the
-children in share order, so the run raises the error of its first
-failing replication whatever W is.  One worker runs the same blocks here,
-as does every run where ``os.fork`` is missing.
+contiguous shares, each filled by ``_fill``.  On more than one worker
+each share is filled in a child forked once per run (``workers.Worker``),
+which sends one message per n, and this process reads the children in
+share order, so the run raises the error of its first failing replication
+whatever W is.  One worker fills the one share here, as does every run
+where ``os.fork`` is missing.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -81,8 +82,9 @@ _SCORED, _DEGENERATE, _FAILED, _UNSCORED = 0, slice(1, 3), slice(3, None), slice
 # Worker-count override; the result must not (and does not) depend on it.
 WORKERS_ENV = "EIVREG_WORKERS"
 
-# The most replications one block runs.  A block holds its keys and
-# outcomes, so its memory does not grow with the replication count.
+# The most replications one block runs.  A block holds its keys and its
+# per-block arrays, so their memory does not grow with the replication
+# count; a child holds its share's outcome rows at every block size.
 _MAX_BLOCK = 1024
 
 # A sub-block is evaluated at once as (B, n) arrays, and its fixed cost of
@@ -255,39 +257,15 @@ def _outcome_columns(config: ExperimentConfig) -> tuple:
         raise MemoryError(f"cannot allocate the outcomes of the replications: {exc}") from None
 
 
-def _blocks(start: int, stop: int) -> list:
-    """The (lo, hi) blocks of replications start..stop-1, each at most
-    ``_MAX_BLOCK`` long: the one block plan of a share, for the process
-    that runs it and the one that receives it."""
-    return [(lo, min(lo + _MAX_BLOCK, stop)) for lo in range(start, stop, _MAX_BLOCK)]
-
-
-def _share_outcomes(config: ExperimentConfig, start: int, stop: int) -> Iterator:
-    """(codes, values) of each block of replications start..stop-1, at
-    every n in order: the work of one forked worker."""
-    for n in config.n_values:
-        for lo, hi in _blocks(start, stop):
-            yield _replicate_block(config, n, lo, hi)
-
-
-def _map_replications(config: ExperimentConfig, n: int, columns: tuple, shares: list,
-                      children: list) -> tuple:
-    """(codes, values) of replications 0..M-1 at n, in replication order,
-    in ``columns``, the outcome columns of the run.
-
-    Replications are independent and split into the contiguous ``shares``.
-    Each share is read from its forked worker in ``children``, in share
-    order, so the run stops with the error of its first failing
-    replication; with no children the one share runs here, through the
-    same block plan.
-    """
+def _fill(config: ExperimentConfig, n: int, start: int, stop: int, columns: tuple) -> tuple:
+    """Run replications start..stop-1 at n, at most ``_MAX_BLOCK`` at a
+    time, into their rows of ``columns``, the outcome columns of the run;
+    the share's rows (codes, values)."""
     codes, values = columns
-    for (start, stop), child in zip(shares, children):
-        child.receive([(codes[lo:hi], values[lo:hi]) for lo, hi in _blocks(start, stop)])
-    if not children:
-        for lo, hi in _blocks(0, config.replications):
-            codes[lo:hi], values[lo:hi] = _replicate_block(config, n, lo, hi)
-    return codes, values
+    for lo in range(start, stop, _MAX_BLOCK):
+        hi = min(lo + _MAX_BLOCK, stop)
+        codes[lo:hi], values[lo:hi] = _replicate_block(config, n, lo, hi)
+    return codes[start:stop], values[start:stop]
 
 
 def _scored(ci, truth: float) -> tuple:
@@ -486,16 +464,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     bounds = [total * j // workers for j in range(workers + 1)]
     shares = list(zip(bounds, bounds[1:]))
     # On more than one worker, each share runs in a child forked once for
-    # the whole run, and this process only reads and aggregates.
+    # the whole run, on its copy of the columns, and this process only
+    # reads and aggregates.
     children = []
     try:
         if workers > 1:
             from .workers import Worker
 
+            # Only the child advances its generator, so it reads start and
+            # stop as they are at its fork.
             for start, stop in shares:
-                children.append(Worker(_share_outcomes(config, start, stop)))
-        per_n = [aggregate(n, config, *_map_replications(config, n, columns, shares, children))
-                 for n in config.n_values]
+                children.append(Worker(_fill(config, n, start, stop, columns)
+                                       for n in config.n_values))
+        codes, values = columns
+        per_n = []
+        for n in config.n_values:
+            for (start, stop), child in zip(shares, children):
+                child.receive(codes[start:stop], values[start:stop])
+            if not children:
+                _fill(config, n, 0, total, columns)
+            per_n.append(aggregate(n, config, codes, values))
     except BaseException:
         for child in children:
             child.reap(kill=True)

@@ -1,11 +1,12 @@
 """Forked worker processes for the Monte Carlo harness.
 
 A run on more than one worker forks one child per share of its
-replications, once.  The child runs the outcome blocks of its share and
-sends each down its pipe: a tag byte, then the raw bytes of the block's
-int8 codes and float64 values.  A child that fails sends a tag and its
-pickled exception instead, then leaves by ``os._exit``.  The parent
-reads each child's blocks, in order, straight into the rows it gives.
+replications, once.  The child fills its share's outcome rows at each n
+and sends them down its pipe in one message per n: a tag byte, then the
+raw bytes of the share's int8 codes and float64 values.  A child that
+fails sends a tag and its pickled exception instead, then leaves by
+``os._exit``.  The parent reads each message straight into the share's
+rows of its own outcome columns.
 
 Only a run on more than one worker imports this module, so a one-process
 run neither loads nor compiles it.  It needs POSIX, as ``os.fork`` does.
@@ -21,19 +22,19 @@ from typing import Iterator
 
 __all__ = ["Worker"]
 
-# The tag before each message: a block's codes and values follow, or the
-# pickled exception that stopped the child.
-_BLOCK_TAG, _ERROR_TAG = b"B", b"E"
+# The tag before each message: a share's codes and values at one n
+# follow, or the pickled exception that stopped the child.
+_SHARE_TAG, _ERROR_TAG = b"S", b"E"
 
-# A child's pipe is widened to this, where the platform allows, so that a
-# child whose share comes later seldom waits for the parent to reach it: a
-# default 64 KiB pipe holds 3855 replications of two values.  1 MiB is
-# Linux's default limit for an unprivileged process.
+# A child's pipe is widened to this, where the platform allows, so that in
+# a run of several n a child whose share comes later can run ahead of the
+# parent: a default 64 KiB pipe holds 3855 replications of two values.
+# 1 MiB is Linux's default limit for an unprivileged process.
 _PIPE_BYTES = 1 << 20
 
 
 def _send(outcomes: Iterator, read_fd: int, write_fd: int) -> None:
-    """The whole life of a child: it writes each (codes, values) block of
+    """The whole life of a child: it writes each (codes, values) share of
     ``outcomes`` down its pipe, or the exception that stops it, then
     leaves by ``os._exit``.  It never returns into its caller and never
     flushes the stdio it inherited."""
@@ -43,7 +44,7 @@ def _send(outcomes: Iterator, read_fd: int, write_fd: int) -> None:
         with open(write_fd, "wb") as pipe:
             try:
                 for codes, values in outcomes:
-                    pipe.write(_BLOCK_TAG)
+                    pipe.write(_SHARE_TAG)
                     pipe.write(codes)
                     pipe.write(values)
                     pipe.flush()
@@ -62,8 +63,8 @@ def _ending(status: int) -> str:
 
 class Worker:
     """A forked child that runs ``outcomes``, an iterator of (codes,
-    values) blocks that only the child advances, and the reading end of
-    the pipe it sends them down."""
+    values) shares, one per n, that only the child advances, and the
+    reading end of the pipe it sends them down."""
 
     def __init__(self, outcomes: Iterator):
         read_fd, write_fd = os.pipe()
@@ -83,18 +84,17 @@ class Worker:
         self.pipe = open(read_fd, "rb")
         self.status = None  # the child's wait status, once reaped
 
-    def receive(self, blocks: list) -> None:
-        """Read the child's next blocks into ``blocks``, (codes, values)
-        pairs of rows, in order; raise the exception the child sent, or
-        OSError if it ended without sending one."""
-        for block in blocks:
-            tag = self.pipe.read(1)
-            if tag == _ERROR_TAG:
-                raise pickle.loads(self.pipe.read())
-            if tag != _BLOCK_TAG or any(self.pipe.readinto(rows) != rows.nbytes
-                                        for rows in block):
-                raise OSError(f"a worker process ended without its replications "
-                              f"({_ending(self.reap())})")
+    def receive(self, codes, values) -> None:
+        """Read the child's next share into the rows ``codes`` and
+        ``values``; raise the exception the child sent, or OSError if it
+        ended without sending one."""
+        tag = self.pipe.read(1)
+        if tag == _ERROR_TAG:
+            raise pickle.loads(self.pipe.read())
+        if tag != _SHARE_TAG or any(self.pipe.readinto(rows) != rows.nbytes
+                                    for rows in (codes, values)):
+            raise OSError(f"a worker process ended without its replications "
+                          f"({_ending(self.reap())})")
 
     def reap(self, kill: bool = False) -> int:
         """Wait for the child, killed first if ``kill``, once; its wait status."""

@@ -287,7 +287,7 @@ class TestExperiment:
         def replicate(*args):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(montecarlo, "_map_replications", replicate)
+        monkeypatch.setattr(montecarlo, "_replicate_block", replicate)
         doc = {**M0_CONFIG, "experiment": experiment, "gamma": 1e-300,
                "side": {"case": 1, "lambda_theta": 0.25, "mu": 0.05, "theta": None}}
         config = write(tmp_path, "cfg.json", json.dumps(doc))
@@ -527,6 +527,21 @@ class TestCsvInput:
             columns = cli._read_columns(path, lambda header: ("y", "x"))
             assert all(columns[name].tobytes() == expected[name].tobytes()
                        for name in ("y", "x")), path
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_bad_cell_in_a_pipe_named_as_in_a_file(self, tmp_path, capsys):
+        # The rescan that names a bad cell reads a pipe from memory, since
+        # the pipe cannot be read again.
+        text = "y,x\n1,0\n2,a\n3,1\n"
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        for path in (write(tmp_path, "data.csv", text), str(pipe)):
+            assert main(["estimate", path, *SIDE2_FLAGS]) == 2
+            assert capsys.readouterr().err == (
+                f"eivreg: {path}: line 3: column 'x' holds 'a', not a number\n")
         writer.join(timeout=10)
         assert not writer.is_alive()
 

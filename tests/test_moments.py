@@ -191,6 +191,31 @@ def _messages(status) -> list:
     return [None if error is None else str(error) for error in status.errors]
 
 
+def test_rows_fail_as_moment_set_fails_each_row_alone():
+    # A block leaves the non-finite scan to moment_set: each row fails with
+    # the error moment_set raises on that row alone, y before x.  The fifth
+    # row's y is finite but its sum overflows, and that is its error even
+    # though its x holds a NaN.
+    nan, inf = math.nan, math.inf
+    y0, x0 = [1.0, -0.5, 0.7, 1.2], [0.3, 1.0, 2.0, 0.4]
+    samples = [(y0, x0), ([1.0, nan, inf, 1.2], x0), (y0, [0.3, -inf, 2.0, 0.4]),
+               ([-inf, 1.0, inf, 1.0], [nan, 1.0, 1.0, 1.0]), ([1e308] * 4, [0.3, nan, 2.0, 0.4]),
+               (y0, [1e308] * 4), ([nan] * 4, [inf] * 4)]
+    for c in (0, 1):
+        rows = moments.Rows(np.array([y for y, _ in samples]), np.array([x for _, x in samples]))
+        assert _messages(rows.status) == [None] * len(samples)
+        moment_set(rows.y, rows.x, c, rows.status)
+        alone = []
+        for y, x in samples:
+            try:
+                moment_set(np.array(y), np.array(x), c=c)
+                alone.append(None)
+            except ValueError as exc:
+                alone.append(str(exc))
+        assert _messages(rows.status) == alone, c
+        assert alone[4] == "sum of y overflows the float range"
+
+
 def test_row_status_keeps_each_rows_first_failure():
     # Each row keeps the first check it failed; a later check neither
     # overwrites it nor builds an error for it.

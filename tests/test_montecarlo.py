@@ -14,7 +14,7 @@ from eivreg import (Dataset, ErrorSpec, ExperimentConfig, GuardViolation, ModelS
                     XiDistribution, ZeroNormalizer, ci_intercept, ci_slope_plugin,
                     ci_slope_quadratic, empirical_bn, estimate, intercept_statistic,
                     naive_ratio_estimates, run_experiment, simulate_dataset, slope_statistic)
-from eivreg import errors, estimators, inference, montecarlo
+from eivreg import errors, estimators, inference, montecarlo, workers
 from eivreg.config import parse_experiment_config
 from eivreg.inference import check_k
 from eivreg.jsonout import dumps
@@ -308,6 +308,20 @@ class TestDeterminism:
                 reports.add(dumps(run_experiment(config).to_dict()))
             assert len(reports) == 1, (xi, base)
 
+    def test_share_messages_that_outgrow_the_pipe(self, monkeypatch):
+        # A 4096-byte pipe holds 240 replications of two values, so each
+        # share, 500 replications on 2 workers and 333 or 334 on 3, is read
+        # in several pieces while its child still writes, at both n.
+        monkeypatch.setattr(workers, "_PIPE_BYTES", 4096)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        config = cfg(n_values=(10, 20), replications=1000)
+        monkeypatch.setenv("EIVREG_WORKERS", "1")
+        serial = dumps(run_experiment(config).to_dict())
+        for count in ("2", "3"):
+            monkeypatch.setenv("EIVREG_WORKERS", count)
+            assert dumps(run_experiment(config).to_dict()) == serial, count
+        assert_no_child_left()
+
     def test_adding_n_values_preserves_existing_records(self):
         one = run_experiment(cfg(n_values=(40,), replications=100))
         two = run_experiment(cfg(n_values=(20, 40), replications=100))
@@ -376,7 +390,7 @@ class TestDeterminism:
         worker = Worker(outcomes())
         try:
             with pytest.raises(GuardViolation) as raised:
-                worker.receive([(np.zeros(1, np.int8), np.zeros(1))])
+                worker.receive(np.zeros(1, np.int8), np.zeros(1))
         finally:
             assert worker.reap() == 0
         assert (raised.value.guard, raised.value.value) == ("s_xy_minus_mu", 0.0)
@@ -569,7 +583,7 @@ def test_block_outcomes_equal_scalar_outcomes():
     reached = set()
     for config in _configs(specs, 6, len(rows), 0.01):
         codes, values = _block_outcomes(config, rows)
-        # _map_replications allocates the run's values by this width.
+        # _outcome_columns allocates the run's values by this width.
         assert values.shape == (len(rows), EXPERIMENTS[config.experiment].columns(config))
         got = _as_tuples(config, (codes, values))
         want = [_scalar_outcome(config, _dataset(*row)) for row in rows]

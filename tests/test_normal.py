@@ -7,13 +7,6 @@ from scipy import special, stats
 from eivreg.normal import norm_cdf, norm_ppf, z_for_gamma
 
 
-def test_ppf_matches_scipy_on_grid():
-    ps = np.linspace(1e-12, 1 - 1e-12, 4001)
-    ours = np.array([norm_ppf(float(p)) for p in ps])
-    ref = stats.norm.ppf(ps)
-    assert np.max(np.abs(ours - ref)) < 1e-10
-
-
 @pytest.mark.parametrize("ps", [
     np.linspace(1e-12, 1 - 1e-12, 40001),
     np.linspace(0.5 - 1e-3, 0.5 + 1e-3, 40001),
