@@ -22,13 +22,13 @@ Document layout::
 flags into the document as it loads it, so a flag meets the same checks
 as the field it replaces.
 
-This module checks what JSON can get wrong: missing fields, values that
-are not objects, not numbers or not integers, NaN and Infinity literals,
-integers beyond the float range, and the "n_values" list.  The library
-owns every other rule: ``ModelSpec``, ``SideInfo`` and ``ExperimentConfig``
-check their own fields, and ``ExperimentConfig`` checks replications,
-seed, k and gamma.  Violations raise ConfigError with a message naming
-the offending field.
+This module checks what JSON can get wrong: keys given twice, missing
+fields, values that are not objects, not numbers or not integers, NaN and
+Infinity literals, integers beyond the float range, and the "n_values"
+list.  The library owns every other rule: ``ModelSpec``, ``SideInfo``
+and ``ExperimentConfig`` check their own fields, and ``ExperimentConfig``
+checks replications, seed, k and gamma.  Violations raise ConfigError
+with a message naming the offending field.
 """
 
 from __future__ import annotations
@@ -44,13 +44,24 @@ __all__ = ["load_document", "parse_model", "parse_side", "parse_simulation",
            "parse_experiment_config"]
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``; a key given twice, at any depth, is an error
+    rather than a silent choice of its last value."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"duplicate key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def load_document(path: str, **flags) -> dict:
     """The JSON object in the file ``path``, with each of ``flags`` that is
     not None as the value of its field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")

@@ -263,6 +263,19 @@ class TestExperiment:
         assert main(["experiment", "--config", config]) == 2
         assert f"{'.'.join(path)} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ('"seed": 1}', '"seed": 1, "seed": 5}', "seed"),
+        ('"sd": 1.0}', '"sd": 1.0, "sd": 2.0}', "sd"),
+    ], ids=["top_level", "model.xi.params"])
+    def test_duplicate_key_exit_2(self, tmp_path, capsys, old, new, key):
+        text = json.dumps(M0_CONFIG)
+        assert text.count(old) == 1
+        config = write(tmp_path, "cfg.json", text.replace(old, new))
+        assert main(["experiment", "--config", config, "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"eivreg: cannot read config {config}: duplicate key {key!r}\n"
+
     def test_seed_override_changes_echo_only(self, tmp_path):
         config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))
         base = run_cli("experiment", "--config", config)

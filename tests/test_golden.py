@@ -17,6 +17,11 @@ seconds.
 After an intended change of output, recapture the expected files with
 
     PYTHONPATH=src python tests/test_golden.py --capture
+
+It rewrites only the files whose bytes change, and prints one line for
+each: for a JSON document, "same values, bit for bit", "same values; K
+ints now floats" or the first path whose value differs; for any other
+file, "bytes differ".
 """
 
 from __future__ import annotations
@@ -166,6 +171,8 @@ CASES = [
     exp_case("exp_reject_unknown_xi_family", name="coverage14",
              model={**model(), "xi": {"family": "cauchy", "params": {"scale": 1.0}}}),
     exp_case("exp_reject_n_values_not_list", name="coverage14", n_values=5),
+    Case("exp_reject_duplicate_key", ("experiment", "--config", "cfg.json"),
+         {"cfg.json": experiment("coverage14")[:-1] + ', "seed": 5}'}),
     Case("exp_reject_missing_experiment", ("experiment", "--config", "cfg.json"),
          {"cfg.json": json.dumps({key: value for key, value in json.loads(
              experiment("coverage14")).items() if key != "experiment"})}),
@@ -329,6 +336,84 @@ def test_corpus_files_match_cases():
     assert EXIT_CODES.read_text(encoding="utf-8") == _serialised(_expected_codes())
 
 
+class _IntText(str):
+    """A JSON integer as its text, so that ``-0`` keeps its sign."""
+
+
+def _json_values(data: bytes):
+    """The document in ``data`` with integers as ``_IntText``, or None if it
+    is not JSON."""
+    try:
+        return json.loads(data, parse_int=_IntText)
+    except ValueError:
+        return None
+
+
+def _value_change(old, new, path="$") -> tuple:
+    """(the first path whose value differs from ``old`` to ``new`` or None,
+    the integers of ``old`` that ``new`` holds as floats of the same bits)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if list(old) != list(new):
+            changed = [key for key in (*new, *old) if key not in old or key not in new]
+            return f"{path}.{changed[0]} (keys)" if changed else f"{path} (keys)", 0
+        pairs = [(f"{path}.{key}", old[key], new[key]) for key in old]
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return f"{path} (length)", 0
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new))]
+    elif type(old) is _IntText and type(new) is float:
+        return (None, 1) if float(old).hex() == new.hex() else (path, 0)
+    elif type(old) is float and type(new) is float:
+        return (None, 0) if old.hex() == new.hex() else (path, 0)
+    else:
+        return (None, 0) if type(old) is type(new) and old == new else (path, 0)
+    ints = 0
+    for where, a, b in pairs:
+        differs, count = _value_change(a, b, where)
+        if differs:
+            return differs, 0
+        ints += count
+    return None, ints
+
+
+def change_report(old, new: bytes) -> str:
+    """How the bytes ``new`` differ from the bytes ``old`` (None: no file)."""
+    if old is None:
+        return "new file"
+    before, after = _json_values(old), _json_values(new)
+    if before is None or after is None:
+        return "bytes differ"
+    differs, ints = _value_change(before, after)
+    if differs:
+        return f"values differ at {differs}"
+    return f"same values; {ints} ints now floats" if ints else "same values, bit for bit"
+
+
+def _rewrite(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` if its bytes change, and print how."""
+    old = path.read_bytes() if path.exists() else None
+    if old != data:
+        print(f"{path.name}: {change_report(old, data)}")
+        path.write_bytes(data)
+
+
+@pytest.mark.parametrize("old, new, report", [
+    (b'{"a": [2, 0.94999999999999996]}', b'{"a": [2.0, 0.95]}', "same values; 1 ints now floats"),
+    (b"-0\n", b"-0.0\n", "same values; 1 ints now floats"),
+    (b"0\n", b"-0.0\n", "values differ at $"),
+    (b'{"a": 0.1}', b'{"a": 0.10000000000000001}', "same values, bit for bit"),
+    (b'{"a": {"b": 1.0}}', b'{"a": {"b": 1.5}}', "values differ at $.a.b"),
+    (b'{"a": 1, "b": 2}', b'{"b": 2, "a": 1}', "values differ at $ (keys)"),
+    (b'{"a": 1}', b'{"a": 1, "b": 2}', "values differ at $.b (keys)"),
+    (b"[0]", b"[0.0, 1]", "values differ at $ (length)"),
+    (b'"5"', b"5", "values differ at $"),
+    (b"eivreg: x\n", b"eivreg: y\n", "bytes differ"),
+    (None, b"", "new file"),
+])
+def test_change_report_names_what_a_recapture_changes(old, new, report):
+    assert change_report(old, new) == report
+
+
 def capture() -> None:
     import tempfile
 
@@ -339,8 +424,8 @@ def capture() -> None:
             code, outputs = run_case(case, Path(tmp))
         codes[case.name] = code
         for name, data in outputs.items():
-            (GOLDEN / f"{case.name}.{name}").write_bytes(data)
-    EXIT_CODES.write_text(_serialised(codes), encoding="utf-8")
+            _rewrite(GOLDEN / f"{case.name}.{name}", data)
+    _rewrite(EXIT_CODES, _serialised(codes).encode("utf-8"))
 
 
 if __name__ == "__main__":
