@@ -3,8 +3,9 @@
 Subcommands: ``estimate`` and ``ci`` fit observed CSV data, ``simulate``
 writes synthetic datasets, ``experiment`` runs a Monte Carlo study from a
 JSON config, and ``diagnose`` computes heavy-tail diagnostics for one
-numeric column.  All structured output is JSON with 17-significant-digit
-floats, so identical runs produce byte-identical documents.
+numeric column.  All structured output is JSON that writes each float as
+its shortest ``repr``, which reads back as the same binary64; CSV output
+uses the same rule.  So identical runs produce byte-identical documents.
 
 Exit codes: 0 ok, 2 input or configuration error or a size that cannot be
 allocated, 3 guard violation or a statistic undefined on the data, 4

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -363,6 +365,22 @@ class TestExperiment:
         assert captured.err.startswith(
             "eivreg: cannot allocate the outcomes of the replications: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("out", [None, "report.json"])
+    def test_non_finite_report_exit_2(self, tmp_path, capsys, monkeypatch, out):
+        # JSON has no infinity: the run ends with one line and writes nothing.
+        report = {"experiment": "coverage14", "per_n": [{"mean_width": math.inf}]}
+        monkeypatch.setattr(montecarlo, "run_experiment",
+                            lambda config: types.SimpleNamespace(to_dict=lambda: report))
+        config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))
+        argv = ["experiment", "--config", config]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("eivreg: ") and captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_byte_identical_reports(self, tmp_path):
         config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))

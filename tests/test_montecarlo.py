@@ -432,15 +432,24 @@ class TestInfiniteVarianceSpec:
         assert report.per_n[0]["coverage"] is not None
 
 
+def _floats(obj) -> list:
+    """Every float in a JSON-shaped object, in document order."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [x for item in obj for x in _floats(item)]
+    return [obj] if type(obj) is float else []
+
+
 def test_report_json_round_trip():
-    report = run_experiment(cfg(replications=25))
-    text = dumps(report.to_dict())
-    parsed = json.loads(text)
-    assert parsed["experiment"] == "coverage14"
-    assert parsed["per_n"][0]["coverage"] == report.per_n[0]["coverage"]
-    # 17 significant digits round-trip binary64 exactly.
-    assert float(format(report.per_n[0]["mean_width"], ".17g")) == \
-        report.per_n[0]["mean_width"]
+    # Every float the document holds reads back as a float with the same
+    # bits: negative zero, integral values and the extremes included.
+    edges = [-0.0, 2.0, 0.1, 5e-324, 1.7976931348623157e308]
+    doc = {"report": run_experiment(cfg(replications=25)).to_dict(), "edges": edges}
+    parsed = json.loads(dumps(doc))
+    assert parsed["report"]["experiment"] == "coverage14"
+    assert len(_floats(doc)) > len(edges)
+    assert [x.hex() for x in _floats(parsed)] == [x.hex() for x in _floats(doc)]
 
 
 def _scalar_outcome(config, data) -> tuple:
