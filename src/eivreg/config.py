@@ -58,10 +58,12 @@ def _unique_keys(pairs: list) -> dict:
 def load_document(path: str, **flags) -> dict:
     """The JSON object in the file ``path``, with each of ``flags`` that is
     not None as the value of its field."""
+    # A ValueError here is malformed JSON, bytes that are not UTF-8, an
+    # integer too long to parse or a duplicate key.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")

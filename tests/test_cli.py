@@ -278,6 +278,17 @@ class TestExperiment:
         assert captured.out == ""
         assert captured.err == f"eivreg: cannot read config {config}: duplicate key {key!r}\n"
 
+    @pytest.mark.parametrize("data, reason", [
+        (b'{"model": \xff}', "'utf-8' codec can't decode byte 0xff"),
+        (b'{"seed": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    ], ids=["not_utf8", "integer_of_5000_digits"])
+    def test_unreadable_document_names_its_path(self, tmp_path, capsys, data, reason):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(data)
+        assert main(["experiment", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"eivreg: cannot read config {config}: {reason}")
+
     def test_seed_override_changes_echo_only(self, tmp_path):
         config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))
         base = run_cli("experiment", "--config", config)
