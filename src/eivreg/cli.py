@@ -43,8 +43,9 @@ _PROBE_LINES = 1 << 10
 
 def _read_columns(path: str, pick) -> dict:
     """The columns of a UTF-8 CSV file that ``pick`` names from its stripped
-    header, as contiguous float64 arrays by name.  Empty lines are skipped;
-    there must be at least one data row."""
+    header, as contiguous float64 arrays by name.  A column it names must
+    appear in the header once.  Empty lines are skipped; there must be at
+    least one data row."""
     import numpy as np
 
     try:
@@ -60,6 +61,9 @@ def _read_columns(path: str, pick) -> dict:
                 raise ConfigError(f"{path}: empty file")
             header = [h.strip() for h in row]
             names = pick(header)
+            for name in names:
+                if header.count(name) > 1:
+                    raise ConfigError(f"{path}: header names column {name!r} more than once")
             cols = [header.index(name) for name in names]
             # NumPy reads a file it opens by name in chunks, but a handle
             # line by line.  A pipe cannot be opened again at its start,

@@ -16,33 +16,34 @@ Experiments:
 Every replication draws from the sub-streams keyed by (seed, n,
 replication index), so adding sample sizes or replications never perturbs
 existing draws and any worker count produces bit-identical reports.
-Replications run in blocks: each block derives the Philox keys of both
-roles in one vectorised call and resets one reused generator per role to
-each replication's keys, which gives the draws of ``samplers.substream``.
-A sub-block holds the rows ``_sub_block_rows`` gives.  Per replication,
-``_replicate`` only resets the generators and writes the raw variates into
-the replication's rows; the sub-block is then transformed into its (B, n)
-y, x and xi at once, and evaluated at once by the library functions on
-``moments.Rows``.  The one-sample functions are the one-row case of the
-same code, so each row gets the draws and the outcome its own call would
-give.  A replication's outcome is an int8 code, its index in
-``OUTCOMES`` (scored, a degenerate inversion, a zero normalizer or a
-guard violation: counted, never raised), and a row of values, such as an
-interval's hit and width, read only when scored.  The outcome columns of
-a run are allocated before any replication runs, and serve every n.  Any
-other failure stops the run with the error of the first replication that
-meets it.  Coverage is computed over the scored replications with the
-failure rate reported alongside, so covered + missed + failed always
-equals the replication count.
+``_fill`` is the one replication plan.  It runs replications in blocks:
+each block derives the Philox keys of both roles in one vectorised call
+and resets one reused generator per role to each replication's keys, which
+gives the draws of ``samplers.substream``.  A sub-block holds the rows
+``_sub_block_rows`` gives.  Per replication, ``_replicate`` only resets
+the generators and writes the raw variates into the replication's rows;
+the sub-block is then transformed into its (B, n) y, x and xi at once,
+evaluated at once by the library functions on ``moments.Rows``, and its
+outcomes written straight into the run's outcome columns.  The one-sample
+functions are the one-row case of the same code, so each row gets the
+draws and the outcome its own call would give.  A replication's outcome is
+an int8 code, its index in ``OUTCOMES`` (scored, a degenerate inversion, a
+zero normalizer or a guard violation: counted, never raised), and a row of
+values, such as an interval's hit and width, read only when scored.  The
+outcome columns of a run are allocated before any replication runs, and
+serve every n.  Any other failure stops the run with the error of the
+first replication that meets it.  Coverage is computed over the scored
+replications with the failure rate reported alongside, so covered + missed
++ failed always equals the replication count.
 
-A run uses W processes: ``EIVREG_WORKERS`` (default: every core), at most
-the cores and the replications, and splits each n's replications into W
-contiguous shares, each filled by ``_fill``.  On more than one worker
-each share is filled in a child forked once per run (``workers.Worker``),
-which sends one message per n, and this process reads the children in
-share order, so the run raises the error of its first failing replication
-whatever W is.  One worker fills the one share here, as does every run
-where ``os.fork`` is missing.
+A run uses W processes: ``EIVREG_WORKERS`` (default: every core this
+process may run on), at most those cores and the replications, and splits
+each n's replications into W contiguous shares, each filled by ``_fill``.
+On more than one worker each share is filled in a child forked once per
+run (``workers.Worker``), which sends one message per n, and this process
+reads the children in share order, so the run raises the error of its
+first failing replication whatever W is.  One worker fills the one share
+here, as does every run where ``os.fork`` is missing.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ _SCORED, _DEGENERATE, _FAILED, _UNSCORED = 0, slice(1, 3), slice(3, None), slice
 # Worker-count override; the result must not (and does not) depend on it.
 WORKERS_ENV = "EIVREG_WORKERS"
 
-# The most replications one block runs.  A block holds its keys and its
-# per-block arrays, so their memory does not grow with the replication
-# count; a child holds its share's outcome rows at every block size.
+# The most replications one block runs.  A block holds its keys, so their
+# memory does not grow with the replication count; a child holds its
+# share's outcome rows at every block size.
 _MAX_BLOCK = 1024
 
 # A sub-block is evaluated at once as (B, n) arrays, and its fixed cost of
@@ -194,36 +195,6 @@ def _sub_block_rows(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // n, min(_MIN_ROWS, 4 * _BLOCK_ELEMENTS // n))
 
 
-def _replicate_block(config: ExperimentConfig, n: int, start: int, stop: int) -> tuple:
-    """(codes, values) of replications start..stop-1, in order.  Replication
-    r draws from the streams ``substream((seed, n, r), role)``, whatever
-    block it runs in.  The block is evaluated in sub-blocks of
-    ``_sub_block_rows(n)`` rows: each replication's raw variates are drawn
-    into a row, then the sub-block is simulated and evaluated as (B, n)
-    arrays."""
-    spec = config.spec
-    keys = philox_keys(config.seed, n, start, stop)
-    rngs = (_philox_generator(), _philox_generator())
-    family = XI_FAMILIES[spec.xi.family]
-    draws = (family.draw, _ERROR_BASES[spec.err.base].draw)
-    size = _sub_block_rows(n)
-    outcomes = []
-    for lo in range(0, stop - start, size):
-        count = min(size, stop - start - lo)
-        xi_raw, err_raw = _raw_blocks(n, count, family.series, 2)
-        for i, rep_keys in enumerate(zip(keys[0, lo:lo + count], keys[1, lo:lo + count])):
-            _replicate(draws, rngs, rep_keys, xi_raw[i], err_raw[i])
-        rows = Rows(*_simulate_rows(spec, xi_raw, err_raw))
-        # Free the raw variates before evaluating.  Kept alive, they lift a
-        # sub-block's heap peak at n = 2000 past glibc's trim threshold, and
-        # the freed top was returned to the system and faulted back in every
-        # sub-block (about 25 minor faults a replication).
-        del xi_raw, err_raw
-        outcomes.append(_evaluate(config, rows))
-    codes, values = zip(*outcomes)
-    return np.concatenate(codes), np.concatenate(values)
-
-
 @quiet_overflow
 def _evaluate(config: ExperimentConfig, rows: Rows) -> tuple:
     """(codes, values) of a sub-block, under one floating-point error state."""
@@ -234,9 +205,12 @@ def _evaluate(config: ExperimentConfig, rows: Rows) -> tuple:
 
 def _worker_count(replications: int) -> int:
     """The processes that run ``replications`` replications: EIVREG_WORKERS
-    (default: every core), but no more than the cores or the replications,
-    and one where ``os.fork`` is missing."""
-    cores = os.cpu_count() or 1
+    (default: every core this process may run on), but no more than those
+    cores or the replications, and one where ``os.fork`` is missing."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
     raw = os.environ.get(WORKERS_ENV, str(cores))
     try:
         count = int(raw)
@@ -258,13 +232,35 @@ def _outcome_columns(config: ExperimentConfig) -> tuple:
 
 
 def _fill(config: ExperimentConfig, n: int, start: int, stop: int, columns: tuple) -> tuple:
-    """Run replications start..stop-1 at n, at most ``_MAX_BLOCK`` at a
-    time, into their rows of ``columns``, the outcome columns of the run;
-    the share's rows (codes, values)."""
+    """Run replications start..stop-1 at n into their rows of ``columns``,
+    the outcome columns of the run; the share's rows (codes, values).
+    Replication r draws from the streams ``substream((seed, n, r), role)``,
+    whatever block it runs in.  A block derives the Philox keys of at most
+    ``_MAX_BLOCK`` replications at once, and runs them in sub-blocks of
+    ``_sub_block_rows(n)`` rows: each replication's raw variates are drawn
+    into a row, then the sub-block is simulated and evaluated as (B, n)
+    arrays, and its codes and values written into its rows."""
+    spec = config.spec
+    rngs = (_philox_generator(), _philox_generator())
+    family = XI_FAMILIES[spec.xi.family]
+    draws = (family.draw, _ERROR_BASES[spec.err.base].draw)
+    size = _sub_block_rows(n)
     codes, values = columns
-    for lo in range(start, stop, _MAX_BLOCK):
-        hi = min(lo + _MAX_BLOCK, stop)
-        codes[lo:hi], values[lo:hi] = _replicate_block(config, n, lo, hi)
+    for block in range(start, stop, _MAX_BLOCK):
+        keys = philox_keys(config.seed, n, block, min(block + _MAX_BLOCK, stop))
+        for lo in range(0, keys.shape[1], size):
+            count = min(size, keys.shape[1] - lo)
+            xi_raw, err_raw = _raw_blocks(n, count, family.series, 2)
+            for i, rep_keys in enumerate(zip(keys[0, lo:lo + count], keys[1, lo:lo + count])):
+                _replicate(draws, rngs, rep_keys, xi_raw[i], err_raw[i])
+            rows = Rows(*_simulate_rows(spec, xi_raw, err_raw))
+            # Free the raw variates before evaluating.  Kept alive, they lift a
+            # sub-block's heap peak at n = 2000 past glibc's trim threshold, and
+            # the freed top was returned to the system and faulted back in every
+            # sub-block (about 25 minor faults a replication).
+            del xi_raw, err_raw
+            rep = block + lo
+            codes[rep:rep + count], values[rep:rep + count] = _evaluate(config, rows)
     return codes[start:stop], values[start:stop]
 
 

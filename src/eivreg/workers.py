@@ -6,7 +6,10 @@ and sends them down its pipe in one message per n: a tag byte, then the
 raw bytes of the share's int8 codes and float64 values.  A child that
 fails sends a tag and its pickled exception instead, then leaves by
 ``os._exit``.  The parent reads each message straight into the share's
-rows of its own outcome columns.
+rows of its own outcome columns, reading the children in share order.
+Pipes keep their default size (64 KiB on Linux: 3855 replications of two
+values).  A child whose message outgrows its pipe waits until the parent
+reaches it, which cannot deadlock, as no child waits on another.
 
 Only a run on more than one worker imports this module, so a one-process
 run neither loads nor compiles it.  It needs POSIX, as ``os.fork`` does.
@@ -14,7 +17,6 @@ run neither loads nor compiles it.  It needs POSIX, as ``os.fork`` does.
 
 from __future__ import annotations
 
-import fcntl
 import os
 import pickle
 import signal
@@ -25,12 +27,6 @@ __all__ = ["Worker"]
 # The tag before each message: a share's codes and values at one n
 # follow, or the pickled exception that stopped the child.
 _SHARE_TAG, _ERROR_TAG = b"S", b"E"
-
-# A child's pipe is widened to this, where the platform allows, so that in
-# a run of several n a child whose share comes later can run ahead of the
-# parent: a default 64 KiB pipe holds 3855 replications of two values.
-# 1 MiB is Linux's default limit for an unprivileged process.
-_PIPE_BYTES = 1 << 20
 
 
 def _send(outcomes: Iterator, read_fd: int, write_fd: int) -> None:
@@ -68,10 +64,6 @@ class Worker:
 
     def __init__(self, outcomes: Iterator):
         read_fd, write_fd = os.pipe()
-        try:
-            fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (AttributeError, OSError):  # no such option, or a lower limit
-            pass
         try:
             self.pid = os.fork()
         except OSError:

@@ -61,3 +61,8 @@ def assert_no_child_left() -> None:
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def usable_cpus(monkeypatch, count: int) -> None:
+    """Let this process run on ``count`` CPUs, as the worker count reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import PROP_CASES, assert_no_child_left
+from conftest import PROP_CASES, assert_no_child_left, usable_cpus
 from eivreg import cli, montecarlo
 from eivreg.cli import main
 from eivreg.montecarlo import EXPERIMENTS
@@ -313,7 +313,7 @@ class TestExperiment:
         def replicate(*args):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(montecarlo, "_replicate_block", replicate)
+        monkeypatch.setattr(montecarlo, "_fill", replicate)
         doc = {**M0_CONFIG, "experiment": experiment, "gamma": 1e-300,
                "side": {"case": 1, "lambda_theta": 0.25, "mu": 0.05, "theta": None}}
         config = write(tmp_path, "cfg.json", json.dumps(doc))
@@ -345,11 +345,11 @@ class TestExperiment:
 
         def replicate(*args):
             if os.getpid() == parent:
-                raise AssertionError("a block ran in the parent")
+                raise AssertionError("a share ran in the parent")
             ending()
 
-        monkeypatch.setattr(montecarlo, "_replicate_block", replicate)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_fill", replicate)
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setenv("EIVREG_WORKERS", "2")
         config = write(tmp_path, "cfg.json", json.dumps(M0_CONFIG))
         assert main(["experiment", "--config", config]) == 2
@@ -366,7 +366,7 @@ class TestExperiment:
         def replicate(*args):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(montecarlo, "_replicate_block", replicate)
+        monkeypatch.setattr(montecarlo, "_fill", replicate)
         monkeypatch.setenv("EIVREG_WORKERS", "2")
         doc = {**M0_CONFIG, "replications": replications}
         config = write(tmp_path, "cfg.json", json.dumps(doc))
@@ -552,6 +552,25 @@ class TestCsvInput:
         columns = cli._read_columns(path, lambda header: ("y", "x"))
         assert {name: c.tolist() for name, c in columns.items()} == {"y": [1.0, 3.0],
                                                                      "x": [2.0, 4.0]}
+
+    @pytest.mark.parametrize("header, argv, column", [
+        ("y,x,y", ["estimate", "{csv}", *SIDE2_FLAGS], "y"),
+        ("x,y, x", ["ci", "{csv}", *SIDE2_FLAGS, "--family", "plugin-slope"], "x"),
+        ("z,y,z", ["diagnose", "{csv}", "--column", "z"], "z"),
+    ], ids=["estimate_y", "ci_x", "diagnose_column"])
+    def test_column_named_twice_exit_2(self, tmp_path, capsys, header, argv, column):
+        # The header names a column the command reads twice, after
+        # stripping: no column is picked silently.
+        csv = write(tmp_path, "dup.csv", header + "\n1,2,3\n2,3,5\n4,5,1\n")
+        assert main([arg.format(csv=csv) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"eivreg: {csv}: header names column {column!r} more than once\n"
+
+    def test_column_named_twice_but_not_read(self, tmp_path, capsys):
+        csv = write(tmp_path, "dup.csv", "y,z,x,z\n1,0,2,0\n2,0,3,0\n4,0,5,0\n")
+        assert main(["diagnose", csv, "--column", "x"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
 
     def test_pipe_and_packed_name_read_as_a_file(self, tmp_path):
         # A pipe cannot be opened a second time, and NumPy would unpack a

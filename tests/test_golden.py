@@ -222,6 +222,8 @@ CASES = [
     fit_case("diagnose_reject_center_nan", "diagnose", "--column", "x", "--center", "nan"),
     fit_case("estimate_reject_non_numeric_cell", "estimate", *SIDE2,
              csv="y,x\n1,0\nabc,1\n5,2\n"),
+    fit_case("estimate_reject_duplicate_column", "estimate", *SIDE2, "--intercept",
+             csv="y,x,y\n1,2,3\n2,3,4\n4,5,1\n"),
     # Spellings of a CSV file that spreadsheets and editors write.
     fit_case("estimate_csv_trailing_blank_line", "estimate", *SIDE2, csv=DATA_CSV + "\n"),
     fit_case("estimate_csv_byte_order_mark", "estimate", *SIDE2,

@@ -9,18 +9,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import M0_SPEC, SIDE1_M0, SIDE2_M0, T2_SPEC, assert_no_child_left
+from conftest import M0_SPEC, SIDE1_M0, SIDE2_M0, T2_SPEC, assert_no_child_left, usable_cpus
 from eivreg import (Dataset, ErrorSpec, ExperimentConfig, GuardViolation, ModelSpec, SideInfo,
                     XiDistribution, ZeroNormalizer, ci_intercept, ci_slope_plugin,
                     ci_slope_quadratic, empirical_bn, estimate, intercept_statistic,
                     naive_ratio_estimates, run_experiment, simulate_dataset, slope_statistic)
-from eivreg import errors, estimators, inference, montecarlo, workers
+from eivreg import errors, estimators, inference, montecarlo
 from eivreg.config import parse_experiment_config
 from eivreg.inference import check_k
 from eivreg.jsonout import dumps
 from eivreg.moments import Rows
-from eivreg.montecarlo import (EXPERIMENTS, OUTCOMES, PIVOTS, ZERO_NORMALIZER, _evaluate,
-                               _replicate_block, _row_code)
+from eivreg.montecarlo import (EXPERIMENTS, OUTCOMES, PIVOTS, ZERO_NORMALIZER, _evaluate, _fill,
+                               _outcome_columns, _row_code)
 from eivreg.normal import z_for_gamma
 from eivreg.samplers import Latent
 from eivreg.workers import Worker
@@ -265,6 +265,20 @@ class TestDegeneracy:
         assert report.per_n[0]["degeneracy_fraction"] in (0.0, 1.0)
 
 
+def _counted_forks(monkeypatch) -> list:
+    """The pids of the children this process forks from now on."""
+    fork, forked = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
+    return forked
+
+
 class TestDeterminism:
     def test_worker_count_does_not_change_report(self, monkeypatch):
         config = cfg(n_values=(40,), replications=200)
@@ -284,11 +298,11 @@ class TestDeterminism:
     def test_replication_streams_keyed_by_seed_n_rep(self):
         # Replication r's outcome depends on (seed, n, r) only: not on the
         # replication count, nor on where its block starts.
-        config = cfg(replications=50)
-        shorter = _as_tuples(config, _replicate_block(config, 100, 0, 50))
-        longer = _as_tuples(config, _replicate_block(cfg(replications=200), 100, 0, 200))
+        config, more = cfg(replications=50), cfg(replications=200)
+        shorter = _as_tuples(config, _fill(config, 100, 0, 50, _outcome_columns(config)))
+        longer = _as_tuples(config, _fill(more, 100, 0, 200, _outcome_columns(more)))
         for rep in (0, 7, 49):
-            alone = _as_tuples(config, _replicate_block(config, 100, rep, rep + 1))
+            alone = _as_tuples(config, _fill(config, 100, rep, rep + 1, _outcome_columns(config)))
             assert shorter[rep] == longer[rep] == alone[0]
 
     @pytest.mark.parametrize("replications", [3, 37, 1000])
@@ -309,12 +323,11 @@ class TestDeterminism:
             assert len(reports) == 1, (xi, base)
 
     def test_share_messages_that_outgrow_the_pipe(self, monkeypatch):
-        # A 4096-byte pipe holds 240 replications of two values, so each
-        # share, 500 replications on 2 workers and 333 or 334 on 3, is read
+        # A default 64 KiB pipe holds 3855 replications of two values, so
+        # each share, 6000 replications on 2 workers and 4000 on 3, is read
         # in several pieces while its child still writes, at both n.
-        monkeypatch.setattr(workers, "_PIPE_BYTES", 4096)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-        config = cfg(n_values=(10, 20), replications=1000)
+        usable_cpus(monkeypatch, 3)
+        config = cfg(n_values=(10, 20), replications=12000)
         monkeypatch.setenv("EIVREG_WORKERS", "1")
         serial = dumps(run_experiment(config).to_dict())
         for count in ("2", "3"):
@@ -331,16 +344,8 @@ class TestDeterminism:
     def test_one_fork_per_child_per_run(self, monkeypatch, workers, forks):
         # Each child is forked once and serves all three n values; one
         # worker runs in this process and forks none.
-        fork, forked = os.fork, []
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        forked = _counted_forks(monkeypatch)
+        usable_cpus(monkeypatch, 3)
         monkeypatch.setenv("EIVREG_WORKERS", workers)
         report = run_experiment(cfg(n_values=(10, 20, 30), replications=40))
         assert len(report.per_n) == 3 and len(set(forked)) == forks
@@ -352,10 +357,26 @@ class TestDeterminism:
     def test_pool_size_capped_by_cores_and_blocks(self, monkeypatch, workers, cores,
                                                   replications, processes):
         # The process count is fixed before any process starts: no more than
-        # the cores or the replications.  Counting starts none.
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        # the cores this process may run on or the replications.  Counting
+        # starts none.  Where the platform reports no affinity, the CPU
+        # count caps it, and an unknown count allows one process.
+        if cores is None:
+            monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        else:
+            usable_cpus(monkeypatch, cores)
         monkeypatch.setenv("EIVREG_WORKERS", workers)
         assert montecarlo._worker_count(replications) == processes
+
+    def test_default_run_on_one_usable_cpu_forks_nothing(self, monkeypatch):
+        # The machine has 8 CPUs, but this process may run on only one.
+        forked = _counted_forks(monkeypatch)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        usable_cpus(monkeypatch, 1)
+        monkeypatch.delenv("EIVREG_WORKERS", raising=False)
+        assert montecarlo._worker_count(100) == 1
+        run_experiment(cfg(n_values=(10, 20), replications=40))
+        assert forked == []
 
     def test_one_process_without_fork(self, monkeypatch):
         config = cfg(n_values=(10, 20), replications=40)
@@ -367,18 +388,18 @@ class TestDeterminism:
         assert dumps(run_experiment(config).to_dict()) == serial
 
     def test_pooled_run_raises_the_serial_runs_error(self, monkeypatch):
-        # Every block fails, and the second share fails first in time: the
-        # run still stops with the first block's error, as the serial run does.
-        def failing_block(config, n, start, stop):
+        # Every share fails, and the second fails first in time: the run
+        # still stops with the first share's error, as the serial run does.
+        def failing_share(config, n, start, stop, columns):
             if start == 0:
                 time.sleep(0.2)
-            raise ValueError(f"the block from {start} failed")
+            raise ValueError(f"the share from {start} failed")
 
-        monkeypatch.setattr(montecarlo, "_replicate_block", failing_block)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_fill", failing_share)
+        usable_cpus(monkeypatch, 2)
         for workers in ("1", "2"):
             monkeypatch.setenv("EIVREG_WORKERS", workers)
-            with pytest.raises(ValueError, match="^the block from 0 failed$"):
+            with pytest.raises(ValueError, match="^the share from 0 failed$"):
                 run_experiment(cfg(n_values=(10,), replications=40))
         assert_no_child_left()
 
@@ -400,19 +421,19 @@ class TestDeterminism:
     def test_interrupted_run_kills_its_children(self, monkeypatch):
         # The children are still on the second n when the first aggregate is
         # interrupted: they are killed and reaped, not waited for.
-        replicate_block = montecarlo._replicate_block
+        fill = montecarlo._fill
 
-        def slow_second_n(config, n, start, stop):
+        def slow_second_n(config, n, start, stop, columns):
             if n == 20:
                 time.sleep(60)
-            return replicate_block(config, n, start, stop)
+            return fill(config, n, start, stop, columns)
 
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(montecarlo, "_replicate_block", slow_second_n)
+        monkeypatch.setattr(montecarlo, "_fill", slow_second_n)
         monkeypatch.setitem(montecarlo._AGGREGATE, "coverage14", interrupted)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setenv("EIVREG_WORKERS", "2")
         started = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
@@ -613,7 +634,7 @@ def test_replicate_block_equals_scalar_replications(monkeypatch, n, elements):
     specs = {c: _spec(XiDistribution.symmetric_pareto2(0.7, 0.0), c) for c in (0, 1)}
     reached = set()
     for config in _configs(specs, n, 26, 0.02, known=1.5):
-        codes, values = _replicate_block(config, n, 3, 26)
+        codes, values = _fill(config, n, 3, 26, _outcome_columns(config))
         got = _as_tuples(config, (codes, values))
         want = [_scalar_outcome(config, simulate_dataset(config.spec, n, (config.seed, n, r)))
                 for r in range(3, 26)]
@@ -635,8 +656,28 @@ def test_sub_block_plan(monkeypatch, n, rows):
         return np.zeros(len(block.y), np.int8), np.zeros((len(block.y), 2))
 
     monkeypatch.setattr(montecarlo, "_evaluate", keep)
-    _replicate_block(cfg(n_values=(n,), replications=rows + 1), n, 0, rows + 1)
+    config = cfg(n_values=(n,), replications=rows + 1)
+    _fill(config, n, 0, rows + 1, _outcome_columns(config))
     assert sizes == [rows, 1]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_block_ends_cut_sub_blocks_short(monkeypatch, workers):
+    # Blocks of 7 replications run in sub-blocks of 5 rows at n = 12 and of
+    # 2 at n = 30, so every block ends in a short sub-block; on 2 workers
+    # the second share, 20..39, starts its blocks mid-way through the
+    # default plan's.  The report is the default plan's, byte for byte.
+    config = cfg(spec=T2_SPEC, n_values=(12, 30), replications=40)
+    monkeypatch.setenv("EIVREG_WORKERS", "1")
+    default = dumps(run_experiment(config).to_dict())
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(montecarlo, "_MAX_BLOCK", 7)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 12 * 5)
+    monkeypatch.setattr(montecarlo, "_MIN_ROWS", 1)
+    assert [montecarlo._sub_block_rows(n) for n in config.n_values] == [5, 2]
+    monkeypatch.setenv("EIVREG_WORKERS", workers)
+    assert dumps(run_experiment(config).to_dict()) == default
+    assert_no_child_left()
 
 
 def test_first_failing_row_stops_the_block_with_its_scalar_error():
@@ -659,7 +700,7 @@ def test_overflowing_run_stops_with_scalar_error(monkeypatch):
     # Pareto-2 draws of scale 3e152 overflow the squares in some
     # replications: the run stops with the error of the first of them, on
     # one worker and on two.
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 12 * 5)
     monkeypatch.setattr(montecarlo, "_MIN_ROWS", 1)
     spec = _spec(XiDistribution.symmetric_pareto2(3e152, 0.0), 1)

@@ -424,11 +424,22 @@ def test_draws_equal_sized_numpy_calls(dist, n, reps):
             assert np.array_equal(data.latent.xi, xi)
 
 
+class _NoRows:
+    """Outcome columns that take any rows and keep none."""
+
+    def __setitem__(self, rows, value):
+        pass
+
+    def __getitem__(self, rows):
+        return None
+
+
 def _check_block_rows(monkeypatch, dist, base, n, start, stop):
-    """Run replications start..stop-1 through ``_replicate_block`` in
-    sub-blocks of at most 7 rows, check each row against the dataset
-    ``simulate_dataset`` gives its replication, and return the sub-block
-    sizes."""
+    """Run replications start..stop-1 through ``_fill`` in sub-blocks of
+    at most 7 rows, check each row against the dataset ``simulate_dataset``
+    gives its replication, and return the sub-block sizes.  The outcomes
+    go to columns that keep none, as indices past 2**32 have no room in a
+    run's own."""
     spec = ModelSpec(beta=2.0, alpha=1.0, c=1, xi=dist,
                      err=ErrorSpec(lambda_theta=0.5, theta=2.0, mu=-0.6, base=base))
     config = ExperimentConfig(spec=spec, side=SideInfo.case2(theta=2.0, mu=-0.6, c=1),
@@ -443,7 +454,7 @@ def _check_block_rows(monkeypatch, dist, base, n, start, stop):
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7 * n)
     monkeypatch.setattr(montecarlo, "_MIN_ROWS", 1)
     monkeypatch.setattr(montecarlo, "_evaluate", keep)
-    montecarlo._replicate_block(config, n, start, stop)
+    montecarlo._fill(config, n, start, stop, (_NoRows(), _NoRows()))
     y, x, xi = (np.concatenate([getattr(rows, name) for rows in blocks])
                 for name in ("y", "x", "xi"))
     for i, rep in enumerate(range(start, stop)):

@@ -3,7 +3,8 @@ by its module, every module-level private function, class or constant by
 some module of the package besides its definition, every name of a
 module's ``__all__`` is bound in that module and read by one of its
 modules or shown in the README, and every public name of the package is
-listed in its module's ``__all__``.  Only the standard library's ``ast``
+listed in its module's ``__all__``.  No module calls BLAS, and only a
+forked child leaves by ``os._exit``.  Only the standard library's ``ast``
 reads the sources; nothing is imported."""
 
 from __future__ import annotations
@@ -164,3 +165,32 @@ def test_package_calls_no_blas():
     calls = [f"{module}:{line}" for module, tree in _modules().items()
              for line in _blas_uses(tree)]
     assert calls == []
+
+
+def _exit_calls(tree: ast.Module) -> list:
+    """The functions of a module, by name, that call ``os._exit`` (or an
+    ``_exit`` imported from ``os``), and "<module>" for a call outside any."""
+    callers = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call)
+                and ((isinstance(node.func, ast.Attribute) and node.func.attr == "_exit"
+                      and isinstance(node.func.value, ast.Name) and node.func.value.id == "os")
+                     or (isinstance(node.func, ast.Name) and node.func.id == "_exit"))):
+            callers.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_only_a_child_leaves_by_os_exit():
+    # os._exit skips atexit hooks and never flushes stdout.  The CLI's own
+    # exit runs both, so only a forked child's one exit, in workers._send,
+    # may leave that way.
+    calls = [f"{module} {function}" for module, tree in _modules().items()
+             for function in _exit_calls(tree)]
+    assert calls == ["workers.py _send"]

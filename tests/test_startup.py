@@ -62,9 +62,9 @@ IMPORTS = {
                  LAYER + ["eivreg.config", "eivreg.estimators", "eivreg.moments",
                           "eivreg.samplers"]),
     "experiment": (["experiment", "--config", "config.json"], EXPERIMENT),
-    # One core runs every worker count in one process.
+    # One usable core runs every worker count in one process.
     "experiment_2_workers": (["experiment", "--config", "config.json"],
-                             EXPERIMENT + ["eivreg.workers"] * ((os.cpu_count() or 1) > 1)),
+                             EXPERIMENT + ["eivreg.workers"] * (len(os.sched_getaffinity(0)) > 1)),
 }
 # EIVREG_WORKERS of the commands that do not run on one worker.
 WORKERS = {"experiment_2_workers": "2"}
