@@ -16,25 +16,25 @@ Experiments:
 Every replication draws from the sub-streams keyed by (seed, n,
 replication index), so adding sample sizes or replications never perturbs
 existing draws and any worker count produces bit-identical reports.
-``_fill`` is the one replication plan.  It runs replications in blocks:
-each block derives the Philox keys of both roles in one vectorised call
-and resets one reused generator per role to each replication's keys, which
-gives the draws of ``samplers.substream``.  A sub-block holds the rows
-``_sub_block_rows`` gives.  Per replication, ``_replicate`` only resets
-the generators and writes the raw variates into the replication's rows;
-the sub-block is then transformed into its (B, n) y, x and xi at once,
-evaluated at once by the library functions on ``moments.Rows``, and its
-outcomes written straight into the run's outcome columns.  The one-sample
-functions are the one-row case of the same code, so each row gets the
-draws and the outcome its own call would give.  A replication's outcome is
-an int8 code, its index in ``OUTCOMES`` (scored, a degenerate inversion, a
-zero normalizer or a guard violation: counted, never raised), and a row of
-values, such as an interval's hit and width, read only when scored.  The
-outcome columns of a run are allocated before any replication runs, and
-serve every n.  Any other failure stops the run with the error of the
-first replication that meets it.  Coverage is computed over the scored
-replications with the failure rate reported alongside, so covered + missed
-+ failed always equals the replication count.
+``_fill`` runs replications in blocks: each block derives the Philox keys
+of both roles in one vectorised call and resets one reused generator per
+role to each replication's keys, which gives the draws of
+``samplers.substream``.  A sub-block holds the rows ``_sub_block_rows``
+gives.  Per replication, ``_replicate`` only resets the generators and
+writes the raw variates into the replication's rows; the sub-block is then
+transformed into its (B, n) y, x and xi at once, evaluated at once by the
+library functions on ``moments.Rows``, and written straight into the run's
+outcome columns.  The one-sample functions are the one-row case of the
+same code, so each row gets the draws and the outcome its own call would
+give.  A replication's outcome is an int8 code, its index in
+``OUTCOMES`` (scored, a degenerate inversion, a zero normalizer or a
+guard violation: counted, never raised), and a row of values, such as an
+interval's hit and width, read only when scored.  The outcome columns of
+a run are allocated before any replication runs, and serve every n.  Any
+other failure stops the run with the error of the first replication that
+meets it.  Coverage is computed over the scored replications with the
+failure rate reported alongside, so covered + missed + failed always
+equals the replication count.
 
 A run uses W processes: ``EIVREG_WORKERS`` (default: every core this
 process may run on), at most those cores and the replications, and splits
