@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 
 from .errors import ConfigError
-from .estimators import SideInfo
 from .moments import check_finite_number
 from .samplers import ErrorSpec, ModelSpec, XiDistribution, _xi_family
 
@@ -128,7 +127,8 @@ def parse_model(doc: dict) -> ModelSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_side(doc: dict, c: int) -> SideInfo:
+def parse_side(doc: dict, c: int):
+    from .estimators import SideInfo  # here, so simulate loads no estimators
     side = _require(doc, "side", _object)
     case = _require(side, "side.case", _integer)
     mu = _require(side, "side.mu", _number)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ZeroNormalizer
 from .moments import (RowStatus, as_series, check_finite, check_finite_number, checked_fsum,
-                      fsum, quiet_overflow, series_mean)
+                      fsum, one_value, quiet_overflow, series_mean)
 from .normal import norm_cdf
 
 __all__ = [
@@ -51,16 +51,14 @@ def empirical_bn(z, status: Optional[RowStatus] = None):
     """Plug-in normalizer sqrt(sum (z_i - z_bar)^2); needs n >= 2.  With a
     ``status``, ``z`` is a (B, n) block and the result the (B, 1) column of
     its rows' normalizers; a row whose sum overflows fails in ``status``."""
-    if status is not None:
-        return _bn_rows(z, status)
-    return _bn_rows(as_series("z", z)[None, :], RowStatus(1, raising=True)).item()
-
-
-def _bn_rows(z: np.ndarray, status: RowStatus) -> np.ndarray:
+    one = status is None
+    if one:
+        z, status = as_series("z", z)[None, :], RowStatus(1, raising=True)
     if z.shape[1] < 2:
         raise ValueError(f"need at least 2 observations, got {z.shape[1]}")
     z_bar = series_mean("z", z, status)
-    return np.sqrt(checked_fsum("(z - z_bar)^2", (z - z_bar) ** 2, status))
+    bn = np.sqrt(checked_fsum("(z - z_bar)^2", (z - z_bar) ** 2, status))
+    return one_value(bn) if one else bn
 
 
 @quiet_overflow

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import GuardViolation
 from .moments import (MomentSet, RowStatus, _in_range, as_rows, check_finite_number,
-                      check_integer, check_intercept_flag, moment_set, quiet_overflow)
+                      check_integer, check_intercept_flag, moment_set, one_value,
+                      quiet_overflow)
 
 __all__ = [
     "SideInfo",
@@ -74,16 +75,11 @@ class SideInfo:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, check_finite_number(name, value))
-        if self.case == 1:
-            if self.lambda_theta is None:
-                raise ValueError("case 1 requires lambda_theta (Var delta)")
-            if self.lambda_theta < 0:
-                raise ValueError("lambda_theta must be nonnegative")
-        else:
-            if self.theta is None:
-                raise ValueError("case 2 requires theta (Var epsilon)")
-            if self.theta < 0:
-                raise ValueError("theta must be nonnegative")
+        name, moment = ("lambda_theta", "Var delta") if case == 1 else ("theta", "Var epsilon")
+        if getattr(self, name) is None:
+            raise ValueError(f"case {case} requires {name} ({moment})")
+        if getattr(self, name) < 0:
+            raise ValueError(f"{name} must be nonnegative")
 
     @classmethod
     def case1(cls, lambda_theta: float, mu: float, c: int = 1) -> "SideInfo":
@@ -109,15 +105,6 @@ class PointEstimate:
     alpha_hat: Optional[float]
     j: int
     guards: dict
-
-    def first(self) -> "PointEstimate":
-        """The one-sample estimate of the block's first row."""
-        return PointEstimate(self.beta_hat.item(), _item(self.alpha_hat), self.j,
-                             {name: value.item() for name, value in self.guards.items()})
-
-
-def _item(column) -> Optional[float]:
-    return None if column is None else column.item()
 
 
 @quiet_overflow
@@ -165,7 +152,10 @@ def estimate(data, side: SideInfo) -> PointEstimate:
     check_side(side)
     rows = as_rows(data)
     est = estimate_from_moments(moment_set(rows.y, rows.x, side.c, rows.status), side)
-    return est.first() if rows.status.raising else est
+    if not rows.status.raising:
+        return est
+    return PointEstimate(one_value(est.beta_hat), one_value(est.alpha_hat), est.j,
+                         {name: one_value(value) for name, value in est.guards.items()})
 
 
 @dataclass(frozen=True)
@@ -192,7 +182,7 @@ def naive_ratio_estimates(data, c: int = 1) -> NaiveEstimates:
     a = estimate_from_moments(ms, SideInfo.case1(0.0, 0.0, c))
     b = estimate_from_moments(ms, SideInfo.case2(0.0, 0.0, c))
     naive = (a.beta_hat, b.beta_hat, a.alpha_hat, b.alpha_hat)
-    return NaiveEstimates(*(map(_item, naive) if rows.status.raising else naive))
+    return NaiveEstimates(*(map(one_value, naive) if rows.status.raising else naive))
 
 
 def reliability_ratio(xi, var_epsilon: float, c: int = 1) -> float:

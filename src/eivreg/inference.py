@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ZeroNormalizer
 from .estimators import SideInfo, check_side, estimate_from_moments
 from .moments import (MomentSet, Rows, RowStatus, _range_error, as_rows, check_finite_number,
-                      check_integer, checked_fsum, moment_set, quiet_overflow)
+                      check_integer, checked_fsum, moment_set, one_value, quiet_overflow)
 from .normal import norm_cdf, z_for_gamma
 
 __all__ = [
@@ -118,11 +118,6 @@ def _moments(rows: Rows, side: SideInfo) -> MomentSet:
     return ms
 
 
-def _one(status: RowStatus, column):
-    """``column`` for a block; its one value for a one-sample call."""
-    return column.item() if status.raising else column
-
-
 def _slope_terms(ms: MomentSet, side: SideInfo, b) -> Tuple[np.ndarray, np.ndarray]:
     """Normalizer U and the slope terms a_i = ay - b*ax at slope ``b``, a
     number or a column."""
@@ -135,7 +130,7 @@ def _plugin_sum(ms: MomentSet, side: SideInfo) -> Tuple[np.ndarray, np.ndarray, 
     columns.  Its callers run under ``quiet_overflow``."""
     b = estimate_from_moments(ms, side).beta_hat
     U, terms = _slope_terms(ms, side, b)
-    return U, b, checked_fsum("a_i(beta_hat)^2", terms ** 2, ms.status)
+    return U, b, ms.status.normalizer("a_i(beta_hat)^2", terms)
 
 
 def _intercept_studentization(rows: Rows, side: SideInfo, beta: Optional[float] = None,
@@ -149,7 +144,7 @@ def _intercept_studentization(rows: Rows, side: SideInfo, beta: Optional[float] 
     U, slope_terms = _slope_terms(ms, side, b)
     terms = (rows.y - alpha0) - b * rows.x - (ms.x_bar / U) * slope_terms
     v_bar = checked_fsum("v_i", terms, ms.status) / ms.n
-    return ms.n, est.alpha_hat, checked_fsum("(v_i - v_bar)^2", (terms - v_bar) ** 2, ms.status)
+    return ms.n, est.alpha_hat, ms.status.normalizer("(v_i - v_bar)^2", terms - v_bar)
 
 
 @quiet_overflow
@@ -158,7 +153,8 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str):
     of ``Rows``, the (B, 1) column of the rows' values.
 
     Raises ZeroNormalizer when the normalizing sum of squares vanishes
-    (for example on exact-line data); a row of a block fails with it.
+    (for example on exact-line data), and ValueError when it underflows
+    though its terms do not; a row of a block fails with either.
     """
     check_side(side)
     if variant not in SLOPE_VARIANTS:
@@ -171,16 +167,16 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str):
     # known-slope terms, so the numerator never goes through beta_hat.
     term_mean = checked_fsum("a_i", terms, status) / n
     if variant == "studentized":
-        ss = checked_fsum("(a_i - a_bar)^2", (terms - term_mean) ** 2, status)
+        ss = status.normalizer("(a_i - a_bar)^2", terms - term_mean)
         residuals = "centered slope"
     elif variant == "self_normalized":
-        ss, residuals = checked_fsum("a_i^2", terms ** 2, status), "slope"
+        ss, residuals = status.normalizer("a_i^2", terms), "slope"
     else:
         ss, residuals = _plugin_sum(ms, side)[2], "plug-in slope"
     status.fail(ss == 0.0, lambda i: ZeroNormalizer(f"{residuals} residuals are all zero"))
-    if variant == "studentized":
-        return _one(status, math.sqrt(n) * term_mean / np.sqrt(ss / (n - 1)))
-    return _one(status, n * term_mean / np.sqrt(ss))
+    value = (math.sqrt(n) * term_mean / np.sqrt(ss / (n - 1)) if variant == "studentized"
+             else n * term_mean / np.sqrt(ss))
+    return one_value(value) if status.raising else value
 
 
 @quiet_overflow
@@ -209,8 +205,9 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
     rows = as_rows(data)
     n, alpha_hat, ss = _intercept_studentization(rows, side, beta, alpha)
     rows.status.fail(ss == 0.0, lambda i: ZeroNormalizer("centered intercept residuals are all zero"))
-    return _one(rows.status, rows.status.finite(
-        "the intercept statistic", math.sqrt(n) * (alpha_hat - alpha) / np.sqrt(ss / (n - 1))))
+    value = rows.status.finite("the intercept statistic",
+                               math.sqrt(n) * (alpha_hat - alpha) / np.sqrt(ss / (n - 1)))
+    return one_value(value) if rows.status.raising else value
 
 
 @dataclass(frozen=True)
@@ -246,9 +243,9 @@ def _interval(status: RowStatus, center, lower, upper, level: float, family: str
         status.finite(f"the {part} of the {family} interval", value, where)
     if not status.raising:
         return IntervalEstimate(center, lower, upper, level, family, j, k, degeneracy)
-    kind = degeneracy if isinstance(degeneracy, str) else degeneracy.item()
-    ends = (lower.item(), upper.item()) if kind == DEGENERACY_NONE else (None, None)
-    return IntervalEstimate(center.item(), *ends, level, family, j, k, kind)
+    kind = one_value(degeneracy)
+    ends = map(one_value, (lower, upper)) if kind == DEGENERACY_NONE else (None, None)
+    return IntervalEstimate(one_value(center), *ends, level, family, j, k, kind)
 
 
 @quiet_overflow
@@ -258,11 +255,10 @@ def ci_slope_plugin(data, side: SideInfo, gamma: Optional[float] = None, *,
     beta_hat -+ z * sqrt(sum a_i(beta_hat)^2) / (n*|U|)."""
     check_side(side)
     z, level = _resolve_z(gamma, z)
-    rows = as_rows(data)
-    ms = _moments(rows, side)
+    ms = _moments(as_rows(data), side)
     U, b, ss = _plugin_sum(ms, side)
     half = z * np.sqrt(ss) / (ms.n * np.abs(U))
-    return _interval(rows.status, b, b - half, b + half, level, "slope_plugin", side.case)
+    return _interval(ms.status, b, b - half, b + half, level, "slope_plugin", side.case)
 
 
 @quiet_overflow
@@ -318,8 +314,7 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
     check_side(side)
     check_quadratic(side, k)
     z, level = _resolve_z(gamma, z)
-    rows = as_rows(data)
-    ms = _moments(rows, side)
+    ms = _moments(as_rows(data), side)
     beta1 = estimate_from_moments(ms, side).beta_hat
     A, N, C, d4 = _quadratic_coefficients(ms, side, k, z, beta1)
     status = ms.status

@@ -27,7 +27,8 @@ floats do against one sample's terms.  A ``RowStatus`` holds the first
 check each row fails, in the order the one-sample code checks, so the
 Monte Carlo harness evaluates many replications in one pass and still
 gives each the outcome of its own call.  A one-sample call is the block of
-one row whose status raises at once.
+one row whose status raises at once, and its public function's one exit,
+``one_value``, turns the block's (1, 1) columns into the call's floats.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def fsum(values):
     if isinstance(values, np.ndarray):
         if values.dtype == np.float64 and values.ndim in (1, 2):
             sums = _row_sums(values if values.ndim == 2 else values[None, :], math.fsum)
-            return sums if values.ndim == 2 else float(sums[0])
+            return sums if values.ndim == 2 else one_value(sums)
         values = values.tolist()
     return math.fsum(values)
 
@@ -275,10 +276,8 @@ class Dataset:
 
     def __post_init__(self):
         y, x = as_sample(self.y, self.x)
-        check_finite("y", y)
-        check_finite("x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", check_finite("y", y))
+        object.__setattr__(self, "x", check_finite("x", x))
 
     @property
     def n(self) -> int:
@@ -295,6 +294,14 @@ def _range_error(name: str) -> ValueError:
     """The error of a value that is not finite though its inputs are: it
     has overflowed."""
     return ValueError(f"{name} overflows the float range")
+
+
+def one_value(column):
+    """The value a one-sample call returns for a result of its one-row
+    block: the one entry of the array as a Python float, or a str for a
+    degeneracy kind.  None, and a str that every row shares, stay as
+    they are."""
+    return column.item() if isinstance(column, np.ndarray) else column
 
 
 def _in_range(name: str, value: Callable[[], float]) -> float:
@@ -319,7 +326,8 @@ class RowStatus:
     is still computed on, with floating-point warnings off, but nothing
     reads its results.  The status of a one-sample call is ``raising``: it
     raises the first failure at once, so that call stops where the check
-    is.
+    is.  Block code hands on columns under either status; the public
+    function that made it turns them into floats with ``one_value``.
     """
 
     def __init__(self, rows: int, raising: bool = False):
@@ -346,6 +354,18 @@ class RowStatus:
         bad = ~np.isfinite(values)
         self.fail(bad if where is True else bad & where, lambda i: _range_error(name))
         return values
+
+    def normalizer(self, name: str, terms: np.ndarray) -> np.ndarray:
+        """The column of the row sums of squares of the block ``terms``, the
+        normalizer ``name``.  A row fails where the sum overflows, or where it
+        is below the least normal float, 2**-1022, though a term is not zero:
+        its squares have lost bits.  An all-zero row passes."""
+        sums = checked_fsum(name, terms ** 2, self)
+        low = sums < 2.0 ** -1022
+        if np.count_nonzero(low):
+            self.fail(low & (np.count_nonzero(terms, axis=1)[:, None] > 0),
+                      lambda i: ValueError(f"sum of {name} underflows the float range"))
+        return sums
 
 
 class Rows:
@@ -381,7 +401,7 @@ def checked_fsum(name: str, values, status: Optional[RowStatus] = None):
     if one:
         values, status = values[None, :], RowStatus(1, raising=True)
     sums = status.finite(f"sum of {name}", _row_totals(values))[:, None]
-    return sums.item() if one else sums
+    return one_value(sums) if one else sums
 
 
 def series_mean(name: str, values: np.ndarray, status: RowStatus) -> np.ndarray:
@@ -427,9 +447,9 @@ class MomentSet:
 
     def first(self) -> "MomentSet":
         """The one-sample moment set of the block's first row."""
-        return MomentSet(self.n, self.c, self.y_bar.item(), self.x_bar.item(), self.s_yy[0],
-                         self.s_xy[0], self.s_xx[0], self.S_yy.item(), self.S_xy.item(),
-                         self.S_xx.item())
+        return MomentSet(self.n, self.c, *map(one_value, (self.y_bar, self.x_bar)),
+                         self.s_yy[0], self.s_xy[0], self.s_xx[0],
+                         *map(one_value, (self.S_yy, self.S_xy, self.S_xx)))
 
 
 @quiet_overflow
@@ -443,13 +463,10 @@ def moment_set(y, x, c: int = 1, status: Optional[RowStatus] = None) -> MomentSe
     result is their block moment set, whose rows fail in ``status`` instead
     of raising.
     """
-    if status is not None:
-        return _moment_rows(y, x, c, status)
-    y, x = as_sample(y, x)
-    return _moment_rows(y[None, :], x[None, :], c, RowStatus(1, raising=True)).first()
-
-
-def _moment_rows(y: np.ndarray, x: np.ndarray, c, status: RowStatus) -> MomentSet:
+    one = status is None
+    if one:
+        y, x = as_sample(y, x)
+        y, x, status = y[None, :], x[None, :], RowStatus(1, raising=True)
     c = check_intercept_flag(c)
     n = y.shape[1]
     y_bar = series_mean("y", y, status)
@@ -462,8 +479,7 @@ def _moment_rows(y: np.ndarray, x: np.ndarray, c, status: RowStatus) -> MomentSe
     # only when one of its two squares does.
     S_yy = checked_fsum("s_yy", s_yy, status) / n
     S_xx = checked_fsum("s_xx", s_xx, status) / n
-    return MomentSet(
-        n=n, c=c, y_bar=y_bar, x_bar=x_bar,
-        s_yy=s_yy, s_xy=s_xy, s_xx=s_xx,
-        S_yy=S_yy, S_xy=checked_fsum("s_xy", s_xy, status) / n, S_xx=S_xx, status=status,
-    )
+    ms = MomentSet(n=n, c=c, y_bar=y_bar, x_bar=x_bar, s_yy=s_yy, s_xy=s_xy, s_xx=s_xx,
+                   S_yy=S_yy, S_xy=checked_fsum("s_xy", s_xy, status) / n, S_xx=S_xx,
+                   status=status)
+    return ms.first() if one else ms

@@ -169,6 +169,24 @@ class TestCi:
         assert main(["ci", csv, *TINY_SIDE, "--family", family]) == 2
         assert capsys.readouterr().err == "eivreg: beta_hat overflows the float range\n"
 
+    # The plug-in normalizer of these rows is a normal float at 1e-76 and
+    # subnormal from 1e-77 on; at 1e-90 the interval had zero width.
+    @pytest.mark.parametrize("scale", [1e-76, 1e-77, 1e-80, 1e-90])
+    def test_underflow_exit_2(self, tmp_path, capsys, scale):
+        rows = "".join(f"{scale * a!r},{0.9 * scale * b!r}\n" for a, b in
+                       zip((1.0, -0.5, 0.7, 1.2, 0.3), (1.1, -0.4, 0.9, 1.0, 0.1)))
+        csv = write(tmp_path, "small.csv", "y,x\n" + rows)
+        code = main(["ci", csv, "--case", "2", "--theta", "0", "--mu", "0", "--intercept",
+                     "--family", "plugin-slope"])
+        out, err = capsys.readouterr()
+        if scale == 1e-76:
+            assert code == 0 and err == ""
+            assert json.loads(out)["lower"] == 0.8543375353162495
+            assert json.loads(out)["upper"] == 1.3293935398697905
+        else:
+            assert (code, out) == (2, "")
+            assert err == "eivreg: sum of a_i(beta_hat)^2 underflows the float range\n"
+
     def test_intercept_family(self, tmp_path):
         csv = write(tmp_path, "off.csv", OFFLINE_CSV)
         proc = run_cli("ci", csv, "--case", "2", "--theta", "0", "--mu", "0",

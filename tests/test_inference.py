@@ -31,6 +31,7 @@ from eivreg import (
     slope_statistic,
     z_for_gamma,
 )
+from eivreg.moments import Rows
 from eivreg.montecarlo import EXPERIMENTS
 
 REL = 1e-10
@@ -530,3 +531,75 @@ def test_overflowing_result_named(name):
     call, result = _HUGE[name]
     with pytest.raises(ValueError, match=rf"^{re.escape(result)} overflows the float range$"):
         call(m0_dataset(30, 3))
+
+
+def _scaled(s):
+    """The underflow rows at scale ``s``.  Under case 2 with theta = mu = 0
+    the slope terms are products of two data values, so the sums of their
+    squares are subnormal from s = 1e-77 on; the intercept terms keep the
+    scale of the data, so theirs are from about s = 1e-155 on."""
+    return Dataset(s * np.array([1.0, -0.5, 0.7, 1.2, 0.3]),
+                   0.9 * s * np.array([1.1, -0.4, 0.9, 1.0, 0.1]))
+
+
+_UNDERFLOWING = {
+    **{variant: (lambda d, variant=variant: slope_statistic(d, SIDE2_FREE, 1.0, variant), sum_)
+       for variant, sum_ in (("studentized", "(a_i - a_bar)^2"), ("self_normalized", "a_i^2"),
+                             ("self_normalized_plugin", "a_i(beta_hat)^2"))},
+    "ci_slope_plugin": (lambda d: ci_slope_plugin(d, SIDE2_FREE, 0.05), "a_i(beta_hat)^2"),
+    "intercept_statistic": (lambda d: intercept_statistic(d, SIDE2_FREE, 0.0), "(v_i - v_bar)^2"),
+    "intercept_statistic_known_slope": (lambda d: intercept_statistic(
+        d, SIDE2_FREE, 0.0, beta=1.0, variant="known_slope"), "(v_i - v_bar)^2"),
+    "ci_intercept": (lambda d: ci_intercept(d, SIDE2_FREE, 0.05), "(v_i - v_bar)^2"),
+}
+
+
+@pytest.mark.parametrize("s", [1e-77, 1e-80, 1e-90, 1e-155])
+@pytest.mark.parametrize("name", list(_UNDERFLOWING))
+def test_underflowing_normalizer_named(name, s):
+    # Subnormal squares have lost bits, and at 1e-90 the slope terms' squares
+    # are all zero though no term is: the sum is named, not read as a value
+    # or as a zero normalizer.  The intercept sums stay normal down to 1e-90.
+    call, sum_ = _UNDERFLOWING[name]
+    if s > 1e-155 and sum_ == "(v_i - v_bar)^2":
+        call(_scaled(s))
+        return
+    with pytest.raises(ValueError) as exc:
+        call(_scaled(s))
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"sum of {sum_} underflows the float range"
+
+
+# The values of the calls of _UNDERFLOWING, intervals as (center, lower,
+# upper), at scales whose normalizing sums are normal floats.
+_NORMAL_SCALE_VALUES = {
+    1e-76: [0.5684766437333333, 0.6113595317443431, 0.7580291307840397,
+            (1.09186553759302, 0.8543375353162495, 1.3293935398697905),
+            0.0939577642144887, 0.07662454835507955,
+            (9.353348729792219e-79, -1.8575800580805123e-77, 2.0446470326763567e-77)],
+    1e-60: [0.5684766437333333, 0.6113595317443429, 0.75802913078404,
+            (1.0918655375930202, 0.8543375353162498, 1.3293935398697907),
+            0.09395776421448818, 0.07662454835507908,
+            (9.353348729792161e-63, -1.857580058080512e-61, 2.044647032676355e-61)],
+}
+
+
+@pytest.mark.parametrize("s", list(_NORMAL_SCALE_VALUES))
+def test_normal_normalizers_keep_their_values(s):
+    got = []
+    for call, _ in _UNDERFLOWING.values():
+        value = call(_scaled(s))
+        got.append((value.center, value.lower, value.upper) if hasattr(value, "center")
+                   else value)
+    assert list(map(repr, got)) == list(map(repr, _NORMAL_SCALE_VALUES[s]))
+
+
+def test_underflowing_row_fails_alone():
+    data = [_scaled(s) for s in (1.0, 1e-80, 1e-60)]
+    rows = Rows(np.stack([d.y for d in data]), np.stack([d.x for d in data]))
+    values = slope_statistic(rows, SIDE2_FREE, 1.0, "studentized")
+    first, error, last = rows.status.errors
+    assert first is None and last is None
+    assert str(error) == "sum of (a_i - a_bar)^2 underflows the float range"
+    assert values[[0, 2], 0].tolist() == [slope_statistic(data[i], SIDE2_FREE, 1.0, "studentized")
+                                          for i in (0, 2)]

@@ -4,7 +4,10 @@ import math
 import os
 import pickle
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,9 @@ from eivreg.normal import z_for_gamma
 from eivreg.samplers import Latent
 from eivreg.workers import Worker
 from test_samplers import BASES, XI_CASES, XI_IDS
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def cfg(**kw):
@@ -659,6 +665,40 @@ def test_sub_block_plan(monkeypatch, n, rows):
     config = cfg(n_values=(n,), replications=rows + 1)
     _fill(config, n, 0, rows + 1, _outcome_columns(config))
     assert sizes == [rows, 1]
+
+
+# Runs each Student-t2 experiment at n = 2000 (coverage16 with k = 1) once
+# to warm the heap up, then prints the minor page faults per replication of
+# a second run.
+FAULTS = """
+import json, resource
+from eivreg import ExperimentConfig, run_experiment
+from conftest import SIDE1_M0, SIDE2_M0, T2_SPEC
+faults = {}
+for experiment, side in (("coverage14", SIDE2_M0), ("coverage16", SIDE1_M0)):
+    config = ExperimentConfig(spec=T2_SPEC, side=side, experiment=experiment, n_values=(2000,),
+                              replications=200, gamma=0.05, seed=1)
+    run_experiment(config)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_experiment(config)
+    faults[experiment] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc's heap faults")
+def test_sub_block_plan_keeps_its_heap():
+    # _fill frees a sub-block's raw variates before evaluating it.  Kept
+    # alive, they lift the heap's peak past glibc's dynamic trim threshold,
+    # and the freed top is returned and faulted back in every sub-block:
+    # about 12 minor faults a replication against under 5.  MALLOC_* tunables
+    # would move the threshold, so the child runs without them.
+    env = {name: value for name, value in os.environ.items() if not name.startswith("MALLOC_")}
+    env.update(PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]), EIVREG_WORKERS="1")
+    out = subprocess.run([sys.executable, "-c", FAULTS], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    faults = json.loads(out)
+    assert all(count < 8 for count in faults.values()), faults
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -39,8 +39,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eivreg.")
 
 # So --version and --help load no NumPy, no dataclasses (which imports
 # inspect) and no layer; estimate, ci and diagnose no montecarlo, config or
-# samplers; simulate no montecarlo, inference or diagnostics; experiment
-# loads the worker module only when it forks, and no multiprocessing.
+# samplers; simulate no estimators, montecarlo, inference or diagnostics;
+# experiment loads the worker module only when it forks, and no
+# multiprocessing.
 BARE = ["eivreg.cli", "eivreg.errors"]
 LAYER = BARE + ["dataclasses", "inspect", "numpy"]
 FIT = LAYER + ["eivreg.estimators", "eivreg.jsonout", "eivreg.moments"]
@@ -59,8 +60,7 @@ IMPORTS = {
                  LAYER + ["eivreg.diagnostics", "eivreg.jsonout", "eivreg.moments",
                           "eivreg.normal"]),
     "simulate": (["simulate", "--config", "config.json", "--out", "sim.csv", "--latent"],
-                 LAYER + ["eivreg.config", "eivreg.estimators", "eivreg.moments",
-                          "eivreg.samplers"]),
+                 LAYER + ["eivreg.config", "eivreg.moments", "eivreg.samplers"]),
     "experiment": (["experiment", "--config", "config.json"], EXPERIMENT),
     # One usable core runs every worker count in one process.
     "experiment_2_workers": (["experiment", "--config", "config.json"],
