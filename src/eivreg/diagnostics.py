@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ZeroNormalizer
-from .moments import (RowStatus, as_series, check_finite, check_finite_number, checked_fsum,
-                      fsum, one_value, quiet_overflow, series_mean)
+from .moments import (RowStatus, as_series, check_finite, check_finite_number, fsum,
+                      one_value, quiet_overflow, series_mean)
 from .normal import norm_cdf
 
 __all__ = [
@@ -37,42 +37,46 @@ _KS_BLOCK = 1 << 12
 
 @quiet_overflow
 def obrien_ratio(z) -> float:
-    """max_i z_i^2 / sum_i z_i^2; raises ZeroNormalizer on an all-zero series."""
-    z = check_finite("z", as_series("z", z))
-    sq = z * z
-    total = checked_fsum("z^2", sq)
-    if total == 0.0:
-        raise ZeroNormalizer("ratio undefined: all values are zero")
-    return float(np.max(sq)) / total
+    """max_i z_i^2 / sum_i z_i^2; raises ZeroNormalizer on an all-zero series
+    and ValueError where the sum of squares overflows, or underflows though
+    a value is not zero (``RowStatus.normalizer``)."""
+    z = check_finite("z", as_series("z", z))[None, :]
+    status = RowStatus(1, raising=True)
+    total = status.normalizer("z^2", z)
+    status.fail(total == 0.0, lambda i: ZeroNormalizer("ratio undefined: all values are zero"))
+    return one_value(np.max(z * z, axis=1, keepdims=True) / total)
 
 
 @quiet_overflow
 def empirical_bn(z, status: Optional[RowStatus] = None):
     """Plug-in normalizer sqrt(sum (z_i - z_bar)^2); needs n >= 2.  With a
     ``status``, ``z`` is a (B, n) block and the result the (B, 1) column of
-    its rows' normalizers; a row whose sum overflows fails in ``status``."""
+    its rows' normalizers.  A row whose sum of squares overflows, or
+    underflows though a term is not zero (``RowStatus.normalizer``), fails
+    in ``status``; a one-sample call raises ValueError."""
     one = status is None
     if one:
         z, status = as_series("z", z)[None, :], RowStatus(1, raising=True)
     if z.shape[1] < 2:
         raise ValueError(f"need at least 2 observations, got {z.shape[1]}")
-    z_bar = series_mean("z", z, status)
-    bn = np.sqrt(checked_fsum("(z - z_bar)^2", (z - z_bar) ** 2, status))
+    bn = np.sqrt(status.normalizer("(z - z_bar)^2", z - series_mean("z", z, status)))
     return one_value(bn) if one else bn
 
 
 @quiet_overflow
 def selfnorm_sum(z, a: float) -> float:
     """sum (z_i - a) / sqrt(sum (z_i - a)^2); raises ZeroNormalizer when all
-    z_i equal a."""
+    z_i equal a, and ValueError where the sum of squares overflows, or
+    underflows though a difference is not zero (``RowStatus.normalizer``)."""
     z = check_finite("z", as_series("z", z))
     check_finite_number("a", a)
     d = z - a
-    ss = checked_fsum("(z - a)^2", d * d)
-    if ss == 0.0:
-        raise ZeroNormalizer("self-normalized sum undefined: all values equal the center")
+    status = RowStatus(1, raising=True)
+    ss = status.normalizer("(z - a)^2", d[None, :])
+    status.fail(ss == 0.0, lambda i: ZeroNormalizer(
+        "self-normalized sum undefined: all values equal the center"))
     # A finite sum of squares bounds the plain sum: |sum d| <= sqrt(n * ss).
-    return fsum(d) / math.sqrt(ss)
+    return fsum(d) / math.sqrt(one_value(ss))
 
 
 def ks_distance_to_normal(samples) -> float:

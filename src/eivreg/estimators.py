@@ -109,14 +109,12 @@ class PointEstimate:
 
 @quiet_overflow
 def estimate_from_moments(ms: MomentSet, side: SideInfo) -> PointEstimate:
-    """The estimate under ``side`` of the block moment set ``ms`` together
-    with the guard values it was checked against.  Each row's guard
-    violation, or guard value or estimate that leaves the float range,
-    fails in its status."""
+    """The estimate under ``side`` of the block moment set ``ms``, which has
+    the intercept flag ``side.c``, with the guard values it was checked
+    against.  Each row's guard violation, or guard value or estimate that
+    leaves the float range, fails in its status."""
     if ms.n < 2:
         raise ValueError(f"need at least 2 observations, got {ms.n}")
-    if ms.c != side.c:
-        raise ValueError("moment set and side info disagree on the intercept flag")
     status = ms.status
     # S_yy - lambda_theta and S_xx - theta cannot overflow: both terms are
     # nonnegative.  S_xy - mu can.

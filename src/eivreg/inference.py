@@ -235,12 +235,12 @@ class IntervalEstimate:
 
 def _interval(status: RowStatus, center, lower, upper, level: float, family: str, j: int,
               k: Optional[int] = None, degeneracy=DEGENERACY_NONE) -> IntervalEstimate:
-    """The interval of the block of ``status``: a row whose center, or an
-    end of its bounded interval, leaves the float range fails."""
+    """The interval of the block of ``status``: a row whose bounded interval
+    has an end that leaves the float range fails.  The center is an
+    estimate that ``estimate_from_moments`` has checked."""
     bounded = degeneracy == DEGENERACY_NONE
-    for part, value, where in (("center", center, True), ("lower end", lower, bounded),
-                               ("upper end", upper, bounded)):
-        status.finite(f"the {part} of the {family} interval", value, where)
+    for part, value in (("lower end", lower), ("upper end", upper)):
+        status.finite(f"the {part} of the {family} interval", value, bounded)
     if not status.raising:
         return IntervalEstimate(center, lower, upper, level, family, j, k, degeneracy)
     kind = one_value(degeneracy)

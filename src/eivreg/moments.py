@@ -16,7 +16,10 @@ array exactly in NumPy by error-free extraction (Rump, Ogita and Oishi,
 2008): the whole block at once, with a sigma per row.  Almost every row
 stops after the first level, where a certified bound shows that its
 remainder cannot move the rounding (as in AccSum and NearSum, part II of
-the same paper); the others go on until their remainder is zero.
+the same paper); the others go on until their remainder is zero.  A row
+reads inf where ``math.fsum`` raises, and ``checked_fsum`` fails it by the
+name of its sum; ``RowStatus.normalizer`` is the one rule of a sum of
+squares that a pivot or a diagnostic divides by.
 
 A ``Dataset`` is one checked sample, y and x, with the latent truth of a
 simulated one; the fitting commands build it without the generators.
@@ -82,13 +85,17 @@ def fsum(values):
     An empty row, a row holding a NaN or an infinity, an all-zero row and
     a row with magnitudes of 2**(1020 - L) or more, where sigma could
     overflow (L = (n + 1).bit_length()), goes to ``math.fsum`` itself,
-    which keeps its NaN, infinity and overflow behaviour; so do lists and
-    arrays of other types or shapes.
+    which keeps its NaN and infinity values.  Where ``math.fsum`` raises,
+    because its partial sums overflow or it meets -inf + inf, a row of a
+    2-D block reads inf and the other rows keep their sums; a 1-D array,
+    a list and an array of another type or shape raise as ``math.fsum``
+    does.
     """
     if isinstance(values, np.ndarray):
-        if values.dtype == np.float64 and values.ndim in (1, 2):
-            sums = _row_sums(values if values.ndim == 2 else values[None, :], math.fsum)
-            return sums if values.ndim == 2 else one_value(sums)
+        if values.dtype == np.float64 and values.ndim == 2:
+            return _row_sums(values, _fsum_or_inf)
+        if values.dtype == np.float64 and values.ndim == 1:
+            return one_value(_row_sums(values[None, :], math.fsum))
         values = values.tolist()
     return math.fsum(values)
 
@@ -176,17 +183,6 @@ def _fsum_or_inf(values: list) -> float:
         return math.fsum(values)
     except (OverflowError, ValueError):
         return math.inf
-
-
-def _row_totals(rows: np.ndarray) -> np.ndarray:
-    """fsum of each row of ``rows``, inf where ``math.fsum`` raises."""
-    # Through the name fsum, not _row_sums: bench/tracer.py times every
-    # exact sum as the moments.fsum span, and tests/test_bench_trace.py pins
-    # how many fsum calls a traced experiment makes.
-    try:
-        return fsum(rows)
-    except (OverflowError, ValueError):
-        return _row_sums(rows, _fsum_or_inf)
 
 
 def as_series(name: str, seq) -> np.ndarray:
@@ -357,9 +353,10 @@ class RowStatus:
 
     def normalizer(self, name: str, terms: np.ndarray) -> np.ndarray:
         """The column of the row sums of squares of the block ``terms``, the
-        normalizer ``name``.  A row fails where the sum overflows, or where it
-        is below the least normal float, 2**-1022, though a term is not zero:
-        its squares have lost bits.  An all-zero row passes."""
+        normalizer ``name`` of a pivot or a diagnostic.  A row fails where
+        the sum overflows, or where it is below the least normal float,
+        2**-1022, though a term is not zero: its squares have lost bits.  An
+        all-zero row passes."""
         sums = checked_fsum(name, terms ** 2, self)
         low = sums < 2.0 ** -1022
         if np.count_nonzero(low):
@@ -392,16 +389,14 @@ def as_rows(data) -> Rows:
     return data
 
 
-def checked_fsum(name: str, values, status: Optional[RowStatus] = None):
-    """fsum(values); raises ValueError naming the sum if it leaves the float
-    range.  With a ``status``, ``values`` is a (B, n) block and the result
-    the (B, 1) column of its row sums; a row whose sum leaves the range
-    fails in ``status``."""
-    one = status is None
-    if one:
-        values, status = values[None, :], RowStatus(1, raising=True)
-    sums = status.finite(f"sum of {name}", _row_totals(values))[:, None]
-    return one_value(sums) if one else sums
+def checked_fsum(name: str, values: np.ndarray, status: RowStatus) -> np.ndarray:
+    """The (B, 1) column of the row sums of the (B, n) block ``values``; a
+    row whose sum leaves the float range fails in ``status``, naming the
+    sum of ``name``."""
+    # Every exact sum goes through the name fsum: bench/tracer.py times it
+    # as the moments.fsum span, and tests/test_bench_trace.py pins how many
+    # fsum calls a traced experiment makes.
+    return status.finite(f"sum of {name}", fsum(values))[:, None]
 
 
 def series_mean(name: str, values: np.ndarray, status: RowStatus) -> np.ndarray:
@@ -409,7 +404,7 @@ def series_mean(name: str, values: np.ndarray, status: RowStatus) -> np.ndarray:
     series.  A row whose sum is not finite fails, naming its first
     non-finite entry if it has one and else the overflowing sum; only such
     a row costs a scan."""
-    sums = _row_totals(values)
+    sums = fsum(values)
     status.fail(~np.isfinite(sums), lambda i: _nonfinite_error(name, values[i])
                 or _range_error(f"sum of {name}"))
     return sums[:, None] / values.shape[1]

@@ -445,6 +445,13 @@ class TestDiagnose:
         assert proc.returncode == 2
         assert proc.stderr == "eivreg: sum of z^2 overflows the float range\n"
 
+    def test_underflow_exit_2(self, tmp_path):
+        # Squares below the least normal float, though no value is zero.
+        csv = write(tmp_path, "z.csv", "z\n9.9e-161\n-3.6e-161\n8.1e-161\n9e-161\n9e-162\n")
+        proc = run_cli("diagnose", csv)
+        assert proc.returncode == 2
+        assert proc.stderr == "eivreg: sum of z^2 underflows the float range\n"
+
     def test_single_value(self, tmp_path):
         csv = write(tmp_path, "z.csv", "z\n7\n")
         proc = run_cli("diagnose", csv)

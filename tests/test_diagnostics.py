@@ -178,6 +178,44 @@ def test_undefined_statistic_is_zero_normalizer(call):
         call()
 
 
+# Each diagnostic and the sum of squares it divides by.
+SUMS_OF_SQUARES = {"obrien_ratio": (obrien_ratio, "z^2"),
+                   "empirical_bn": (empirical_bn, "(z - z_bar)^2"),
+                   "selfnorm_sum": (lambda z: selfnorm_sum(z, 0.0), "(z - a)^2")}
+
+
+def _tiny(s):
+    """Five values of scale ``s``, none of them zero."""
+    return 0.9 * s * np.array([1.1, -0.4, 0.9, 1.0, 0.1])
+
+
+@pytest.mark.parametrize("s", [1e-160, 1e-165])
+@pytest.mark.parametrize("name", SUMS_OF_SQUARES)
+def test_underflowing_sum_of_squares_named(name, s):
+    # The squares are subnormal and have lost bits; at 1e-165 the ratio read
+    # "all values are zero" and the normalizer 0.0 before the rule.
+    call, sum_ = SUMS_OF_SQUARES[name]
+    with pytest.raises(ValueError) as exc:
+        call(_tiny(s))
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"sum of {sum_} underflows the float range"
+
+
+@pytest.mark.parametrize("name, value", [("obrien_ratio", "0.3793103448275862"),
+                                         ("empirical_bn", "1.1844492390980714e-150"),
+                                         ("selfnorm_sum", "1.5117097795808068")])
+def test_normal_sums_of_squares_keep_their_values(name, value):
+    # Reprs from before the underflow rule: a sum above 2**-1022 is unchanged.
+    assert repr(SUMS_OF_SQUARES[name][0](_tiny(1e-150))) == value
+
+
+@pytest.mark.parametrize("name", ["obrien_ratio", "selfnorm_sum"])
+def test_all_zero_column_is_still_zero_normalizer(name):
+    # Its sum is below 2**-1022 too, but no square has lost a bit.
+    with pytest.raises(ZeroNormalizer):
+        SUMS_OF_SQUARES[name][0](np.zeros(5))
+
+
 @pytest.mark.parametrize("dist", [
     XiDistribution.normal(0, 1),
     XiDistribution.uniform(-1, 1),

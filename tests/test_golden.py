@@ -83,6 +83,8 @@ DATA_CSV = _data_csv()
 OFFLINE_CSV = "y,x\n1,0\n3,1\n6,2\n"
 CONST_X_CSV = "y,x\n1,1\n2,1\n3,1\n"
 COLUMN_CSV = "z\n" + "".join(f"{((i * 29) % 31) / 4.0 - 3.5!r}\n" for i in range(25))
+# No value is zero, but every square is subnormal: the sum of z^2 underflows.
+UNDERFLOW_CSV = "z\n9.9e-161\n-3.6e-161\n8.1e-161\n9e-161\n9e-162\n"
 
 
 @dataclass(frozen=True)
@@ -220,6 +222,7 @@ CASES = [
     fit_case("ci_reject_gamma_1_5", "ci", *SIDE2, "--family", "plugin-slope",
              "--gamma", "1.5"),
     fit_case("diagnose_reject_center_nan", "diagnose", "--column", "x", "--center", "nan"),
+    Case("diagnose_reject_underflow", ("diagnose", "z.csv"), {"z.csv": UNDERFLOW_CSV}),
     fit_case("estimate_reject_non_numeric_cell", "estimate", *SIDE2,
              csv="y,x\n1,0\nabc,1\n5,2\n"),
     fit_case("estimate_reject_duplicate_column", "estimate", *SIDE2, "--intercept",

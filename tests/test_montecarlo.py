@@ -736,6 +736,27 @@ def test_first_failing_row_stops_the_block_with_its_scalar_error():
         assert str(block.value) == str(scalar.value) == "sum of s_yy overflows the float range"
 
 
+def test_underflowing_rate_row_stops_the_block_with_its_scalar_error(monkeypatch):
+    # Row 10's latent values are of scale 1e-160, so the squares of the rate
+    # normalizer b_n are subnormal: the block stops with the error of the
+    # one-sample call, as an overflowing sum does, and so does a run.
+    rows = _mixed_rows()
+    rows[10] = (rows[10][0], rows[10][1], 1e-160 * rows[10][2])
+    config = cfg(spec=_spec(M0_SPEC.xi, 1), side=SIDE2_M0, experiment="rate", n_values=(6,),
+                 replications=len(rows))
+    with pytest.raises(ValueError) as scalar:
+        _scalar_outcome(config, _dataset(*rows[10]))
+    with pytest.raises(ValueError) as block:
+        _block_outcomes(config, rows)
+    assert type(block.value) is type(scalar.value) is ValueError
+    assert str(block.value) == str(scalar.value) == \
+        "sum of (z - z_bar)^2 underflows the float range"
+    monkeypatch.setenv("EIVREG_WORKERS", "1")
+    spec = _spec(XiDistribution.normal(0.0, 1e-160), 1)
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        run_experiment(cfg(spec=spec, experiment="rate", n_values=(6,), replications=5))
+
+
 def test_overflowing_run_stops_with_scalar_error(monkeypatch):
     # Pareto-2 draws of scale 3e152 overflow the squares in some
     # replications: the run stops with the error of the first of them, on
