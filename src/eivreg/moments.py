@@ -16,10 +16,11 @@ array exactly in NumPy by error-free extraction (Rump, Ogita and Oishi,
 2008): the whole block at once, with a sigma per row.  Almost every row
 stops after the first level, where a certified bound shows that its
 remainder cannot move the rounding (as in AccSum and NearSum, part II of
-the same paper); the others go on until their remainder is zero.  A row
-reads inf where ``math.fsum`` raises, and ``checked_fsum`` fails it by the
-name of its sum; ``RowStatus.normalizer`` is the one rule of a sum of
-squares that a pivot or a diagnostic divides by.
+the same paper); the others go on until their remainder is zero.  A 1-D
+array is the one-row block.  A row reads inf where ``math.fsum`` raises,
+whatever the shape, and ``checked_fsum`` fails it by the name of its sum;
+``RowStatus.normalizer`` is the one rule of a sum of squares that a pivot
+or a diagnostic divides by.
 
 A ``Dataset`` is one checked sample, y and x, with the latent truth of a
 simulated one; the fitting commands build it without the generators.
@@ -46,12 +47,12 @@ import numpy as np
 __all__ = ["MomentSet", "moment_set", "fsum", "Rows", "RowStatus", "Latent", "Dataset"]
 
 
-def fsum(values):
+def fsum(values: np.ndarray):
     """The exactly rounded sum of ``values``: the bits of ``math.fsum``.
 
     A 2-D float64 array of shape (B, n) gives the array of its B row sums,
     each the bits of ``math.fsum`` of its row; a 1-D array is the one-row
-    case and gives a float.  Rows are summed in NumPy by error-free
+    block and gives a float.  Rows are summed in NumPy by error-free
     extraction (Rump, Ogita and Oishi, 2008), the whole block at once with
     a sigma per row, level by level (``_extract_level``).  Each level's row
     sum tau_k is exact, so after level k a row's sum is
@@ -86,34 +87,25 @@ def fsum(values):
     a row with magnitudes of 2**(1020 - L) or more, where sigma could
     overflow (L = (n + 1).bit_length()), goes to ``math.fsum`` itself,
     which keeps its NaN and infinity values.  Where ``math.fsum`` raises,
-    because its partial sums overflow or it meets -inf + inf, a row of a
-    2-D block reads inf and the other rows keep their sums; a 1-D array,
-    a list and an array of another type or shape raise as ``math.fsum``
-    does.
+    because its partial sums overflow or it meets -inf + inf, the row
+    reads inf, whatever the shape, and the other rows keep their sums.
     """
-    if isinstance(values, np.ndarray):
-        if values.dtype == np.float64 and values.ndim == 2:
-            return _row_sums(values, _fsum_or_inf)
-        if values.dtype == np.float64 and values.ndim == 1:
-            return one_value(_row_sums(values[None, :], math.fsum))
-        values = values.tolist()
-    return math.fsum(values)
-
-
-def _row_sums(rows: np.ndarray, fallback) -> np.ndarray:
-    """The exactly rounded sum of each row of a 2-D float64 array (see
-    ``fsum``); ``fallback`` sums a row outside the extraction domain."""
+    rows = values if values.ndim == 2 else values[None, :]
     L = (rows.shape[1] + 1).bit_length()
     q = np.abs(rows)
     m = np.maximum.reduce(q, axis=1, initial=0.0)  # 0 for an empty row
     inside = (0.0 < m) & (m < math.ldexp(1.0, 1020 - L))  # also False for NaN
     if np.count_nonzero(inside) == len(inside):
-        return _extracted_row_sums(rows, m, L, q)
-    sums = np.empty(rows.shape[0])
-    for i in np.flatnonzero(~inside).tolist():
-        sums[i] = fallback(rows[i].tolist())
-    sums[inside] = _extracted_row_sums(rows[inside], m[inside], L, q[inside])
-    return sums
+        sums = _extracted_row_sums(rows, m, L, q)
+    else:
+        sums = np.empty(len(inside))
+        for i in np.flatnonzero(~inside).tolist():
+            try:
+                sums[i] = math.fsum(rows[i].tolist())
+            except (OverflowError, ValueError):  # overflow, or -inf + inf
+                sums[i] = math.inf
+        sums[inside] = _extracted_row_sums(rows[inside], m[inside], L, q[inside])
+    return sums if values.ndim == 2 else one_value(sums)
 
 
 def _extract_level(r: np.ndarray, sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -174,15 +166,6 @@ def _extracted_row_sums(rows: np.ndarray, m: np.ndarray, L: int, q: np.ndarray) 
         r, q = q, r
     sums[on] = [math.fsum(terms) for terms in zip(*[level.tolist() for level in levels])]
     return sums
-
-
-def _fsum_or_inf(values: list) -> float:
-    """``math.fsum(values)``, or inf where it raises: its partial sums
-    overflow, or it meets -inf + inf."""
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):
-        return math.inf
 
 
 def as_series(name: str, seq) -> np.ndarray:

@@ -434,14 +434,18 @@ def _raw_blocks(n: int, count: int, *series: int) -> list:
     """Room for the raw variates of ``count`` replications of size ``n``:
     one (count, k, n) array for each number of series k, replication i's
     rows the contiguous block [i].  Raises ValueError naming n unless it is
-    an integer of at least 1 within NumPy's largest dimension."""
+    an integer of at least 1 within NumPy's largest dimension, and
+    MemoryError naming n where no allocation can meet it."""
     n = check_integer("n", n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    cannot = "cannot allocate the variates of a sample of size n"
     try:
         return [np.empty((count, k, n)) for k in series]
     except ValueError as exc:  # beyond NumPy's largest dimension
-        raise ValueError(f"cannot allocate the variates of a sample of size n: {exc}") from None
+        raise ValueError(f"{cannot}: {exc}") from None
+    except MemoryError as exc:  # NumPy's own subclass takes no message
+        raise MemoryError(f"{cannot}: {exc}") from None
 
 
 def _error_rows(err: ErrorSpec, raw: np.ndarray) -> tuple:

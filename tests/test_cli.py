@@ -349,7 +349,9 @@ class TestExperiment:
         assert main(["experiment", "--config", config]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("eivreg: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "eivreg: cannot allocate the variates of a sample of size n: ")
+        assert captured.err.count("\n") == 1
         assert_no_child_left()
 
     @pytest.mark.parametrize("ending, how", [

@@ -374,17 +374,18 @@ def test_fsum_rows_special_values_match_math_fsum(n):
                                       [math.inf, -math.inf], [1e308, 1e308]])
 @pytest.mark.parametrize("n", [3, 2000])
 def test_fsum_special_values_match_math_fsum(specials, n):
-    # NaN, infinities and overflowing partial sums keep math.fsum's value
-    # or its exception and message.
+    # A 1-D array is the one-row block: its float has the bits of the
+    # block's one sum.  NaN and infinities keep math.fsum's value, and
+    # overflowing partial sums and inf - inf, where math.fsum raises, read
+    # inf.
     a = np.random.default_rng(0).standard_normal(n)
     a[: len(specials)] = specials
-    outcomes = []
-    for f in (fsum, lambda v: math.fsum(v.tolist())):
-        try:
-            outcomes.append(repr(f(a)))
-        except (ValueError, OverflowError) as exc:
-            outcomes.append((type(exc), str(exc)))
-    assert outcomes[0] == outcomes[1]
+    got = fsum(a)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == fsum(a[None, :]).tobytes()
+    expected = _fsum_outcome(math.fsum, a.tolist())
+    assert repr(got) == ("inf" if isinstance(expected, type) else expected)
+    assert isinstance(expected, type) == (specials in ([math.inf, -math.inf], [1e308, 1e308]))
 
 
 def test_fsum_empty_shapes():

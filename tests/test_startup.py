@@ -33,7 +33,8 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-heavy = ("numpy", "concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+heavy = ("numpy", "numpy.random", "concurrent.futures", "multiprocessing", "dataclasses",
+         "inspect")
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eivreg.") or m in heavy)]))
 """
 
@@ -41,7 +42,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eivreg.")
 # inspect) and no layer; estimate, ci and diagnose no montecarlo, config or
 # samplers; simulate no estimators, montecarlo, inference or diagnostics;
 # experiment loads the worker module only when it forks, and no
-# multiprocessing.
+# multiprocessing.  numpy.random loads only where the process draws: in
+# simulate and in a one-worker experiment, never in the parent of a forked
+# run.
 BARE = ["eivreg.cli", "eivreg.errors"]
 LAYER = BARE + ["dataclasses", "inspect", "numpy"]
 FIT = LAYER + ["eivreg.estimators", "eivreg.jsonout", "eivreg.moments"]
@@ -49,6 +52,7 @@ SIDE = ("--case", "1", "--lambda-theta", "0.1", "--mu", "0", "--intercept")
 EXPERIMENT = LAYER + ["eivreg.config", "eivreg.diagnostics", "eivreg.estimators",
                       "eivreg.inference", "eivreg.jsonout", "eivreg.moments",
                       "eivreg.montecarlo", "eivreg.normal", "eivreg.samplers"]
+DRAWS = ["numpy.random"]
 
 IMPORTS = {
     "version": (["--version"], BARE),
@@ -60,11 +64,11 @@ IMPORTS = {
                  LAYER + ["eivreg.diagnostics", "eivreg.jsonout", "eivreg.moments",
                           "eivreg.normal"]),
     "simulate": (["simulate", "--config", "config.json", "--out", "sim.csv", "--latent"],
-                 LAYER + ["eivreg.config", "eivreg.moments", "eivreg.samplers"]),
-    "experiment": (["experiment", "--config", "config.json"], EXPERIMENT),
+                 LAYER + ["eivreg.config", "eivreg.moments", "eivreg.samplers"] + DRAWS),
+    "experiment": (["experiment", "--config", "config.json"], EXPERIMENT + DRAWS),
     # One usable core runs every worker count in one process.
-    "experiment_2_workers": (["experiment", "--config", "config.json"],
-                             EXPERIMENT + ["eivreg.workers"] * (len(os.sched_getaffinity(0)) > 1)),
+    "experiment_2_workers": (["experiment", "--config", "config.json"], EXPERIMENT + (
+        ["eivreg.workers"] if len(os.sched_getaffinity(0)) > 1 else DRAWS)),
 }
 # EIVREG_WORKERS of the commands that do not run on one worker.
 WORKERS = {"experiment_2_workers": "2"}
