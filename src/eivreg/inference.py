@@ -1,34 +1,32 @@
 """Pivotal statistics and large-sample confidence intervals for the slope
 and intercept of the errors-in-variables model.
 
-All pivots here are Studentized or self-normalized, so they are free of
-unknown nuisance parameters beyond the error moments already assumed
-known.  Writing a_i for the case-specific per-observation quantities
+Every pivot is one form in the hypothesized parameter t,
 
-    case 1:  a_i = (s_{i,yy} - lambda_theta) - b*(s_{i,xy} - mu),
-    case 2:  a_i = (s_{i,xy} - mu)           - b*(s_{i,xx} - theta),
+    pivot(t) = sqrt(f) * U * (center - t) / sqrt(Q(t)),
 
-with normalizer U = S_xy - mu (case 1) or S_xx - theta (case 2), the slope
-pivots at a hypothesized slope b are
+Studentized (f = n*(n-1), Q a centered sum of squares) or self-normalized
+(f = n^2), and free of unknown nuisance parameters beyond the error
+moments already assumed known.  With the case-specific slope terms
 
-    studentized:             sqrt(n)*U*(beta_hat - b) / sqrt(sum (a_i - a_bar)^2 / (n-1)),
-    self-normalized:         n*U*(beta_hat - b) / sqrt(sum a_i^2),
-    self-normalized plug-in: n*U*(beta_hat - b) / sqrt(sum a_i(beta_hat)^2),
+    case 1:  a_i(b) = (s_{i,yy} - lambda_theta) - b*(s_{i,xy} - mu),
+    case 2:  a_i(b) = (s_{i,xy} - mu)           - b*(s_{i,xx} - theta),
 
-where the numerator is computed through the exact algebraic identity
-U*(beta_hat - b) = a_bar(b).  Intercept pivots divide sqrt(n)*(alpha_hat -
-alpha) by the centered standard deviation of the residuals
+U = S_xy - mu (case 1) or S_xx - theta (case 2), and the intercept
+residuals v_i = (y_i - alpha0) - b*x_i - (x_bar / U) * a_i(b), they are
 
-    v_i = (y_i - alpha0) - b*x_i - (x_bar / U) * a_i,
+    slope, studentized:      center beta_hat,  Q(b) = sum (a_i(b) - a_bar(b))^2,
+    slope, self-normalized:  center beta_hat,  Q(b) = sum a_i(b)^2,
+    slope, plug-in:          center beta_hat,  Q = sum a_i(beta_hat)^2,
+    intercept, studentized:  center alpha_hat, U = 1, Q = sum (v_i - v_bar)^2.
 
-with (b, alpha0) either the true values or the plug-in estimate with
-alpha0 = 0; the constant alpha0 cancels from every centered sum, which is
-what makes the plug-in variant fully data-based.
-
-Three interval families are provided: the plug-in slope interval and the
-intercept interval (symmetric around the estimate), and the quadratic
-slope intervals obtained by inverting the known-slope pivots in closed
-form for case 1.
+A slope numerator is a_bar(t), by the exact identity U*(beta_hat - t) =
+a_bar(t), so it never goes through beta_hat.  The intercept residuals are
+at the true (b, alpha0) = (beta, alpha) or at the plug-in (beta_hat, 0);
+alpha0 cancels from every centered sum, which makes the plug-in variant
+fully data-based.  Every interval is {t : |pivot(t)| <= z}: where Q is
+constant, center -+ z*sqrt(Q)/(sqrt(f)*|U|); for the known-slope pivots of
+case 1, whose Q is quadratic in b, the closed-form quadratic intervals.
 """
 
 from __future__ import annotations
@@ -111,40 +109,72 @@ def _pivot_terms(ms: MomentSet, side: SideInfo,
     return U, ms.s_yy - side.lambda_theta, ms.s_xy - side.mu
 
 
-def _moments(rows: Rows, side: SideInfo) -> MomentSet:
+@dataclass(frozen=True)
+class _Form:
+    """One pivot's form on each row of a block: U and the center (None
+    where nothing is estimated), a slope pivot's terms ay - t*ax, Q as
+    ``ss`` where it is constant (else None), and f and the divisor d of Q,
+    d = n - 1 if ``studentized`` else 1: the value is sqrt(f/d)*L/sqrt(Q/d)."""
+
+    status: RowStatus
+    n: int
+    name: str
+    studentized: bool
+    f: int
+    d: int
+    U: np.ndarray
+    center: Optional[np.ndarray]
+    ay: np.ndarray
+    ax: np.ndarray
+    ss: Optional[np.ndarray]
+
+
+def _form(rows: Rows, side: SideInfo, pivot, beta: Optional[float] = None,
+          alpha: float = 0.0) -> _Form:
+    """The form of ``pivot``, a ``montecarlo.PIVOTS`` name or quadratic pivot
+    k, on each row of ``rows``.  Intercept residuals are at the known
+    (``beta``, ``alpha``), or at (beta_hat, 0) where ``beta`` is None."""
     ms = moment_set(rows.y, rows.x, side.c, rows.status)
-    if ms.n < 2:
-        raise ValueError(f"need at least 2 observations, got {ms.n}")
-    return ms
+    status, n = ms.status, ms.n
+    if n < 2:
+        raise ValueError(f"need at least 2 observations, got {n}")
+    name = "intercept" if str(pivot).startswith("intercept") else "slope"
+    studentized = pivot in (1, "slope_studentized") or name == "intercept"
+    f, d = (n * (n - 1), n - 1) if studentized else (n * n, 1)
+    U, ay, ax = _pivot_terms(ms, side, pivot if pivot in (1, 2) else None)
+    center = ss = None
+    if pivot not in ("slope_studentized", "slope_self_normalized"):
+        est = estimate_from_moments(ms, side)
+        center = est.alpha_hat if name == "intercept" else est.beta_hat
+    if pivot == "slope_self_normalized_plugin":
+        ss = status.normalizer("a_i(beta_hat)^2", ay - center * ax)
+    elif name == "intercept":
+        b, alpha0 = (est.beta_hat, 0.0) if beta is None else (beta, alpha)
+        terms = (rows.y - alpha0) - b * rows.x - (ms.x_bar / U) * (ay - b * ax)
+        v_bar = checked_fsum("v_i", terms, status) / n
+        U, ss = 1.0, status.normalizer("(v_i - v_bar)^2", terms - v_bar)
+    return _Form(status, n, name, studentized, f, d, U, center, ay, ax, ss)
 
 
-def _slope_terms(ms: MomentSet, side: SideInfo, b) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalizer U and the slope terms a_i = ay - b*ax at slope ``b``, a
-    number or a column."""
-    U, ay, ax = _pivot_terms(ms, side)
-    return U, ay - b * ax
-
-
-def _plugin_sum(ms: MomentSet, side: SideInfo) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalizer U, the estimate beta_hat and sum a_i(beta_hat)^2, as
-    columns.  Its callers run under ``quiet_overflow``."""
-    b = estimate_from_moments(ms, side).beta_hat
-    U, terms = _slope_terms(ms, side, b)
-    return U, b, ms.status.normalizer("a_i(beta_hat)^2", terms)
-
-
-def _intercept_studentization(rows: Rows, side: SideInfo, beta: Optional[float] = None,
-                              alpha: Optional[float] = None):
-    """n, the intercept estimate and the centered sum of squares of the
-    intercept residual terms v_i, as columns: at the known (beta, alpha), or
-    at the estimate with alpha0 = 0 when ``beta`` is None."""
-    ms = _moments(rows, side)
-    est = estimate_from_moments(ms, side)
-    b, alpha0 = (est.beta_hat, 0.0) if beta is None else (float(beta), float(alpha))
-    U, slope_terms = _slope_terms(ms, side, b)
-    terms = (rows.y - alpha0) - b * rows.x - (ms.x_bar / U) * slope_terms
-    v_bar = checked_fsum("v_i", terms, ms.status) / ms.n
-    return ms.n, est.alpha_hat, ms.status.normalizer("(v_i - v_bar)^2", terms - v_bar)
+def _value(form: _Form, t: float):
+    """The pivot of ``form`` at ``t``: the value a statistic returns.  A
+    row fails where Q is zero or the value leaves the float range."""
+    status, ss = form.status, form.ss
+    if form.name == "slope":
+        # Exact identity: U * (beta_hat - t) equals the mean of the
+        # known-slope terms, so the numerator never goes through beta_hat.
+        terms = form.ay - t * form.ax
+        L = checked_fsum("a_i", terms, status) / form.n
+        if ss is None:
+            ss = (status.normalizer("(a_i - a_bar)^2", terms - L) if form.studentized
+                  else status.normalizer("a_i^2", terms))
+    else:
+        L = form.center - t
+    kind = "centered " if form.studentized else "plug-in " if form.ss is not None else ""
+    status.fail(ss == 0.0, lambda i: ZeroNormalizer(f"{kind}{form.name} residuals are all zero"))
+    value = status.finite(f"the {form.name} statistic",
+                          math.sqrt(form.f / form.d) * L / np.sqrt(ss / form.d))
+    return one_value(value) if status.raising else value
 
 
 @quiet_overflow
@@ -154,29 +184,14 @@ def slope_statistic(data, side: SideInfo, beta: float, variant: str):
 
     Raises ZeroNormalizer when the normalizing sum of squares vanishes
     (for example on exact-line data), and ValueError when it underflows
-    though its terms do not; a row of a block fails with either.
+    though its terms do not, or when the value overflows; a row of a block
+    fails with either.
     """
     check_side(side)
     if variant not in SLOPE_VARIANTS:
         raise ValueError(f"unknown slope variant {variant!r}")
-    check_finite_number("beta", beta)
-    ms = _moments(as_rows(data), side)
-    status, n = ms.status, ms.n
-    terms = _slope_terms(ms, side, float(beta))[1]
-    # Exact identity: U * (beta_hat - beta) equals the mean of the
-    # known-slope terms, so the numerator never goes through beta_hat.
-    term_mean = checked_fsum("a_i", terms, status) / n
-    if variant == "studentized":
-        ss = status.normalizer("(a_i - a_bar)^2", terms - term_mean)
-        residuals = "centered slope"
-    elif variant == "self_normalized":
-        ss, residuals = status.normalizer("a_i^2", terms), "slope"
-    else:
-        ss, residuals = _plugin_sum(ms, side)[2], "plug-in slope"
-    status.fail(ss == 0.0, lambda i: ZeroNormalizer(f"{residuals} residuals are all zero"))
-    value = (math.sqrt(n) * term_mean / np.sqrt(ss / (n - 1)) if variant == "studentized"
-             else n * term_mean / np.sqrt(ss))
-    return one_value(value) if status.raising else value
+    beta = check_finite_number("beta", beta)
+    return _value(_form(as_rows(data), side, f"slope_{variant}"), beta)
 
 
 @quiet_overflow
@@ -194,20 +209,15 @@ def intercept_statistic(data, side: SideInfo, alpha: float, *, beta: Optional[fl
     if variant not in INTERCEPT_VARIANTS:
         raise ValueError(f"unknown intercept variant {variant!r}")
     check_intercept_model(side)
-    check_finite_number("alpha", alpha)
+    alpha = check_finite_number("alpha", alpha)
     if variant == "plugin":
         if beta is not None:
             raise ValueError(f"beta is given only with the known_slope variant, got {beta!r}")
     elif beta is None:
         raise ValueError("known_slope variant requires beta")
     else:
-        check_finite_number("beta", beta)
-    rows = as_rows(data)
-    n, alpha_hat, ss = _intercept_studentization(rows, side, beta, alpha)
-    rows.status.fail(ss == 0.0, lambda i: ZeroNormalizer("centered intercept residuals are all zero"))
-    value = rows.status.finite("the intercept statistic",
-                               math.sqrt(n) * (alpha_hat - alpha) / np.sqrt(ss / (n - 1)))
-    return one_value(value) if rows.status.raising else value
+        beta = check_finite_number("beta", beta)
+    return _value(_form(as_rows(data), side, f"intercept_{variant}", beta, alpha), alpha)
 
 
 @dataclass(frozen=True)
@@ -248,6 +258,13 @@ def _interval(status: RowStatus, center, lower, upper, level: float, family: str
     return IntervalEstimate(one_value(center), *ends, level, family, j, k, kind)
 
 
+def _symmetric(form: _Form, z: float, level: float, family: str, j: int) -> IntervalEstimate:
+    """{t : |pivot(t)| <= z} of a form whose Q is constant:
+    center -+ z * sqrt(Q) / (sqrt(f) * |U|)."""
+    c, half = form.center, z * np.sqrt(form.ss) / (math.sqrt(form.f) * np.abs(form.U))
+    return _interval(form.status, c, c - half, c + half, level, family, j)
+
+
 @quiet_overflow
 def ci_slope_plugin(data, side: SideInfo, gamma: Optional[float] = None, *,
                     z: Optional[float] = None) -> IntervalEstimate:
@@ -255,10 +272,8 @@ def ci_slope_plugin(data, side: SideInfo, gamma: Optional[float] = None, *,
     beta_hat -+ z * sqrt(sum a_i(beta_hat)^2) / (n*|U|)."""
     check_side(side)
     z, level = _resolve_z(gamma, z)
-    ms = _moments(as_rows(data), side)
-    U, b, ss = _plugin_sum(ms, side)
-    half = z * np.sqrt(ss) / (ms.n * np.abs(U))
-    return _interval(ms.status, b, b - half, b + half, level, "slope_plugin", side.case)
+    form = _form(as_rows(data), side, "slope_self_normalized_plugin")
+    return _symmetric(form, z, level, "slope_plugin", side.case)
 
 
 @quiet_overflow
@@ -269,36 +284,8 @@ def ci_intercept(data, side: SideInfo, gamma: Optional[float] = None, *,
     check_side(side)
     z, level = _resolve_z(gamma, z)
     check_intercept_model(side)
-    rows = as_rows(data)
-    n, alpha_hat, ss = _intercept_studentization(rows, side)
-    half = z * np.sqrt(ss) / math.sqrt(n * (n - 1))
-    return _interval(rows.status, alpha_hat, alpha_hat - half, alpha_hat + half, level,
-                     "intercept", side.case)
-
-
-def _quadratic_coefficients(ms: MomentSet, side: SideInfo, k: int, z: float, beta1):
-    """Coefficients of the inversion quadratic A*b^2 - 2*N*b + C <= 0 of
-    quadratic pivot ``k`` and its quarter discriminant d4, as columns; a
-    coefficient whose products overflow is infinite or NaN.  The factor f
-    of f*U^2 is n*(n-1) where k = 1 Studentizes (n - 1 degrees of freedom)
-    and n^2 where k = 2 self-normalizes."""
-    U, ay, ax = _pivot_terms(ms, side, k)
-    f = ms.n * (ms.n - 1) if k == 1 else ms.n * ms.n
-    status = ms.status
-    syy2, sxy2, cross, resid2 = (
-        checked_fsum("ay^2", ay * ay, status), checked_fsum("ax^2", ax * ax, status),
-        checked_fsum("ay*ax", ay * ax, status),
-        checked_fsum("(ay - b*ax)^2", (ay - beta1 * ax) ** 2, status))
-    z2 = z * z
-    fu2, beta1_sq = f * (U * U), beta1 * beta1
-    A = fu2 - z2 * sxy2
-    N = fu2 * beta1 - z2 * cross
-    C = fu2 * beta1_sq - z2 * syy2
-    # Quarter discriminant N^2 - A*C, written as the explicit difference of
-    # a squared-residual term and a Gram determinant so the cancellation is
-    # controlled.
-    d4 = z2 * fu2 * resid2 - z2 * z2 * (syy2 * sxy2 - cross * cross)
-    return A, N, C, d4
+    return _symmetric(_form(as_rows(data), side, "intercept_plugin"), z, level, "intercept",
+                      side.case)
 
 
 @quiet_overflow
@@ -314,10 +301,23 @@ def ci_slope_quadratic(data, side: SideInfo, k: int = 1, gamma: Optional[float] 
     check_side(side)
     check_quadratic(side, k)
     z, level = _resolve_z(gamma, z)
-    ms = _moments(as_rows(data), side)
-    beta1 = estimate_from_moments(ms, side).beta_hat
-    A, N, C, d4 = _quadratic_coefficients(ms, side, k, z, beta1)
-    status = ms.status
+    form = _form(as_rows(data), side, k)
+    status, U, ay, ax, beta1 = form.status, form.U, form.ay, form.ax, form.center
+    syy2, sxy2, cross, resid2 = (
+        checked_fsum("ay^2", ay * ay, status), checked_fsum("ax^2", ax * ax, status),
+        checked_fsum("ay*ax", ay * ax, status),
+        checked_fsum("(ay - b*ax)^2", (ay - beta1 * ax) ** 2, status))
+    # The inversion quadratic A*b^2 - 2*N*b + C <= 0; a coefficient whose
+    # products overflow is infinite or NaN.
+    z2 = z * z
+    fu2, beta1_sq = form.f * (U * U), beta1 * beta1
+    A = fu2 - z2 * sxy2
+    N = fu2 * beta1 - z2 * cross
+    C = fu2 * beta1_sq - z2 * syy2
+    # Quarter discriminant d4 = N^2 - A*C, written as the explicit
+    # difference of a squared-residual term and a Gram determinant so the
+    # cancellation is controlled.
+    d4 = z2 * fu2 * resid2 - z2 * z2 * (syy2 * sxy2 - cross * cross)
     status.finite("the leading coefficient of the inversion quadratic", A)
     leading = A <= 0.0
     status.fail(~leading & ~(np.isfinite(N) & np.isfinite(C) & np.isfinite(d4)),

@@ -10,8 +10,9 @@ package in ``errors.py``, so those exit codes stay the whole story.
 
 Tiny seeded datasets of zeros, subnormals, values whose squares overflow
 and random scales also go through every public one-sample entry point of
-the library, which may only return or raise a ValueError or an
-``EivregError``.
+the library, which may only return finite numbers or raise a ValueError
+or an ``EivregError``; ``tests/hostile_outcomes.py`` prints each of
+those outcomes, so two versions of the package can be compared.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import pytest
 import eivreg
 from conftest import PROP_CASES
 from eivreg.cli import main
+from eivreg.inference import SLOPE_VARIANTS
 
 TINIEST = 5e-324
 LARGEST = 1.7976931348623157e308
@@ -221,7 +223,7 @@ def _library_calls(data, side, rng: np.random.Generator):
     yield "moment_set", lambda: eivreg.moment_set(data.y, data.x, side.c)
     yield "estimate", lambda: eivreg.estimate(data, side)
     yield "naive_ratio_estimates", lambda: eivreg.naive_ratio_estimates(data, side.c)
-    for variant in eivreg.inference.SLOPE_VARIANTS:
+    for variant in SLOPE_VARIANTS:
         yield variant, lambda variant=variant: eivreg.slope_statistic(data, side, beta, variant)
     yield "intercept plugin", lambda: eivreg.intercept_statistic(data, side, alpha)
     yield "intercept known_slope", lambda: eivreg.intercept_statistic(
@@ -236,31 +238,53 @@ def _library_calls(data, side, rng: np.random.Generator):
     yield "ks_distance_to_normal", lambda: eivreg.ks_distance_to_normal(data.y)
 
 
+def _returned_numbers(value) -> list:
+    """The numbers a library call returns that must be finite: a float, the
+    float fields and guard values of an estimate or a moment set, and an
+    interval's center and, where its degeneracy is ``none``, its ends."""
+    if isinstance(value, eivreg.IntervalEstimate):
+        ends = (value.lower, value.upper) if value.degeneracy == "none" else ()
+        return [value.center, *ends]
+    if isinstance(value, float):
+        return [value]
+    fields = vars(value).values()
+    return [v for field in fields
+            for v in (field.values() if isinstance(field, dict) else (field,))
+            if isinstance(v, float)]
+
+
+def _library_case(seed: int) -> tuple:
+    """The dataset, side information and generator of library case ``seed``;
+    the generator goes on to draw the hypothesized slope and intercept."""
+    rng = np.random.default_rng([2026, seed])
+    n = int(rng.integers(2, 7))
+    data = eivreg.Dataset(y=_library_column(rng, n), x=_library_column(rng, n))
+    moments = (float(rng.choice((0.0, 0.25, 1.0, 1e-310, 1e154, 1e300))),
+               float(rng.choice((0.0, 0.05, -0.3, 1e-310, 1e154, 1e200))))
+    c = int(rng.integers(2))
+    side = (eivreg.SideInfo.case1(*moments, c=c) if rng.random() < 0.6
+            else eivreg.SideInfo.case2(*moments, c=c))
+    return data, side, rng
+
+
 def test_prop_hostile_library_input_ends_in_named_errors():
     # Tiny finite datasets through every public one-sample entry point:
-    # each call returns, or raises a ValueError or an EivregError.  No
-    # other exception and no warning may escape.
+    # each call returns finite numbers, or raises a ValueError or an
+    # EivregError.  No other exception and no warning may escape.
     called, returned = set(), set()
     for seed in range(2 * PROP_CASES):
-        rng = np.random.default_rng([2026, seed])
-        n = int(rng.integers(2, 7))
-        data = eivreg.Dataset(y=_library_column(rng, n), x=_library_column(rng, n))
-        moments = (float(rng.choice((0.0, 0.25, 1.0, 1e-310, 1e154, 1e300))),
-                   float(rng.choice((0.0, 0.05, -0.3, 1e-310, 1e154, 1e200))))
-        c = int(rng.integers(2))
-        side = (eivreg.SideInfo.case1(*moments, c=c) if rng.random() < 0.6
-                else eivreg.SideInfo.case2(*moments, c=c))
-        for name, call in _library_calls(data, side, rng):
+        for name, call in _library_calls(*_library_case(seed)):
             called.add(name)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    call()
-                    returned.add(name)
+                    value = call()
                 except (ValueError, eivreg.EivregError):
-                    pass
+                    continue
                 except Exception as exc:
-                    raise AssertionError((seed, name, data, side)) from exc
+                    raise AssertionError((seed, name)) from exc
+            returned.add(name)
+            assert all(map(math.isfinite, _returned_numbers(value))), (seed, name, value)
     # Every entry point returns on some of the cases.
     assert returned == called and len(called) == 16
 

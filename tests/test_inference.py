@@ -89,6 +89,16 @@ class TestSlopeStatistic:
         with pytest.raises(GuardViolation):
             slope_statistic(data, SIDE2_FREE, 2.0, "self_normalized_plugin")
 
+    def test_plugin_checks_its_form_before_the_hypothesis(self):
+        # The plug-in statistic builds its form, the estimate and
+        # sum a_i(beta_hat)^2, before it sums the terms at beta, so it fails
+        # a guard as its interval does, though sum a_i(1e308) overflows.
+        data, side = offline_dataset(), SideInfo.case2(2.0, 0.0, c=1)
+        for call in (lambda: slope_statistic(data, side, 1e308, "self_normalized_plugin"),
+                     lambda: ci_slope_plugin(data, side, 0.05)):
+            with pytest.raises(GuardViolation, match="s_xx_minus_theta"):
+                call()
+
     def test_prop_numerator_identity(self):
         # The self-normalized pivot, whose numerator is n times the mean of
         # the known-slope terms, equals n*U*(beta_hat - beta)/sqrt(sum a_i^2)
@@ -370,12 +380,21 @@ class TestCiSlopeQuadratic:
             assert ci.upper == pytest.approx(hi, rel=1e-6)
 
     def test_pivot_at_endpoints_equals_z(self):
+        # Every interval is {t : |pivot(t)| <= z}, so the pivot it inverts
+        # reads z at both ends: the quadratic family, and in both cases the
+        # plug-in slope and the intercept intervals.
         data = m0_dataset(50, 7)
         z = z_for_gamma(0.05)
-        for k in (1, 2):
-            ci = ci_slope_quadratic(data, SIDE1_M0, k, 0.05)
+        inverted = [(ci_slope_quadratic(data, SIDE1_M0, k, 0.05),
+                     lambda b, k=k: _quadratic_pivot(data, k, b)) for k in (1, 2)]
+        for side in (SIDE1_M0, SIDE2_M0):
+            inverted += [(ci_slope_plugin(data, side, 0.05), lambda b, side=side: abs(
+                             slope_statistic(data, side, b, "self_normalized_plugin"))),
+                         (ci_intercept(data, side, 0.05),
+                          lambda a, side=side: abs(intercept_statistic(data, side, a)))]
+        for ci, pivot in inverted:
             for endpoint in (ci.lower, ci.upper):
-                assert abs(_quadratic_pivot(data, k, endpoint) - z) < 1e-9
+                assert abs(pivot(endpoint) - z) < 1e-9
 
     def test_prop_interval_membership_matches_pivot(self):
         # beta inside the interval iff |pivot(beta)| <= z, probed pointwise.
@@ -531,6 +550,16 @@ def test_overflowing_result_named(name):
     call, result = _HUGE[name]
     with pytest.raises(ValueError, match=rf"^{re.escape(result)} overflows the float range$"):
         call(m0_dataset(30, 3))
+
+
+def test_overflowing_slope_statistic_named():
+    # Near-exact-line data make sum a_i(beta_hat)^2 tiny, so the plug-in
+    # statistic at a huge slope leaves the float range: it is named, not
+    # returned as an infinity.
+    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    data = Dataset(y=2 * x + np.array([0.0, 1e-9, 0.0, -1e-9, 2e-9]), x=x)
+    with pytest.raises(ValueError, match=r"^the slope statistic overflows the float range$"):
+        slope_statistic(data, SIDE2_FREE, 1e300, "self_normalized_plugin")
 
 
 def _scaled(s):
