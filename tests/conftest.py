@@ -1,6 +1,7 @@
 """Shared constants and helpers for the test suite."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -34,6 +35,18 @@ SIDE2_M0 = SideInfo.case2(theta=0.25, mu=0.05, c=1)
 LINE_Y = np.array([1.0, 3.0, 5.0])
 OFFLINE_Y = np.array([1.0, 3.0, 6.0])
 X3 = np.array([0.0, 1.0, 2.0])
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_temp_dir(tmp_path_factory):
+    """A temp dir of the session's own, in this process and in every child
+    it starts, so the CSV cache of a fit run in a test stays out of the
+    machine's temp dir."""
+    path = str(tmp_path_factory.mktemp("tmp"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("TMPDIR", path)
+        mp.setattr(tempfile, "tempdir", path)
+        yield path
 
 
 def line_dataset() -> Dataset:

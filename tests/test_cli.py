@@ -1,9 +1,11 @@
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import types
 import warnings
@@ -15,6 +17,7 @@ from conftest import PROP_CASES, assert_no_child_left, usable_cpus
 from eivreg import cli, montecarlo
 from eivreg.cli import main
 from eivreg.montecarlo import EXPERIMENTS
+from test_golden import CASES, GOLDEN, run_case
 
 M0_CONFIG = {
     "model": {
@@ -599,10 +602,10 @@ class TestCsvInput:
         assert main(["diagnose", csv, "--column", "x"]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 3
 
-    def test_pipe_and_packed_name_read_as_a_file(self, tmp_path):
+    def test_pipe_and_packed_name_read_as_a_file(self, tmp_path, cache_dir):
         # A pipe cannot be opened a second time, and NumPy would unpack a
-        # file by its name: both are read from the one open handle.  The
-        # rows span many read buffers.
+        # file by its name: both are read from the one open handle, and not
+        # cached.  The rows span many read buffers.
         text = "y,x\n" + "".join(f"{i}.5,{i}\n" for i in range(20000))
         expected = cli._read_columns(write(tmp_path, "data.csv", text),
                                      lambda header: ("y", "x"))
@@ -617,6 +620,7 @@ class TestCsvInput:
                        for name in ("y", "x")), path
         writer.join(timeout=10)
         assert not writer.is_alive()
+        assert len(_entries(cache_dir)) == 1  # the file read by its name
 
     def test_bad_cell_in_a_pipe_named_as_in_a_file(self, tmp_path, capsys):
         # The rescan that names a bad cell reads a pipe from memory, since
@@ -673,6 +677,195 @@ class TestCsvInput:
         cli._write_csv(path, header, columns)
         body = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
         assert path.read_bytes() == ("\n".join([",".join(header), *body]) + "\n").encode()
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """A fresh temp dir for this test, in process and in children; the path
+    the CSV cache directory takes in it."""
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(temp))
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    return temp / f"eivreg-{os.getuid()}"
+
+
+def _entries(directory) -> list:
+    return sorted(directory.iterdir()) if directory.exists() else []
+
+
+def _by_name_parses(monkeypatch) -> list:
+    """The sources, file names or handles, ``cli._parse`` parses from now on."""
+    calls, parse = [], cli._parse
+    monkeypatch.setattr(cli, "_parse", lambda source, *rest: calls.append(source)
+                        or parse(source, *rest))
+    return calls
+
+
+# The golden fit cases whose CSV file is never parsed: flags rejected
+# first, a bad cell, bytes that are not UTF-8, a repeated column, no file.
+UNPARSED = {"estimate_reject_no_mu", "diagnose_reject_center_nan",
+            "estimate_reject_non_numeric_cell", "estimate_reject_duplicate_column",
+            "estimate_csv_not_utf8", "estimate_reject_missing_csv"}
+FIT_CASES = [c for c in CASES if c.argv[0] in ("estimate", "ci", "diagnose")]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _npz(table) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, table)
+    return buffer.getvalue()
+
+
+class TestCsvCache:
+    @pytest.mark.parametrize("case", FIT_CASES, ids=lambda c: c.name)
+    def test_hit_gives_the_bytes_of_a_miss(self, tmp_path, cache_dir, monkeypatch, case):
+        # Both runs give the golden bytes; the second reads the table the
+        # first stored and parses no file by name.
+        runs = []
+        for i in range(2):
+            workdir = tmp_path / str(i)
+            workdir.mkdir()
+            calls = _by_name_parses(monkeypatch)
+            runs.append(run_case(case, workdir))
+            if i == 0:
+                assert len(_entries(cache_dir)) == (case.name not in UNPARSED)
+        assert runs[0] == runs[1]
+        if case.name not in UNPARSED:
+            assert calls == []
+        for name, data in runs[1][1].items():
+            assert data == (GOLDEN / f"{case.name}.{name}").read_bytes(), name
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "float32", "big_endian",
+                                        "one_column", "one_dimensional", "pickled", "zip"])
+    def test_bad_entry_is_ignored_and_replaced(self, tmp_path, cache_dir, monkeypatch, damage):
+        csv = write(tmp_path, "data.csv", "y,x\n1.5,2\n3,4.25\n-5,7\n")
+        expected = cli._read_columns(csv, lambda header: ("y", "x"))
+        (entry,) = _entries(cache_dir)
+        good = entry.read_bytes()
+        table = np.array([[1.5, 2.0], [3.0, 4.25], [-5.0, 7.0]])
+        bad = {"truncated": lambda: entry.write_bytes(good[:-8]),
+               "empty": lambda: entry.write_bytes(b""),
+               "float32": lambda: np.save(entry, table.astype(np.float32)),
+               "big_endian": lambda: np.save(entry, table.astype(">f8")),
+               "one_column": lambda: np.save(entry, table[:, :1]),
+               "one_dimensional": lambda: np.save(entry, table[:, 0]),
+               "pickled": lambda: np.save(entry, table.astype(object), allow_pickle=True),
+               "zip": lambda: entry.write_bytes(_npz(table))}
+        bad[damage]()
+        assert entry.read_bytes() != good
+        calls = _by_name_parses(monkeypatch)
+        columns = cli._read_columns(csv, lambda header: ("y", "x"))
+        assert calls == [csv]
+        assert all(columns[n].tobytes() == expected[n].tobytes() for n in ("y", "x"))
+        assert _entries(cache_dir) == [entry] and entry.read_bytes() == good
+
+    @pytest.mark.parametrize("unsafe", ["foreign_owner", "group_writable", "symlink"])
+    def test_unsafe_cache_dir_is_not_used(self, tmp_path, cache_dir, monkeypatch, unsafe,
+                                          capsys):
+        target = tmp_path / "target"
+        target.mkdir(mode=0o700)
+        if unsafe == "symlink":
+            cache_dir.symlink_to(target)
+        else:
+            cache_dir.mkdir(mode=0o700)
+            target = cache_dir
+        if unsafe == "group_writable":
+            cache_dir.chmod(0o770)
+        elif unsafe == "foreign_owner":
+            uid = os.getuid() + 1
+            monkeypatch.setattr(os, "getuid", lambda: uid)
+            cache_dir.rename(cache_dir.with_name(f"eivreg-{uid}"))
+            target = cache_dir.with_name(f"eivreg-{uid}")
+        csv = write(tmp_path, "data.csv", LINE_CSV)
+        outs = []
+        for _ in range(2):
+            calls = _by_name_parses(monkeypatch)
+            assert main(["estimate", csv, *SIDE2_FLAGS]) == 0
+            assert calls == [csv]
+            outs.append(capsys.readouterr())
+        assert list(target.iterdir()) == []
+        assert outs[0] == outs[1] and outs[0].err == ""
+
+    @pytest.mark.parametrize("failure", ["temp_dir_under_a_file", "store_fails"])
+    def test_unusable_cache_is_silent(self, tmp_path, cache_dir, monkeypatch, capsys, failure):
+        csv = write(tmp_path, "data.csv", OFFLINE_CSV)
+        argv = ["ci", csv, *SIDE2_FLAGS, "--intercept", "--family", "plugin-slope"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        (entry,) = _entries(cache_dir)
+        entry.unlink()
+        if failure == "temp_dir_under_a_file":
+            (tmp_path / "file").write_text("")
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "file" / "tmp"))
+        else:
+            def full(*args, **kwargs):
+                raise OSError(28, "No space left on device")
+            monkeypatch.setattr(np.lib.format, "write_array", full)
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+        assert _entries(cache_dir) == []
+
+    @pytest.mark.parametrize("change", [None, "touch", "rewrite"])
+    def test_no_entry_when_the_file_changes_during_the_parse(self, tmp_path, cache_dir,
+                                                             monkeypatch, change):
+        csv = write(tmp_path, "data.csv", LINE_CSV)
+        parse = cli._parse
+
+        def parse_while_changed(source, *rest):
+            table = parse(source, *rest)
+            st = os.stat(csv)
+            if change == "touch":
+                os.utime(csv, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
+            elif change == "rewrite":
+                os.replace(write(tmp_path, "new.csv", OFFLINE_CSV), csv)
+            return table
+        monkeypatch.setattr(cli, "_parse", parse_while_changed)
+        columns = cli._read_columns(csv, lambda header: ("y", "x"))
+        assert columns["y"].tolist() == [1.0, 3.0, 5.0]
+        assert len(_entries(cache_dir)) == (change is None)
+
+    def test_eviction_keeps_the_total_within_the_limit(self, tmp_path, cache_dir,
+                                                       monkeypatch):
+        assert cli._CACHE_BYTES == 256 << 20
+        # Each entry is a 128-byte header and 100 rows of two float64.
+        monkeypatch.setattr(cli, "_CACHE_BYTES", 3 * 1728)
+        paths = [write(tmp_path, f"{i}.csv", "y,x\n" + f"{i},1\n" * 100) for i in range(5)]
+        stored = {}
+        for i, path in enumerate(paths):
+            if i == 3:  # a hit marks 0 used
+                cli._read_columns(paths[0], lambda header: ("y", "x"))
+            cli._read_columns(path, lambda header: ("y", "x"))
+            entries = _entries(cache_dir)
+            assert sum(e.stat().st_size for e in entries) <= cli._CACHE_BYTES
+            assert len(entries) == min(i + 1, 3)
+            (stored[i],) = set(entries) - set(stored.values())
+            if i < 3:  # stored 1, 2 and 3 seconds after the epoch
+                os.utime(stored[i], ns=(0, 10 ** 9 * (i + 1)))
+        # 1 and 2 went first; 0 was used after them.
+        assert _entries(cache_dir) == sorted([stored[0], stored[3], stored[4]])
+
+    @pytest.mark.parametrize("argv, workers", [
+        (("experiment", "--config", "cfg.json"), "1"),
+        (("experiment", "--config", "cfg.json"), "2"),
+        (("simulate", "--config", "cfg.json", "--out", "sim.csv", "--n", "50"), "1"),
+        (("--version",), "1"),
+        (("--help",), "1"),
+    ], ids=["experiment_1_worker", "experiment_2_workers", "simulate", "version", "help"])
+    def test_commands_that_read_no_csv_leave_no_cache(self, tmp_path, cache_dir, argv,
+                                                      workers):
+        (tmp_path / "cfg.json").write_text(json.dumps(M0_CONFIG))
+        env = dict(os.environ, EIVREG_WORKERS=workers, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-m", "eivreg", *argv], cwd=tmp_path, env=env,
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert not cache_dir.exists()
+        # A fit in the same temp dir does make it.
+        write(tmp_path, "data.csv", LINE_CSV)
+        proc = subprocess.run([sys.executable, "-m", "eivreg", "estimate", "data.csv",
+                               *SIDE2_FLAGS], cwd=tmp_path, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert len(_entries(cache_dir)) == 1
 
 
 def test_prop_simulate_estimate_round_trip(tmp_path):
