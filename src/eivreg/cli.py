@@ -115,15 +115,15 @@ def _cached_table(path: str, stamp: tuple, skip: int, cols):
     columns, the CSV dialect, the entry layout and the NumPy version, in a
     directory of the temp dir that only this user may use.  A parse is
     stored only if the file's ``stamp``, taken when it was opened, still
-    holds after the parse, and the entries total at most ``_CACHE_BYTES``:
-    a hit marks its entry used, and a store evicts the least recently used
-    first.  Where the cache fails, the table is parsed as without it."""
+    holds after the parse and its bytes still hash to the entry, and the
+    entries total at most ``_CACHE_BYTES``: a hit marks its entry used, and
+    a store evicts the least recently used first.  Where the cache fails, the table is parsed as without it."""
     entry = _cache_entry(path, cols)
     table = None if entry is None else _cache_load(entry, len(cols))
     if table is None:
         table = _parse(path, skip, cols)
         if entry is not None:
-            _cache_store(entry, table, path, stamp)
+            _cache_store(entry, table, path, stamp, cols)
     return table
 
 
@@ -176,15 +176,20 @@ def _cache_load(entry: str, width: int):
     return table
 
 
-def _cache_store(entry: str, table, path: str, stamp: tuple) -> None:
-    """Store ``table``, parsed from ``path``, as the cache file ``entry``
-    if the file's stat still reads ``stamp``, through a temp file of this
-    process; then evict.  A failure stores nothing."""
+def _cache_store(entry: str, table, path: str, stamp: tuple, cols) -> None:
+    """Store ``table``, the columns ``cols`` parsed from ``path``, as the
+    cache file ``entry`` if the file's stat still reads ``stamp`` and its
+    bytes still hash to ``entry``, through a temp file of this process;
+    then evict.  A failure stores nothing."""
     import numpy as np
 
     temp = f"{entry}.{os.getpid()}.tmp"
     try:
-        if table.nbytes > _CACHE_BYTES or _stamp(os.stat(path)) != stamp:
+        # The mtime moves only once a tick of the kernel's coarse clock, so
+        # a rewrite in place to the same size within one tick keeps the
+        # stat: the bytes are hashed again to see it.
+        if (table.nbytes > _CACHE_BYTES or _stamp(os.stat(path)) != stamp
+                or _cache_entry(path, cols) != entry):
             return
         with open(temp, "wb") as fh:
             np.lib.format.write_array(fh, table, allow_pickle=False)

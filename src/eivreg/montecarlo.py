@@ -64,8 +64,8 @@ from .inference import (DEGENERACY_DISCRIMINANT, DEGENERACY_LEADING, DEGENERACY_
                         intercept_statistic, slope_statistic)
 from .moments import Rows, check_integer, fsum, quiet_overflow
 from .normal import z_for_gamma
-from .samplers import (_ERROR_BASES, XI_FAMILIES, ModelSpec, _philox_generator, _philox_state,
-                       _raw_blocks, _reset, _simulate_rows, philox_keys)
+from .samplers import (_ERROR_BASES, XI_FAMILIES, ModelSpec, _philox_generator, _raw_blocks,
+                       _reset, _simulate_rows, philox_keys)
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "EXPERIMENTS", "OUTCOMES", "PIVOTS", "WORKERS_ENV"]
@@ -168,14 +168,14 @@ class ExperimentReport:
         }
 
 
-def _replicate(draws: tuple, rngs: tuple, states: tuple, keys: tuple, xi_raw: np.ndarray,
+def _replicate(draws: tuple, rngs: tuple, keys: tuple, xi_raw: np.ndarray,
                err_raw: np.ndarray) -> None:
     """Draw one replication's raw variates into its rows ``xi_raw`` and
     ``err_raw`` of a block with the (xi, errors) raw draws ``draws``, from
-    the reused generators ``rngs``, each first reset, through its reused
-    state dict in ``states``, to its Philox key in ``keys``."""
-    draws[0](_reset(rngs[0], keys[0], states[0]), xi_raw)
-    draws[1](_reset(rngs[1], keys[1], states[1]), err_raw)
+    the reused generators ``rngs``, each first reset to its Philox key in
+    ``keys``."""
+    draws[0](_reset(rngs[0], keys[0]), xi_raw)
+    draws[1](_reset(rngs[1], keys[1]), err_raw)
 
 
 def _row_code(error: Optional[Exception], kind: str) -> int:
@@ -242,19 +242,17 @@ def _fill(config: ExperimentConfig, n: int, start: int, stop: int, columns: tupl
     arrays, and its codes and values written into its rows."""
     spec = config.spec
     rngs = (_philox_generator(), _philox_generator())
-    states = (_philox_state(), _philox_state())
     family = XI_FAMILIES[spec.xi.family]
     draws = (family.draw, _ERROR_BASES[spec.err.base].draw)
     size = _sub_block_rows(n)
     codes, values = columns
     for block in range(start, stop, _MAX_BLOCK):
-        xi_keys, err_keys = philox_keys(config.seed, n, block,
-                                        min(block + _MAX_BLOCK, stop)).tolist()
-        for lo in range(0, len(xi_keys), size):
-            count = min(size, len(xi_keys) - lo)
+        keys = philox_keys(config.seed, n, block, min(block + _MAX_BLOCK, stop))
+        for lo in range(0, keys.shape[1], size):
+            count = min(size, keys.shape[1] - lo)
             xi_raw, err_raw = _raw_blocks(n, count, family.series, 2)
-            for i, rep_keys in enumerate(zip(xi_keys[lo:lo + count], err_keys[lo:lo + count])):
-                _replicate(draws, rngs, states, rep_keys, xi_raw[i], err_raw[i])
+            for i, rep_keys in enumerate(zip(keys[0, lo:lo + count], keys[1, lo:lo + count])):
+                _replicate(draws, rngs, rep_keys, xi_raw[i], err_raw[i])
             rows = Rows(*_simulate_rows(spec, xi_raw, err_raw))
             # Free the raw variates before evaluating.  Kept alive, they lift a
             # sub-block's heap peak at n = 2000 past glibc's trim threshold, and

@@ -415,28 +415,18 @@ def _philox_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
-def _philox_state() -> dict:
-    """A Philox state for ``_reset`` to fill in with a key: zero counter and
-    an empty buffer, the state ``Philox(ss)`` starts in."""
-    return {
+def _reset(rng: np.random.Generator, key) -> np.random.Generator:
+    """``rng`` set to the start of the Philox stream with ``key``, one key
+    of ``philox_keys``: zero counter and an empty buffer, the state
+    ``Philox(ss)`` starts in, so the draws that follow are those of the
+    matching ``substream``."""
+    rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": None},
+        "state": {"counter": _ZERO_WORDS, "key": key},
         # buffer_pos 4 marks the four-word output buffer as used up.
         "buffer": _ZERO_WORDS, "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0,
     }
-
-
-def _reset(rng: np.random.Generator, key, state=None) -> np.random.Generator:
-    """``rng`` set to the start of the Philox stream with ``key``, one key
-    of ``philox_keys``, so the draws that follow are those of the matching
-    ``substream``.  ``state``, a ``_philox_state`` that the caller reuses
-    for this generator, saves building one per call; the setter reads a
-    key of Python ints faster than one of NumPy integers."""
-    if state is None:
-        state = _philox_state()
-    state["state"]["key"] = key
-    rng.bit_generator.state = state
     return rng
 
 

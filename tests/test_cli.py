@@ -825,6 +825,29 @@ class TestCsvCache:
         assert columns["y"].tolist() == [1.0, 3.0, 5.0]
         assert len(_entries(cache_dir)) == (change is None)
 
+    def test_no_entry_when_rewritten_in_place_with_the_same_stat(self, tmp_path, cache_dir,
+                                                                monkeypatch):
+        # Hashed as LINE_CSV, then rewritten in place to OFFLINE_CSV, of the
+        # same size, with the mtime set back, before the parse: the stat is
+        # the same, but the table is of other bytes than its key.
+        csv = write(tmp_path, "data.csv", LINE_CSV)
+        st = os.stat(csv)
+        parse = cli._parse
+
+        def rewrite_then_parse(source, *rest):
+            with open(csv, "r+b") as fh:
+                fh.write(OFFLINE_CSV.encode())
+            os.utime(csv, ns=(st.st_atime_ns, st.st_mtime_ns))
+            return parse(source, *rest)
+        monkeypatch.setattr(cli, "_parse", rewrite_then_parse)
+        assert cli._read_columns(csv, lambda header: ("y", "x"))["y"].tolist() == [1, 3, 6]
+        assert cli._stamp(os.stat(csv)) == cli._stamp(st)
+        assert _entries(cache_dir) == []
+        # The first bytes again are parsed again, not read as the other's.
+        monkeypatch.setattr(cli, "_parse", parse)
+        write(tmp_path, "data.csv", LINE_CSV)
+        assert cli._read_columns(csv, lambda header: ("y", "x"))["y"].tolist() == [1, 3, 5]
+
     def test_eviction_keeps_the_total_within_the_limit(self, tmp_path, cache_dir,
                                                        monkeypatch):
         assert cli._CACHE_BYTES == 256 << 20
